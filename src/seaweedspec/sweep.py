@@ -7,19 +7,22 @@ an engine bug, and collects unimodality failures as findings. The
 stability sweeps walk small parameter grids of the three extension
 conjectures instead.
 
-Work is a stateless map over composition pairs; a single writer appends
-one NDJSON record per pair, so reruns with --resume skip finished keys and
-worker count never changes the output.
+Work is a stateless map over composition pairs, one task per top
+composition; the main process appends each task's NDJSON records in task
+order and does all the bookkeeping. A record carries no timing, so a
+record file is a function of the job alone: reruns with --resume skip
+finished keys, and the worker count never changes a byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import time
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from ._engine import kernel
 from .analysis import (
@@ -77,43 +80,64 @@ class SweepJob:
             raise ValueError("resume needs an output path to read back")
 
 
+def _parse_record(line: str | bytes, path: str, lineno: int) -> dict:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError:
+        raise ParseError(f"corrupt sweep record at {path}:{lineno}") from None
+    if not isinstance(rec, dict) or "key" not in rec:
+        raise ParseError(f"corrupt sweep record at {path}:{lineno}")
+    return rec
+
+
 def read_records(path: str) -> list[dict]:
     """Load an NDJSON record file, stopping hard on a corrupt line."""
-    records = []
     with open(path, encoding="utf-8") as fh:
+        return [
+            _parse_record(line, path, lineno)
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
+
+
+def _load_completed(
+    job: SweepJob, acts: Callable[[dict], bool]
+) -> tuple[set[str], dict[str, dict]]:
+    """Keys of job's records already in job.out, and the records `acts` keeps.
+
+    The file is streamed, so memory grows with the number of keys, not with
+    the records. Every record the sweep writes ends in a newline, so a last
+    line without one is the torn tail of a killed run: the file is truncated
+    back to the last newline and that pair is computed again. A corrupt line
+    before it is fatal and leaves the file as it was.
+    """
+    completed: set[str] = set()
+    kept: dict[str, dict] = {}
+    if not (job.resume and job.out and os.path.exists(job.out)):
+        return completed, kept
+    path = job.out
+    end = 0
+    torn = False
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                torn = True
+                break
+            end += len(line)
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(f"corrupt sweep record at {path}:{lineno}") from None
-            if not isinstance(rec, dict) or "key" not in rec:
-                raise ParseError(f"corrupt sweep record at {path}:{lineno}")
-            records.append(rec)
-    return records
-
-
-class _Writer:
-    """Append-only NDJSON sink; a no-op without a path."""
-
-    def __init__(self, path: str | None):
-        self._fh = open(path, "a", encoding="utf-8") if path else None
-
-    def write(self, rec: dict) -> None:
-        if self._fh:
-            self._fh.write(json.dumps(rec) + "\n")
-
-    def close(self) -> None:
-        if self._fh:
-            self._fh.close()
-
-
-def _load_completed(job: SweepJob) -> tuple[set[str], list[dict]]:
-    if not (job.resume and job.out and os.path.exists(job.out)):
-        return set(), []
-    existing = [r for r in read_records(job.out) if r.get("conjecture") == job.conjecture]
-    return {r["key"] for r in existing}, existing
+            rec = _parse_record(line, path, lineno)
+            if rec.get("conjecture") != job.conjecture:
+                continue
+            key = rec["key"]
+            completed.add(key)
+            if acts(rec):
+                kept[key] = rec
+            else:
+                kept.pop(key, None)
+    if torn:
+        os.truncate(path, end)
+    return completed, kept
 
 
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
@@ -126,20 +150,18 @@ def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
                 yield SeaweedSpec(top, bottom)
 
 
-def _spec_text(top: tuple, bottom: tuple) -> str:
-    return "|".join(map(str, top)) + " / " + "|".join(map(str, bottom))
+@lru_cache(maxsize=1)
+def _compositions(n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """Each composition of n with its text, joined once per n."""
+    return tuple((c.parts, "|".join(map(str, c.parts))) for c in compositions_of(n))
 
 
-def _pair_record(args: tuple) -> dict:
-    """Record for one composition pair; runs inside worker processes."""
-    conjecture, top, bottom = args
-    t0 = time.perf_counter()
-    cycles, paths = kernel.component_counts(top, bottom)
-    index = 2 * cycles + paths - 1
+def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:
+    """The record of one composition pair, built field by field."""
     rec: dict = {
         "conjecture": conjecture,
-        "key": _spec_text(top, bottom),
-        "spec": _spec_text(top, bottom),
+        "key": key,
+        "spec": key,
         "index": index,
         "frobenius": index == 0,
         "unbroken": None,
@@ -160,16 +182,45 @@ def _pair_record(args: tuple) -> dict:
             rec["unimodal"] = is_unimodal(s)
             rec["log_concave"] = is_log_concave(s)
             rec["symmetric_about_half"] = is_symmetric_about_half(s)
-    rec["elapsed"] = time.perf_counter() - t0
     return rec
 
 
-def _map_records(workers: int, items: Iterable[tuple]) -> Iterator[dict]:
-    if workers <= 1:
-        yield from map(_pair_record, items)
-        return
-    with Pool(workers) as pool:
-        yield from pool.imap(_pair_record, items, chunksize=256)
+# What follows the index in json.dumps(_pair_record(...)) + "\n" when the
+# index is nonzero.
+_PLAIN_TAIL = (
+    ', "frobenius": false, "unbroken": null, "centered_half": null, "unimodal": null,'
+    ' "log_concave": null, "symmetric_about_half": null, "spectrum": null}\n'
+)
+
+
+def _row_records(task: tuple) -> tuple[str, list[dict]]:
+    """NDJSON text of one top composition against the bottoms of n at
+    indices js (all of them when js is None), and the Frobenius records
+    among them; runs inside worker processes."""
+    conjecture, n, i, js = task
+    comps = _compositions(n)
+    top, top_text = comps[i]
+    bottoms = comps if js is None else [comps[j] for j in js]
+    component_counts = kernel.component_counts
+    # A record of nonzero index is formatted directly, to the bytes that
+    # json.dumps gives: keys hold only digits, "|", " " and "/", and the
+    # conjecture is one of CONJECTURES, so nothing needs escaping.
+    key_head = f'{{"conjecture": "{conjecture}", "key": "{top_text} / '
+    spec_head = f'", "spec": "{top_text} / '
+    lines = []
+    frobenius = []
+    for bottom, bottom_text in bottoms:
+        cycles, paths = component_counts(top, bottom)
+        index = 2 * cycles + paths - 1
+        if index:
+            lines.append(
+                f'{key_head}{bottom_text}{spec_head}{bottom_text}", "index": {index}{_PLAIN_TAIL}'
+            )
+        else:
+            rec = _pair_record(conjecture, f"{top_text} / {bottom_text}", top, bottom, index)
+            lines.append(json.dumps(rec) + "\n")
+            frobenius.append(rec)
+    return "".join(lines), frobenius
 
 
 def _check_proven_claims(rec: dict) -> None:
@@ -196,14 +247,15 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
     fails. Unimodality failures (conjecture counterexamples) land in the
     summary, not in an exception.
     """
-    completed, existing = _load_completed(job)
-    writer = _Writer(job.out)
     pairs = 0
     skipped = 0
     frobenius_count = 0
     counterexamples = []
-    seen: dict[str, dict] = {r["key"]: r for r in existing}
     collect = job.conjecture == "unimodal_2_8"
+
+    def acts(rec: dict) -> bool:
+        """Whether consume does anything with rec; the rest need no keeping."""
+        return rec["frobenius"] or rec["unimodal"] is False
 
     def consume(rec: dict) -> None:
         nonlocal frobenius_count
@@ -213,24 +265,46 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         if collect and rec["unimodal"] is False:
             counterexamples.append({"spec": rec["spec"], "spectrum": rec["spectrum"]})
 
-    try:
+    completed, kept = _load_completed(job, acts)
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(job.out, "a", encoding="utf-8")) if job.out else None
+        pool = stack.enter_context(Pool(job.workers)) if job.workers > 1 else None
         for n in range(job.n_min, job.n_max + 1):
-            tops = [c.parts for c in compositions_of(n)]
-            todo = []
-            for top in tops:
-                for bottom in tops:
-                    pairs += 1
-                    key = _spec_text(top, bottom)
-                    if key in completed:
-                        skipped += 1
-                        consume(seen[key])
-                    else:
-                        todo.append((job.conjecture, top, bottom))
-            for rec in _map_records(job.workers, todo):
-                writer.write(rec)
-                consume(rec)
-    finally:
-        writer.close()
+            comps = _compositions(n)
+            pairs += len(comps) ** 2
+            tasks = []
+            for i, (_, top_text) in enumerate(comps):
+                js = None
+                if completed:
+                    js = []
+                    for j, (_, bottom_text) in enumerate(comps):
+                        key = f"{top_text} / {bottom_text}"
+                        if key in completed:
+                            skipped += 1
+                            if key in kept:
+                                consume(kept[key])
+                        else:
+                            js.append(j)
+                    if not js:
+                        continue
+                    if len(js) == len(comps):
+                        js = None
+                tasks.append((job.conjecture, n, i, js))
+            # The bookkeeping above stays out of the iterable handed to
+            # imap, whose feeder thread would run it beside this loop. A row
+            # takes milliseconds; sent one at a time, the round trips ate
+            # the second worker's gain on two cores.
+            if pool:
+                rows = pool.imap(_row_records, tasks, chunksize=16)
+            else:
+                rows = map(_row_records, tasks)
+            for text, frobenius in rows:
+                # A row reaches the file before its records are checked,
+                # so a record that fails a proven claim is on disk.
+                if out:
+                    out.write(text)
+                for rec in frobenius:
+                    consume(rec)
 
     counterexamples.sort(key=lambda c: c["spec"])
     return {
@@ -282,7 +356,6 @@ def _stability_4_16_records(job: SweepJob) -> Iterator[dict]:
         base_unimodal = is_unimodal(s_base) if s_base else None
         for r in range(1, job.r_max + 1):
             for variant in EXTENSION_VARIANTS:
-                t0 = time.perf_counter()
                 g = extension_variant_spec(base, k, r, variant)
                 rec: dict = {
                     "conjecture": "stability_4_16",
@@ -316,14 +389,12 @@ def _stability_4_16_records(job: SweepJob) -> Iterator[dict]:
                     and rec["no_new_values"]
                     and rec["unimodal_inherited"] is not False
                 )
-                rec["elapsed"] = time.perf_counter() - t0
                 yield rec
 
 
 def _stability_4_17_records(job: SweepJob) -> Iterator[dict]:
     for k in range(1, job.k_max + 1):
         for r in range(1, job.r_max + 1):
-            t0 = time.perf_counter()
             g = SeaweedSpec(
                 Composition((2 * k,) * r + (1,)),
                 Composition((2 * k * r + 1,)),
@@ -354,7 +425,6 @@ def _stability_4_17_records(job: SweepJob) -> Iterator[dict]:
             rec["passed"] = bool(
                 rec["frobenius"] and rec["support_matches"] and rec["unimodal"]
             )
-            rec["elapsed"] = time.perf_counter() - t0
             yield rec
 
 
@@ -373,7 +443,6 @@ def _stability_4_18_records(job: SweepJob) -> Iterator[dict]:
 
     for k in range(1, job.k_max + 1):
         for r in range(1, job.r_max + 1):
-            t0 = time.perf_counter()
             g = SeaweedSpec(
                 Composition((2 * k,) * r + (1,)),
                 Composition((1,) + (2 * k,) * r),
@@ -415,7 +484,6 @@ def _stability_4_18_records(job: SweepJob) -> Iterator[dict]:
                 and rec["log_concave"]
                 and rec["shift_matches"]
             )
-            rec["elapsed"] = time.perf_counter() - t0
             yield rec
 
 
@@ -428,12 +496,13 @@ def run_stability_sweep(job: SweepJob) -> dict:
     }
     if job.conjecture not in makers:
         raise ValueError(f"not a stability conjecture: {job.conjecture!r}")
-    completed, existing = _load_completed(job)
-    writer = _Writer(job.out)
     checked = 0
     skipped = 0
     counterexamples = []
-    seen = {r["key"]: r for r in existing}
+
+    def acts(rec: dict) -> bool:
+        """Whether consume does anything with rec; the rest need no keeping."""
+        return not rec["passed"]
 
     def consume(rec: dict) -> None:
         if not rec["passed"]:
@@ -453,17 +522,19 @@ def run_stability_sweep(job: SweepJob) -> dict:
             ]
             counterexamples.append({"spec": rec["spec"], "failed": failed})
 
-    try:
+    completed, kept = _load_completed(job, acts)
+    with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for rec in makers[job.conjecture](job):
             checked += 1
-            if rec["key"] in completed:
+            key = rec["key"]
+            if key in completed:
                 skipped += 1
-                consume(seen[rec["key"]])
+                if key in kept:
+                    consume(kept[key])
                 continue
-            writer.write(rec)
+            if out:
+                out.write(json.dumps(rec) + "\n")
             consume(rec)
-    finally:
-        writer.close()
 
     counterexamples.sort(key=lambda c: c["spec"])
     summary = {

@@ -330,6 +330,24 @@ class TestSweep:
         assert code == 1
         assert "support has gaps" in err
 
+    def test_resume_over_torn_tail_and_corrupt_middle(self, capsys, tmp_path):
+        path = tmp_path / "records.ndjson"
+        assert run_cli(capsys, "sweep", "--n-max", "3", "--out", str(path))[0] == 0
+        fresh = path.read_bytes()
+        path.write_bytes(fresh[:-9])
+        code, out, _ = run_cli(capsys, "sweep", "--n-max", "3", "--out", str(path), "--resume")
+        assert code == 0
+        assert json.loads(out)["resumed"] == 20
+        assert path.read_bytes() == fresh
+
+        lines = fresh.splitlines(keepends=True)
+        damaged = b"".join(lines[:4]) + b"{\n" + b"".join(lines[5:])[:-9]
+        path.write_bytes(damaged)
+        code, out, err = run_cli(capsys, "sweep", "--n-max", "3", "--out", str(path), "--resume")
+        assert (code, out) == (64, "")
+        assert f"corrupt sweep record at {path}:5" in err
+        assert path.read_bytes() == damaged
+
     def test_resume_without_out_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--resume")
         assert code == 64

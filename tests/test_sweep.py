@@ -3,8 +3,10 @@ import json
 import pytest
 
 from seaweedspec import (
+    Composition,
     ParseError,
     SweepJob,
+    compositions_of,
     default_extension_base,
     enumerate_frobenius,
     extension_variant_spec,
@@ -14,6 +16,9 @@ from seaweedspec import (
     run_sweep,
     run_unimodality_sweep,
 )
+from seaweedspec import sweep
+from seaweedspec._engine import kernel
+from seaweedspec.sweep import _pair_record
 from seaweedspec.analysis import EngineInvariantError
 from seaweedspec.spectrum import SpectrumUndefinedError
 
@@ -84,15 +89,40 @@ class TestUnimodalitySweep:
         assert len({r["key"] for r in records}) == 341
 
     def test_workers_do_not_change_the_records(self, tmp_path):
-        serial_out = tmp_path / "serial.ndjson"
-        pooled_out = tmp_path / "pooled.ndjson"
-        run_unimodality_sweep(SweepJob(n_max=5, out=str(serial_out)))
-        run_unimodality_sweep(SweepJob(n_max=5, out=str(pooled_out), workers=2))
+        paths = [tmp_path / name for name in ("serial.ndjson", "pooled.ndjson", "again.ndjson")]
+        for path, workers in zip(paths, (1, 2, 1)):
+            run_unimodality_sweep(SweepJob(n_max=5, out=str(path), workers=workers))
+        serial, pooled, again = (path.read_bytes() for path in paths)
+        assert serial.count(b"\n") == 341
+        assert pooled == serial
+        assert again == serial
 
-        def strip(records):
-            return [{k: v for k, v in r.items() if k != "elapsed"} for r in records]
+    @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
+    def test_records_equal_json_dumps_of_the_generic_record(self, tmp_path, conjecture):
+        out = tmp_path / "records.ndjson"
+        run_sweep(SweepJob(conjecture=conjecture, n_max=6, out=str(out)))
+        lines = out.read_text().splitlines(keepends=True)
+        expected = []
+        for n in range(1, 7):
+            tops = [c.parts for c in compositions_of(n)]
+            for top in tops:
+                for bottom in tops:
+                    cycles, paths = kernel.component_counts(top, bottom)
+                    key = f"{Composition(top)} / {Composition(bottom)}"
+                    rec = _pair_record(conjecture, key, top, bottom, 2 * cycles + paths - 1)
+                    expected.append(json.dumps(rec) + "\n")
+        assert len(lines) == len(expected) == 1365
+        assert sum('"frobenius": false' in line for line in expected) == 1365 - 125
+        assert lines == expected
 
-        assert strip(read_records(str(serial_out))) == strip(read_records(str(pooled_out)))
+    def test_row_is_on_disk_before_its_failure_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "is_unbroken_centered_half", lambda s: (False, False))
+        out = tmp_path / "records.ndjson"
+        with pytest.raises(EngineInvariantError, match="2 / 1\\|1: spectrum support has gaps"):
+            run_unimodality_sweep(SweepJob(n_max=2, out=str(out)))
+        keys = [r["key"] for r in read_records(str(out))]
+        assert keys[0] == "1 / 1"  # empty spectrum: no predicates, no failure
+        assert "2 / 1|1" in keys
 
     def test_fabricated_counterexample_surfaces_on_resume(self, tmp_path):
         out = tmp_path / "records.ndjson"
@@ -144,6 +174,45 @@ class TestUnimodalitySweep:
         assert summary["conjecture"] == "none"
         assert summary["pairs"] == 21
         assert summary["counterexamples"] == []
+
+
+class TestResumeTornTail:
+    @pytest.fixture
+    def fresh(self, tmp_path):
+        path = tmp_path / "fresh.ndjson"
+        run_unimodality_sweep(SweepJob(n_max=5, out=str(path)))
+        return path.read_bytes()
+
+    def resume(self, path):
+        return run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
+
+    def test_line_cut_midway_is_recomputed(self, tmp_path, fresh):
+        lines = fresh.splitlines(keepends=True)
+        head = b"".join(lines[:200])
+        path = tmp_path / "torn.ndjson"
+        path.write_bytes(head + lines[200][:17])
+        summary = self.resume(path)
+        assert summary["resumed"] == 200
+        assert summary["frobenius"] == 57
+        assert path.read_bytes() == fresh
+
+    def test_valid_last_line_without_newline_is_recomputed(self, tmp_path, fresh):
+        path = tmp_path / "torn.ndjson"
+        path.write_bytes(fresh[:-1])
+        json.loads(fresh[:-1].splitlines()[-1])  # the fragment is a whole record
+        summary = self.resume(path)
+        assert summary["resumed"] == 340
+        assert path.read_bytes() == fresh
+
+    def test_corrupt_middle_line_is_fatal_and_leaves_the_file(self, tmp_path, fresh):
+        lines = fresh.splitlines(keepends=True)
+        lines[100] = b"garbage\n"
+        damaged = b"".join(lines[:300]) + lines[300][:5]
+        path = tmp_path / "damaged.ndjson"
+        path.write_bytes(damaged)
+        with pytest.raises(ParseError, match=r"corrupt sweep record at .*damaged\.ndjson:101$"):
+            self.resume(path)
+        assert path.read_bytes() == damaged
 
 
 class TestReadRecords:
@@ -240,6 +309,33 @@ class TestStabilitySweeps:
         assert first["checked"] == second["checked"] == 4
         assert second["resumed"] == 4
         assert len(read_records(str(out))) == 4
+
+    def test_fabricated_failure_surfaces_on_resume(self, tmp_path):
+        out = tmp_path / "records.ndjson"
+        fake = {
+            "conjecture": "stability_4_17",
+            "key": "2|1 / 3",
+            "spec": "2|1 / 3",
+            "k": 1,
+            "r": 1,
+            "frobenius": True,
+            "expected_support": [-1, 0, 1, 2],
+            "support_matches": False,
+            "unimodal": True,
+            "spectrum": {"-1": 1, "0": 1, "1": 1},
+            "passed": False,
+            "elapsed": 0.0,
+        }
+        out.write_text(json.dumps(fake) + "\n")
+        summary = run_stability_sweep(
+            SweepJob(conjecture="stability_4_17", k_max=1, r_max=2, out=str(out), resume=True)
+        )
+        assert summary["checked"] == 2
+        assert summary["resumed"] == 1
+        assert summary["counterexamples"] == [
+            {"spec": "2|1 / 3", "failed": ["support_matches"]}
+        ]
+        assert len(read_records(str(out))) == 2
 
     def test_dispatch_rejects_non_stability(self):
         with pytest.raises(ValueError, match="not a stability conjecture"):
