@@ -1,8 +1,12 @@
 """Pure-Python kernel: the per-seaweed hot loop of the exhaustive sweeps.
 
-This module mirrors the compiled extension ``_speedups`` exactly; the two are
-interchangeable behind ``_engine``. Both work on bare part tuples so the hot
-path never touches the higher-level classes.
+This module and the compiled extension ``_speedups`` return the same results
+and are interchangeable behind ``_engine``; both work on bare part tuples so
+the hot path never touches the higher-level classes. Their ``spectrum_counts``
+use different algorithms: the compiled one scans all n^2 positions, this one
+counts exact differences block by block with big-int products (see
+``spectrum_counts``). ``potentials`` and ``difference_counts`` exist only
+here.
 
 Conventions baked in here (shared with the full matrix pipeline):
   * vertices are 1..n; each top block [s..e] contributes the nested pairs
@@ -15,6 +19,8 @@ Conventions baked in here (shared with the full matrix pipeline):
 """
 
 from __future__ import annotations
+
+from operator import add
 
 
 def _neighbors(parts, n):
@@ -78,13 +84,12 @@ def component_counts(top, bottom):
     return cycles, paths
 
 
-def spectrum_counts(top, bottom):
-    """Full admissible-position difference counts, or None.
+def potentials(top, bottom):
+    """Vertex potentials of a single-path meander, or None.
 
-    Returns the multiset {phi(i) - phi(j) : (i,j) admissible} as a plain
-    value -> count dict, diagonal zeros included. Returns None unless the
-    meander is a single path (no cycles), which is exactly when the
-    potentials exist.
+    Returns a tuple whose index v-1 holds phi(v), normalized so phi(n) = 0.
+    Returns None unless the meander is a single path (no cycles), which is
+    exactly when the potentials exist.
     """
     n = sum(top)
     tnbr = _neighbors(top, n)
@@ -121,31 +126,112 @@ def spectrum_counts(top, bottom):
         return None  # no endpoints at all, or a cycle besides the path
 
     shift = phi[n]
-    for v in range(1, n + 1):
-        phi[v] -= shift
+    return tuple([p - shift for p in phi[1:]])
 
-    tb = [0] * (n + 1)
-    bb = [0] * (n + 1)
-    v = 1
-    for idx, p in enumerate(top, start=1):
-        for _ in range(p):
-            tb[v] = idx
-            v += 1
-    v = 1
-    for idx, p in enumerate(bottom, start=1):
-        for _ in range(p):
-            bb[v] = idx
-            v += 1
 
-    # Histogram over [-2n, 2n]; differences of two potentials stay inside.
-    hist = [0] * (4 * n + 1)
-    off = 2 * n
-    for i in range(1, n + 1):
-        ti = tb[i]
-        bi = bb[i]
-        pi = phi[i]
-        for j in range(1, n + 1):
-            if ti <= tb[j] and bi >= bb[j]:
-                hist[pi - phi[j] + off] += 1
+#: Runs of at most this many potentials count their ordered differences pair
+#: by pair; longer runs are halved (see _add_ordered_differences).
+_LEAF = 48
+
+
+def _difference_digits(xs, ys):
+    """(d0, counts) where counts[k] is #{(x, y) : x - y = d0 + k}.
+
+    Exact through one big-int product (Kronecker substitution): the count
+    vector of xs (offset by min xs) and the reversed count vector of ys are
+    packed into two ints, one fixed-width little-endian digit per value, and
+    digit k of their product is the number of pairs whose difference is
+    d0 + k. No digit exceeds len(xs) * len(ys), so a digit of that number's
+    bit length rounded up to whole bytes never carries into the next.
+    """
+    lo, hi = min(xs), max(ys)
+    size = ((len(xs) * len(ys)).bit_length() + 7) // 8
+    cx = [0] * (max(xs) - lo + 1)
+    for x in xs:
+        cx[x - lo] += 1
+    cy = [0] * (hi - min(ys) + 1)
+    for y in ys:
+        cy[hi - y] += 1
+    ndigits = len(cx) + len(cy) - 1
+    product = _pack(cx, size) * _pack(cy, size)
+    raw = product.to_bytes(ndigits * size, "little")
+    return lo - hi, [
+        int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)
+    ]
+
+
+def _pack(counts, size):
+    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in counts]), "little")
+
+
+def difference_counts(xs, ys):
+    """The multiset {x - y : x in xs, y in ys} as an ascending value -> count
+    dict without zero counts; xs and ys are nonempty int sequences."""
+    d0, counts = _difference_digits(xs, ys)
+    return {d0 + k: c for k, c in enumerate(counts) if c}
+
+
+def _add_ordered_differences(xs, hist, off):
+    """Add U(xs) = {xs[a] - xs[b] : a < b} into hist, where hist[d + off]
+    counts the difference d.
+
+    U(L + R) = U(L) + U(R) + {x - y : x in L, y in R}; the cross term is one
+    _difference_digits product, so a run of m potentials costs O(m log m)
+    list work plus the products instead of m^2 / 2 pair steps.
+    """
+    m = len(xs)
+    if m <= _LEAF:
+        for a in range(m - 1):
+            xa = xs[a] + off
+            for y in xs[a + 1 :]:
+                hist[xa - y] += 1
+        return
+    half = m // 2
+    left, right = xs[:half], xs[half:]
+    _add_ordered_differences(left, hist, off)
+    _add_ordered_differences(right, hist, off)
+    d0, counts = _difference_digits(left, right)
+    at = d0 + off
+    end = at + len(counts)
+    hist[at:end] = map(add, hist[at:end], counts)
+
+
+def spectrum_counts(top, bottom):
+    """Full admissible-position difference counts, or None.
+
+    Returns the multiset {phi(i) - phi(j) : (i,j) admissible} as a plain
+    value -> count dict with ascending keys, diagonal zeros included.
+    Returns None unless the meander is a single path (no cycles), which is
+    exactly when the potentials exist.
+
+    Block indices never decrease along 1..n, so for i < j the top condition
+    tb(i) <= tb(j) always holds and the bottom one bb(i) >= bb(j) forces
+    bb(i) = bb(j); for i > j it is the other way round. The mask is thus
+    the diagonal, the upper triangle of every bottom block and the lower
+    triangle of every top block, and the histogram is
+        n zeros + sum over bottom blocks B of U(phi on B)
+                + sum over top blocks T of U(-phi on T),
+    with U(xs) = {xs[a] - xs[b] : a < b}; a top block's pairs i > j give
+    phi(i) - phi(j) = (-phi)(j) - (-phi)(i), hence the negation.
+    """
+    phi = potentials(top, bottom)
+    if phi is None:
+        return None
+    n = len(phi)
+
+    # Potentials span at most n - 1 (the path has n - 1 arcs), and so does
+    # every difference.
+    off = n - 1
+    hist = [0] * (2 * n - 1)
+    hist[off] = n
+    s = 0
+    for p in bottom:
+        _add_ordered_differences(phi[s : s + p], hist, off)
+        s += p
+    neg = [-x for x in phi]
+    s = 0
+    for p in top:
+        _add_ordered_differences(neg[s : s + p], hist, off)
+        s += p
 
     return {d - off: c for d, c in enumerate(hist) if c}

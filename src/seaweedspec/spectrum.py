@@ -5,9 +5,11 @@ Frobenius seaweed's meander is a single path, and following it assigns each
 vertex an integer potential that drops by one along every oriented arc.
 The eigenvalue attached to an admissible position (i,j) is then just
 phi(i) - phi(j), the mask of admissible positions being the pairs whose
-top blocks ascend and bottom blocks descend. The spectrum is that multiset
-with one zero removed; the extended spectrum drops the mask and uses all
-n^2 positions instead.
+top blocks ascend and bottom blocks descend. Because block indices never
+decrease along 1..n, that mask is the diagonal plus the upper triangle of
+each bottom block plus the lower triangle of each top block, which is how
+the kernel counts it. The spectrum is that multiset with one zero removed;
+the extended spectrum drops the mask and uses all n^2 positions instead.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _kernel
 from ._engine import kernel
 from .core import IntegerMultiset, SeaweedSpec
 from .meander import Meander, build_meander, components
@@ -62,20 +65,10 @@ def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:
     normalization pins phi(n) = 0, so phi(i) is the signed arc count of the
     meander path from i to n.
     """
-    m = build_meander(g)
-    path = _single_path(m)
-    tnbr = m.top_neighbor()
-
-    phi = [0] * (g.n + 1)
-    for u, v in zip(path, path[1:]):
-        on_top = tnbr[u] == v
-        if on_top:
-            step = -1 if u > v else 1
-        else:
-            step = -1 if u < v else 1
-        phi[v] = phi[u] + step
-    shift = phi[g.n]
-    return tuple(phi[v] - shift for v in range(1, g.n + 1))
+    phi = _kernel.potentials(g.top.parts, g.bottom.parts)
+    if phi is None:
+        raise SpectrumUndefinedError(NOT_SINGLE_PATH)
+    return phi
 
 
 def shape_mask(g: SeaweedSpec) -> frozenset[tuple[int, int]]:
@@ -137,15 +130,7 @@ def spectrum(g: SeaweedSpec) -> IntegerMultiset:
 def extended_spectrum(g: SeaweedSpec) -> IntegerMultiset:
     """All n^2 potential differences, one zero removed (size n^2 - 1)."""
     phi = vertex_potentials(g)
-    value_counts: dict[int, int] = {}
-    for p in phi:
-        value_counts[p] = value_counts.get(p, 0) + 1
-    counts: dict[int, int] = {}
-    for a, ca in value_counts.items():
-        for b, cb in value_counts.items():
-            d = a - b
-            counts[d] = counts.get(d, 0) + ca * cb
-    return IntegerMultiset(counts).without_one(0)
+    return IntegerMultiset(_kernel.difference_counts(phi, phi)).without_one(0)
 
 
 def principal_element(g: SeaweedSpec) -> tuple[Fraction, ...]:

@@ -196,8 +196,9 @@ _PLAIN_TAIL = (
 def _row_records(task: tuple) -> tuple[str, list[dict]]:
     """NDJSON text of one top composition against the bottoms of n at
     indices js (all of them when js is None), and the Frobenius records
-    among them; runs inside worker processes."""
-    conjecture, n, i, js = task
+    among them; runs inside worker processes. The text is empty unless
+    write is set, since without an output file nothing would read it."""
+    conjecture, n, i, js, write = task
     comps = _compositions(n)
     top, top_text = comps[i]
     bottoms = comps if js is None else [comps[j] for j in js]
@@ -213,12 +214,14 @@ def _row_records(task: tuple) -> tuple[str, list[dict]]:
         cycles, paths = component_counts(top, bottom)
         index = 2 * cycles + paths - 1
         if index:
-            lines.append(
-                f'{key_head}{bottom_text}{spec_head}{bottom_text}", "index": {index}{_PLAIN_TAIL}'
-            )
+            if write:
+                lines.append(
+                    f'{key_head}{bottom_text}{spec_head}{bottom_text}", "index": {index}{_PLAIN_TAIL}'
+                )
         else:
             rec = _pair_record(conjecture, f"{top_text} / {bottom_text}", top, bottom, index)
-            lines.append(json.dumps(rec) + "\n")
+            if write:
+                lines.append(json.dumps(rec) + "\n")
             frobenius.append(rec)
     return "".join(lines), frobenius
 
@@ -289,7 +292,7 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
                         continue
                     if len(js) == len(comps):
                         js = None
-                tasks.append((job.conjecture, n, i, js))
+                tasks.append((job.conjecture, n, i, js, out is not None))
             # The bookkeeping above stays out of the iterable handed to
             # imap, whose feeder thread would run it beside this loop. A row
             # takes milliseconds; sent one at a time, the round trips ate

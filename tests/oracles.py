@@ -4,6 +4,8 @@ Each oracle recomputes an engine quantity along a deliberately different
 route: the mask from the flag-preservation rule quantified over every cut,
 components from a generic BFS with a degree test, and potentials from
 per-pair path walks. None of them share code with the package.
+mask_histogram scans all n^2 positions with the block-index rule, the
+reference for the kernel's block-by-block histogram.
 """
 
 from collections import deque
@@ -128,3 +130,25 @@ def oracle_spectrum(top, bottom):
         counts[d] = counts.get(d, 0) + 1
     counts[0] -= 1
     return {v: c for v, c in sorted(counts.items()) if c}
+
+
+def mask_histogram(top, bottom):
+    """Counts of phi(i) - phi(j) over every admissible (i, j), diagonal
+    zeros included, or None unless the meander is a single path.
+
+    Scans all n^2 positions with the block-index rule: (i, j) is admissible
+    when i's top block is at most j's and i's bottom block is at least j's.
+    """
+    if graph_components(top, bottom) != (0, 1):
+        return None
+    n = sum(top)
+    phi = (0,) + oracle_potentials(top, bottom)
+    tb = [0] + [idx for idx, p in enumerate(top, start=1) for _ in range(p)]
+    bb = [0] + [idx for idx, p in enumerate(bottom, start=1) for _ in range(p)]
+    counts = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if tb[i] <= tb[j] and bb[i] >= bb[j]:
+                d = phi[i] - phi[j]
+                counts[d] = counts.get(d, 0) + 1
+    return dict(sorted(counts.items()))

@@ -348,6 +348,16 @@ class TestSweep:
         assert f"corrupt sweep record at {path}:5" in err
         assert path.read_bytes() == damaged
 
+    @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
+    def test_summary_does_not_depend_on_out(self, capsys, tmp_path, conjecture):
+        argv = ["sweep", "--conjecture", conjecture, "--n-max", "7"]
+        without = run_cli(capsys, *argv)
+        path = tmp_path / "records.ndjson"
+        with_out = run_cli(capsys, *argv, "--out", str(path))
+        assert without == with_out
+        assert without[0] == 0
+        assert path.read_bytes().count(b"\n") == 5461
+
     def test_resume_without_out_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--resume")
         assert code == 64

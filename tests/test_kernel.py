@@ -1,12 +1,20 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
 
-from oracles import graph_components, oracle_spectrum
-from seaweedspec import _kernel, compositions_of, kernel_implementation
+from oracles import graph_components, mask_histogram, oracle_potentials, oracle_spectrum
+from seaweedspec import (
+    FamilyId,
+    _kernel,
+    compositions_of,
+    extended_spectrum,
+    family_spec,
+    kernel_implementation,
+)
 from strategies import seaweeds
 
 
@@ -87,3 +95,81 @@ def test_pure_fallback_env_override():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines() == ["pure", "{-2, -1^2, 0^5, 1^5, 2^2, 3}"]
+
+
+def orientations(g):
+    return g, g.swapped(), g.reversed(), g.swapped().reversed()
+
+
+# One point of every family, n from 60 to 249, so the kernel's block runs
+# are longer than its leaf length and the halving recursion runs.
+LARGE_POINTS = [
+    (FamilyId.K1, 59, None),
+    (FamilyId.K2, 121, None),
+    (FamilyId.K1K, 124, None),
+    (FamilyId.K2K, 45, None),
+    (FamilyId.TWOK1_12K, 75, None),
+    (FamilyId.TWOK11, 99, None),
+    (FamilyId.K_2R, 51, 5),
+    (FamilyId.K_2R_PLUS1, 100, 60),
+    (FamilyId.TWOS_R1, None, 40),
+    (FamilyId.K4R, 101, 25),
+    (FamilyId.K4R_PLUS2, 81, 8),
+]
+
+
+@pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
+def test_spectrum_counts_match_mask_histogram_at_large_n(f, k, r):
+    for g in orientations(family_spec(f, k, r)):
+        top, bottom = g.top.parts, g.bottom.parts
+        counts = _kernel.spectrum_counts(top, bottom)
+        assert counts is not None
+        assert max(max(top), max(bottom)) > _kernel._LEAF
+        assert list(counts.items()) == list(mask_histogram(top, bottom).items())
+
+
+@pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
+def test_extended_spectrum_counts_all_differences_at_large_n(f, k, r):
+    for g in orientations(family_spec(f, k, r)):
+        phi = oracle_potentials(g.top.parts, g.bottom.parts)
+        want = Counter(a - b for a in phi for b in phi)
+        want[0] -= 1
+        assert extended_spectrum(g).counts() == dict(sorted(want.items()))
+
+
+@pytest.fixture(scope="module")
+def frobenius_pairs_through_10():
+    return [
+        (top, bottom)
+        for top, bottom in all_pairs(10)
+        if _kernel.component_counts(top, bottom) == (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("leaf", [1, 2])
+def test_spectrum_counts_do_not_depend_on_the_leaf_length(
+    monkeypatch, frobenius_pairs_through_10, leaf
+):
+    assert len(frobenius_pairs_through_10) == 2297
+    monkeypatch.setattr(_kernel, "_LEAF", leaf)
+    for top, bottom in frobenius_pairs_through_10:
+        assert _kernel.spectrum_counts(top, bottom) == mask_histogram(top, bottom)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([7] * 255, [7]),  # one digit of 255, the most one byte holds
+        ([7] * 16, [-3] * 16),  # one digit of 256, the least that needs two
+        ([0] * 256, [0] * 256),  # 65536, the least that needs three
+        ([5], [9]),
+        ([-4], [-4]),
+        ([-9, -1, -1, 3], [-2, 0, 0, 0, 7]),
+        (list(range(-20, 30, 3)), [1, 1, 2]),
+        ([4, 4, 4], list(range(40))),
+    ],
+)
+def test_difference_counts_match_brute_force(xs, ys):
+    got = _kernel.difference_counts(xs, ys)
+    want = Counter(x - y for x in xs for y in ys)
+    assert list(got.items()) == sorted(want.items())

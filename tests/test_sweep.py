@@ -215,6 +215,52 @@ class TestResumeTornTail:
         assert path.read_bytes() == damaged
 
 
+class TestFilesAreClosed:
+    """Every file the sweep module opens is closed when the run returns or
+    raises; the recorder keeps each file object alive, so an unclosed one
+    stays open for the assertion instead of being closed by the collector."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        files = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            files.append(fh)
+            return fh
+
+        monkeypatch.setattr(sweep, "open", recording_open, raising=False)
+        return files
+
+    def check_all_closed(self, opened, count):
+        assert len(opened) == count
+        assert all(fh.closed for fh in opened)
+        opened.clear()
+
+    def test_fresh_resume_torn_and_corrupt(self, tmp_path, opened):
+        path = tmp_path / "records.ndjson"
+        job = SweepJob(n_max=4, out=str(path))
+        resume = SweepJob(n_max=4, out=str(path), resume=True)
+
+        run_unimodality_sweep(job)
+        self.check_all_closed(opened, 1)
+        fresh = path.read_bytes()
+
+        run_unimodality_sweep(resume)
+        self.check_all_closed(opened, 2)
+
+        path.write_bytes(fresh[:-9])
+        assert run_unimodality_sweep(resume)["resumed"] == 84
+        self.check_all_closed(opened, 2)
+        assert path.read_bytes() == fresh
+
+        lines = fresh.splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:10]) + b"garbage\n" + b"".join(lines[11:]))
+        with pytest.raises(ParseError, match=r"records\.ndjson:11$"):
+            run_unimodality_sweep(resume)
+        self.check_all_closed(opened, 1)
+
+
 class TestReadRecords:
     def test_corrupt_json_names_the_line(self, tmp_path):
         path = tmp_path / "bad.ndjson"
