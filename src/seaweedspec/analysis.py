@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from .core import Composition, IntegerMultiset, SeaweedSpec, multiset_equal
 from .meander import is_frobenius
-from .spectrum import (
-    extended_spectrum_matrix,
-    shape_mask,
-    spectrum,
-    spectrum_matrix,
-)
+from .spectrum import extended_spectrum_matrix, spectrum, spectrum_matrix
 
 
 class EngineInvariantError(RuntimeError):
@@ -121,12 +116,48 @@ def spectrum_report(g: SeaweedSpec) -> SpectrumReport:
     )
 
 
-def _masked_multiset(rows) -> IntegerMultiset:
-    return IntegerMultiset([cell for row in rows for cell in row if cell is not None])
-
-
 def _full_multiset(rows) -> IntegerMultiset:
     return IntegerMultiset([cell for row in rows for cell in row])
+
+
+def _transposed(rows):
+    return tuple(zip(*rows))
+
+
+def _antitransposed(rows):
+    """Entry (i, j) is rows[n-1-j][n-1-i]: the transpose with both axes reversed."""
+    return tuple(zip(*rows[::-1]))[::-1]
+
+
+def _verify_index_map(
+    g: SeaweedSpec, h: SeaweedSpec, name: str, partner: str, flip, source
+) -> bool:
+    """Entry (i, j) of g's masked and full matrices equals entry source(n, i, j) of h's.
+
+    flip(rows_h) is h's matrix rearranged so that its (i, j) entry is the
+    one at source(n, i, j). The whole matrices are compared at once; only
+    on a mismatch does the row-major scan run, to name the first differing
+    entry. Then the spectra of g and h must agree.
+    """
+    n = g.n
+    matrices = (("entry", spectrum_matrix), ("extended entry", extended_spectrum_matrix))
+    for label, matrix in matrices:
+        rows_g = matrix(g)
+        rows_h = matrix(h)
+        if rows_g == flip(rows_h):
+            continue
+        for i in range(n):
+            for j in range(n):
+                a, b = source(n, i, j)
+                if rows_g[i][j] != rows_h[a][b]:
+                    raise EngineInvariantError(
+                        f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is "
+                        f"{rows_g[i][j]} but {partner} has {rows_h[a][b]}"
+                    )
+        raise EngineInvariantError(f"{name} failure at {g}: matrix shapes differ")
+    if not multiset_equal(spectrum(g), spectrum(h)):
+        raise EngineInvariantError(f"{name} failure at {g}: spectra differ")
+    return True
 
 
 def verify_swap_lemma(g: SeaweedSpec) -> bool:
@@ -135,29 +166,9 @@ def verify_swap_lemma(g: SeaweedSpec) -> bool:
     Checks the masks, the masked matrices, the full matrices, and (as a
     corollary) the spectra of g and its swap. Frobenius g only.
     """
-    h = g.swapped()
-    rows_g = spectrum_matrix(g)
-    rows_h = spectrum_matrix(h)
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            if rows_g[i][j] != rows_h[j][i]:
-                raise EngineInvariantError(
-                    f"swap failure at {g}: entry ({i + 1},{j + 1}) is "
-                    f"{rows_g[i][j]} but transposed swap has {rows_h[j][i]}"
-                )
-    ext_g = extended_spectrum_matrix(g)
-    ext_h = extended_spectrum_matrix(h)
-    for i in range(n):
-        for j in range(n):
-            if ext_g[i][j] != ext_h[j][i]:
-                raise EngineInvariantError(
-                    f"swap failure at {g}: extended entry ({i + 1},{j + 1}) is "
-                    f"{ext_g[i][j]} but transposed swap has {ext_h[j][i]}"
-                )
-    if not multiset_equal(spectrum(g), spectrum(h)):
-        raise EngineInvariantError(f"swap failure at {g}: spectra differ")
-    return True
+    return _verify_index_map(
+        g, g.swapped(), "swap", "transposed swap", _transposed, lambda n, i, j: (j, i)
+    )
 
 
 def verify_reverse_lemma(g: SeaweedSpec) -> bool:
@@ -166,34 +177,17 @@ def verify_reverse_lemma(g: SeaweedSpec) -> bool:
     Entry (i,j) of g matches entry (n+1-j, n+1-i) of the reversal, masked
     and full alike. Frobenius g only.
     """
-    h = g.reversed()
-    rows_g = spectrum_matrix(g)
-    rows_h = spectrum_matrix(h)
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            if rows_g[i][j] != rows_h[n - 1 - j][n - 1 - i]:
-                raise EngineInvariantError(
-                    f"reverse failure at {g}: entry ({i + 1},{j + 1}) is "
-                    f"{rows_g[i][j]} but the reversal has {rows_h[n - 1 - j][n - 1 - i]}"
-                )
-    ext_g = extended_spectrum_matrix(g)
-    ext_h = extended_spectrum_matrix(h)
-    for i in range(n):
-        for j in range(n):
-            if ext_g[i][j] != ext_h[n - 1 - j][n - 1 - i]:
-                raise EngineInvariantError(
-                    f"reverse failure at {g}: extended entry ({i + 1},{j + 1}) is "
-                    f"{ext_g[i][j]} but the reversal has {ext_h[n - 1 - j][n - 1 - i]}"
-                )
-    if not multiset_equal(spectrum(g), spectrum(h)):
-        raise EngineInvariantError(f"reverse failure at {g}: spectra differ")
-    return True
+    return _verify_index_map(
+        g, g.reversed(), "reverse", "the reversal", _antitransposed,
+        lambda n, i, j: (n - 1 - j, n - 1 - i),
+    )
 
 
 def verify_skew_symmetry(g: SeaweedSpec) -> bool:
     """The full matrix satisfies A[i][j] = -A[j][i]. Frobenius g only."""
     rows = extended_spectrum_matrix(g)
+    if rows == tuple([tuple([-x for x in col]) for col in zip(*rows)]):
+        return True
     n = g.n
     for i in range(n):
         for j in range(n):
@@ -202,7 +196,7 @@ def verify_skew_symmetry(g: SeaweedSpec) -> bool:
                     f"skew failure at {g}: ({i + 1},{j + 1})={rows[i][j]} "
                     f"vs ({j + 1},{i + 1})={rows[j][i]}"
                 )
-    return True
+    raise EngineInvariantError(f"skew failure at {g}: matrix is not square")
 
 
 def _two_part(a: int, b: int, n: int) -> SeaweedSpec:
@@ -211,14 +205,15 @@ def _two_part(a: int, b: int, n: int) -> SeaweedSpec:
 
 def _submatrix_multiset(rows, row_range, col_range) -> IntegerMultiset:
     values = []
+    lo, hi = col_range.start - 1, col_range.stop - 1
     for i in row_range:
-        for j in col_range:
-            cell = rows[i - 1][j - 1]
-            if cell is None:
-                raise EngineInvariantError(
-                    f"expected admissible cell ({i},{j}) is outside the mask"
-                )
-            values.append(cell)
+        cells = rows[i - 1][lo:hi]
+        if None in cells:
+            raise EngineInvariantError(
+                f"expected admissible cell ({i},{col_range.start + cells.index(None)}) "
+                "is outside the mask"
+            )
+        values += cells
     return IntegerMultiset(values)
 
 

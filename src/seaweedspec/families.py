@@ -91,10 +91,6 @@ def family_spec(f: FamilyId, k: int | None = None, r: int | None = None) -> Seaw
     return SeaweedSpec(Composition(tuple(top)), Composition(tuple(bottom)))
 
 
-def _centered(pairs: dict[int, int]) -> IntegerMultiset:
-    return IntegerMultiset(pairs)
-
-
 def _k1_counts(k: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for i in range(1, k + 1):
@@ -172,42 +168,42 @@ def family_spectrum(f: FamilyId, k: int | None = None, r: int | None = None) -> 
     """Closed-form spectrum of family f at (k, r)."""
     _check_domain(f, k, r)
     if f is FamilyId.K1:
-        return _centered(_k1_counts(k))
+        return IntegerMultiset(_k1_counts(k))
     if f is FamilyId.K2:
-        return _centered(_k2_counts(k))
+        return IntegerMultiset(_k2_counts(k))
     if f is FamilyId.K1K:
         counts = {-k: 1, 0: 3 * k - 1, 1: 3 * k - 1, k + 1: 1}
         for i in range(1, k):
             counts[-k + i] = 3 * i
             counts[k - i + 1] = 3 * i
-        return _centered(counts)
+        return IntegerMultiset(counts)
     if f is FamilyId.K2K:
-        return _centered(_k2k_counts(k))
+        return IntegerMultiset(_k2k_counts(k))
     if f is FamilyId.TWOK1_12K:
         counts = {}
         for i in range(1, k + 1):
             counts[-k + i] = counts.get(-k + i, 0) + 4 * i - 2
             counts[k - i + 1] = counts.get(k - i + 1, 0) + 4 * i - 2
-        return _centered(counts)
+        return IntegerMultiset(counts)
     if f is FamilyId.TWOK11:
         counts = {-k: 1, k + 1: 1}
         for i in range(1, k + 1):
             counts[-k + i] = counts.get(-k + i, 0) + 4 * i
             counts[k - i + 1] = counts.get(k - i + 1, 0) + 4 * i
-        return _centered(counts)
+        return IntegerMultiset(counts)
     if f in (FamilyId.K_2R, FamilyId.K_2R_PLUS1):
         pad = k + 2 * r - 1 if f is FamilyId.K_2R else k + 2 * r
         counts = {0: pad, 1: pad}
         for i in range(1, k):
             counts[-k + i] = counts.get(-k + i, 0) + i
             counts[k - i + 1] = counts.get(k - i + 1, 0) + i
-        return _centered(counts)
+        return IntegerMultiset(counts)
     if f is FamilyId.TWOS_R1:
-        return _centered(_twos_r1_counts(r))
+        return IntegerMultiset(_twos_r1_counts(r))
     if f is FamilyId.K4R:
-        return _centered(_k4r_counts(k, r, plus_two=False))
+        return IntegerMultiset(_k4r_counts(k, r, plus_two=False))
     if f is FamilyId.K4R_PLUS2:
-        return _centered(_k4r_counts(k, r, plus_two=True))
+        return IntegerMultiset(_k4r_counts(k, r, plus_two=True))
     raise ValueError(f"unknown family {f!r}")  # pragma: no cover
 
 
@@ -219,11 +215,11 @@ def family_extended_spectrum(f: FamilyId, k: int | None = None, r: int | None = 
         for i in range(k):
             counts[-k + i] = counts.get(-k + i, 0) + i + 1
             counts[k - i] = counts.get(k - i, 0) + i + 1
-        return _centered(counts)
+        return IntegerMultiset(counts)
     if f is FamilyId.K2:
         _check_domain(f, k, r)
         if k == 3:
-            return _centered({-3: 1, -2: 3, -1: 5, 0: 6, 1: 5, 2: 3, 3: 1})
+            return IntegerMultiset({-3: 1, -2: 3, -1: 5, 0: 6, 1: 5, 2: 3, 3: 1})
         m = (k + 1) // 2
         counts = {
             -m - 1: 1, -m: 3, -1: 2 * k - 1, 0: 2 * k, 1: 2 * k - 1, m: 3, m + 1: 1,
@@ -231,7 +227,7 @@ def family_extended_spectrum(f: FamilyId, k: int | None = None, r: int | None = 
         for i in range(1, m - 1):
             counts[-m + i] = 4 * i + 2
             counts[m - i] = 4 * i + 2
-        return _centered(counts)
+        return IntegerMultiset(counts)
     raise ValueError(
         f"extended spectrum closed form is only available for "
         f"{FamilyId.K1.value} and {FamilyId.K2.value}, not {f.value}"

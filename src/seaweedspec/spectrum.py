@@ -5,11 +5,16 @@ Frobenius seaweed's meander is a single path, and following it assigns each
 vertex an integer potential that drops by one along every oriented arc.
 The eigenvalue attached to an admissible position (i,j) is then just
 phi(i) - phi(j), the mask of admissible positions being the pairs whose
-top blocks ascend and bottom blocks descend. Because block indices never
-decrease along 1..n, that mask is the diagonal plus the upper triangle of
-each bottom block plus the lower triangle of each top block, which is how
-the kernel counts it. The spectrum is that multiset with one zero removed;
-the extended spectrum drops the mask and uses all n^2 positions instead.
+top blocks ascend and bottom blocks descend.
+
+Block indices never decrease along 1..n, so row i's admissible columns are
+one contiguous interval: from the first position of i's top block to the
+last position of i's bottom block. The masked matrix and the mask are built
+row by row from those intervals. Read by blocks instead, the same mask is
+the diagonal plus the upper triangle of each bottom block plus the lower
+triangle of each top block, which is how the kernel counts it. The spectrum
+is that multiset with one zero removed; the extended spectrum drops the mask
+and uses all n^2 positions instead.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from . import _kernel
 from ._engine import kernel
@@ -71,42 +77,54 @@ def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:
     return phi
 
 
+def _row_spans(g: SeaweedSpec) -> list[tuple[int, int]]:
+    """Half-open 0-based column interval [lo, hi) of each row's admissible cells.
+
+    lo is where the row's top block starts and hi where its bottom block ends;
+    the interval always holds the diagonal.
+    """
+    starts = []
+    for lo, p in zip(accumulate(g.top.parts, initial=0), g.top.parts):
+        starts += [lo] * p
+    ends = []
+    for hi, p in zip(accumulate(g.bottom.parts), g.bottom.parts):
+        ends += [hi] * p
+    return list(zip(starts, ends))
+
+
 def shape_mask(g: SeaweedSpec) -> frozenset[tuple[int, int]]:
     """Admissible 1-based positions (i, j) of the seaweed's shape.
 
     (i, j) is admissible when i's top block index is at most j's and i's
     bottom block index is at least j's; the diagonal is always included.
+    Since block indices never decrease, that is j running from the first
+    position of i's top block to the last position of i's bottom block.
     """
-    tb = (0,) + g.top.block_of()
-    bb = (0,) + g.bottom.block_of()
-    n = g.n
-    return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if tb[i] <= tb[j] and bb[i] >= bb[j]
-    )
+    cells = []
+    for i, (lo, hi) in enumerate(_row_spans(g), start=1):
+        cells += zip(repeat(i, hi - lo), range(lo + 1, hi + 1))
+    return frozenset(cells)
 
 
 def spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int | None, ...], ...]:
     """The eigenvalue at every admissible position, None elsewhere.
 
-    Row i, column j (1-based in math terms) sits at [i-1][j-1].
+    Row i, column j (1-based in math terms) sits at [i-1][j-1]. Each row is
+    None, then phi(i) - phi(j) over the row's admissible interval (see
+    shape_mask), then None again.
     """
     phi = vertex_potentials(g)
-    mask = shape_mask(g)
     n = g.n
     return tuple(
-        tuple(phi[i - 1] - phi[j - 1] if (i, j) in mask else None for j in range(1, n + 1))
-        for i in range(1, n + 1)
+        (None,) * lo + tuple([p - x for x in phi[lo:hi]]) + (None,) * (n - hi)
+        for p, (lo, hi) in zip(phi, _row_spans(g))
     )
 
 
 def extended_spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int, ...], ...]:
     """All n^2 potential differences; skew-symmetric by construction."""
     phi = vertex_potentials(g)
-    n = g.n
-    return tuple(tuple(phi[i] - phi[j] for j in range(n)) for i in range(n))
+    return tuple([tuple([p - x for x in phi]) for p in phi])
 
 
 def matrix_text(rows) -> str:

@@ -5,7 +5,9 @@ route: the mask from the flag-preservation rule quantified over every cut,
 components from a generic BFS with a degree test, and potentials from
 per-pair path walks. None of them share code with the package.
 mask_histogram scans all n^2 positions with the block-index rule, the
-reference for the kernel's block-by-block histogram.
+reference for the kernel's block-by-block histogram; oracle_matrix lays the
+oracle potentials over the flag mask, the reference for the row-interval
+matrix.
 """
 
 from collections import deque
@@ -130,6 +132,20 @@ def oracle_spectrum(top, bottom):
         counts[d] = counts.get(d, 0) + 1
     counts[0] -= 1
     return {v: c for v, c in sorted(counts.items()) if c}
+
+
+def oracle_matrix(top, bottom):
+    """The n x n masked eigenvalue matrix from flag_mask and oracle_potentials.
+
+    Row-major, 0-based, phi(i) - phi(j) on admissible cells and None elsewhere.
+    """
+    n = sum(top)
+    phi = oracle_potentials(top, bottom)
+    mask = flag_mask(top, bottom)
+    return tuple(
+        tuple(phi[i - 1] - phi[j - 1] if (i, j) in mask else None for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
 
 
 def mask_histogram(top, bottom):

@@ -1,8 +1,9 @@
-"""Shared hypothesis strategies for composition and seaweed generation."""
+"""Shared test inputs: hypothesis strategies for compositions and seaweeds,
+and fixed large family points."""
 
 from hypothesis import strategies as st
 
-from seaweedspec import Composition, SeaweedSpec
+from seaweedspec import Composition, FamilyId, SeaweedSpec
 
 
 def _parts_from_mask(n: int, mask: int) -> tuple[int, ...]:
@@ -39,3 +40,24 @@ def integer_multiset_counts(draw, max_size: int = 8) -> dict[int, int]:
             max_size=max_size,
         )
     )
+
+
+def orientations(g):
+    return g, g.swapped(), g.reversed(), g.swapped().reversed()
+
+
+# One point of every family, n from 60 to 249, so the kernel's block runs
+# are longer than its leaf length and the halving recursion runs.
+LARGE_POINTS = [
+    (FamilyId.K1, 59, None),
+    (FamilyId.K2, 121, None),
+    (FamilyId.K1K, 124, None),
+    (FamilyId.K2K, 45, None),
+    (FamilyId.TWOK1_12K, 75, None),
+    (FamilyId.TWOK11, 99, None),
+    (FamilyId.K_2R, 51, 5),
+    (FamilyId.K_2R_PLUS1, 100, 60),
+    (FamilyId.TWOS_R1, None, 40),
+    (FamilyId.K4R, 101, 25),
+    (FamilyId.K4R_PLUS2, 81, 8),
+]

@@ -6,6 +6,7 @@ import goldens
 from seaweedspec import (
     EngineInvariantError,
     IntegerMultiset,
+    analysis,
     enumerate_frobenius,
     is_log_concave,
     is_symmetric_about_half,
@@ -144,6 +145,106 @@ class TestBlockLemmas:
             verify_block_lemmas(0, 1, 1)
         with pytest.raises(ValueError, match="at least 1"):
             verify_block_lemmas(2, 1, 0)
+
+
+def corrupting(monkeypatch, name, spec, cells, value=99):
+    """Patch analysis.<name> so the matrix of `spec` carries `value` at `cells`.
+
+    cells are 0-based (row, column) pairs; every other seaweed's matrix is
+    returned untouched.
+    """
+    build = getattr(analysis, name)
+
+    def patched(g):
+        rows = build(g)
+        if str(g) != spec:
+            return rows
+        rows = [list(row) for row in rows]
+        for i, j in cells:
+            rows[i][j] = value
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(analysis, name, patched)
+
+
+class TestVerifierFailures:
+    """A corrupt cell makes each verifier raise, naming the first mismatch.
+
+    The seaweed is 2|4 / 1|2|3 (n = 6). The corrupting tests set two cells,
+    chosen so that the first mismatch in the checked seaweed's row-major
+    order is not the first corrupt cell in the partner's row-major order;
+    the last two give a matrix of the wrong shape.
+    """
+
+    G = "2|4 / 1|2|3"
+
+    @pytest.mark.parametrize(
+        "name, label, value",
+        [("spectrum_matrix", "entry", 1), ("extended_spectrum_matrix", "extended entry", 1)],
+    )
+    def test_swap(self, monkeypatch, name, label, value):
+        # partner cells (1,4) and (3,2) sit at (4,1) and (2,3) of the transpose
+        corrupting(monkeypatch, name, "1|2|3 / 2|4", [(0, 3), (2, 1)])
+        with pytest.raises(EngineInvariantError) as err:
+            verify_swap_lemma(parse_seaweed(self.G))
+        assert str(err.value) == (
+            f"swap failure at {self.G}: {label} (2,3) is {value} "
+            "but transposed swap has 99"
+        )
+
+    @pytest.mark.parametrize(
+        "name, label, value",
+        [("spectrum_matrix", "entry", None), ("extended_spectrum_matrix", "extended entry", -2)],
+    )
+    def test_reverse(self, monkeypatch, name, label, value):
+        # partner cells (1,5) and (3,6) sit at (2,6) and (1,4) of the flip
+        corrupting(monkeypatch, name, "4|2 / 3|2|1", [(0, 4), (2, 5)])
+        with pytest.raises(EngineInvariantError) as err:
+            verify_reverse_lemma(parse_seaweed(self.G))
+        assert str(err.value) == (
+            f"reverse failure at {self.G}: {label} (1,4) is {value} "
+            "but the reversal has 99"
+        )
+
+    def test_skew(self, monkeypatch):
+        corrupting(monkeypatch, "extended_spectrum_matrix", self.G, [(4, 1), (5, 0)])
+        with pytest.raises(EngineInvariantError) as err:
+            verify_skew_symmetry(parse_seaweed(self.G))
+        assert str(err.value) == f"skew failure at {self.G}: (1,6)=-1 vs (6,1)=99"
+
+    @pytest.mark.parametrize(
+        "cells, first",
+        [([(2, 0), (1, 3)], "(2,4)"), ([(4, 6), (3, 5)], "(4,6)")],
+        ids=["top_left", "top_right"],
+    )
+    def test_block_lemma_corner_outside_mask(self, monkeypatch, cells, first):
+        # k1=2, k2=1, m=2 checks corners of 5|2 / 7
+        corrupting(monkeypatch, "spectrum_matrix", "5|2 / 7", cells, value=None)
+        with pytest.raises(EngineInvariantError) as err:
+            verify_block_lemmas(2, 1, 2)
+        assert str(err.value) == f"expected admissible cell {first} is outside the mask"
+
+    def test_swap_partner_of_another_shape(self, monkeypatch):
+        build = analysis.extended_spectrum_matrix
+        monkeypatch.setattr(
+            analysis,
+            "extended_spectrum_matrix",
+            lambda g: build(g) + ((0,) * g.n,) if str(g) == "1|2|3 / 2|4" else build(g),
+        )
+        with pytest.raises(EngineInvariantError) as err:
+            verify_swap_lemma(parse_seaweed(self.G))
+        assert str(err.value) == f"swap failure at {self.G}: matrix shapes differ"
+
+    def test_skew_matrix_not_square(self, monkeypatch):
+        build = analysis.extended_spectrum_matrix
+        monkeypatch.setattr(
+            analysis,
+            "extended_spectrum_matrix",
+            lambda g: tuple(row + (0,) for row in build(g)),
+        )
+        with pytest.raises(EngineInvariantError) as err:
+            verify_skew_symmetry(parse_seaweed(self.G))
+        assert str(err.value) == f"skew failure at {self.G}: matrix is not square"
 
 
 def test_engine_invariant_error_is_runtime_error():

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import seaweedspec
-from seaweedspec import IntegerMultiset, cli
+from oracles import oracle_matrix
+from seaweedspec import FamilyId, IntegerMultiset, cli, family_spec
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +138,26 @@ class TestMatrix:
     def test_csv_empty_cells(self, capsys):
         _, out, _ = run_cli(capsys, "matrix", "1|1 / 2", "--format", "csv")
         assert out == "0,1\n,0\n"
+
+    def test_large_n_bytes_match_flag_oracle(self, capsys):
+        g = family_spec(FamilyId.K4R_PLUS2, 81, 8).reversed()
+        assert g.n >= 60
+        rows = oracle_matrix(g.top.parts, g.bottom.parts)
+        want = {
+            "plain": "\n".join(
+                " ".join("·" if c is None else str(c) for c in row) for row in rows
+            ),
+            "json": json.dumps(
+                {"spec": str(g), "extended": False, "rows": [list(row) for row in rows]},
+                separators=(",", ":"),
+            ),
+            "csv": "\n".join(
+                ",".join("" if c is None else str(c) for c in row) for row in rows
+            ),
+        }
+        for fmt, text in want.items():
+            code, out, err = run_cli(capsys, "matrix", str(g), "--format", fmt)
+            assert (code, out, err) == (0, text + "\n", ""), fmt
 
 
 class TestRender:

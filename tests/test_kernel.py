@@ -8,14 +8,13 @@ from hypothesis import given
 
 from oracles import graph_components, mask_histogram, oracle_potentials, oracle_spectrum
 from seaweedspec import (
-    FamilyId,
     _kernel,
     compositions_of,
     extended_spectrum,
     family_spec,
     kernel_implementation,
 )
-from strategies import seaweeds
+from strategies import LARGE_POINTS, orientations, seaweeds
 
 
 @pytest.fixture(scope="module")
@@ -95,27 +94,6 @@ def test_pure_fallback_env_override():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines() == ["pure", "{-2, -1^2, 0^5, 1^5, 2^2, 3}"]
-
-
-def orientations(g):
-    return g, g.swapped(), g.reversed(), g.swapped().reversed()
-
-
-# One point of every family, n from 60 to 249, so the kernel's block runs
-# are longer than its leaf length and the halving recursion runs.
-LARGE_POINTS = [
-    (FamilyId.K1, 59, None),
-    (FamilyId.K2, 121, None),
-    (FamilyId.K1K, 124, None),
-    (FamilyId.K2K, 45, None),
-    (FamilyId.TWOK1_12K, 75, None),
-    (FamilyId.TWOK11, 99, None),
-    (FamilyId.K_2R, 51, 5),
-    (FamilyId.K_2R_PLUS1, 100, 60),
-    (FamilyId.TWOS_R1, None, 40),
-    (FamilyId.K4R, 101, 25),
-    (FamilyId.K4R_PLUS2, 81, 8),
-]
 
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))

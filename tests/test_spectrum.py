@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 
 import goldens
-from oracles import flag_mask, oracle_potentials, oracle_spectrum
+from oracles import flag_mask, oracle_matrix, oracle_potentials, oracle_spectrum
 from seaweedspec import (
     IntegerMultiset,
     compositions_of,
     extended_spectrum,
     extended_spectrum_matrix,
+    family_spec,
     frobenius_form_support,
     is_frobenius,
     matrix_text,
@@ -22,7 +23,7 @@ from seaweedspec import (
     vertex_potentials,
 )
 from seaweedspec.spectrum import NOT_SINGLE_PATH, SpectrumUndefinedError
-from strategies import seaweeds
+from strategies import LARGE_POINTS, orientations, seaweeds
 
 
 def frobenius_cases(max_n):
@@ -151,6 +152,20 @@ class TestMatrices:
                     assert masked[i - 1][j - 1] == full[i - 1][j - 1]
                 else:
                     assert masked[i - 1][j - 1] is None
+
+
+@pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
+def test_mask_and_matrix_match_flag_oracle_at_large_n(f, k, r):
+    for g in orientations(family_spec(f, k, r)):
+        want = oracle_matrix(g.top.parts, g.bottom.parts)
+        # the oracle matrix holds an int exactly on flag_mask's cells
+        assert shape_mask(g) == {
+            (i, j)
+            for i, row in enumerate(want, start=1)
+            for j, cell in enumerate(row, start=1)
+            if cell is not None
+        }
+        assert spectrum_matrix(g) == want
 
 
 class TestSpectrum:
