@@ -1,10 +1,11 @@
-"""Time the compiled kernel against the pure-Python twin.
+"""Time the compiled kernel (``_walk``) against the pure-Python ``_kernel``.
 
 Both kernels walk every composition pair up to --n-max, first counting
 components, then building the spectrum histogram for the Frobenius pairs.
-Run from the repository root:
+Run from the repository root, after building the extension in place:
 
-    python benchmarks/bench_kernel.py --n-max 10
+    python setup.py build_ext --inplace
+    PYTHONPATH=src python benchmarks/bench_kernel.py --n-max 10
 """
 
 import argparse
@@ -43,8 +44,8 @@ def main():
 
     kernels = [("pure", _kernel)]
     try:
-        from seaweedspec import _speedups
-        kernels.append(("compiled", _speedups))
+        from seaweedspec import _walk
+        kernels.append(("compiled", _walk))
     except ImportError:
         print("compiled kernel not built; timing the pure kernel only")
 

@@ -1,7 +1,7 @@
 """Build script for the optional compiled kernel.
 
 The package is fully functional without the extension: ``seaweedspec._engine``
-falls back to the pure-Python kernel when ``seaweedspec._speedups`` is absent.
+falls back to the pure-Python kernel when ``seaweedspec._walk`` is absent.
 A failed compile therefore downgrades to a warning instead of aborting the
 install.
 """
@@ -24,15 +24,7 @@ class optional_build_ext(build_ext):
             print(f"warning: {ext.name} skipped ({exc}); using pure-Python fallback")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:  # pragma: no cover
-        return []
-    return cythonize(
-        [Extension("seaweedspec._speedups", ["src/seaweedspec/_speedups.pyx"])],
-        language_level="3",
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("seaweedspec._walk", ["src/seaweedspec/_walk.c"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

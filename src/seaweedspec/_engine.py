@@ -1,9 +1,9 @@
 """Kernel selection.
 
-The compiled extension is preferred when importable; set SEAWEEDSPEC_PURE=1
-to force the pure-Python twin (the benchmark and the equivalence tests use
-this). Both kernels expose component_counts and spectrum_counts with
-identical semantics.
+The compiled kernel ``_walk``, built from ``_walk.c`` by ``setup.py``, is
+preferred when importable; set SEAWEEDSPEC_PURE=1 to force the pure-Python
+``_kernel``. Both expose component_counts, potentials and spectrum_counts
+with identical results.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ if os.environ.get("SEAWEEDSPEC_PURE"):
     IMPLEMENTATION = "pure"
 else:
     try:
-        from . import _speedups as kernel  # type: ignore[no-redef]
+        from . import _walk as kernel  # type: ignore[no-redef]
 
         IMPLEMENTATION = "compiled"
     except ImportError:

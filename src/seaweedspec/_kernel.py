@@ -1,12 +1,15 @@
 """Pure-Python kernel: the per-seaweed hot loop of the exhaustive sweeps.
 
-This module and the compiled extension ``_speedups`` return the same results
-and are interchangeable behind ``_engine``; both work on bare part tuples so
-the hot path never touches the higher-level classes. Their ``spectrum_counts``
-use different algorithms: the compiled one scans all n^2 positions, this one
-counts exact differences block by block with big-int products (see
-``spectrum_counts``). ``potentials`` and ``difference_counts`` exist only
-here.
+This module and the compiled extension ``_walk`` (built from ``_walk.c``)
+return the same results from component_counts, potentials and
+spectrum_counts, and are interchangeable behind ``_engine``; both work on
+bare part tuples so the hot path never touches the higher-level classes.
+In each, the three functions run one walk of the meander (``_walk`` here),
+and spectrum_counts sums the same block triangles (see its docstring): this
+module counts them with big-int products, the compiled one pair by pair.
+Nothing in either module calls the three public names, so wrapping one (as
+a per-layer tracer does) sees only outside calls. ``difference_counts``
+exists only here.
 
 Conventions baked in here (shared with the full matrix pipeline):
   * vertices are 1..n; each top block [s..e] contributes the nested pairs
@@ -39,10 +42,12 @@ def _neighbors(parts, n):
     return nbr
 
 
-def component_counts(top, bottom):
-    """Count (cycles, paths) of the meander on the two part tuples.
+def _walk(top, bottom, phi):
+    """The walk: visit every component of the meander once, alternating arc
+    sides, and count (cycles, paths); an isolated vertex counts as a path.
 
-    An isolated vertex counts as a path.
+    When phi is a list of n + 1 zeros, also set phi[v] for each path vertex
+    v, relative to its path's lower end.
     """
     n = sum(top)
     tnbr = _neighbors(top, n)
@@ -63,6 +68,10 @@ def component_counts(top, bottom):
             nxt = tnbr[cur] if on_top else bnbr[cur]
             if not nxt:
                 break
+            if phi is not None:
+                # a top arc walked leftwards or a bottom arc walked
+                # rightwards drops by 1
+                phi[nxt] = phi[cur] - 1 if on_top == (cur > nxt) else phi[cur] + 1
             visited[nxt] = True
             cur = nxt
             on_top = not on_top
@@ -84,6 +93,14 @@ def component_counts(top, bottom):
     return cycles, paths
 
 
+def component_counts(top, bottom):
+    """Count (cycles, paths) of the meander on the two part tuples.
+
+    An isolated vertex counts as a path.
+    """
+    return _walk(top, bottom, None)
+
+
 def potentials(top, bottom):
     """Vertex potentials of a single-path meander, or None.
 
@@ -91,41 +108,10 @@ def potentials(top, bottom):
     Returns None unless the meander is a single path (no cycles), which is
     exactly when the potentials exist.
     """
-    n = sum(top)
-    tnbr = _neighbors(top, n)
-    bnbr = _neighbors(bottom, n)
-
-    phi = [0] * (n + 1)
-    visited = [False] * (n + 1)
-    paths = 0
-
-    for v in range(1, n + 1):
-        if visited[v] or (tnbr[v] and bnbr[v]):
-            continue
-        paths += 1
-        if paths > 1:
-            return None
-        visited[v] = True
-        phi[v] = 0
-        on_top = bool(tnbr[v])
-        cur = v
-        while True:
-            nxt = tnbr[cur] if on_top else bnbr[cur]
-            if not nxt:
-                break
-            if on_top:
-                step = -1 if cur > nxt else 1
-            else:
-                step = -1 if cur < nxt else 1
-            phi[nxt] = phi[cur] + step
-            visited[nxt] = True
-            cur = nxt
-            on_top = not on_top
-
-    if paths != 1 or not all(visited[1:]):
-        return None  # no endpoints at all, or a cycle besides the path
-
-    shift = phi[n]
+    phi = [0] * (sum(top) + 1)
+    if _walk(top, bottom, phi) != (0, 1):
+        return None
+    shift = phi[-1]
     return tuple([p - shift for p in phi[1:]])
 
 
@@ -214,22 +200,22 @@ def spectrum_counts(top, bottom):
     with U(xs) = {xs[a] - xs[b] : a < b}; a top block's pairs i > j give
     phi(i) - phi(j) = (-phi)(j) - (-phi)(i), hence the negation.
     """
-    phi = potentials(top, bottom)
-    if phi is None:
+    n = sum(top)
+    phi = [0] * (n + 1)
+    if _walk(top, bottom, phi) != (0, 1):
         return None
-    n = len(phi)
 
     # Potentials span at most n - 1 (the path has n - 1 arcs), and so does
-    # every difference.
+    # every difference; no difference depends on where phi is pinned to 0.
     off = n - 1
     hist = [0] * (2 * n - 1)
     hist[off] = n
-    s = 0
+    s = 1
     for p in bottom:
         _add_ordered_differences(phi[s : s + p], hist, off)
         s += p
     neg = [-x for x in phi]
-    s = 0
+    s = 1
     for p in top:
         _add_ordered_differences(neg[s : s + p], hist, off)
         s += p

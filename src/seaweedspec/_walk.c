@@ -1,0 +1,268 @@
+/* Compiled kernel: component_counts, potentials and spectrum_counts with the
+   contract of the functions of the same names in _kernel.py, whose docstrings
+   give the conventions. All three run the one walk below.
+
+   Every part must be an int >= 1 that fits in Py_ssize_t, and both sides must
+   have the same sum n; this is checked before any array is touched. The
+   working arrays for n <= SMALL_N vertices live on the C stack, so small
+   calls allocate nothing but their result. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <string.h>
+
+#define SMALL_N 256
+
+typedef struct {
+    PyObject *top, *bottom; /* PySequence_Fast of the two part sequences */
+    Py_ssize_t n, cycles, paths;
+    Py_ssize_t *tnbr, *bnbr, *phi; /* n + 1 slots each, vertex v at [v] */
+    char *seen;
+    void *heap;
+    Py_ssize_t small[3 * (SMALL_N + 1)];
+    char small_seen[SMALL_N + 1];
+} Meander;
+
+static int parts_sum(PyObject *seq, Py_ssize_t *sum)
+{
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    Py_ssize_t k, p, s = 0;
+
+    for (k = 0; k < PySequence_Fast_GET_SIZE(seq); k++) {
+        if (!PyLong_Check(items[k])) {
+            PyErr_Format(PyExc_TypeError, "parts must be ints, not %.100s",
+                         Py_TYPE(items[k])->tp_name);
+            return -1;
+        }
+        p = PyLong_AsSsize_t(items[k]);
+        if (p == -1 && PyErr_Occurred())
+            return -1;
+        if (p < 1) {
+            PyErr_Format(PyExc_ValueError, "parts must be >= 1, got %zd", p);
+            return -1;
+        }
+        if (p > PY_SSIZE_T_MAX - s) {
+            PyErr_SetString(PyExc_OverflowError, "parts sum past Py_ssize_t");
+            return -1;
+        }
+        s += p;
+    }
+    *sum = s;
+    return 0;
+}
+
+/* Per-vertex partner through one side's arcs, 0 meaning no arc. */
+static void fill_neighbors(PyObject *seq, Py_ssize_t *nbr)
+{
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    Py_ssize_t k, i, j, s = 1;
+
+    for (k = 0; k < PySequence_Fast_GET_SIZE(seq); k++) {
+        i = s;
+        j = s + PyLong_AsSsize_t(items[k]) - 1;
+        s = j + 1;
+        for (; i < j; i++, j--) {
+            nbr[i] = j;
+            nbr[j] = i;
+        }
+        if (i == j)
+            nbr[i] = 0;
+    }
+}
+
+/* Check the arguments and fill both partner arrays. On failure an exception
+   is set; release(m) is due either way. */
+static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, const char *name)
+{
+    Py_ssize_t bottom_sum, *slots = m->small;
+
+    m->top = m->bottom = NULL;
+    m->heap = NULL;
+    m->seen = m->small_seen;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 2 arguments (%zd given)", name, nargs);
+        return -1;
+    }
+    if (!(m->top = PySequence_Fast(args[0], "top must be a sequence of parts")) ||
+        !(m->bottom = PySequence_Fast(args[1], "bottom must be a sequence of parts")) ||
+        parts_sum(m->top, &m->n) < 0 || parts_sum(m->bottom, &bottom_sum) < 0)
+        return -1;
+    if (m->n != bottom_sum) {
+        PyErr_Format(PyExc_ValueError, "top sums to %zd but bottom to %zd", m->n, bottom_sum);
+        return -1;
+    }
+    if (m->n > SMALL_N) {
+        if ((size_t)m->n >= PY_SSIZE_T_MAX / (3 * sizeof(Py_ssize_t) + 1) ||
+            !(m->heap = PyMem_Malloc((size_t)(m->n + 1) * (3 * sizeof(Py_ssize_t) + 1)))) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        slots = m->heap;
+        m->seen = (char *)(slots + 3 * (m->n + 1));
+    }
+    m->tnbr = slots;
+    m->bnbr = slots + (m->n + 1);
+    m->phi = slots + 2 * (m->n + 1);
+    fill_neighbors(m->top, m->tnbr);
+    fill_neighbors(m->bottom, m->bnbr);
+    return 0;
+}
+
+static void release(Meander *m)
+{
+    Py_XDECREF(m->top);
+    Py_XDECREF(m->bottom);
+    PyMem_Free(m->heap);
+}
+
+/* The walk: visit every component once, alternating arc sides, and count
+   m->cycles and m->paths, an isolated vertex being a path. With want_phi,
+   also set m->phi[v] for each path vertex v, relative to its path's lower
+   end. Returns whether the meander is a single path. */
+static int walk(Meander *m, int want_phi)
+{
+    const Py_ssize_t *tnbr = m->tnbr, *bnbr = m->bnbr;
+    Py_ssize_t *phi = m->phi, v, cur, nxt;
+    char *seen = m->seen;
+    int on_top;
+
+    memset(seen, 0, (size_t)m->n + 1);
+    m->cycles = m->paths = 0;
+    for (v = 1; v <= m->n; v++) {
+        if (seen[v] || (tnbr[v] && bnbr[v]))
+            continue;
+        m->paths++;
+        seen[v] = 1;
+        phi[v] = 0;
+        for (cur = v, on_top = tnbr[v] != 0; (nxt = on_top ? tnbr[cur] : bnbr[cur]);
+             cur = nxt, on_top = !on_top) {
+            /* a top arc walked leftwards or a bottom arc walked rightwards drops by 1 */
+            if (want_phi)
+                phi[nxt] = phi[cur] + (on_top == (cur > nxt) ? -1 : 1);
+            seen[nxt] = 1;
+        }
+    }
+    for (v = 1; v <= m->n; v++) {
+        if (seen[v])
+            continue;
+        m->cycles++;
+        for (cur = v, on_top = 1; !seen[cur]; on_top = !on_top) {
+            seen[cur] = 1;
+            cur = on_top ? tnbr[cur] : bnbr[cur];
+        }
+    }
+    return m->cycles == 0 && m->paths == 1;
+}
+
+/* Add {sign * (phi(a) - phi(b)) : a < b} over every block of seq into hist,
+   pair by pair: the block triangles of _kernel.spectrum_counts. */
+static void add_block_differences(PyObject *seq, const Py_ssize_t *phi, Py_ssize_t *hist,
+                                  Py_ssize_t sign)
+{
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    Py_ssize_t k, a, b, e, s = 1, *row;
+
+    for (k = 0; k < PySequence_Fast_GET_SIZE(seq); k++, s = e) {
+        e = s + PyLong_AsSsize_t(items[k]);
+        for (a = s; a < e; a++) {
+            row = hist + sign * phi[a];
+            for (b = a + 1; b < e; b++)
+                row[-sign * phi[b]]++;
+        }
+    }
+}
+
+static PyObject *component_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Meander m;
+    PyObject *result = NULL;
+
+    if (build(&m, args, nargs, "component_counts") == 0) {
+        walk(&m, 0);
+        result = Py_BuildValue("(nn)", m.cycles, m.paths);
+    }
+    release(&m);
+    return result;
+}
+
+static PyObject *potentials(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Meander m;
+    PyObject *result = NULL, *item;
+    Py_ssize_t v;
+
+    if (build(&m, args, nargs, "potentials") < 0)
+        goto done;
+    if (!walk(&m, 1)) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    result = PyTuple_New(m.n);
+    for (v = 1; result != NULL && v <= m.n; v++) {
+        if ((item = PyLong_FromSsize_t(m.phi[v] - m.phi[m.n])))
+            PyTuple_SET_ITEM(result, v - 1, item);
+        else
+            Py_CLEAR(result);
+    }
+done:
+    release(&m);
+    return result;
+}
+
+static PyObject *spectrum_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Meander m;
+    PyObject *result = NULL, *key, *count;
+    Py_ssize_t *hist, d, off;
+    int failed;
+
+    if (build(&m, args, nargs, "spectrum_counts") < 0)
+        goto done;
+    if (!walk(&m, 1)) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    /* Every difference lies in [1 - n, n - 1]. Its 2n - 1 counts reuse the
+       partner arrays, which the walk no longer needs. */
+    hist = m.tnbr;
+    off = m.n - 1;
+    memset(hist, 0, (size_t)(2 * off + 1) * sizeof(Py_ssize_t));
+    hist[off] = m.n;
+    add_block_differences(m.bottom, m.phi, hist + off, 1);
+    add_block_differences(m.top, m.phi, hist + off, -1);
+    result = PyDict_New();
+    for (d = 0; result != NULL && d <= 2 * off; d++) {
+        if (hist[d] == 0)
+            continue;
+        key = PyLong_FromSsize_t(d - off);
+        count = PyLong_FromSsize_t(hist[d]);
+        failed = !key || !count || PyDict_SetItem(result, key, count) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(count);
+        if (failed)
+            Py_CLEAR(result);
+    }
+done:
+    release(&m);
+    return result;
+}
+
+#define KERNEL_FUNCTION(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, #name "(top, bottom)\n--\n\n" doc}
+
+static PyMethodDef methods[] = {
+    KERNEL_FUNCTION(component_counts, "(cycles, paths) of the meander."),
+    KERNEL_FUNCTION(potentials, "Potentials with phi(n) = 0, or None off a single path."),
+    KERNEL_FUNCTION(spectrum_counts, "Admissible-position difference counts, or None."),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_walk", "Compiled kernel with the contract of seaweedspec._kernel.",
+    -1, methods, NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__walk(void)
+{
+    return PyModule_Create(&module);
+}

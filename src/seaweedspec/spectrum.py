@@ -29,7 +29,7 @@ from itertools import accumulate, repeat
 from . import _kernel
 from ._engine import kernel
 from .core import IntegerMultiset, SeaweedSpec
-from .meander import Meander, build_meander, components
+from .meander import build_meander, is_frobenius
 
 NOT_SINGLE_PATH = "spectrum undefined: meander is not a single path"
 
@@ -57,13 +57,6 @@ def orient(g: SeaweedSpec) -> OrientedMeander:
     return OrientedMeander(m.n, tuple(directed))
 
 
-def _single_path(m: Meander) -> tuple[int, ...]:
-    summary = components(m)
-    if summary.n_cycles or summary.n_paths != 1:
-        raise SpectrumUndefinedError(NOT_SINGLE_PATH)
-    return summary.paths[0]
-
-
 def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:
     """Integer potential of each vertex (index 0 holds vertex 1).
 
@@ -71,7 +64,7 @@ def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:
     normalization pins phi(n) = 0, so phi(i) is the signed arc count of the
     meander path from i to n.
     """
-    phi = _kernel.potentials(g.top.parts, g.bottom.parts)
+    phi = kernel.potentials(g.top.parts, g.bottom.parts)
     if phi is None:
         raise SpectrumUndefinedError(NOT_SINGLE_PATH)
     return phi
@@ -167,7 +160,7 @@ def frobenius_form_support(g: SeaweedSpec) -> tuple[tuple[int, int], ...]:
 
     Sorted ascending; a Frobenius seaweed on n vertices has exactly n-1.
     """
-    m = build_meander(g)
-    _single_path(m)
+    if not is_frobenius(g):
+        raise SpectrumUndefinedError(NOT_SINGLE_PATH)
     om = orient(g)
     return tuple(sorted(om.edges))

@@ -40,6 +40,7 @@ from .core import (
     compositions_of,
     parse_seaweed,
 )
+from .meander import is_frobenius
 from .spectrum import spectrum
 
 CONJECTURES = (
@@ -374,8 +375,7 @@ def _stability_4_16_records(job: SweepJob) -> Iterator[dict]:
                     "unimodal_inherited": None,
                     "spectrum": None,
                 }
-                cycles, paths = kernel.component_counts(g.top.parts, g.bottom.parts)
-                if cycles == 0 and paths == 1:
+                if is_frobenius(g):
                     rec["frobenius"] = True
                     s = spectrum(g)
                     rec["spectrum"] = s.to_json_obj()
@@ -418,8 +418,7 @@ def _stability_4_17_records(job: SweepJob) -> Iterator[dict]:
                 "unimodal": None,
                 "spectrum": None,
             }
-            cycles, paths = kernel.component_counts(g.top.parts, g.bottom.parts)
-            if cycles == 0 and paths == 1:
+            if is_frobenius(g):
                 rec["frobenius"] = True
                 s = spectrum(g)
                 rec["spectrum"] = s.to_json_obj()
@@ -440,8 +439,7 @@ def _stability_4_18_records(job: SweepJob) -> Iterator[dict]:
                 Composition((2 * k,) * r + (1,)),
                 Composition((1,) + (2 * k,) * r),
             )
-            cycles, paths = kernel.component_counts(g.top.parts, g.bottom.parts)
-            cache[(k, r)] = spectrum(g) if cycles == 0 and paths == 1 else None
+            cache[(k, r)] = spectrum(g) if is_frobenius(g) else None
         return cache[(k, r)]
 
     for k in range(1, job.k_max + 1):

@@ -1,0 +1,41 @@
+"""Session fixtures: the compiled kernel, built from source for the tests."""
+
+import importlib.util
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+WALK_C = Path(__file__).resolve().parent.parent / "src" / "seaweedspec" / "_walk.c"
+
+
+@pytest.fixture(scope="session")
+def walk(tmp_path_factory):
+    """The compiled kernel, built from _walk.c into a temporary directory
+    (never into src/) with the interpreter's compiler and flags plus -Werror.
+
+    The module is loaded but not registered in sys.modules, so the package
+    under test keeps the kernel it picked at import. A compile error fails
+    the tests that use this fixture; only a missing compiler skips them.
+    """
+    var = sysconfig.get_config_var
+    cc = shlex.split(var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler: {cc[0]} not found")
+    out = tmp_path_factory.mktemp("walk")
+    obj = out / "_walk.o"
+    lib = out / f"_walk{var('EXT_SUFFIX')}"
+    compile_ = cc + shlex.split(var("CFLAGS") or "") + shlex.split(var("CCSHARED") or "")
+    compile_ += ["-Werror", "-I", sysconfig.get_path("include"), "-c", str(WALK_C), "-o", str(obj)]
+    link = shlex.split(var("LDSHARED")) + [str(obj), "-o", str(lib)]
+    for argv in (compile_, link):
+        done = subprocess.run(argv, capture_output=True, text=True)
+        if done.returncode:
+            pytest.fail(f"{shlex.join(argv)}\n{done.stdout}{done.stderr}", pytrace=False)
+    spec = importlib.util.spec_from_file_location("seaweedspec._walk", lib)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

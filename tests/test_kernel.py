@@ -8,19 +8,13 @@ from hypothesis import given
 
 from oracles import graph_components, mask_histogram, oracle_potentials, oracle_spectrum
 from seaweedspec import (
+    FamilyId,
     _kernel,
     compositions_of,
     extended_spectrum,
     family_spec,
-    kernel_implementation,
 )
 from strategies import LARGE_POINTS, orientations, seaweeds
-
-
-@pytest.fixture(scope="module")
-def speedups():
-    # module scope: hypothesis refuses function-scoped fixtures in @given tests
-    return pytest.importorskip("seaweedspec._speedups", reason="compiled kernel not built")
 
 
 def all_pairs(max_n):
@@ -30,21 +24,25 @@ def all_pairs(max_n):
                 yield top.parts, bottom.parts
 
 
-def test_kernels_agree_exhaustively(speedups):
-    for top, bottom in all_pairs(6):
-        assert speedups.component_counts(top, bottom) == _kernel.component_counts(
-            top, bottom
-        )
-        assert speedups.spectrum_counts(top, bottom) == _kernel.spectrum_counts(
-            top, bottom
-        )
+def results(kernel, top, bottom):
+    """Everything the kernel returns for one pair, histogram key order included."""
+    counts = kernel.spectrum_counts(top, bottom)
+    return (
+        kernel.component_counts(top, bottom),
+        kernel.potentials(top, bottom),
+        None if counts is None else list(counts.items()),
+    )
+
+
+def test_kernels_agree_exhaustively(walk):
+    for top, bottom in all_pairs(8):
+        assert results(walk, top, bottom) == results(_kernel, top, bottom)
 
 
 @given(seaweeds(max_n=16))
-def test_kernels_agree(speedups, g):
+def test_kernels_agree(walk, g):
     top, bottom = g.top.parts, g.bottom.parts
-    assert speedups.component_counts(top, bottom) == _kernel.component_counts(top, bottom)
-    assert speedups.spectrum_counts(top, bottom) == _kernel.spectrum_counts(top, bottom)
+    assert results(walk, top, bottom) == results(_kernel, top, bottom)
 
 
 @given(seaweeds(max_n=16))
@@ -77,10 +75,61 @@ def test_spectrum_counts_match_oracle_up_to_removed_zero():
         assert got == oracle_spectrum(top, bottom)
 
 
-def test_active_kernel_is_reported(speedups):
-    # _speedups imports, so only the env override picks pure
-    expected = "pure" if os.environ.get("SEAWEEDSPEC_PURE") == "1" else "compiled"
-    assert kernel_implementation() == expected
+def test_active_kernel_is_reported(walk):
+    # The child registers the built kernel as seaweedspec._walk before the
+    # package imports, as an installed build would provide it.
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('seaweedspec._walk', {walk.__file__!r})\n"
+        "sys.modules[spec.name] = importlib.util.module_from_spec(spec)\n"
+        "import seaweedspec\n"
+        "print(seaweedspec.kernel_implementation())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "SEAWEEDSPEC_PURE"}
+    for override, expected in ({}, "compiled"), ({"SEAWEEDSPEC_PURE": "1"}, "pure"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(env, **override),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "top, bottom, error",
+    [
+        ((1,), (5,), ValueError),  # unequal sums
+        ((3, -1), (2,), ValueError),
+        ((2, 0), (2,), ValueError),
+        ((1.5,), (1.5,), TypeError),
+        ((2**70,), (2**70,), OverflowError),
+        ((sys.maxsize, 1), (1,), OverflowError),  # the sum overflows
+        ((sys.maxsize // 4,), (sys.maxsize // 4,), MemoryError),  # refused before allocating
+        (7, (7,), TypeError),
+    ],
+)
+@pytest.mark.parametrize("name", ["component_counts", "potentials", "spectrum_counts"])
+def test_compiled_kernel_checks_its_inputs(walk, name, top, bottom, error):
+    with pytest.raises(error):
+        getattr(walk, name)(top, bottom)
+
+
+@pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
+def test_kernels_agree_at_large_n(walk, f, k, r):
+    for g in orientations(family_spec(f, k, r)):
+        top, bottom = g.top.parts, g.bottom.parts
+        assert results(walk, top, bottom) == results(_kernel, top, bottom)
+
+
+def test_kernels_agree_past_the_stack_buffer(walk):
+    # _walk.c keeps up to 256 vertices on the C stack; these take the heap.
+    pairs = [((257,), (257,)), ((128, 129), (257,)), ((300, 1), (1, 300))]
+    for g in orientations(family_spec(FamilyId.K4R, 101, 70)):
+        pairs.append((g.top.parts, g.bottom.parts))
+    for top, bottom in pairs:
+        assert results(walk, top, bottom) == results(_kernel, top, bottom)
 
 
 def test_pure_fallback_env_override():

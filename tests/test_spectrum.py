@@ -260,6 +260,11 @@ class TestFrobeniusFormSupport:
         g = parse_seaweed("2|4 / 1|2|3")
         assert frobenius_form_support(g) == goldens.SUPPORT_2_4_123
 
+    def test_undefined_off_single_path(self):
+        with pytest.raises(SpectrumUndefinedError) as err:
+            frobenius_form_support(parse_seaweed("1|1 / 1|1"))
+        assert str(err.value) == NOT_SINGLE_PATH
+
     @given(seaweeds(max_n=12))
     def test_size_and_unit_differences(self, g):
         if not is_frobenius(g):
