@@ -11,6 +11,15 @@ Nothing in either module calls the three public names, so wrapping one (as
 a per-layer tracer does) sees only outside calls. ``difference_counts``
 exists only here.
 
+This module trusts its inputs: parts are positive ints and both tuples
+have the same sum. Every caller in the package passes the parts of a
+``SeaweedSpec``, which checks both, and the sweep passes compositions it
+enumerated. Off valid input the result is unspecified: ``((5,), (1,))``
+gives (0, 3) and ``((3, -1), (2,))`` raises IndexError, where the
+compiled kernel raises ValueError. Checking here would cost the hot path: a part >= 1
+and an equal-sum check in ``_walk`` made the n = 10 census (262,144
+calls) 15-21% slower, median ratio of 16 alternating runs, twice.
+
 Conventions baked in here (shared with the full matrix pipeline):
   * vertices are 1..n; each top block [s..e] contributes the nested pairs
     {s,e}, {s+1,e-1}, ... and bottom blocks do the same below the line;

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
@@ -50,6 +51,9 @@ CONJECTURES = (
     "stability_4_18",
     "none",
 )
+
+# The conjectures of the exhaustive sweep over composition pairs.
+_PAIR_CONJECTURES = ("unimodal_2_8", "none")
 
 EXTENSION_VARIANTS = ("r_blocks", "r_blocks_plus_k")
 
@@ -101,46 +105,6 @@ def read_records(path: str) -> list[dict]:
         ]
 
 
-def _load_completed(
-    job: SweepJob, acts: Callable[[dict], bool]
-) -> tuple[set[str], dict[str, dict]]:
-    """Keys of job's records already in job.out, and the records `acts` keeps.
-
-    The file is streamed, so memory grows with the number of keys, not with
-    the records. Every record the sweep writes ends in a newline, so a last
-    line without one is the torn tail of a killed run: the file is truncated
-    back to the last newline and that pair is computed again. A corrupt line
-    before it is fatal and leaves the file as it was.
-    """
-    completed: set[str] = set()
-    kept: dict[str, dict] = {}
-    if not (job.resume and job.out and os.path.exists(job.out)):
-        return completed, kept
-    path = job.out
-    end = 0
-    torn = False
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                torn = True
-                break
-            end += len(line)
-            if not line.strip():
-                continue
-            rec = _parse_record(line, path, lineno)
-            if rec.get("conjecture") != job.conjecture:
-                continue
-            key = rec["key"]
-            completed.add(key)
-            if acts(rec):
-                kept[key] = rec
-            else:
-                kept.pop(key, None)
-    if torn:
-        os.truncate(path, end)
-    return completed, kept
-
-
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
     """All Frobenius seaweeds on n vertices, in composition-pair order."""
     tops = list(compositions_of(n))
@@ -151,9 +115,12 @@ def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
                 yield SeaweedSpec(top, bottom)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=16)
 def _compositions(n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
-    """Each composition of n with its text, joined once per n."""
+    """Each composition of n with its text, joined once per n. The resume
+    loader and the run loop both walk every n of a sweep, so a sweep's n
+    stay cached together: 16 n are more than any sweep of 4^(n-1) pairs
+    per n can reach."""
     return tuple((c.parts, "|".join(map(str, c.parts))) for c in compositions_of(n))
 
 
@@ -186,12 +153,171 @@ def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: in
     return rec
 
 
-# What follows the index in json.dumps(_pair_record(...)) + "\n" when the
-# index is nonzero.
+# The fixed-shape record line: json.dumps(_pair_record(...)) + "\n" for a
+# pair of nonzero index, which is all but a few lines of a sweep. The writer
+# formats it from these pieces and the loader recognises it by them. A key
+# holds only digits, "|", " " and "/", and the conjecture is one of
+# CONJECTURES, so nothing in the line needs escaping.
+_SPEC_SEP = '", "spec": "'
+_INDEX_SEP = '", "index": '
 _PLAIN_TAIL = (
     ', "frobenius": false, "unbroken": null, "centered_half": null, "unimodal": null,'
     ' "log_concave": null, "symmetric_about_half": null, "spectrum": null}\n'
 )
+
+
+def _plain_head(conjecture: str) -> str:
+    return f'{{"conjecture": "{conjecture}", "key": "'
+
+
+@lru_cache(maxsize=None)
+def _line_pattern(conjecture: str) -> re.Pattern:
+    """Matches one whole record line at a time, in file order.
+
+    A fixed-shape line of a unimodality conjecture whose spec equals its key
+    and whose index is digits without a leading zero gives its top and
+    bottom text as groups 1 and 2. Any other line, blank or not, gives
+    itself (newline included) as group 3. Stability records have no fixed
+    shape: for them the first branch never matches.
+    """
+    if conjecture in _PAIR_CONJECTURES:
+        fixed = "".join((
+            re.escape(_plain_head(conjecture)), r"([0-9|]+) / ([0-9|]+)",
+            re.escape(_SPEC_SEP), r"\1 / \2",
+            re.escape(_INDEX_SEP), "[1-9][0-9]*",
+            re.escape(_PLAIN_TAIL),
+        ))
+    else:
+        fixed = "(?!)()()"
+    return re.compile(f"^(?:{fixed}|(.*\n))".encode(), re.MULTILINE)
+
+
+# Bytes read per block. 64 KiB read back the n <= 10 file 11% faster than
+# 1 MiB, with 4.6 MB less peak memory.
+_BLOCK = 1 << 16
+
+
+def _read_back(
+    job: SweepJob,
+    fixed: Callable[[bytes, bytes], None] | None,
+    record: Callable[[dict], None],
+) -> None:
+    """Feed the records already in job.out back, a block of lines at a time.
+
+    Each fixed-shape line of job's conjecture (see _line_pattern) goes to
+    fixed(top, bottom) without being decoded. Every other nonblank line is
+    parsed with json.loads, and the records of job's conjecture go to
+    record(rec). Every record the sweep writes ends in a newline, so a last
+    line without one is the torn tail of a killed run: once the rest has
+    been read, the file is truncated back to the last newline and that
+    record is computed again. A corrupt line before it is fatal and leaves
+    the file as it was.
+    """
+    path = job.out
+    findall = _line_pattern(job.conjecture).findall
+    lineno = 0
+    rest = b""
+    with open(path, "rb") as fh:
+        # readline completes the block's last line, so only the block at
+        # the end of the file can end in a torn line.
+        while block := fh.read(_BLOCK) + fh.readline():
+            cut = block.rfind(b"\n") + 1
+            rest = block[cut:]
+            for lineno, (top, bottom, line) in enumerate(findall(block, 0, cut), lineno + 1):
+                if not line:
+                    fixed(top, bottom)
+                elif line.strip():
+                    rec = _parse_record(line, path, lineno)
+                    if rec.get("conjecture") == job.conjecture:
+                        record(rec)
+        end = fh.tell() - len(rest)
+    if rest:
+        os.truncate(path, end)
+
+
+def _load_completed(job: SweepJob) -> tuple[dict[int, bytearray], dict[tuple[int, int], dict]]:
+    """The pairs of a unimodality sweep already in job.out, and the records
+    its consume acts on, read back at about the speed of reading the file.
+
+    A pair is (n, i * m + j), for the i-th top and j-th bottom of the m
+    compositions of n in _compositions(n) order. The pairs done are one
+    bytearray of m * m flags per n in range, one byte per pair; the kept
+    records are keyed by pair. A fixed-shape line (see _line_pattern) is
+    recognised without json.loads: its record is never kept, and if its key
+    is no pair in range it is ignored, as its decoded key would be. Every
+    other line is decoded, so a key spelled another way that decodes to the
+    same text still counts. As in the file, the last line of a key decides
+    whether its record is kept. Keys of other conjectures, of n outside
+    [n_min, n_max] or not in canonical spelling are ignored.
+    """
+    done: dict[int, bytearray] = {}
+    kept: dict[tuple[int, int], dict] = {}
+    if not (job.resume and job.out and os.path.exists(job.out)):
+        return done, kept
+    where: dict[bytes, tuple[int, int, int]] = {}  # text -> (n, m, rank)
+    for n in range(job.n_min, job.n_max + 1):
+        comps = _compositions(n)
+        m = len(comps)
+        done[n] = bytearray(m * m)
+        for rank, (_, text) in enumerate(comps):
+            where[text.encode()] = (n, m, rank)
+
+    def pair(top: bytes, bottom: bytes) -> tuple[int, int] | None:
+        t = where.get(top)
+        b = where.get(bottom)
+        if t is None or b is None or t[0] != b[0]:
+            return None
+        return t[0], t[2] * t[1] + b[2]
+
+    def fixed(top: bytes, bottom: bytes) -> None:
+        # pair(), inlined: this runs once per line of the file.
+        t = where.get(top)
+        b = where.get(bottom)
+        if t is not None and b is not None and t[0] == b[0]:
+            flags = done[t[0]]
+            k = t[2] * t[1] + b[2]
+            if flags[k]:
+                kept.pop((t[0], k), None)
+            else:
+                flags[k] = 1
+
+    def record(rec: dict) -> None:
+        text = rec["key"]
+        if not (isinstance(text, str) and text.isascii()):
+            return
+        top, _, bottom = text.encode().partition(b" / ")
+        key = pair(top, bottom)
+        if key is not None:
+            done[key[0]][key[1]] = 1
+            if _pair_record_acts(rec):
+                kept[key] = rec
+            else:
+                kept.pop(key, None)
+
+    _read_back(job, fixed, record)
+    return done, kept
+
+
+def _load_completed_keys(
+    job: SweepJob, acts: Callable[[dict], bool]
+) -> tuple[set[str], dict[str, dict]]:
+    """Keys of a stability sweep's records already in job.out, and the
+    records `acts` keeps; the last line of a key decides."""
+    completed: set[str] = set()
+    kept: dict[str, dict] = {}
+    if not (job.resume and job.out and os.path.exists(job.out)):
+        return completed, kept
+
+    def record(rec: dict) -> None:
+        key = rec["key"]
+        completed.add(key)
+        if acts(rec):
+            kept[key] = rec
+        else:
+            kept.pop(key, None)
+
+    _read_back(job, None, record)
+    return completed, kept
 
 
 def _row_records(task: tuple) -> tuple[str, list[dict]]:
@@ -204,11 +330,11 @@ def _row_records(task: tuple) -> tuple[str, list[dict]]:
     top, top_text = comps[i]
     bottoms = comps if js is None else [comps[j] for j in js]
     component_counts = kernel.component_counts
-    # A record of nonzero index is formatted directly, to the bytes that
-    # json.dumps gives: keys hold only digits, "|", " " and "/", and the
-    # conjecture is one of CONJECTURES, so nothing needs escaping.
-    key_head = f'{{"conjecture": "{conjecture}", "key": "{top_text} / '
-    spec_head = f'", "spec": "{top_text} / '
+    # A record of nonzero index is the fixed-shape line, formatted directly.
+    key_head = f"{_plain_head(conjecture)}{top_text} / "
+    spec_head = f"{_SPEC_SEP}{top_text} / "
+    index_sep = _INDEX_SEP
+    tail = _PLAIN_TAIL
     lines = []
     frobenius = []
     for bottom, bottom_text in bottoms:
@@ -217,7 +343,7 @@ def _row_records(task: tuple) -> tuple[str, list[dict]]:
         if index:
             if write:
                 lines.append(
-                    f'{key_head}{bottom_text}{spec_head}{bottom_text}", "index": {index}{_PLAIN_TAIL}'
+                    f"{key_head}{bottom_text}{spec_head}{bottom_text}{index_sep}{index}{tail}"
                 )
         else:
             rec = _pair_record(conjecture, f"{top_text} / {bottom_text}", top, bottom, index)
@@ -225,6 +351,12 @@ def _row_records(task: tuple) -> tuple[str, list[dict]]:
                 lines.append(json.dumps(rec) + "\n")
             frobenius.append(rec)
     return "".join(lines), frobenius
+
+
+def _pair_record_acts(rec: dict) -> bool:
+    """Whether the unimodality sweep's consume does anything with rec; the
+    rest need no keeping on resume."""
+    return rec["frobenius"] or rec["unimodal"] is False
 
 
 def _check_proven_claims(rec: dict) -> None:
@@ -257,10 +389,6 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
     counterexamples = []
     collect = job.conjecture == "unimodal_2_8"
 
-    def acts(rec: dict) -> bool:
-        """Whether consume does anything with rec; the rest need no keeping."""
-        return rec["frobenius"] or rec["unimodal"] is False
-
     def consume(rec: dict) -> None:
         nonlocal frobenius_count
         _check_proven_claims(rec)
@@ -269,30 +397,31 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         if collect and rec["unimodal"] is False:
             counterexamples.append({"spec": rec["spec"], "spectrum": rec["spectrum"]})
 
-    completed, kept = _load_completed(job, acts)
+    done, kept = _load_completed(job)
+    kept_in: dict[int, list[dict]] = {}
+    for key in sorted(kept):
+        kept_in.setdefault(key[0], []).append(kept[key])
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(job.out, "a", encoding="utf-8")) if job.out else None
         pool = stack.enter_context(Pool(job.workers)) if job.workers > 1 else None
         for n in range(job.n_min, job.n_max + 1):
             comps = _compositions(n)
-            pairs += len(comps) ** 2
+            m = len(comps)
+            pairs += m * m
+            for rec in kept_in.get(n, ()):
+                consume(rec)
+            flags = done.get(n)
             tasks = []
-            for i, (_, top_text) in enumerate(comps):
+            for i in range(m):
                 js = None
-                if completed:
-                    js = []
-                    for j, (_, bottom_text) in enumerate(comps):
-                        key = f"{top_text} / {bottom_text}"
-                        if key in completed:
-                            skipped += 1
-                            if key in kept:
-                                consume(kept[key])
-                        else:
-                            js.append(j)
-                    if not js:
+                if flags is not None:
+                    row = flags[i * m:(i + 1) * m]
+                    resumed = row.count(1)
+                    skipped += resumed
+                    if resumed == m:
                         continue
-                    if len(js) == len(comps):
-                        js = None
+                    if resumed:
+                        js = [j for j in range(m) if not row[j]]
                 tasks.append((job.conjecture, n, i, js, out is not None))
             # The bookkeeping above stays out of the iterable handed to
             # imap, whose feeder thread would run it beside this loop. A row
@@ -523,7 +652,7 @@ def run_stability_sweep(job: SweepJob) -> dict:
             ]
             counterexamples.append({"spec": rec["spec"], "failed": failed})
 
-    completed, kept = _load_completed(job, acts)
+    completed, kept = _load_completed_keys(job, acts)
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for rec in makers[job.conjecture](job):
             checked += 1
@@ -553,6 +682,6 @@ def run_stability_sweep(job: SweepJob) -> dict:
 
 def run_sweep(job: SweepJob) -> dict:
     """Dispatch on the job's conjecture; returns the summary object."""
-    if job.conjecture in ("unimodal_2_8", "none"):
+    if job.conjecture in _PAIR_CONJECTURES:
         return run_unimodality_sweep(job)
     return run_stability_sweep(job)

@@ -8,12 +8,18 @@ from hypothesis import given
 
 from oracles import graph_components, mask_histogram, oracle_potentials, oracle_spectrum
 from seaweedspec import (
+    Composition,
     FamilyId,
+    ParseError,
+    SeaweedSpec,
     _kernel,
+    cli,
     compositions_of,
     extended_spectrum,
     family_spec,
+    parse_seaweed,
 )
+from seaweedspec._engine import kernel
 from strategies import LARGE_POINTS, orientations, seaweeds
 
 
@@ -114,6 +120,27 @@ def test_active_kernel_is_reported(walk):
 def test_compiled_kernel_checks_its_inputs(walk, name, top, bottom, error):
     with pytest.raises(error):
         getattr(walk, name)(top, bottom)
+
+
+@pytest.mark.parametrize(
+    "text, top, bottom",
+    [("1 / 5", (1,), (5,)), ("3|-1 / 2", (3, -1), (2,)), ("2|0 / 2", (2, 0), (2,))],
+)
+def test_public_entries_reject_bad_input_before_any_kernel_call(
+    monkeypatch, capsys, text, top, bottom
+):
+    """The pure kernel trusts its inputs, so the public entries must check them."""
+    calls = []
+    for name in ("component_counts", "potentials", "spectrum_counts"):
+        monkeypatch.setattr(kernel, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ParseError):
+        parse_seaweed(text)
+    with pytest.raises(ValueError):
+        SeaweedSpec(Composition(top), Composition(bottom))
+    for command in ("index", "spectrum", "extended", "principal", "matrix", "render"):
+        assert cli.main([command, text]) == 64
+        assert capsys.readouterr().out == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))

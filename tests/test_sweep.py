@@ -16,7 +16,7 @@ from seaweedspec import (
     run_sweep,
     run_unimodality_sweep,
 )
-from seaweedspec import sweep
+from seaweedspec import cli, sweep
 from seaweedspec._engine import kernel
 from seaweedspec.sweep import _pair_record
 from seaweedspec.analysis import EngineInvariantError
@@ -386,3 +386,275 @@ class TestStabilitySweeps:
     def test_dispatch_rejects_non_stability(self):
         with pytest.raises(ValueError, match="not a stability conjecture"):
             run_stability_sweep(SweepJob(conjecture="unimodal_2_8"))
+
+
+def fresh_file(path, conjecture="unimodal_2_8", n_max=7):
+    """Write a fresh sweep's records to path; return the summary and the lines."""
+    summary = run_sweep(SweepJob(conjecture=conjecture, n_max=n_max, out=str(path)))
+    return summary, path.read_bytes().splitlines(keepends=True)
+
+
+def json_path(path, job):
+    """What resuming job over path means, by json.loads on every line: the
+    in-range keys done and the keys whose record is kept (last line wins)."""
+    done, kept = set(), set()
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            if rec.get("conjecture") != job.conjecture:
+                continue
+            done.add(rec["key"])
+            if sweep._pair_record_acts(rec):
+                kept.add(rec["key"])
+            else:
+                kept.discard(rec["key"])
+    in_range = {
+        f"{a} / {b}"
+        for n in range(job.n_min, job.n_max + 1)
+        for _, a in sweep._compositions(n)
+        for _, b in sweep._compositions(n)
+    }
+    return done & in_range, kept & in_range
+
+
+def loaded(job):
+    """The same two key sets, from the loader's flags and kept pairs."""
+    done, kept = sweep._load_completed(job)
+    texts = {n: [text for _, text in sweep._compositions(n)] for n in done}
+
+    def key(n, k):
+        m = len(texts[n])
+        return f"{texts[n][k // m]} / {texts[n][k % m]}"
+
+    keys = {key(n, k) for n, flags in done.items() for k, flag in enumerate(flags) if flag}
+    return keys, {key(n, k) for n, k in kept}
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The lines that reach json.loads through the loader, in order."""
+    lines = []
+    parse = sweep._parse_record
+
+    def recording(line, path, lineno):
+        lines.append(line)
+        return parse(line, path, lineno)
+
+    monkeypatch.setattr(sweep, "_parse_record", recording)
+    return lines
+
+
+def plain_line(key, spec=None, index=b"1", conjecture="unimodal_2_8"):
+    """A line in the writer's fixed shape, with any of its parts replaced."""
+    head = sweep._plain_head(conjecture).encode()
+    spec = key if spec is None else spec
+    return (
+        head + key + sweep._SPEC_SEP.encode() + spec + sweep._INDEX_SEP.encode() + index
+        + sweep._PLAIN_TAIL.encode()
+    )
+
+
+class TestRecordCodec:
+    """The fixed-shape line is written and recognised by one codec; a line
+    that misses it in any part is decoded by json.loads instead, with the
+    same result that json.loads gives."""
+
+    def test_writer_emits_the_codec_line(self, tmp_path):
+        _, lines = fresh_file(tmp_path / "f.ndjson", n_max=2)
+        assert lines[1] == plain_line(b"2 / 2")
+
+    @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
+    def test_fast_path_agrees_with_json_on_every_fresh_line(self, tmp_path, conjecture):
+        summary, lines = fresh_file(tmp_path / "f.ndjson", conjecture)
+        match = sweep._line_pattern(conjecture).fullmatch
+        fast = 0
+        for line in lines:
+            top, bottom, other = match(line).groups()
+            rec = json.loads(line)
+            if other is None:
+                fast += 1
+                assert (top + b" / " + bottom).decode() == rec["key"] == rec["spec"]
+                assert not sweep._pair_record_acts(rec)
+            else:
+                assert other == line
+                assert rec["frobenius"] and sweep._pair_record_acts(rec)
+        assert fast == len(lines) - summary["frobenius"] == 5461 - 275
+        job = SweepJob(conjecture=conjecture, n_max=7, out=str(tmp_path / "f.ndjson"), resume=True)
+        done, kept = loaded(job)
+        assert (done, kept) == json_path(job.out, job)
+        assert len(done) == 5461 and len(kept) == 275
+
+    @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
+    @pytest.mark.parametrize("cut", ["empty", "row boundary", "mid-row", "complete"])
+    def test_resume_over_a_cut_equals_a_fresh_run(self, tmp_path, capsys, conjecture, cut):
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", conjecture)
+        before_7 = (4**6 - 1) // 3  # pairs of n <= 6
+        keep = {
+            "empty": 0,
+            "row boundary": before_7 + 21 * 64,
+            "mid-row": before_7 + 21 * 64 + 17,
+            "complete": len(lines),
+        }[cut]
+        path = tmp_path / "cut.ndjson"
+        path.write_bytes(b"".join(lines[:keep]))
+        argv = ["sweep", "--conjecture", conjecture, "--n-max", "7", "--out", str(path)]
+        code = cli.main(argv + ["--resume"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert path.read_bytes() == b"".join(lines)
+        assert out == json.dumps({**fresh, "resumed": keep}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("block", [64, 4096])
+    def test_block_boundaries_change_nothing(self, tmp_path, monkeypatch, block):
+        """The file is read back in blocks, each completed to a line end;
+        64 bytes is less than one line."""
+        monkeypatch.setattr(sweep, "_BLOCK", block)
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=5)
+        path = tmp_path / "cut.ndjson"
+        path.write_bytes(b"".join(lines[:300]) + lines[300][:40])
+        summary = run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": 300}
+        assert path.read_bytes() == b"".join(lines)
+        damaged = b"".join(lines[:290]) + b"garbage\n" + b"".join(lines[291:])
+        path.write_bytes(damaged)
+        with pytest.raises(ParseError, match=r"cut\.ndjson:291$"):
+            run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
+        assert path.read_bytes() == damaged
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(plain_line(b"1|1 / 2", spec=b"2 / 1|1"), id="key-not-spec"),
+            pytest.param(plain_line(b"1|1 / 2", index=b"-3"), id="non-digit-index"),
+            pytest.param(plain_line(b"1|1 / 2")[:-2] + b" }\n", id="tail-one-byte-off"),
+            pytest.param(plain_line(b"1|1 / 2")[:-2] + b"}\r\n", id="crlf"),
+            pytest.param(plain_line(b"1\\u007c1 / 2"), id="escaped-key"),
+            pytest.param(plain_line(b"1|1 / 2", index=b"0"), id="zero-index"),
+        ],
+    )
+    def test_near_miss_takes_the_json_path(self, tmp_path, parsed, line):
+        path = tmp_path / "r.ndjson"
+        path.write_bytes(plain_line(b"2 / 2") + line + plain_line(b"1 / 1"))
+        job = SweepJob(n_max=2, out=str(path), resume=True)
+        assert loaded(job) == json_path(path, job)
+        assert parsed == [line]
+        assert loaded(job)[0] == {"1 / 1", "1|1 / 2", "2 / 2"}
+        summary = run_unimodality_sweep(job)
+        assert summary["resumed"] == 3
+
+    @pytest.mark.parametrize("key", [b"1|1 / 1", b"2 / 2|1", b"3 / 3", b"01 / 1", b"1 / 1 / 1"])
+    def test_fixed_shape_line_of_no_pair_is_ignored(self, tmp_path, key):
+        """Of n out of range, of two n, or not in canonical spelling: json.loads
+        would give a key of no pair, so the line counts for nothing."""
+        path = tmp_path / "r.ndjson"
+        path.write_bytes(plain_line(b"2 / 2") + plain_line(key))
+        job = SweepJob(n_max=2, out=str(path), resume=True)
+        assert loaded(job) == json_path(path, job) == ({"2 / 2"}, set())
+        assert run_unimodality_sweep(job)["resumed"] == 1
+
+    @pytest.mark.parametrize(
+        "written, resumed", [("none", "unimodal_2_8"), ("unimodal_2_8", "none")]
+    )
+    def test_foreign_conjecture_takes_the_json_path(self, tmp_path, parsed, written, resumed):
+        path = tmp_path / "r.ndjson"
+        _, lines = fresh_file(path, written, n_max=3)
+        job = SweepJob(conjecture=resumed, n_max=3, out=str(path), resume=True)
+        assert loaded(job) == json_path(path, job) == (set(), set())
+        assert parsed == lines
+        assert run_sweep(job)["resumed"] == 0
+        assert path.read_bytes().count(b"\n") == 42
+
+    def test_leading_zero_index_stays_fatal(self, tmp_path, capsys, parsed):
+        path = tmp_path / "r.ndjson"
+        bad = plain_line(b"1|1 / 2", index=b"07")
+        damaged = plain_line(b"1 / 1") + bad + plain_line(b"2 / 2")[:9]
+        path.write_bytes(damaged)
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(bad)
+        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (64, "")
+        assert f"corrupt sweep record at {path}:2" in captured.err
+        assert parsed == [bad]
+        assert path.read_bytes() == damaged
+
+
+FAKE_COUNTEREXAMPLE = {
+    "conjecture": "unimodal_2_8",
+    "key": "2 / 2",
+    "spec": "2 / 2",
+    "index": 0,
+    "frobenius": True,
+    "unbroken": True,
+    "centered_half": True,
+    "unimodal": False,
+    "log_concave": False,
+    "symmetric_about_half": True,
+    "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2},
+}
+
+
+class TestResumeSemantics:
+    def test_last_line_of_a_key_wins(self, tmp_path):
+        fake = json.dumps(FAKE_COUNTEREXAMPLE).encode() + b"\n"
+        plain = plain_line(b"2 / 2")
+        path = tmp_path / "r.ndjson"
+        crlf = plain[:-1] + b"\r\n"
+        for lines, found in ((fake + plain, []), (fake + crlf, []), (plain + fake, ["2 / 2"])):
+            path.write_bytes(lines)
+            summary = run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
+            assert summary["resumed"] == 1
+            assert [c["spec"] for c in summary["counterexamples"]] == found
+            assert summary["frobenius"] == 3 + len(found)
+
+    def test_kept_records_are_consumed_in_pair_order(self, tmp_path):
+        gaps = {**FAKE_COUNTEREXAMPLE, "unbroken": False, "centered_half": False}
+        off_center = {**FAKE_COUNTEREXAMPLE, "centered_half": False}
+        path = tmp_path / "r.ndjson"
+        path.write_text(
+            json.dumps({**gaps, "key": "1|1 / 2", "spec": "1|1 / 2"}) + "\n"
+            + json.dumps({**off_center, "key": "2 / 1|1", "spec": "2 / 1|1"}) + "\n"
+        )
+        # _compositions(2) lists 2 before 1|1, so 2 / 1|1 comes first.
+        with pytest.raises(EngineInvariantError, match="^2 / 1\\|1: spectrum endpoints"):
+            run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
+
+    def test_duplicated_key_counts_once(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        fresh, lines = fresh_file(path, n_max=3)
+        frobenius = next(line for line in lines if b'"frobenius": true' in line)
+        path.write_bytes(b"".join(lines[:10] + lines[3:5] + [frobenius] + lines[10:]))
+        summary = run_unimodality_sweep(SweepJob(n_max=3, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": 21}
+
+    def test_keys_outside_the_n_range_are_ignored(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        _, lines = fresh_file(path, n_max=4)
+        job = SweepJob(n_min=2, n_max=3, out=str(path), resume=True)
+        fresh = run_unimodality_sweep(SweepJob(n_min=2, n_max=3))
+        assert run_unimodality_sweep(job) == {**fresh, "resumed": 20}
+        assert path.read_bytes() == b"".join(lines)
+        done, kept = sweep._load_completed(job)
+        assert sorted(done) == [2, 3]
+        assert {n for n, _ in kept} == {2, 3}
+
+    def test_mixed_file_resumes_under_each_conjecture(self, tmp_path):
+        uni, stab = tmp_path / "uni.ndjson", tmp_path / "stab.ndjson"
+        fresh_uni, uni_lines = fresh_file(uni, n_max=3)
+        stab_job = dict(conjecture="stability_4_17", k_max=2, r_max=2)
+        fresh_stab = run_sweep(SweepJob(**stab_job, out=str(stab)))
+        stab_lines = stab.read_bytes().splitlines(keepends=True)
+        path = tmp_path / "mixed.ndjson"
+        mixed = b"".join(uni_lines[:7] + stab_lines[:1] + uni_lines[7:12] + stab_lines[1:3])
+        path.write_bytes(mixed)
+        summary = run_sweep(SweepJob(n_max=3, out=str(path), resume=True))
+        assert summary == {**fresh_uni, "resumed": 12}
+        summary = run_sweep(SweepJob(**stab_job, out=str(path), resume=True))
+        assert summary == {**fresh_stab, "resumed": 3}
+        records = read_records(str(path))
+        for conjecture, want in (("unimodal_2_8", uni_lines), ("stability_4_17", stab_lines)):
+            got = [json.dumps(r) + "\n" for r in records if r["conjecture"] == conjecture]
+            assert sorted(got) == sorted(line.decode() for line in want)
+        assert path.read_bytes().startswith(mixed)
