@@ -40,10 +40,8 @@ from .families import (
     family_spectrum,
 )
 from .meander import (
-    ComponentSummary,
     Meander,
     build_meander,
-    components,
     index_gcd_maximal_parabolic,
     index_gcd_three_part,
     index_gl,
@@ -80,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Composition",
-    "ComponentSummary",
     "EngineInvariantError",
     "FamilyId",
     "IntegerMultiset",
@@ -92,7 +89,6 @@ __all__ = [
     "SpectrumUndefinedError",
     "SweepJob",
     "build_meander",
-    "components",
     "compositions_of",
     "default_extension_base",
     "enumerate_frobenius",

@@ -38,91 +38,10 @@ class Meander:
     top_edges: tuple[tuple[int, int], ...]
     bottom_edges: tuple[tuple[int, int], ...]
 
-    def top_neighbor(self) -> list[int]:
-        """Partner vertex through the top arc, 0 when there is none."""
-        nbr = [0] * (self.n + 1)
-        for p, q in self.top_edges:
-            nbr[p] = q
-            nbr[q] = p
-        return nbr
-
-    def bottom_neighbor(self) -> list[int]:
-        nbr = [0] * (self.n + 1)
-        for p, q in self.bottom_edges:
-            nbr[p] = q
-            nbr[q] = p
-        return nbr
-
 
 def build_meander(g: SeaweedSpec) -> Meander:
     """Arcs of g's meander, in block order with outermost arcs first."""
     return Meander(g.n, _block_edges(g.top), _block_edges(g.bottom))
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """Connected components of a meander.
-
-    Paths are listed in vertex order starting from the lower endpoint
-    (an isolated vertex is a one-vertex path); cycles start from their
-    lowest vertex and step through its top arc first. Both lists are
-    ordered by their starting vertex.
-    """
-
-    paths: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.paths)
-
-    @property
-    def n_cycles(self) -> int:
-        return len(self.cycles)
-
-
-def components(m: Meander) -> ComponentSummary:
-    """Walk every component once, alternating arc sides."""
-    tnbr = m.top_neighbor()
-    bnbr = m.bottom_neighbor()
-    visited = [False] * (m.n + 1)
-    paths = []
-    cycles = []
-
-    # Each path shows up exactly twice as an endpoint; scanning vertices in
-    # ascending order therefore starts every walk at its lower endpoint.
-    for v in range(1, m.n + 1):
-        if visited[v] or (tnbr[v] and bnbr[v]):
-            continue
-        walk = [v]
-        visited[v] = True
-        on_top = bool(tnbr[v])
-        cur = v
-        while True:
-            nxt = tnbr[cur] if on_top else bnbr[cur]
-            if not nxt:
-                break
-            walk.append(nxt)
-            visited[nxt] = True
-            cur = nxt
-            on_top = not on_top
-        paths.append(tuple(walk))
-
-    for v in range(1, m.n + 1):
-        if visited[v]:
-            continue
-        walk = [v]
-        visited[v] = True
-        cur = tnbr[v]
-        on_top = False
-        while cur != v:
-            walk.append(cur)
-            visited[cur] = True
-            cur = tnbr[cur] if on_top else bnbr[cur]
-            on_top = not on_top
-        cycles.append(tuple(walk))
-
-    return ComponentSummary(tuple(paths), tuple(cycles))
 
 
 def index_gl(g: SeaweedSpec) -> int:

@@ -5,7 +5,8 @@ range, records index and shape data for each, treats any failure of the
 proven support properties (unbroken interval, endpoints summing to one) as
 an engine bug, and collects unimodality failures as findings. The
 stability sweeps walk small parameter grids of the three extension
-conjectures instead.
+conjectures instead: one table gives each conjecture's grid and check
+names, and one record builder makes every stability record from them.
 
 Work is a stateless map over composition pairs, one task per top
 composition; the main process appends each task's NDJSON records in task
@@ -20,6 +21,7 @@ import contextlib
 import json
 import os
 import re
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
@@ -41,7 +43,6 @@ from .core import (
     compositions_of,
     parse_seaweed,
 )
-from .meander import is_frobenius
 from .spectrum import spectrum
 
 CONJECTURES = (
@@ -192,6 +193,12 @@ def _line_pattern(conjecture: str) -> re.Pattern:
     return re.compile(f"^(?:{fixed}|(.*\n))".encode(), re.MULTILINE)
 
 
+# The fields each kind of sweep reads from a record it resumes over.
+_PAIR_READS = frozenset(
+    ("spec", "frobenius", "unbroken", "centered_half", "unimodal", "log_concave", "spectrum")
+)
+_STABILITY_READS = frozenset(("spec", "passed"))
+
 # Bytes read per block. 64 KiB read back the n <= 10 file 11% faster than
 # 1 MiB, with 4.6 MB less peak memory.
 _BLOCK = 1 << 16
@@ -207,14 +214,16 @@ def _read_back(
     Each fixed-shape line of job's conjecture (see _line_pattern) goes to
     fixed(top, bottom) without being decoded. Every other nonblank line is
     parsed with json.loads, and the records of job's conjecture go to
-    record(rec). Every record the sweep writes ends in a newline, so a last
-    line without one is the torn tail of a killed run: once the rest has
-    been read, the file is truncated back to the last newline and that
-    record is computed again. A corrupt line before it is fatal and leaves
-    the file as it was.
+    record(rec); such a record whose key is unhashable, or that lacks a
+    field its sweep reads back, is corrupt. Every record the sweep writes
+    ends in a newline, so a last line without one is the torn tail of a
+    killed run: once the rest has been read, the file is truncated back to
+    the last newline and that record is computed again. A corrupt line
+    before it is fatal and leaves the file as it was.
     """
     path = job.out
     findall = _line_pattern(job.conjecture).findall
+    reads = _PAIR_READS if job.conjecture in _PAIR_CONJECTURES else _STABILITY_READS
     lineno = 0
     rest = b""
     with open(path, "rb") as fh:
@@ -229,6 +238,8 @@ def _read_back(
                 elif line.strip():
                     rec = _parse_record(line, path, lineno)
                     if rec.get("conjecture") == job.conjecture:
+                        if not (rec.keys() >= reads and isinstance(rec["key"], Hashable)):
+                            raise ParseError(f"corrupt sweep record at {path}:{lineno}")
                         record(rec)
         end = fh.tell() - len(rest)
     if rest:
@@ -477,191 +488,137 @@ def extension_variant_spec(base: SeaweedSpec, k: int, r: int, variant: str) -> S
     return SeaweedSpec(Composition(top), Composition(bottom))
 
 
-def _stability_4_16_records(job: SweepJob) -> Iterator[dict]:
+def _inheritance_checks(s_base: IntegerMultiset) -> Callable[[IntegerMultiset], dict]:
+    """4_16's checks of an extension's spectrum against its base's."""
+    base_values = set(s_base.support())
+    base_unimodal = is_unimodal(s_base) if s_base else None
+
+    def checks(s: IntegerMultiset) -> dict:
+        contains = s.contains(s_base)
+        return {
+            "contains_base": contains,
+            "no_new_values": contains and set((s - s_base).support()) <= base_values,
+            "unimodal_inherited": is_unimodal(s) if base_unimodal else None,
+        }
+
+    return checks
+
+
+def _grid_4_16(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
     if job.base is not None:
         base = parse_seaweed(job.base)
         bases = [(base, base.top.parts[-1])]
     else:
         bases = [(default_extension_base(k), k) for k in range(1, job.k_max + 1)]
     for base, k in bases:
-        s_base = spectrum(base)  # raises if the base is not Frobenius
-        base_values = set(s_base.support())
-        base_unimodal = is_unimodal(s_base) if s_base else None
+        checks = _inheritance_checks(spectrum(base))  # raises if the base is not Frobenius
         for r in range(1, job.r_max + 1):
             for variant in EXTENSION_VARIANTS:
                 g = extension_variant_spec(base, k, r, variant)
-                rec: dict = {
-                    "conjecture": "stability_4_16",
-                    "key": str(g),
-                    "spec": str(g),
-                    "base": str(base),
-                    "k": k,
-                    "r": r,
-                    "variant": variant,
-                    "frobenius": False,
-                    "contains_base": None,
-                    "no_new_values": None,
-                    "unimodal_inherited": None,
-                    "spectrum": None,
+                yield g, {"base": str(base), "k": k, "r": r, "variant": variant}, {}, checks
+
+
+def _grid_4_17(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
+    for k in range(1, job.k_max + 1):
+        for r in range(1, job.r_max + 1):
+            g = SeaweedSpec(Composition((2 * k,) * r + (1,)), Composition((2 * k * r + 1,)))
+            expected = tuple(range(-2 * k + 1, 2 * k + 1) if r % 2 else range(-k, k + 2))
+
+            def checks(s: IntegerMultiset, expected=expected) -> dict:
+                return {"support_matches": s.support() == expected, "unimodal": is_unimodal(s)}
+
+            yield g, {"k": k, "r": r}, {"expected_support": list(expected)}, checks
+
+
+def _parts_4_18(k: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (2 * k,) * r + (1,), (1,) + (2 * k,) * r
+
+
+def _grid_4_18(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
+    for k in range(1, job.k_max + 1):
+        expected = tuple(range(-k + 1, k + 1))
+        for r in range(1, job.r_max + 1):
+
+            def checks(s: IntegerMultiset, k=k, r=r, expected=expected) -> dict:
+                # The shift compares against the (k+1, r) neighbour, which
+                # the memo computes on demand, past k_max too.
+                s_next = spectrum_of(*_parts_4_18(k + 1, r))
+                return {
+                    "support_matches": s.support() == expected,
+                    "log_concave": is_log_concave(s),
+                    "shift_matches": s_next is not None and all(
+                        s.multiplicity(i) == s_next.multiplicity(i + 1 if i > 0 else i - 1)
+                        for i in expected
+                    ),
                 }
-                if is_frobenius(g):
-                    rec["frobenius"] = True
-                    s = spectrum(g)
-                    rec["spectrum"] = s.to_json_obj()
-                    rec["contains_base"] = s.contains(s_base)
-                    extra = s - s_base if rec["contains_base"] else None
-                    rec["no_new_values"] = (
-                        set(extra.support()) <= base_values if extra is not None else False
-                    )
-                    if base_unimodal:
-                        rec["unimodal_inherited"] = is_unimodal(s)
-                rec["passed"] = bool(
-                    rec["frobenius"]
-                    and rec["contains_base"]
-                    and rec["no_new_values"]
-                    and rec["unimodal_inherited"] is not False
-                )
-                yield rec
+
+            top, bottom = _parts_4_18(k, r)
+            g = SeaweedSpec(Composition(top), Composition(bottom))
+            yield g, {"k": k, "r": r}, {"expected_support": list(expected)}, checks
 
 
-def _stability_4_17_records(job: SweepJob) -> Iterator[dict]:
-    for k in range(1, job.k_max + 1):
-        for r in range(1, job.r_max + 1):
-            g = SeaweedSpec(
-                Composition((2 * k,) * r + (1,)),
-                Composition((2 * k * r + 1,)),
-            )
-            if r % 2 == 1:
-                expected = tuple(range(-2 * k + 1, 2 * k + 1))
-            else:
-                expected = tuple(range(-k, k + 2))
-            rec: dict = {
-                "conjecture": "stability_4_17",
-                "key": str(g),
-                "spec": str(g),
-                "k": k,
-                "r": r,
-                "frobenius": False,
-                "expected_support": list(expected),
-                "support_matches": None,
-                "unimodal": None,
-                "spectrum": None,
-            }
-            if is_frobenius(g):
-                rec["frobenius"] = True
-                s = spectrum(g)
-                rec["spectrum"] = s.to_json_obj()
-                rec["support_matches"] = s.support() == expected
-                rec["unimodal"] = is_unimodal(s)
-            rec["passed"] = bool(
-                rec["frobenius"] and rec["support_matches"] and rec["unimodal"]
-            )
-            yield rec
-
-
-def _stability_4_18_records(job: SweepJob) -> Iterator[dict]:
-    cache: dict[tuple[int, int], IntegerMultiset] = {}
-
-    def grid_spectrum(k: int, r: int) -> IntegerMultiset | None:
-        if (k, r) not in cache:
-            g = SeaweedSpec(
-                Composition((2 * k,) * r + (1,)),
-                Composition((1,) + (2 * k,) * r),
-            )
-            cache[(k, r)] = spectrum(g) if is_frobenius(g) else None
-        return cache[(k, r)]
-
-    for k in range(1, job.k_max + 1):
-        for r in range(1, job.r_max + 1):
-            g = SeaweedSpec(
-                Composition((2 * k,) * r + (1,)),
-                Composition((1,) + (2 * k,) * r),
-            )
-            rec: dict = {
-                "conjecture": "stability_4_18",
-                "key": str(g),
-                "spec": str(g),
-                "k": k,
-                "r": r,
-                "frobenius": False,
-                "expected_support": list(range(-k + 1, k + 1)),
-                "support_matches": None,
-                "log_concave": None,
-                "shift_matches": None,
-                "spectrum": None,
-            }
-            s = grid_spectrum(k, r)
-            if s is not None:
-                rec["frobenius"] = True
-                rec["spectrum"] = s.to_json_obj()
-                rec["support_matches"] = s.support() == tuple(range(-k + 1, k + 1))
-                rec["log_concave"] = is_log_concave(s)
-                s_next = grid_spectrum(k + 1, r)
-                if s_next is None:
-                    rec["shift_matches"] = False
-                else:
-                    ok = all(
-                        s.multiplicity(i) == s_next.multiplicity(i - 1)
-                        for i in range(-k + 1, 1)
-                    ) and all(
-                        s.multiplicity(i) == s_next.multiplicity(i + 1)
-                        for i in range(1, k + 1)
-                    )
-                    rec["shift_matches"] = ok
-            rec["passed"] = bool(
-                rec["frobenius"]
-                and rec["support_matches"]
-                and rec["log_concave"]
-                and rec["shift_matches"]
-            )
-            yield rec
+# Each stability conjecture's grid and its check names, in record order. A
+# grid yields (seaweed, grid parameters, fixed fields, checks), where
+# checks(spectrum) gives the check values of a Frobenius point. See
+# run_stability_sweep for the record they make.
+_STABILITY = {
+    "stability_4_16": (_grid_4_16, ("contains_base", "no_new_values", "unimodal_inherited")),
+    "stability_4_17": (_grid_4_17, ("support_matches", "unimodal")),
+    "stability_4_18": (_grid_4_18, ("support_matches", "log_concave", "shift_matches")),
+}
 
 
 def run_stability_sweep(job: SweepJob) -> dict:
-    """Walk one extension conjecture's parameter grid and collect failures."""
-    makers = {
-        "stability_4_16": _stability_4_16_records,
-        "stability_4_17": _stability_4_17_records,
-        "stability_4_18": _stability_4_18_records,
-    }
-    if job.conjecture not in makers:
+    """Walk one extension conjecture's parameter grid and collect failures.
+
+    Each point's record is its head, grid parameters, "frobenius", fixed
+    fields, checks (null unless Frobenius) and "spectrum"; it has passed
+    when it is Frobenius and no check is false.
+    """
+    if job.conjecture not in _STABILITY:
         raise ValueError(f"not a stability conjecture: {job.conjecture!r}")
+    grid, names = _STABILITY[job.conjecture]
     checked = 0
     skipped = 0
     counterexamples = []
 
-    def acts(rec: dict) -> bool:
-        """Whether consume does anything with rec; the rest need no keeping."""
-        return not rec["passed"]
+    @lru_cache(maxsize=None)
+    def spectrum_of(top: tuple, bottom: tuple) -> IntegerMultiset | None:
+        """The spectrum, or None when the seaweed is not Frobenius: one
+        kernel walk per seaweed and run."""
+        counts = kernel.spectrum_counts(top, bottom)
+        return None if counts is None else IntegerMultiset(counts).without_one(0)
 
     def consume(rec: dict) -> None:
         if not rec["passed"]:
-            failed = [
-                name
-                for name in (
-                    "frobenius",
-                    "contains_base",
-                    "no_new_values",
-                    "unimodal_inherited",
-                    "support_matches",
-                    "unimodal",
-                    "log_concave",
-                    "shift_matches",
-                )
-                if rec.get(name) is False
-            ]
+            failed = [name for name in ("frobenius",) + names if rec.get(name) is False]
             counterexamples.append({"spec": rec["spec"], "failed": failed})
 
-    completed, kept = _load_completed_keys(job, acts)
+    completed, kept = _load_completed_keys(job, lambda rec: not rec["passed"])
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
-        for rec in makers[job.conjecture](job):
+        for g, params, fixed, checks in grid(job, spectrum_of):
             checked += 1
-            key = rec["key"]
+            key = str(g)
             if key in completed:
                 skipped += 1
                 if key in kept:
                     consume(kept[key])
                 continue
+            s = spectrum_of(g.top.parts, g.bottom.parts)
+            results = dict.fromkeys(names)
+            if s is not None:
+                results.update(checks(s))
+            rec = {
+                "conjecture": job.conjecture,
+                "key": key,
+                "spec": key,
+                **params,
+                "frobenius": s is not None,
+                **fixed,
+                **results,
+                "spectrum": None if s is None else s.to_json_obj(),
+                "passed": s is not None and all(v is not False for v in results.values()),
+            }
             if out:
                 out.write(json.dumps(rec) + "\n")
             consume(rec)

@@ -369,6 +369,29 @@ class TestSweep:
         assert f"corrupt sweep record at {path}:5" in err
         assert path.read_bytes() == damaged
 
+    @pytest.mark.parametrize(
+        "record, grid",
+        [
+            ({"conjecture": "unimodal_2_8", "key": "1 / 1"}, ["--n-max", "1"]),
+            ({"conjecture": "unimodal_2_8", "key": "1 / 1", "frobenius": True,
+              "unimodal": True}, ["--n-max", "1"]),
+            ({"conjecture": "stability_4_17", "key": [1]}, ["--k-max", "1", "--r-max", "1"]),
+            ({"conjecture": "stability_4_17", "key": "2|1 / 3"}, ["--k-max", "1", "--r-max", "1"]),
+            ({"conjecture": "stability_4_17", "key": "2|1 / 3", "passed": False},
+             ["--k-max", "1", "--r-max", "1"]),
+        ],
+        ids=["no_frobenius", "no_spectrum", "unhashable_key", "no_passed", "no_spec"],
+    )
+    def test_record_missing_what_resume_reads_is_corrupt(self, capsys, tmp_path, record, grid):
+        path = tmp_path / "records.ndjson"
+        damaged = (json.dumps(record) + "\n").encode()
+        path.write_bytes(damaged)
+        argv = ["sweep", "--conjecture", record["conjecture"], *grid, "--out", str(path)]
+        code, out, err = run_cli(capsys, *argv, "--resume")
+        assert (code, out) == (64, "")
+        assert f"corrupt sweep record at {path}:1" in err
+        assert path.read_bytes() == damaged
+
     @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
     def test_summary_does_not_depend_on_out(self, capsys, tmp_path, conjecture):
         argv = ["sweep", "--conjecture", conjecture, "--n-max", "7"]

@@ -5,7 +5,6 @@ import goldens
 from oracles import graph_components
 from seaweedspec import (
     build_meander,
-    components,
     compositions_of,
     index_gcd_maximal_parabolic,
     index_gcd_three_part,
@@ -30,7 +29,7 @@ def test_build_meander_odd_block_leaves_middle_unmatched():
     assert m.top_edges == ((1, 5), (2, 4), (6, 7))
     assert m.bottom_edges == ((1, 7), (2, 6), (3, 5))
     # vertex 3 has no top arc: it is the middle of the odd block [1..5]
-    assert m.top_neighbor()[3] == 0
+    assert all(3 not in arc for arc in m.top_edges)
 
 
 def test_singleton_blocks_have_no_arcs():
@@ -48,53 +47,33 @@ def test_each_vertex_meets_at_most_one_arc_per_side(g):
         assert all(p < q for p, q in edges)
 
 
+def census(g):
+    """(cycles, paths) of g's meander, from the active kernel's walk."""
+    return kernel.component_counts(g.top.parts, g.bottom.parts)
+
+
 class TestComponents:
     def test_single_path_golden(self):
-        summary = components(build_meander(parse_seaweed("2|4 / 1|2|3")))
-        assert summary.paths == ((1, 2, 3, 6, 4, 5),)
-        assert summary.cycles == ()
+        assert census(parse_seaweed("2|4 / 1|2|3")) == (0, 1)
 
     def test_two_cycle(self):
-        summary = components(build_meander(parse_seaweed("2 / 2")))
-        assert summary.paths == ()
-        assert summary.cycles == ((1, 2),)
+        assert census(parse_seaweed("2 / 2")) == (1, 0)
+        assert census(parse_seaweed("4 / 2|2")) == (1, 0)
 
     def test_isolated_vertices_are_paths(self):
-        summary = components(build_meander(parse_seaweed("1|1 / 1|1")))
-        assert summary.paths == ((1,), (2,))
-        assert summary.cycles == ()
-
-    def test_longer_cycle_starts_at_lowest_vertex(self):
-        # 4 / 2|2 closes the 4-cycle 1 -(top)- 4 -(bottom)- 3 -(top)- 2 -(bottom)- 1
-        summary = components(build_meander(parse_seaweed("4 / 2|2")))
-        assert summary.cycles == ((1, 4, 3, 2),)
-        assert summary.paths == ()
-
-    def test_path_starts_at_lower_endpoint(self):
-        summary = components(build_meander(parse_seaweed("5|2 / 7")))
-        assert summary.paths == ((3, 5, 1, 7, 6, 2, 4),)
+        assert census(parse_seaweed("1|1 / 1|1")) == (0, 2)
 
     def test_counts_match_bfs_oracle_exhaustively(self):
         for n in range(1, 7):
             for top in compositions_of(n):
                 for bottom in compositions_of(n):
-                    summary = components(build_meander(parse_seaweed(f"{top} / {bottom}")))
-                    assert (summary.n_cycles, summary.n_paths) == graph_components(
+                    assert census(parse_seaweed(f"{top} / {bottom}")) == graph_components(
                         top.parts, bottom.parts
                     )
 
     @given(seaweeds(max_n=14))
     def test_counts_match_bfs_oracle(self, g):
-        summary = components(build_meander(g))
-        assert (summary.n_cycles, summary.n_paths) == graph_components(
-            g.top.parts, g.bottom.parts
-        )
-
-    @given(seaweeds(max_n=14))
-    def test_every_vertex_in_exactly_one_component(self, g):
-        summary = components(build_meander(g))
-        seen = [v for comp in summary.paths + summary.cycles for v in comp]
-        assert sorted(seen) == list(range(1, g.n + 1))
+        assert census(g) == graph_components(g.top.parts, g.bottom.parts)
 
 
 class TestIndex:
@@ -112,20 +91,15 @@ class TestIndex:
         assert is_frobenius(parse_seaweed("1 / 1"))
 
     @given(seaweeds(max_n=14))
-    def test_kernel_agrees_with_component_walk(self, g):
-        summary = components(build_meander(g))
-        cycles, paths = kernel.component_counts(g.top.parts, g.bottom.parts)
-        assert (cycles, paths) == (summary.n_cycles, summary.n_paths)
+    def test_index_is_twice_the_cycles_plus_the_paths(self, g):
+        cycles, paths = census(g)
         assert index_gl(g) == 2 * cycles + paths
         assert index_sl(g) == index_gl(g) - 1
 
     @given(seaweeds(max_n=14))
     def test_swap_and_reverse_preserve_component_counts(self, g):
-        base = components(build_meander(g))
         for other in (g.swapped(), g.reversed()):
-            summary = components(build_meander(other))
-            assert summary.n_paths == base.n_paths
-            assert summary.n_cycles == base.n_cycles
+            assert census(other) == census(g)
 
 
 class TestGcdFormulas:

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 
 import pytest
@@ -16,7 +18,7 @@ from seaweedspec import (
     run_sweep,
     run_unimodality_sweep,
 )
-from seaweedspec import cli, sweep
+from seaweedspec import _kernel, cli, sweep
 from seaweedspec._engine import kernel
 from seaweedspec.sweep import _pair_record
 from seaweedspec.analysis import EngineInvariantError
@@ -340,7 +342,8 @@ class TestStabilitySweeps:
 
     def test_4_18_shift_needs_next_k(self):
         # the shift field compares against k+1, so the record set is closed
-        # over the grid only because grid_spectrum computes k_max+1 on demand
+        # over the grid only because the run's spectrum memo computes
+        # k_max+1 on demand
         summary = run_sweep(SweepJob(conjecture="stability_4_18", k_max=1, r_max=2))
         assert summary["counterexamples"] == []
 
@@ -386,6 +389,108 @@ class TestStabilitySweeps:
     def test_dispatch_rejects_non_stability(self):
         with pytest.raises(ValueError, match="not a stability conjecture"):
             run_stability_sweep(SweepJob(conjecture="unimodal_2_8"))
+
+
+# Each stability conjecture's checks, in record order.
+STABILITY_CHECKS = {
+    "stability_4_16": ("contains_base", "no_new_values", "unimodal_inherited"),
+    "stability_4_17": ("support_matches", "unimodal"),
+    "stability_4_18": ("support_matches", "log_concave", "shift_matches"),
+}
+
+# sha256 of the record file of each job: the three default grids and an
+# explicit 4_16 base. The bytes are the sweeps' behaviour, so a change to
+# any of them has to be deliberate.
+STABILITY_RECORD_SHA256 = [
+    (dict(conjecture="stability_4_16"),
+     "9af3df777979579efed599ef2cb28f77bcfd995fec672a0bbf145f0061b3660a"),
+    (dict(conjecture="stability_4_17"),
+     "fe1c348a074efef54fc76f62ccaa4a5be7ba46e763b5451460d10e037edd087f"),
+    (dict(conjecture="stability_4_18"),
+     "524fd96ac7252c210567c2efe509ddf40b44a8caa68ce85b7f25ec7ca0ef93cb"),
+    (dict(conjecture="stability_4_16", base="4|3 / 7", r_max=12),
+     "64d2f6096377b9762dc03516ccf99ef2512ff3a5a01a2f0a072a496dfd567324"),
+]
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def each_kernel(request, monkeypatch):
+    """Run the test under each kernel, swapped into every module that binds it."""
+    chosen = _kernel if request.param == "pure" else request.getfixturevalue("walk")
+    for name in ("sweep", "spectrum", "meander"):
+        monkeypatch.setattr(importlib.import_module(f"seaweedspec.{name}"), "kernel", chosen)
+    return request.param
+
+
+def fabricated_resume(tmp_path, grid, **changes):
+    """Write only the first record of a fresh run over grid, with changes and
+    passed set to false, then resume over it; return the summary."""
+    out = tmp_path / "records.ndjson"
+    run_stability_sweep(SweepJob(**grid, out=str(out)))
+    first = json.loads(out.read_bytes().splitlines()[0])
+    out.write_text(json.dumps({**first, **changes, "passed": False}) + "\n")
+    summary = run_stability_sweep(SweepJob(**grid, out=str(out), resume=True))
+    assert summary["checked"] == 2
+    assert summary["resumed"] == 1
+    assert len(read_records(str(out))) == 2
+    return first["spec"], summary
+
+
+class TestStabilityRecords:
+    @pytest.mark.parametrize(
+        "grid, digest", STABILITY_RECORD_SHA256,
+        ids=["4_16", "4_17", "4_18", "4_16_base_4|3/7"],
+    )
+    def test_record_file_bytes_are_pinned(self, tmp_path, each_kernel, grid, digest):
+        out = tmp_path / "records.ndjson"
+        run_stability_sweep(SweepJob(**grid, out=str(out)))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("conjecture", sorted(STABILITY_CHECKS))
+    def test_torn_last_line_is_recomputed(self, tmp_path, conjecture):
+        path = tmp_path / "records.ndjson"
+        fresh_summary = run_stability_sweep(SweepJob(conjecture=conjecture, out=str(path)))
+        fresh = path.read_bytes()
+        path.write_bytes(fresh[:-40])
+        summary = run_stability_sweep(
+            SweepJob(conjecture=conjecture, out=str(path), resume=True)
+        )
+        assert summary == {**fresh_summary, "resumed": fresh_summary["checked"] - 1}
+        assert path.read_bytes() == fresh
+
+    def test_4_16_failed_inheritance_surfaces_on_resume(self, tmp_path):
+        grid = dict(conjecture="stability_4_16", k_max=1, r_max=1)
+        spec, summary = fabricated_resume(tmp_path, grid, unimodal_inherited=False)
+        assert summary["counterexamples"] == [{"spec": spec, "failed": ["unimodal_inherited"]}]
+
+    def test_4_16_null_inheritance_passes(self, tmp_path, monkeypatch):
+        # No base in reach has a non-unimodal spectrum, so one is faked: the
+        # check is then null, and a null check does not fail a point.
+        monkeypatch.setattr(sweep, "is_unimodal", lambda s: False)
+        out = tmp_path / "records.ndjson"
+        summary = run_stability_sweep(
+            SweepJob(conjecture="stability_4_16", k_max=2, r_max=2, out=str(out))
+        )
+        assert summary["counterexamples"] == []
+        records = read_records(str(out))
+        assert len(records) == 8
+        assert all(r["unimodal_inherited"] is None and r["passed"] for r in records)
+
+    def test_4_18_failed_shift_surfaces_on_resume(self, tmp_path):
+        grid = dict(conjecture="stability_4_18", k_max=1, r_max=2)
+        spec, summary = fabricated_resume(tmp_path, grid, shift_matches=False)
+        assert summary["counterexamples"] == [{"spec": spec, "failed": ["shift_matches"]}]
+
+    @pytest.mark.parametrize("conjecture", sorted(STABILITY_CHECKS))
+    def test_non_frobenius_point_fails_on_frobenius_alone(self, tmp_path, conjecture):
+        # No grid point is non-Frobenius, so only a fabricated record
+        # reaches this branch.
+        grid = dict(conjecture=conjecture, k_max=1, r_max=1 if conjecture.endswith("16") else 2)
+        nulls = dict.fromkeys(STABILITY_CHECKS[conjecture])
+        spec, summary = fabricated_resume(
+            tmp_path, grid, frobenius=False, spectrum=None, **nulls
+        )
+        assert summary["counterexamples"] == [{"spec": spec, "failed": ["frobenius"]}]
 
 
 def fresh_file(path, conjecture="unimodal_2_8", n_max=7):
