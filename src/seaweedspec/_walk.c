@@ -4,23 +4,17 @@
 
    Every part must be an int >= 1 that fits in Py_ssize_t, and both sides must
    have the same sum n; this is checked before any array is touched. The
-   working arrays for n <= SMALL_N vertices live on the C stack, so small
-   calls allocate nothing but their result. */
+   working arrays take one heap block per call. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
-
-#define SMALL_N 256
 
 typedef struct {
     PyObject *top, *bottom; /* PySequence_Fast of the two part sequences */
     Py_ssize_t n, cycles, paths;
     Py_ssize_t *tnbr, *bnbr, *phi; /* n + 1 slots each, vertex v at [v] */
     char *seen;
-    void *heap;
-    Py_ssize_t small[3 * (SMALL_N + 1)];
-    char small_seen[SMALL_N + 1];
 } Meander;
 
 static int parts_sum(PyObject *seq, Py_ssize_t *sum)
@@ -74,11 +68,10 @@ static void fill_neighbors(PyObject *seq, Py_ssize_t *nbr)
    is set; release(m) is due either way. */
 static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, const char *name)
 {
-    Py_ssize_t bottom_sum, *slots = m->small;
+    Py_ssize_t bottom_sum;
 
     m->top = m->bottom = NULL;
-    m->heap = NULL;
-    m->seen = m->small_seen;
+    m->tnbr = NULL;
     if (nargs != 2) {
         PyErr_Format(PyExc_TypeError, "%s() takes 2 arguments (%zd given)", name, nargs);
         return -1;
@@ -91,18 +84,14 @@ static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, const char
         PyErr_Format(PyExc_ValueError, "top sums to %zd but bottom to %zd", m->n, bottom_sum);
         return -1;
     }
-    if (m->n > SMALL_N) {
-        if ((size_t)m->n >= PY_SSIZE_T_MAX / (3 * sizeof(Py_ssize_t) + 1) ||
-            !(m->heap = PyMem_Malloc((size_t)(m->n + 1) * (3 * sizeof(Py_ssize_t) + 1)))) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        slots = m->heap;
-        m->seen = (char *)(slots + 3 * (m->n + 1));
+    if ((size_t)m->n >= PY_SSIZE_T_MAX / (3 * sizeof(Py_ssize_t) + 1) ||
+        !(m->tnbr = PyMem_Malloc((size_t)(m->n + 1) * (3 * sizeof(Py_ssize_t) + 1)))) {
+        PyErr_NoMemory();
+        return -1;
     }
-    m->tnbr = slots;
-    m->bnbr = slots + (m->n + 1);
-    m->phi = slots + 2 * (m->n + 1);
+    m->bnbr = m->tnbr + (m->n + 1);
+    m->phi = m->tnbr + 2 * (m->n + 1);
+    m->seen = (char *)(m->tnbr + 3 * (m->n + 1));
     fill_neighbors(m->top, m->tnbr);
     fill_neighbors(m->bottom, m->bnbr);
     return 0;
@@ -112,7 +101,7 @@ static void release(Meander *m)
 {
     Py_XDECREF(m->top);
     Py_XDECREF(m->bottom);
-    PyMem_Free(m->heap);
+    PyMem_Free(m->tnbr);
 }
 
 /* The walk: visit every component once, alternating arc sides, and count
@@ -172,7 +161,8 @@ static void add_block_differences(PyObject *seq, const Py_ssize_t *phi, Py_ssize
     }
 }
 
-static PyObject *component_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *component_counts(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                  Py_ssize_t nargs)
 {
     Meander m;
     PyObject *result = NULL;
@@ -185,7 +175,7 @@ static PyObject *component_counts(PyObject *self, PyObject *const *args, Py_ssiz
     return result;
 }
 
-static PyObject *potentials(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *potentials(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Meander m;
     PyObject *result = NULL, *item;
@@ -209,7 +199,8 @@ done:
     return result;
 }
 
-static PyObject *spectrum_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                 Py_ssize_t nargs)
 {
     Meander m;
     PyObject *result = NULL, *key, *count;

@@ -1,9 +1,14 @@
 """Shape predicates for spectra and self-checks of proven identities.
 
 The predicates inspect the multiplicity profile of an eigenvalue multiset
-(counts in ascending value order). The verify_* functions recompute both
-sides of identities that are theorems, so a mismatch can only mean a bug
-in the engine; they raise EngineInvariantError rather than returning False.
+(counts in ascending value order). shape_fields evaluates all of them under
+their record field names, and check_proven_claims is the one place that
+holds a spectrum's shape to what is proven: its support is an unbroken
+interval with endpoints summing to one, and a log-concave profile is
+unimodal. The sweep and spectrum_report both go through it. The verify_*
+functions recompute both sides of identities that are theorems. A failure
+of either kind can only mean a bug in the engine, so they raise
+EngineInvariantError rather than returning False.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Composition, IntegerMultiset, SeaweedSpec, multiset_equal
-from .meander import is_frobenius
 from .spectrum import extended_spectrum_matrix, spectrum, spectrum_matrix
 
 
@@ -22,8 +26,8 @@ class EngineInvariantError(RuntimeError):
 def is_unbroken_centered_half(s: IntegerMultiset) -> tuple[bool, bool]:
     """(interval support, endpoints summing to 1) for a nonempty multiset.
 
-    Both hold for every Frobenius seaweed spectrum, so the sweep treats a
-    False here as an engine bug, not a finding.
+    Both hold for every Frobenius seaweed spectrum, so check_proven_claims
+    treats a False here as an engine bug, not a finding.
     """
     if not s:
         raise ValueError("predicate undefined for an empty multiset")
@@ -64,14 +68,50 @@ def is_symmetric_about_half(s: IntegerMultiset) -> bool:
     return all(s.multiplicity(v) == s.multiplicity(1 - v) for v in s.support())
 
 
+#: The shape fields of a spectrum, in record order.
+SHAPE_FIELDS = ("unbroken", "centered_half", "unimodal", "log_concave", "symmetric_about_half")
+
+
+def shape_fields(s: IntegerMultiset) -> dict:
+    """Every shape predicate of s, by record field name (SHAPE_FIELDS order).
+
+    All are None when s is empty (the one-vertex seaweed), and
+    centered_half is only claimed when the support is unbroken.
+    """
+    if not s:
+        return dict.fromkeys(SHAPE_FIELDS)
+    unbroken, centered = is_unbroken_centered_half(s)
+    return {
+        "unbroken": unbroken,
+        "centered_half": unbroken and centered,
+        "unimodal": is_unimodal(s),
+        "log_concave": is_log_concave(s),
+        "symmetric_about_half": is_symmetric_about_half(s),
+    }
+
+
+def check_proven_claims(spec: str, spectrum_obj, fields: dict) -> None:
+    """Raise EngineInvariantError if the shape fields of spec's spectrum
+    (printed as spectrum_obj) break a proven claim; a None field claims
+    nothing."""
+    if fields["unbroken"] is False:
+        raise EngineInvariantError(
+            f"{spec}: spectrum support has gaps, which is impossible: {spectrum_obj}"
+        )
+    if fields["centered_half"] is False:
+        raise EngineInvariantError(
+            f"{spec}: spectrum endpoints do not sum to 1, which is impossible: {spectrum_obj}"
+        )
+    if fields["log_concave"] and fields["unimodal"] is False:
+        raise EngineInvariantError(
+            f"{spec}: log-concave profile marked non-unimodal; predicates disagree"
+        )
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Shape summary of one Frobenius seaweed's spectrum.
-
-    The predicate fields are None exactly when the spectrum is empty (the
-    one-vertex seaweed); centered_half is only claimed when the support is
-    an unbroken interval.
-    """
+    """Shape summary of one Frobenius seaweed's spectrum; the predicate
+    fields are those of shape_fields."""
 
     spec: str
     spectrum: IntegerMultiset
@@ -94,26 +134,12 @@ class SpectrumReport:
 
 
 def spectrum_report(g: SeaweedSpec) -> SpectrumReport:
-    """Compute the spectrum of g and evaluate every shape predicate on it."""
+    """Compute the spectrum of g and evaluate every shape predicate on it;
+    raises EngineInvariantError if the shape breaks a proven claim."""
     s = spectrum(g)
-    if not s:
-        return SpectrumReport(str(g), s, None, None, None, None, None)
-    unbroken, centered = is_unbroken_centered_half(s)
-    log_concave = is_log_concave(s)
-    unimodal = is_unimodal(s)
-    if log_concave and not unimodal:
-        raise EngineInvariantError(
-            f"{g}: log-concave profile {s.multiplicities()} is not unimodal"
-        )
-    return SpectrumReport(
-        spec=str(g),
-        spectrum=s,
-        unbroken=unbroken,
-        centered_half=unbroken and centered,
-        unimodal=unimodal,
-        log_concave=log_concave,
-        symmetric_about_half=is_symmetric_about_half(s),
-    )
+    fields = shape_fields(s)
+    check_proven_claims(str(g), s.to_json_obj(), fields)
+    return SpectrumReport(str(g), s, **fields)
 
 
 def _full_multiset(rows) -> IntegerMultiset:

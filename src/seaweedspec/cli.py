@@ -27,8 +27,9 @@ from .analysis import (
     verify_skew_symmetry,
     verify_swap_lemma,
 )
-from .core import ParseError, SeaweedSpec, parse_seaweed
+from .core import ParseError, parse_seaweed
 from .families import (
+    EXTENDED_CLOSED_FORM,
     FamilyId,
     K_AND_R,
     K_ONLY,
@@ -96,11 +97,6 @@ def _parse_range(text: str, flag: str) -> list[int]:
     return list(values)
 
 
-def _not_frobenius(g: SeaweedSpec) -> int:
-    _err(f"spectrum undefined: meander is not a single path (index {index_sl(g)})")
-    return EXIT_NOT_FROBENIUS
-
-
 def _json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -134,31 +130,18 @@ def _emit_multiset(args, s) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    g = parse_seaweed(args.seaweed)
-    try:
-        s = spectrum(g)
-    except SpectrumUndefinedError:
-        return _not_frobenius(g)
-    _emit_multiset(args, s)
+    _emit_multiset(args, spectrum(parse_seaweed(args.seaweed)))
     return EXIT_OK
 
 
 def cmd_extended(args) -> int:
-    g = parse_seaweed(args.seaweed)
-    try:
-        s = extended_spectrum(g)
-    except SpectrumUndefinedError:
-        return _not_frobenius(g)
-    _emit_multiset(args, s)
+    _emit_multiset(args, extended_spectrum(parse_seaweed(args.seaweed)))
     return EXIT_OK
 
 
 def cmd_principal(args) -> int:
     g = parse_seaweed(args.seaweed)
-    try:
-        diag = principal_element(g)
-    except SpectrumUndefinedError:
-        return _not_frobenius(g)
+    diag = principal_element(g)
     if args.format == "plain":
         _emit(args, " ".join(str(f) for f in diag))
     elif args.format == "json":
@@ -172,10 +155,7 @@ def cmd_principal(args) -> int:
 
 def cmd_matrix(args) -> int:
     g = parse_seaweed(args.seaweed)
-    try:
-        rows = extended_spectrum_matrix(g) if args.extended else spectrum_matrix(g)
-    except SpectrumUndefinedError:
-        return _not_frobenius(g)
+    rows = extended_spectrum_matrix(g) if args.extended else spectrum_matrix(g)
     if args.format == "plain":
         _emit(args, matrix_text(rows))
     elif args.format == "json":
@@ -212,7 +192,7 @@ def cmd_verify_family(args) -> int:
         expected = family_spectrum(fam, k, r)
         g = family_spec(fam, k, r)
         ok = expected == spectrum(g)
-        if ok and fam in (FamilyId.K1, FamilyId.K2):
+        if ok and fam in EXTENDED_CLOSED_FORM:
             ok = family_extended_spectrum(fam, k, r) == extended_spectrum(g)
         results.append((k, r, ok))
 
@@ -251,12 +231,9 @@ def cmd_verify_lemmas(args) -> int:
     try:
         if args.seaweed:
             g = parse_seaweed(args.seaweed)
-            try:
-                verify_swap_lemma(g)
-                verify_reverse_lemma(g)
-                verify_skew_symmetry(g)
-            except SpectrumUndefinedError:
-                return _not_frobenius(g)
+            verify_swap_lemma(g)
+            verify_reverse_lemma(g)
+            verify_skew_symmetry(g)
             lines.append(f"{g} swap ok")
             lines.append(f"{g} reverse ok")
             lines.append(f"{g} skew ok")
@@ -300,11 +277,7 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         resume=args.resume,
     )
-    try:
-        summary = run_sweep(job)
-    except SpectrumUndefinedError:
-        _err("the --base seaweed is not Frobenius, so it has no spectrum to extend")
-        return EXIT_NOT_FROBENIUS
+    summary = run_sweep(job)
     print(json.dumps(summary, indent=2))
     return EXIT_COUNTEREXAMPLE if summary["counterexamples"] else EXIT_OK
 
@@ -376,6 +349,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command. This is the one place where an error becomes an
+    exit code; a spectrum undefined for the command's seaweed argument
+    names that seaweed's index."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -387,7 +363,8 @@ def main(argv=None) -> int:
         _err(exc)
         return EXIT_ENGINE
     except SpectrumUndefinedError as exc:
-        _err(exc)
+        seaweed = getattr(args, "seaweed", None)
+        _err(f"{exc} (index {index_sl(parse_seaweed(seaweed))})" if seaweed else exc)
         return EXIT_NOT_FROBENIUS
     except ValueError as exc:
         _err(exc)

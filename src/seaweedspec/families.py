@@ -39,6 +39,8 @@ K_ONLY = frozenset({FamilyId.K1, FamilyId.K2, FamilyId.K1K, FamilyId.K2K,
 R_ONLY = frozenset({FamilyId.TWOS_R1})
 #: Families parametrized by both.
 K_AND_R = frozenset({FamilyId.K_2R, FamilyId.K_2R_PLUS1, FamilyId.K4R, FamilyId.K4R_PLUS2})
+#: Families with a closed-form extended spectrum.
+EXTENDED_CLOSED_FORM = frozenset({FamilyId.K1, FamilyId.K2})
 
 #: Families whose k must be odd.
 ODD_K = frozenset({FamilyId.K2, FamilyId.K2K, FamilyId.K4R, FamilyId.K4R_PLUS2})
@@ -208,30 +210,29 @@ def family_spectrum(f: FamilyId, k: int | None = None, r: int | None = None) -> 
 
 
 def family_extended_spectrum(f: FamilyId, k: int | None = None, r: int | None = None) -> IntegerMultiset:
-    """Closed-form extended spectrum; available for k1 and k2 only."""
+    """Closed-form extended spectrum of an EXTENDED_CLOSED_FORM family."""
+    if f not in EXTENDED_CLOSED_FORM:
+        raise ValueError(
+            f"extended spectrum closed form is only available for "
+            f"{FamilyId.K1.value} and {FamilyId.K2.value}, not {f.value}"
+        )
+    _check_domain(f, k, r)
     if f is FamilyId.K1:
-        _check_domain(f, k, r)
         counts = {0: k}
         for i in range(k):
             counts[-k + i] = counts.get(-k + i, 0) + i + 1
             counts[k - i] = counts.get(k - i, 0) + i + 1
         return IntegerMultiset(counts)
-    if f is FamilyId.K2:
-        _check_domain(f, k, r)
-        if k == 3:
-            return IntegerMultiset({-3: 1, -2: 3, -1: 5, 0: 6, 1: 5, 2: 3, 3: 1})
-        m = (k + 1) // 2
-        counts = {
-            -m - 1: 1, -m: 3, -1: 2 * k - 1, 0: 2 * k, 1: 2 * k - 1, m: 3, m + 1: 1,
-        }
-        for i in range(1, m - 1):
-            counts[-m + i] = 4 * i + 2
-            counts[m - i] = 4 * i + 2
-        return IntegerMultiset(counts)
-    raise ValueError(
-        f"extended spectrum closed form is only available for "
-        f"{FamilyId.K1.value} and {FamilyId.K2.value}, not {f.value}"
-    )
+    if k == 3:
+        return IntegerMultiset({-3: 1, -2: 3, -1: 5, 0: 6, 1: 5, 2: 3, 3: 1})
+    m = (k + 1) // 2
+    counts = {
+        -m - 1: 1, -m: 3, -1: 2 * k - 1, 0: 2 * k, 1: 2 * k - 1, m: 3, m + 1: 1,
+    }
+    for i in range(1, m - 1):
+        counts[-m + i] = 4 * i + 2
+        counts[m - i] = 4 * i + 2
+    return IntegerMultiset(counts)
 
 
 TWOS_VARIANTS = ("r_twos", "r_twos_plus_one")

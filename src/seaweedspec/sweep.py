@@ -29,11 +29,11 @@ from typing import Callable, Iterator
 
 from ._engine import kernel
 from .analysis import (
-    EngineInvariantError,
+    SHAPE_FIELDS,
+    check_proven_claims,
     is_log_concave,
-    is_symmetric_about_half,
-    is_unbroken_centered_half,
     is_unimodal,
+    shape_fields,
 )
 from .core import (
     Composition,
@@ -43,7 +43,7 @@ from .core import (
     compositions_of,
     parse_seaweed,
 )
-from .spectrum import spectrum
+from .spectrum import SpectrumUndefinedError
 
 CONJECTURES = (
     "unimodal_2_8",
@@ -126,32 +126,18 @@ def _compositions(n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
 
 
 def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:
-    """The record of one composition pair, built field by field."""
-    rec: dict = {
+    """The record of one composition pair: its shape fields are those of
+    analysis.shape_fields, all null unless the pair is Frobenius."""
+    s = IntegerMultiset(kernel.spectrum_counts(top, bottom)).without_one(0) if index == 0 else None
+    return {
         "conjecture": conjecture,
         "key": key,
         "spec": key,
         "index": index,
         "frobenius": index == 0,
-        "unbroken": None,
-        "centered_half": None,
-        "unimodal": None,
-        "log_concave": None,
-        "symmetric_about_half": None,
-        "spectrum": None,
+        **(dict.fromkeys(SHAPE_FIELDS) if s is None else shape_fields(s)),
+        "spectrum": None if s is None else s.to_json_obj(),
     }
-    if index == 0:
-        counts = kernel.spectrum_counts(top, bottom)
-        s = IntegerMultiset(counts).without_one(0)
-        rec["spectrum"] = s.to_json_obj()
-        if s:
-            unbroken, centered = is_unbroken_centered_half(s)
-            rec["unbroken"] = unbroken
-            rec["centered_half"] = unbroken and centered
-            rec["unimodal"] = is_unimodal(s)
-            rec["log_concave"] = is_log_concave(s)
-            rec["symmetric_about_half"] = is_symmetric_about_half(s)
-    return rec
 
 
 # The fixed-shape record line: json.dumps(_pair_record(...)) + "\n" for a
@@ -370,23 +356,6 @@ def _pair_record_acts(rec: dict) -> bool:
     return rec["frobenius"] or rec["unimodal"] is False
 
 
-def _check_proven_claims(rec: dict) -> None:
-    if not rec["frobenius"] or not rec["spectrum"]:
-        return
-    if rec["unbroken"] is False:
-        raise EngineInvariantError(
-            f"{rec['spec']}: spectrum support has gaps, which is impossible: {rec['spectrum']}"
-        )
-    if rec["centered_half"] is False:
-        raise EngineInvariantError(
-            f"{rec['spec']}: spectrum endpoints do not sum to 1, which is impossible: {rec['spectrum']}"
-        )
-    if rec["log_concave"] and rec["unimodal"] is False:
-        raise EngineInvariantError(
-            f"{rec['spec']}: log-concave profile marked non-unimodal; predicates disagree"
-        )
-
-
 def run_unimodality_sweep(job: SweepJob) -> dict:
     """Exhaustive sweep over all composition pairs for n in job's range.
 
@@ -402,7 +371,8 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
 
     def consume(rec: dict) -> None:
         nonlocal frobenius_count
-        _check_proven_claims(rec)
+        if rec["frobenius"] and rec["spectrum"]:
+            check_proven_claims(rec["spec"], rec["spectrum"], rec)
         if rec["frobenius"]:
             frobenius_count += 1
         if collect and rec["unimodal"] is False:
@@ -510,12 +480,25 @@ def _grid_4_16(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
         bases = [(base, base.top.parts[-1])]
     else:
         bases = [(default_extension_base(k), k) for k in range(1, job.k_max + 1)]
+    # Every base spectrum is taken now, before the sweep reads or opens its
+    # output: a base that is not Frobenius leaves the file as it was.
+    inherits = []
     for base, k in bases:
-        checks = _inheritance_checks(spectrum(base))  # raises if the base is not Frobenius
-        for r in range(1, job.r_max + 1):
-            for variant in EXTENSION_VARIANTS:
-                g = extension_variant_spec(base, k, r, variant)
-                yield g, {"base": str(base), "k": k, "r": r, "variant": variant}, {}, checks
+        s_base = spectrum_of(base.top.parts, base.bottom.parts)
+        if s_base is None:
+            raise SpectrumUndefinedError(
+                "the --base seaweed is not Frobenius, so it has no spectrum to extend"
+            )
+        inherits.append((base, k, _inheritance_checks(s_base)))
+    return (
+        (
+            extension_variant_spec(base, k, r, variant),
+            {"base": str(base), "k": k, "r": r, "variant": variant}, {}, checks,
+        )
+        for base, k, checks in inherits
+        for r in range(1, job.r_max + 1)
+        for variant in EXTENSION_VARIANTS
+    )
 
 
 def _grid_4_17(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
@@ -558,7 +541,7 @@ def _grid_4_18(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
 
 
 # Each stability conjecture's grid and its check names, in record order. A
-# grid yields (seaweed, grid parameters, fixed fields, checks), where
+# grid gives an iterator of (seaweed, grid parameters, fixed fields, checks), where
 # checks(spectrum) gives the check values of a Frobenius point. See
 # run_stability_sweep for the record they make.
 _STABILITY = {
@@ -594,9 +577,10 @@ def run_stability_sweep(job: SweepJob) -> dict:
             failed = [name for name in ("frobenius",) + names if rec.get(name) is False]
             counterexamples.append({"spec": rec["spec"], "failed": failed})
 
+    points = grid(job, spectrum_of)  # first: 4_16 takes its base spectra here
     completed, kept = _load_completed_keys(job, lambda rec: not rec["passed"])
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
-        for g, params, fixed, checks in grid(job, spectrum_of):
+        for g, params, fixed, checks in points:
             checked += 1
             key = str(g)
             if key in completed:

@@ -15,7 +15,8 @@ WALK_C = Path(__file__).resolve().parent.parent / "src" / "seaweedspec" / "_walk
 @pytest.fixture(scope="session")
 def walk(tmp_path_factory):
     """The compiled kernel, built from _walk.c into a temporary directory
-    (never into src/) with the interpreter's compiler and flags plus -Werror.
+    (never into src/) with the interpreter's compiler and flags plus
+    -Wextra -Werror.
 
     The module is loaded but not registered in sys.modules, so the package
     under test keeps the kernel it picked at import. A compile error fails
@@ -29,7 +30,8 @@ def walk(tmp_path_factory):
     obj = out / "_walk.o"
     lib = out / f"_walk{var('EXT_SUFFIX')}"
     compile_ = cc + shlex.split(var("CFLAGS") or "") + shlex.split(var("CCSHARED") or "")
-    compile_ += ["-Werror", "-I", sysconfig.get_path("include"), "-c", str(WALK_C), "-o", str(obj)]
+    compile_ += ["-Wextra", "-Werror", "-I", sysconfig.get_path("include")]
+    compile_ += ["-c", str(WALK_C), "-o", str(obj)]
     link = shlex.split(var("LDSHARED")) + [str(obj), "-o", str(lib)]
     for argv in (compile_, link):
         done = subprocess.run(argv, capture_output=True, text=True)

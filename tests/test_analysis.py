@@ -89,6 +89,11 @@ class TestSpectrumReport:
         assert report.log_concave is None
         assert report.symmetric_about_half is None
 
+    def test_broken_proven_claim_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "is_unbroken_centered_half", lambda s: (False, False))
+        with pytest.raises(EngineInvariantError, match="2\\|1 / 3: spectrum support has gaps"):
+            spectrum_report(parse_seaweed("2|1 / 3"))
+
     def test_json_obj_is_flat(self):
         obj = spectrum_report(parse_seaweed("2|4 / 1|2|3")).to_json_obj()
         assert list(obj) == [

@@ -17,6 +17,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+NOT_SINGLE_PATH_ERR = "error: spectrum undefined: meander is not a single path (index 1)\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("spectrum", "2|2 / 4"), NOT_SINGLE_PATH_ERR),
+    (("extended", "2|2 / 4"), NOT_SINGLE_PATH_ERR),
+    (("principal", "2|2 / 4"), NOT_SINGLE_PATH_ERR),
+    (("matrix", "2|2 / 4"), NOT_SINGLE_PATH_ERR),
+    (("matrix", "--extended", "2|2 / 4"), NOT_SINGLE_PATH_ERR),
+    (("verify-lemmas", "--spec", "2|2 / 4"), NOT_SINGLE_PATH_ERR),
+    (("sweep", "--conjecture", "stability_4_16", "--base", "2|2 / 4"),
+     "error: the --base seaweed is not Frobenius, so it has no spectrum to extend\n"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_not_frobenius_exits_3_with_pinned_bytes(capsys, argv, err):
+    """Every command that needs a spectrum exits 3 on a non-Frobenius
+    seaweed, prints nothing to stdout and exactly one line to stderr."""
+    assert run_cli(capsys, *argv) == (3, "", err)
+
+
 class TestIndex:
     def test_plain(self, capsys):
         code, out, err = run_cli(capsys, "index", "2|2 / 4")
@@ -301,6 +320,34 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert "not Frobenius" in err
+
+    def test_non_frobenius_base_leaves_no_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "records.ndjson"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--conjecture", "stability_4_16", "--base", "2|2 / 4",
+            "--out", str(out_path),
+        )
+        assert code == 3
+        assert not out_path.exists()
+
+    def test_non_frobenius_base_keeps_resumed_file_bytes(self, capsys, tmp_path):
+        # A torn last line would be truncated by the read-back; the base's
+        # spectrum is taken first, so even that does not happen.
+        out_path = tmp_path / "records.ndjson"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--conjecture", "stability_4_16", "--base", "3|1 / 4",
+            "--r-max", "2", "--out", str(out_path),
+        )
+        assert code == 0
+        with open(out_path, "a", encoding="utf-8") as fh:
+            fh.write('{"conjecture": "stability_4_16", "key": "3|')
+        before = out_path.read_bytes()
+        code, _, _ = run_cli(
+            capsys, "sweep", "--conjecture", "stability_4_16", "--base", "2|2 / 4",
+            "--out", str(out_path), "--resume",
+        )
+        assert code == 3
+        assert out_path.read_bytes() == before
 
     def test_counterexample_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "records.ndjson"

@@ -151,7 +151,7 @@ def test_kernels_agree_at_large_n(walk, f, k, r):
 
 
 def test_kernels_agree_past_the_stack_buffer(walk):
-    # _walk.c keeps up to 256 vertices on the C stack; these take the heap.
+    # Large n, past 256 vertices: _walk.c sizes its one heap block by n.
     pairs = [((257,), (257,)), ((128, 129), (257,)), ((300, 1), (1, 300))]
     for g in orientations(family_spec(FamilyId.K4R, 101, 70)):
         pairs.append((g.top.parts, g.bottom.parts))

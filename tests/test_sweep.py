@@ -18,7 +18,7 @@ from seaweedspec import (
     run_sweep,
     run_unimodality_sweep,
 )
-from seaweedspec import _kernel, cli, sweep
+from seaweedspec import _kernel, analysis, cli, sweep
 from seaweedspec._engine import kernel
 from seaweedspec.sweep import _pair_record
 from seaweedspec.analysis import EngineInvariantError
@@ -118,7 +118,7 @@ class TestUnimodalitySweep:
         assert lines == expected
 
     def test_row_is_on_disk_before_its_failure_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sweep, "is_unbroken_centered_half", lambda s: (False, False))
+        monkeypatch.setattr(analysis, "is_unbroken_centered_half", lambda s: (False, False))
         out = tmp_path / "records.ndjson"
         with pytest.raises(EngineInvariantError, match="2 / 1\\|1: spectrum support has gaps"):
             run_unimodality_sweep(SweepJob(n_max=2, out=str(out)))
