@@ -8,13 +8,15 @@ bytes.
 
 Exit codes: 0 success, 1 engine invariant violated, 2 conjecture
 counterexample found, 3 spectrum requested for a non-Frobenius seaweed,
-64 usage or domain error.
+64 usage or domain error, 141 (128 + SIGPIPE) stdout closed by its reader,
+as by `| head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import product
@@ -57,6 +59,7 @@ EXIT_ENGINE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_NOT_FROBENIUS = 3
 EXIT_USAGE = 64
+EXIT_PIPE = 141
 
 _RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?(:odd)?$")
 
@@ -355,7 +358,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has left: not an error of the command. The
+        # output goes to devnull, so the flush at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ParseError as exc:
         _err(exc)
         return EXIT_USAGE

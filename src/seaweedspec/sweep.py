@@ -8,11 +8,18 @@ stability sweeps walk small parameter grids of the three extension
 conjectures instead: one table gives each conjecture's grid and check
 names, and one record builder makes every stability record from them.
 
-Work is a stateless map over composition pairs, one task per top
-composition; the main process appends each task's NDJSON records in task
-order and does all the bookkeeping. A record carries no timing, so a
-record file is a function of the job alone: reruns with --resume skip
-finished keys, and the worker count never changes a byte.
+Work is a map over composition pairs, one task per top composition; the
+main process appends each task's NDJSON records in task order and does all
+the bookkeeping. A record carries no timing, so a record file is a function
+of the job alone: reruns with --resume skip finished keys, and the worker
+count never changes a byte.
+
+The index of a pair comes from an orbit census (see _row_indices). The
+pairs a | b, b | a, rev a | rev b and rev b | rev a have mirror-image
+meanders, so one walk gives the index of all four, and a run walks about a
+quarter of its pairs. The census lives for one run: each sweep, and each of
+its pool workers, starts with an empty one. A Frobenius record still takes
+its own spectrum.
 """
 
 from __future__ import annotations
@@ -84,6 +91,8 @@ class SweepJob:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.resume and not self.out:
             raise ValueError("resume needs an output path to read back")
+        if self.base is not None and self.conjecture != "stability_4_16":
+            raise ValueError("--base is read only by stability_4_16")
 
 
 def _parse_record(line: str | bytes, path: str, lineno: int) -> dict:
@@ -108,12 +117,12 @@ def read_records(path: str) -> list[dict]:
 
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
     """All Frobenius seaweeds on n vertices, in composition-pair order."""
-    tops = list(compositions_of(n))
-    for top in tops:
-        for bottom in tops:
-            cycles, paths = kernel.component_counts(top.parts, bottom.parts)
-            if cycles == 0 and paths == 1:
-                yield SeaweedSpec(top, bottom)
+    comps = _compositions(n)
+    census: Census = {}
+    for i, (top, _) in enumerate(comps):
+        for (bottom, _), index in zip(comps, _row_indices(census, n, i)):
+            if index == 0:
+                yield SeaweedSpec(Composition(top), Composition(bottom))
 
 
 @lru_cache(maxsize=16)
@@ -123,6 +132,53 @@ def _compositions(n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
     stay cached together: 16 n are more than any sweep of 4^(n-1) pairs
     per n can reach."""
     return tuple((c.parts, "|".join(map(str, c.parts))) for c in compositions_of(n))
+
+
+@lru_cache(maxsize=16)
+def _reverse_ranks(n: int) -> tuple[int, ...]:
+    """The rank in _compositions(n) of each composition's reverse."""
+    comps = _compositions(n)
+    rank = {parts: r for r, (parts, _) in enumerate(comps)}
+    return tuple(rank[parts[::-1]] for parts, _ in comps)
+
+
+# A census: for each n, one byte per composition pair of n, the pair (i, j)
+# of the i-th top and j-th bottom at i * m + j, holding the pair's index + 1
+# once its orbit has been walked and 0 before. A census lives for one run:
+# a sweep, a pool worker of one, or one enumerate_frobenius.
+Census = dict[int, bytearray]
+
+
+def _row_indices(census: Census, n: int, i: int, js: list[int] | None = None) -> list[int]:
+    """The index of each pair (i, j) of n for j in js (every j when js is
+    None), walking each swap/reverse orbit once per census.
+
+    The meander of b | a mirrors that of a | b top to bottom, and the
+    meander of rev a | rev b mirrors it left to right, so the four pairs of
+    an orbit share (cycles, paths): one walk fills all four bytes.
+    """
+    comps = _compositions(n)
+    m = len(comps)
+    table = census.get(n)
+    if table is None:
+        # A seaweed on n vertices has index at most n - 1, so index + 1 fits
+        # a byte for every n < 256; no sweep reaches n = 256 (4^255 pairs).
+        table = census[n] = bytearray(m * m)
+    rev = _reverse_ranks(n)
+    ri = rev[i]
+    top = comps[i][0]
+    row = i * m
+    component_counts = kernel.component_counts
+    indices = []
+    for j in range(m) if js is None else js:
+        known = table[row + j]
+        if not known:
+            cycles, paths = component_counts(top, comps[j][0])
+            known = 2 * cycles + paths
+            rj = rev[j]
+            table[row + j] = table[j * m + i] = table[ri * m + rj] = table[rj * m + ri] = known
+        indices.append(known - 1)
+    return indices
 
 
 def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:
@@ -317,16 +373,16 @@ def _load_completed_keys(
     return completed, kept
 
 
-def _row_records(task: tuple) -> tuple[str, list[dict]]:
+def _row_records(task: tuple, census: Census) -> tuple[str, list[dict]]:
     """NDJSON text of one top composition against the bottoms of n at
     indices js (all of them when js is None), and the Frobenius records
-    among them; runs inside worker processes. The text is empty unless
-    write is set, since without an output file nothing would read it."""
+    among them, with the indices taken from the run's census. The text is
+    empty unless write is set, since without an output file nothing would
+    read it."""
     conjecture, n, i, js, write = task
     comps = _compositions(n)
     top, top_text = comps[i]
     bottoms = comps if js is None else [comps[j] for j in js]
-    component_counts = kernel.component_counts
     # A record of nonzero index is the fixed-shape line, formatted directly.
     key_head = f"{_plain_head(conjecture)}{top_text} / "
     spec_head = f"{_SPEC_SEP}{top_text} / "
@@ -334,9 +390,7 @@ def _row_records(task: tuple) -> tuple[str, list[dict]]:
     tail = _PLAIN_TAIL
     lines = []
     frobenius = []
-    for bottom, bottom_text in bottoms:
-        cycles, paths = component_counts(top, bottom)
-        index = 2 * cycles + paths - 1
+    for (bottom, bottom_text), index in zip(bottoms, _row_indices(census, n, i, js)):
         if index:
             if write:
                 lines.append(
@@ -348,6 +402,20 @@ def _row_records(task: tuple) -> tuple[str, list[dict]]:
                 lines.append(json.dumps(rec) + "\n")
             frobenius.append(rec)
     return "".join(lines), frobenius
+
+
+# The census of a pool worker, made empty when the worker starts; the pool,
+# and so the census, ends with its run.
+_worker_census: Census | None = None
+
+
+def _start_worker() -> None:
+    global _worker_census
+    _worker_census = {}
+
+
+def _worker_row_records(task: tuple) -> tuple[str, list[dict]]:
+    return _row_records(task, _worker_census)
 
 
 def _pair_record_acts(rec: dict) -> bool:
@@ -384,7 +452,10 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         kept_in.setdefault(key[0], []).append(kept[key])
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(job.out, "a", encoding="utf-8")) if job.out else None
-        pool = stack.enter_context(Pool(job.workers)) if job.workers > 1 else None
+        pool = None
+        if job.workers > 1:
+            pool = stack.enter_context(Pool(job.workers, initializer=_start_worker))
+        census: Census = {}  # the run's own; each pool worker keeps another
         for n in range(job.n_min, job.n_max + 1):
             comps = _compositions(n)
             m = len(comps)
@@ -409,9 +480,9 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
             # takes milliseconds; sent one at a time, the round trips ate
             # the second worker's gain on two cores.
             if pool:
-                rows = pool.imap(_row_records, tasks, chunksize=16)
+                rows = pool.imap(_worker_row_records, tasks, chunksize=16)
             else:
-                rows = map(_row_records, tasks)
+                rows = (_row_records(task, census) for task in tasks)
             for text, frobenius in rows:
                 # A row reaches the file before its records are checked,
                 # so a record that fails a proven claim is on disk.

@@ -349,6 +349,27 @@ class TestSweep:
         assert code == 3
         assert out_path.read_bytes() == before
 
+    @pytest.mark.parametrize("argv", [
+        ("--n-max", "2"),
+        ("--conjecture", "stability_4_17"),
+    ], ids=["unimodal_2_8", "stability_4_17"])
+    def test_base_outside_4_16_is_usage_error(self, capsys, tmp_path, argv):
+        """--base is read by stability_4_16 alone; elsewhere it is refused
+        before the sweep creates or touches --out."""
+        expected = (64, "", "error: --base is read only by stability_4_16\n")
+        absent = tmp_path / "absent.ndjson"
+        base = ("--base", "2|2 / 4")
+        assert run_cli(capsys, "sweep", *argv, *base, "--out", str(absent)) == expected
+        assert not absent.exists()
+        present = tmp_path / "present.ndjson"
+        torn = b'{"conjecture": "unimodal_2_8", "key": "1|'
+        present.write_bytes(torn)
+        os.utime(present, ns=(0, 0))
+        resumed = run_cli(capsys, "sweep", *argv, *base, "--out", str(present), "--resume")
+        assert resumed == expected
+        assert present.read_bytes() == torn
+        assert present.stat().st_mtime_ns == 0
+
     def test_counterexample_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "records.ndjson"
         fake = {
@@ -495,3 +516,20 @@ def test_console_script_is_deterministic():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout == '{"-2":1,"-1":2,"0":5,"1":5,"2":2,"3":1}\n'
     assert first.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "1|2 / 3"],
+    ["sweep", "--n-max", "3"],
+], ids=["index", "sweep"])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    """A reader that leaves at once (as `| head -0` does) is not an error of
+    the command: exit 128 + SIGPIPE, and nothing on stderr."""
+    command, env = console_command()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command + argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -34,6 +34,13 @@ class TestEnumerateFrobenius:
             1, 2, 6, 14, 34, 68,
         ]
 
+    def test_equals_the_frobenius_keys_of_the_sweep_file(self, tmp_path):
+        out = tmp_path / "records.ndjson"
+        run_sweep(SweepJob(n_max=8, out=str(out)))
+        frobenius = {r["key"] for r in read_records(str(out)) if r["frobenius"]}
+        assert len(frobenius) == 1 + 2 + 6 + 14 + 34 + 68 + 150 + 296
+        assert {str(g) for n in range(1, 9) for g in enumerate_frobenius(n)} == frobenius
+
 
 class TestSweepJob:
     def test_defaults(self):
@@ -420,6 +427,52 @@ def each_kernel(request, monkeypatch):
     for name in ("sweep", "spectrum", "meander"):
         monkeypatch.setattr(importlib.import_module(f"seaweedspec.{name}"), "kernel", chosen)
     return request.param
+
+
+# The record file of `sweep --n-max 8 --out F`: its size and sha256.
+UNIMODAL_N8_RECORDS = (5_499_653, "bb3887204b7ca2ae4685a3d03f2cad1be2dacf40604d329befd6a793831ecc13")
+
+
+class TestOrbitCensus:
+    """The sweep walks one pair of each swap/reverse orbit per run, and the
+    records are those of walking every pair."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_record_file_bytes_are_pinned(self, tmp_path, each_kernel, workers):
+        """Each pool worker keeps a census of its own rows."""
+        out = tmp_path / "records.ndjson"
+        run_sweep(SweepJob(n_max=8, out=str(out), workers=workers))
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == UNIMODAL_N8_RECORDS
+
+    def test_resume_over_a_mid_row_cut_gives_the_fresh_bytes(self, tmp_path, each_kernel):
+        """The rows before the cut are skipped, so the orbit partners that
+        lie only in them are walked by the resumed run itself."""
+        fresh = tmp_path / "fresh.ndjson"
+        fresh_summary = run_sweep(SweepJob(n_max=8, out=str(fresh)))
+        lines = fresh.read_bytes().splitlines(keepends=True)
+        keep = (4**7 - 1) // 3 + 77 * 128 + 45  # n <= 7, then 77 rows and 45 pairs of n = 8
+        path = tmp_path / "cut.ndjson"
+        path.write_bytes(b"".join(lines[:keep]))
+        summary = run_sweep(SweepJob(n_max=8, out=str(path), resume=True))
+        assert summary == {**fresh_summary, "resumed": keep}
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_one_walk_per_orbit_and_run(self, monkeypatch):
+        walked = []
+        walk = sweep.kernel.component_counts
+
+        def counting(top, bottom):
+            walked.append(sum(top))
+            return walk(top, bottom)
+
+        monkeypatch.setattr(sweep.kernel, "component_counts", counting)
+        orbits = [1, 3, 7, 24, 76, 288, 1072, 4224]  # per n = 1..8
+        for _ in range(2):  # a second run in the process walks again
+            walked.clear()
+            run_sweep(SweepJob(n_max=8))
+            assert len(walked) == sum(orbits) == 5695
+            assert [walked.count(n) for n in range(1, 9)] == orbits
 
 
 def fabricated_resume(tmp_path, grid, **changes):
