@@ -5,8 +5,12 @@ return the same results from component_counts, potentials and
 spectrum_counts, and are interchangeable behind ``_engine``; both work on
 bare part tuples so the hot path never touches the higher-level classes.
 In each, the three functions run one walk of the meander (``_walk`` here),
-and spectrum_counts sums the same block triangles (see its docstring): this
-module counts them with big-int products, the compiled one pair by pair.
+and spectrum_counts sums the ordered differences within every block, the
+block triangles (see its docstring). The compiled kernel counts each
+triangle pair by pair. This module reads it off one big-int product of the
+block's left half: on a single path the right half of a block mirrors the
+left, one apart (see _add_block), so a block of p vertices costs one
+product of p // 2 values instead of p^2 / 2 pair steps.
 Nothing in either module calls the three public names, so wrapping one (as
 a per-layer tracer does) sees only outside calls. ``difference_counts``
 exists only here.
@@ -32,7 +36,9 @@ Conventions baked in here (shared with the full matrix pipeline):
 
 from __future__ import annotations
 
+from array import array
 from operator import add
+from sys import byteorder
 
 
 def _neighbors(parts, n):
@@ -124,9 +130,15 @@ def potentials(top, bottom):
     return tuple([p - shift for p in phi[1:]])
 
 
-#: Runs of at most this many potentials count their ordered differences pair
-#: by pair; longer runs are halved (see _add_ordered_differences).
-_LEAF = 48
+#: Blocks whose left half holds at most this many vertices count their
+#: ordered differences pair by pair; longer halves take one product (see
+#: _add_block). Below about 8 the loop is the faster of the two, so every
+#: block of an n <= 15 seaweed takes it.
+_SHORT_HALF = 7
+
+# array typecodes by item size, smallest first: a digit takes the first
+# that holds it (see _difference_digits).
+_DIGIT_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
 
 
 def _difference_digits(xs, ys):
@@ -134,29 +146,30 @@ def _difference_digits(xs, ys):
 
     Exact through one big-int product (Kronecker substitution): the count
     vector of xs (offset by min xs) and the reversed count vector of ys are
-    packed into two ints, one fixed-width little-endian digit per value, and
-    digit k of their product is the number of pairs whose difference is
-    d0 + k. No digit exceeds len(xs) * len(ys), so a digit of that number's
-    bit length rounded up to whole bytes never carries into the next.
+    packed into two ints, one fixed-width digit per value, and digit k of
+    their product is the number of pairs whose difference is d0 + k. No
+    digit exceeds len(xs) * len(ys), so a digit as wide as the smallest
+    machine integer that holds that number never carries into the next,
+    and packing and unpacking go through an array of that type. Ints and
+    arrays both use the native byte order, which keeps the digits in the
+    same order on either endianness.
     """
     lo, hi = min(xs), max(ys)
-    size = ((len(xs) * len(ys)).bit_length() + 7) // 8
+    most = (len(xs) * len(ys)).bit_length()
+    size, code = next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
     cx = [0] * (max(xs) - lo + 1)
     for x in xs:
         cx[x - lo] += 1
     cy = [0] * (hi - min(ys) + 1)
     for y in ys:
         cy[hi - y] += 1
-    ndigits = len(cx) + len(cy) - 1
-    product = _pack(cx, size) * _pack(cy, size)
-    raw = product.to_bytes(ndigits * size, "little")
-    return lo - hi, [
-        int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)
-    ]
+    product = _pack(cx, code) * _pack(cy, code)
+    raw = product.to_bytes((len(cx) + len(cy) - 1) * size, byteorder)
+    return lo - hi, array(code, raw).tolist()
 
 
-def _pack(counts, size):
-    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in counts]), "little")
+def _pack(counts, code):
+    return int.from_bytes(array(code, counts).tobytes(), byteorder)
 
 
 def difference_counts(xs, ys):
@@ -166,29 +179,46 @@ def difference_counts(xs, ys):
     return {d0 + k: c for k, c in enumerate(counts) if c}
 
 
-def _add_ordered_differences(xs, hist, off):
+def _add_block(xs, hist, off):
     """Add U(xs) = {xs[a] - xs[b] : a < b} into hist, where hist[d + off]
-    counts the difference d.
+    counts the difference d; xs are the potentials of one block, negated
+    for a top block, so xs[p-1-i] = xs[i] - 1 for every i < h = p // 2.
 
-    U(L + R) = U(L) + U(R) + {x - y : x in L, y in R}; the cross term is one
-    _difference_digits product, so a run of m potentials costs O(m log m)
-    list work plus the products instead of m^2 / 2 pair steps.
+    Splitting xs into its left half L = xs[:h], the middle m = xs[h] (odd p
+    only) and the right half, which is L reversed and lowered by 1:
+        pairs within L          give U(L),
+        pairs within the right  give {L[i] - L[j] : i > j},
+        L against the right     give D(L) shifted by +1,
+        L against m             give {x - m : x in L},
+        m against the right     give {m + 1 - x : x in L},
+    where D(L) = {x - y : x, y in L}. The first two are D(L) without its h
+    diagonal zeros, so
+        U(xs) = D(L) + (D(L) + 1) - h * {0}
+                + {x - m : x in L} + {m + 1 - x : x in L},
+    one _difference_digits product and O(h) list work instead of p^2 / 2
+    pair steps. Halves of at most _SHORT_HALF count pair by pair instead.
     """
-    m = len(xs)
-    if m <= _LEAF:
-        for a in range(m - 1):
+    p = len(xs)
+    h = p // 2
+    if h <= _SHORT_HALF:
+        for a in range(p - 1):
             xa = xs[a] + off
             for y in xs[a + 1 :]:
                 hist[xa - y] += 1
         return
-    half = m // 2
-    left, right = xs[:half], xs[half:]
-    _add_ordered_differences(left, hist, off)
-    _add_ordered_differences(right, hist, off)
-    d0, counts = _difference_digits(left, right)
+    left = xs[:h]
+    d0, counts = _difference_digits(left, left)
     at = d0 + off
     end = at + len(counts)
     hist[at:end] = map(add, hist[at:end], counts)
+    hist[at + 1 : end + 1] = map(add, hist[at + 1 : end + 1], counts)
+    hist[off] -= h
+    if p % 2:
+        below = xs[h] - off  # x - m lands at x - below
+        above = xs[h] + 1 + off  # m + 1 - x lands at above - x
+        for x in left:
+            hist[x - below] += 1
+            hist[above - x] += 1
 
 
 def spectrum_counts(top, bottom):
@@ -208,6 +238,12 @@ def spectrum_counts(top, bottom):
                 + sum over top blocks T of U(-phi on T),
     with U(xs) = {xs[a] - xs[b] : a < b}; a top block's pairs i > j give
     phi(i) - phi(j) = (-phi)(j) - (-phi)(i), hence the negation.
+
+    Each triangle is read off its block's left half (see _add_block). On a
+    single path every arc joins potentials one apart: a bottom arc
+    {s+i, e-i} of a block [s..e] has phi(e-i) = phi(s+i) - 1 and a top arc
+    has phi(e-i) = phi(s+i) + 1, so on either side the values xs that
+    _add_block gets satisfy xs[p-1-i] = xs[i] - 1.
     """
     n = sum(top)
     phi = [0] * (n + 1)
@@ -221,12 +257,12 @@ def spectrum_counts(top, bottom):
     hist[off] = n
     s = 1
     for p in bottom:
-        _add_ordered_differences(phi[s : s + p], hist, off)
+        _add_block(phi[s : s + p], hist, off)
         s += p
     neg = [-x for x in phi]
     s = 1
     for p in top:
-        _add_ordered_differences(neg[s : s + p], hist, off)
+        _add_block(neg[s : s + p], hist, off)
         s += p
 
     return {d - off: c for d, c in enumerate(hist) if c}

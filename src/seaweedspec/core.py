@@ -176,6 +176,23 @@ class IntegerMultiset:
                 acc[value] = acc.get(value, 0) + count
         self._counts = dict(sorted(acc.items()))
 
+    @classmethod
+    def _from_histogram(cls, counts: dict[int, int]) -> "IntegerMultiset":
+        """A kernel histogram with one zero removed, trusted as it is.
+
+        counts is a value -> count dict from the kernel: int keys ascending,
+        positive int counts, at least one zero. It is taken over, not copied
+        or checked; one zero comes off in place, which keeps the key order.
+        The public constructor re-validates and re-sorts instead.
+        """
+        if counts[0] == 1:
+            del counts[0]
+        else:
+            counts[0] -= 1
+        multiset = cls.__new__(cls)
+        multiset._counts = counts
+        return multiset
+
     @property
     def size(self) -> int:
         """Total number of elements, multiplicities included."""

@@ -12,9 +12,12 @@ one contiguous interval: from the first position of i's top block to the
 last position of i's bottom block. The masked matrix and the mask are built
 row by row from those intervals. Read by blocks instead, the same mask is
 the diagonal plus the upper triangle of each bottom block plus the lower
-triangle of each top block, which is how the kernel counts it. The spectrum
-is that multiset with one zero removed; the extended spectrum drops the mask
-and uses all n^2 positions instead.
+triangle of each top block, which is how both kernels count it. Every arc
+joins potentials one apart, so a block's right half is its left half
+mirrored and lowered by one (raised, for a top block); the pure kernel
+reads each triangle off the differences within the left half alone. The
+spectrum is that multiset with one zero removed; the extended spectrum
+drops the mask and uses all n^2 positions instead.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -135,13 +138,13 @@ def spectrum(g: SeaweedSpec) -> IntegerMultiset:
     counts = kernel.spectrum_counts(g.top.parts, g.bottom.parts)
     if counts is None:
         raise SpectrumUndefinedError(NOT_SINGLE_PATH)
-    return IntegerMultiset(counts).without_one(0)
+    return IntegerMultiset._from_histogram(counts)
 
 
 def extended_spectrum(g: SeaweedSpec) -> IntegerMultiset:
     """All n^2 potential differences, one zero removed (size n^2 - 1)."""
     phi = vertex_potentials(g)
-    return IntegerMultiset(_kernel.difference_counts(phi, phi)).without_one(0)
+    return IntegerMultiset._from_histogram(_kernel.difference_counts(phi, phi))
 
 
 def principal_element(g: SeaweedSpec) -> tuple[Fraction, ...]:
@@ -151,8 +154,11 @@ def principal_element(g: SeaweedSpec) -> tuple[Fraction, ...]:
     difference across every oriented arc is exactly 1.
     """
     phi = vertex_potentials(g)
-    mean = Fraction(sum(phi), g.n)
-    return tuple(Fraction(p) - mean for p in phi)
+    n = g.n
+    total = sum(phi)
+    # p - total / n, as one Fraction per distinct potential
+    recentred = {p: Fraction(p * n - total, n) for p in set(phi)}
+    return tuple(map(recentred.__getitem__, phi))
 
 
 def frobenius_form_support(g: SeaweedSpec) -> tuple[tuple[int, int], ...]:

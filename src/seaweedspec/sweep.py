@@ -184,7 +184,7 @@ def _row_indices(census: Census, n: int, i: int, js: list[int] | None = None) ->
 def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:
     """The record of one composition pair: its shape fields are those of
     analysis.shape_fields, all null unless the pair is Frobenius."""
-    s = IntegerMultiset(kernel.spectrum_counts(top, bottom)).without_one(0) if index == 0 else None
+    s = IntegerMultiset._from_histogram(kernel.spectrum_counts(top, bottom)) if index == 0 else None
     return {
         "conjecture": conjecture,
         "key": key,
@@ -641,7 +641,7 @@ def run_stability_sweep(job: SweepJob) -> dict:
         """The spectrum, or None when the seaweed is not Frobenius: one
         kernel walk per seaweed and run."""
         counts = kernel.spectrum_counts(top, bottom)
-        return None if counts is None else IntegerMultiset(counts).without_one(0)
+        return None if counts is None else IntegerMultiset._from_histogram(counts)
 
     def consume(rec: dict) -> None:
         if not rec["passed"]:

@@ -46,8 +46,8 @@ def orientations(g):
     return g, g.swapped(), g.reversed(), g.swapped().reversed()
 
 
-# One point of every family, n from 60 to 249, so the kernel's block runs
-# are longer than its leaf length and the halving recursion runs.
+# One point of every family, n from 60 to 249, so some block's half is
+# longer than the pure kernel's short-half loop and its product path runs.
 LARGE_POINTS = [
     (FamilyId.K1, 59, None),
     (FamilyId.K2, 121, None),

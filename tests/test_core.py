@@ -171,6 +171,12 @@ class TestIntegerMultiset:
         assert not big.contains(IntegerMultiset({2: 1}))
         assert not big.contains(IntegerMultiset({1: 3}))
 
+    def test_from_histogram_removes_one_zero_in_place(self):
+        assert IntegerMultiset._from_histogram({0: 1}) == IntegerMultiset()
+        s = IntegerMultiset._from_histogram({-1: 2, 0: 3, 4: 1})
+        assert s.items() == ((-1, 2), (0, 2), (4, 1))
+        assert s == IntegerMultiset({-1: 2, 0: 3, 4: 1}).without_one(0)
+
     def test_without_one(self):
         s = IntegerMultiset({0: 2, 1: 1})
         assert s.without_one(1).counts() == {0: 2}

@@ -143,7 +143,11 @@ def test_public_entries_reject_bad_input_before_any_kernel_call(
     assert calls == []
 
 
-@pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
+# The k2 point at n = 2001 adds two blocks of over 1,000 vertices, where the
+# pure kernel's products do all the work.
+@pytest.mark.parametrize(
+    "f, k, r", LARGE_POINTS + [(FamilyId.K2, 1999, None)], ids=lambda v: getattr(v, "value", v)
+)
 def test_kernels_agree_at_large_n(walk, f, k, r):
     for g in orientations(family_spec(f, k, r)):
         top, bottom = g.top.parts, g.bottom.parts
@@ -178,8 +182,10 @@ def test_spectrum_counts_match_mask_histogram_at_large_n(f, k, r):
         top, bottom = g.top.parts, g.bottom.parts
         counts = _kernel.spectrum_counts(top, bottom)
         assert counts is not None
-        assert max(max(top), max(bottom)) > _kernel._LEAF
+        # at least one block's half is past the loop, so the product runs
+        assert max(max(top), max(bottom)) // 2 > _kernel._SHORT_HALF
         assert list(counts.items()) == list(mask_histogram(top, bottom).items())
+        assert_blocks_mirror(top, bottom)
 
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
@@ -200,14 +206,50 @@ def frobenius_pairs_through_10():
     ]
 
 
-@pytest.mark.parametrize("leaf", [1, 2])
-def test_spectrum_counts_do_not_depend_on_the_leaf_length(
-    monkeypatch, frobenius_pairs_through_10, leaf
+@pytest.mark.parametrize("short_half", [0, 10**9], ids=["product", "loop"])
+def test_spectrum_counts_do_not_depend_on_the_short_half(
+    monkeypatch, frobenius_pairs_through_10, short_half
 ):
+    """Every block with a pair takes the product at 0, and none does at 10**9."""
     assert len(frobenius_pairs_through_10) == 2297
-    monkeypatch.setattr(_kernel, "_LEAF", leaf)
+    monkeypatch.setattr(_kernel, "_SHORT_HALF", short_half)
+    products = []
+    digits = _kernel._difference_digits
+    monkeypatch.setattr(
+        _kernel, "_difference_digits", lambda xs, ys: products.append(len(xs)) or digits(xs, ys)
+    )
     for top, bottom in frobenius_pairs_through_10:
-        assert _kernel.spectrum_counts(top, bottom) == mask_histogram(top, bottom)
+        products.clear()
+        got = _kernel.spectrum_counts(top, bottom)
+        assert list(got.items()) == list(mask_histogram(top, bottom).items())
+        halves = [p // 2 for p in top + bottom if p > 1]
+        assert sorted(products) == (sorted(halves) if short_half == 0 else [])
+
+
+def test_blocks_mirror_about_their_middle(frobenius_pairs_through_10):
+    for top, bottom in frobenius_pairs_through_10:
+        if sum(top) <= 9:
+            assert_blocks_mirror(top, bottom)
+
+
+@given(seaweeds(max_n=14))
+def test_blocks_mirror_about_their_middle_on_any_single_path(g):
+    top, bottom = g.top.parts, g.bottom.parts
+    if graph_components(top, bottom) == (0, 1):
+        assert_blocks_mirror(top, bottom)
+
+
+def assert_blocks_mirror(top, bottom):
+    """The relation spectrum_counts rests on, from the oracle potentials:
+    phi(e-i) = phi(s+i) - 1 on a bottom block [s..e] and + 1 on a top one."""
+    phi = (None,) + oracle_potentials(top, bottom)
+    for parts, step in ((bottom, -1), (top, 1)):
+        s = 1
+        for p in parts:
+            e = s + p - 1
+            for i in range(p // 2):
+                assert phi[e - i] == phi[s + i] + step, (top, bottom, s, e, i)
+            s = e + 1
 
 
 @pytest.mark.parametrize(
@@ -215,7 +257,7 @@ def test_spectrum_counts_do_not_depend_on_the_leaf_length(
     [
         ([7] * 255, [7]),  # one digit of 255, the most one byte holds
         ([7] * 16, [-3] * 16),  # one digit of 256, the least that needs two
-        ([0] * 256, [0] * 256),  # 65536, the least that needs three
+        ([0] * 256, [0] * 256),  # 65536, the least that needs four
         ([5], [9]),
         ([-4], [-4]),
         ([-9, -1, -1, 3], [-2, 0, 0, 0, 7]),
@@ -227,3 +269,9 @@ def test_difference_counts_match_brute_force(xs, ys):
     got = _kernel.difference_counts(xs, ys)
     want = Counter(x - y for x in xs for y in ys)
     assert list(got.items()) == sorted(want.items())
+
+
+def test_difference_counts_widen_past_four_byte_digits():
+    # 2^32 pairs share one difference: too many to count by brute force
+    assert _kernel.difference_counts([0] * 2**16, [0] * 2**16) == {0: 2**32}
+    assert _kernel.difference_counts([3] * 2**16, [1] * 2**16 + [2]) == {1: 2**16, 2: 2**32}

@@ -7,7 +7,9 @@ import goldens
 from oracles import flag_mask, oracle_matrix, oracle_potentials, oracle_spectrum
 from seaweedspec import (
     IntegerMultiset,
+    _kernel,
     compositions_of,
+    enumerate_frobenius,
     extended_spectrum,
     extended_spectrum_matrix,
     family_spec,
@@ -22,6 +24,7 @@ from seaweedspec import (
     spectrum_matrix,
     vertex_potentials,
 )
+from seaweedspec._engine import kernel
 from seaweedspec.spectrum import NOT_SINGLE_PATH, SpectrumUndefinedError
 from strategies import LARGE_POINTS, orientations, seaweeds
 
@@ -228,6 +231,24 @@ class TestExtendedSpectrum:
         assert extended_spectrum(g).contains(spectrum(g))
 
 
+def large_point_cases():
+    return [g for f, k, r in LARGE_POINTS for g in orientations(family_spec(f, k, r))]
+
+
+def test_kernel_histograms_give_the_validated_multisets():
+    """spectrum and extended_spectrum take the kernel's dict as it is; the
+    public constructor, which re-validates and re-sorts, gives the same
+    multiset, key order included."""
+    cases = [g for n in range(1, 11) for g in enumerate_frobenius(n)]
+    assert len(cases) == 2297
+    for g in cases + large_point_cases():
+        want = IntegerMultiset(kernel.spectrum_counts(g.top.parts, g.bottom.parts))
+        assert spectrum(g).items() == want.without_one(0).items()
+        phi = vertex_potentials(g)
+        want = IntegerMultiset(_kernel.difference_counts(phi, phi))
+        assert extended_spectrum(g).items() == want.without_one(0).items()
+
+
 class TestPrincipalElement:
     def test_goldens(self):
         assert principal_element(parse_seaweed("2|1 / 3")) == (
@@ -253,6 +274,13 @@ class TestPrincipalElement:
         assert all(x.denominator in range(1, g.n + 1) and g.n % x.denominator == 0 for x in diag)
         for u, v in orient(g).edges:
             assert diag[u - 1] - diag[v - 1] == 1
+
+    def test_equals_potentials_less_their_mean(self):
+        cases = [g for n in range(1, 9) for g in enumerate_frobenius(n)]
+        for g in cases + large_point_cases():
+            phi = vertex_potentials(g)
+            mean = Fraction(sum(phi), g.n)
+            assert principal_element(g) == tuple(Fraction(p) - mean for p in phi)
 
 
 class TestFrobeniusFormSupport:
