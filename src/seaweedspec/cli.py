@@ -8,8 +8,9 @@ bytes.
 
 Exit codes: 0 success, 1 engine invariant violated, 2 conjecture
 counterexample found, 3 spectrum requested for a non-Frobenius seaweed,
-64 usage or domain error, 141 (128 + SIGPIPE) stdout closed by its reader,
-as by `| head`.
+64 usage or domain error, or an --out path the system refuses (a missing
+directory, a directory in place of a file), 141 (128 + SIGPIPE) stdout
+closed by its reader, as by `| head`.
 """
 
 from __future__ import annotations
@@ -277,7 +278,6 @@ def cmd_sweep(args) -> int:
         r_max=args.r_max,
         base=args.base,
         out=args.records,
-        workers=args.workers,
         resume=args.resume,
     )
     summary = run_sweep(job)
@@ -343,7 +343,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r-max", type=int, default=6)
     p.add_argument("--base", help="base seaweed for stability_4_16")
     p.add_argument("--out", dest="records", help="append NDJSON records here")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", action="store_true",
                    help="skip pairs already present in the records file")
     p.set_defaults(func=cmd_sweep)
@@ -366,6 +365,11 @@ def main(argv=None) -> int:
         # output goes to devnull, so the flush at shutdown cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except OSError as exc:
+        # An --out path the system refuses: the command's arguments are at
+        # fault, not the engine.
+        _err(exc)
+        return EXIT_USAGE
     except ParseError as exc:
         _err(exc)
         return EXIT_USAGE

@@ -8,18 +8,17 @@ stability sweeps walk small parameter grids of the three extension
 conjectures instead: one table gives each conjecture's grid and check
 names, and one record builder makes every stability record from them.
 
-Work is a map over composition pairs, one task per top composition; the
-main process appends each task's NDJSON records in task order and does all
-the bookkeeping. A record carries no timing, so a record file is a function
-of the job alone: reruns with --resume skip finished keys, and the worker
-count never changes a byte.
+The unimodality sweep is one serial loop over rows, one row per top
+composition: it appends the row's NDJSON records, then checks the row's
+Frobenius records. A record carries no timing, so a record file is a
+function of the job alone: every run writes the same bytes, and reruns
+with --resume skip finished keys.
 
 The index of a pair comes from an orbit census (see _row_indices). The
 pairs a | b, b | a, rev a | rev b and rev b | rev a have mirror-image
 meanders, so one walk gives the index of all four, and a run walks about a
-quarter of its pairs. The census lives for one run: each sweep, and each of
-its pool workers, starts with an empty one. A Frobenius record still takes
-its own spectrum.
+quarter of its pairs. The census lives for one run: each sweep starts with
+an empty one. A Frobenius record still takes its own spectrum.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import re
 from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 from typing import Callable, Iterator
 
 from ._engine import kernel
@@ -75,7 +73,6 @@ class SweepJob:
     r_max: int = 6
     base: str | None = None
     out: str | None = None
-    workers: int = 1
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -87,8 +84,6 @@ class SweepJob:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
         if self.k_max < 1 or self.r_max < 1:
             raise ValueError("k_max and r_max must be at least 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.resume and not self.out:
             raise ValueError("resume needs an output path to read back")
         if self.base is not None and self.conjecture != "stability_4_16":
@@ -145,7 +140,7 @@ def _reverse_ranks(n: int) -> tuple[int, ...]:
 # A census: for each n, one byte per composition pair of n, the pair (i, j)
 # of the i-th top and j-th bottom at i * m + j, holding the pair's index + 1
 # once its orbit has been walked and 0 before. A census lives for one run:
-# a sweep, a pool worker of one, or one enumerate_frobenius.
+# a sweep or one enumerate_frobenius.
 Census = dict[int, bytearray]
 
 
@@ -373,13 +368,14 @@ def _load_completed_keys(
     return completed, kept
 
 
-def _row_records(task: tuple, census: Census) -> tuple[str, list[dict]]:
-    """NDJSON text of one top composition against the bottoms of n at
+def _row_records(
+    conjecture: str, n: int, i: int, js: list[int] | None, write: bool, census: Census
+) -> tuple[str, list[dict]]:
+    """NDJSON text of the i-th top composition of n against the bottoms at
     indices js (all of them when js is None), and the Frobenius records
     among them, with the indices taken from the run's census. The text is
     empty unless write is set, since without an output file nothing would
     read it."""
-    conjecture, n, i, js, write = task
     comps = _compositions(n)
     top, top_text = comps[i]
     bottoms = comps if js is None else [comps[j] for j in js]
@@ -402,20 +398,6 @@ def _row_records(task: tuple, census: Census) -> tuple[str, list[dict]]:
                 lines.append(json.dumps(rec) + "\n")
             frobenius.append(rec)
     return "".join(lines), frobenius
-
-
-# The census of a pool worker, made empty when the worker starts; the pool,
-# and so the census, ends with its run.
-_worker_census: Census | None = None
-
-
-def _start_worker() -> None:
-    global _worker_census
-    _worker_census = {}
-
-
-def _worker_row_records(task: tuple) -> tuple[str, list[dict]]:
-    return _row_records(task, _worker_census)
 
 
 def _pair_record_acts(rec: dict) -> bool:
@@ -450,20 +432,14 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
     kept_in: dict[int, list[dict]] = {}
     for key in sorted(kept):
         kept_in.setdefault(key[0], []).append(kept[key])
-    with contextlib.ExitStack() as stack:
-        out = stack.enter_context(open(job.out, "a", encoding="utf-8")) if job.out else None
-        pool = None
-        if job.workers > 1:
-            pool = stack.enter_context(Pool(job.workers, initializer=_start_worker))
-        census: Census = {}  # the run's own; each pool worker keeps another
+    census: Census = {}  # one per run
+    with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for n in range(job.n_min, job.n_max + 1):
-            comps = _compositions(n)
-            m = len(comps)
+            m = len(_compositions(n))
             pairs += m * m
             for rec in kept_in.get(n, ()):
                 consume(rec)
             flags = done.get(n)
-            tasks = []
             for i in range(m):
                 js = None
                 if flags is not None:
@@ -474,16 +450,7 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
                         continue
                     if resumed:
                         js = [j for j in range(m) if not row[j]]
-                tasks.append((job.conjecture, n, i, js, out is not None))
-            # The bookkeeping above stays out of the iterable handed to
-            # imap, whose feeder thread would run it beside this loop. A row
-            # takes milliseconds; sent one at a time, the round trips ate
-            # the second worker's gain on two cores.
-            if pool:
-                rows = pool.imap(_worker_row_records, tasks, chunksize=16)
-            else:
-                rows = (_row_records(task, census) for task in tasks)
-            for text, frobenius in rows:
+                text, frobenius = _row_records(job.conjecture, n, i, js, out is not None, census)
                 # A row reaches the file before its records are checked,
                 # so a record that fails a proven claim is on disk.
                 if out:

@@ -480,6 +480,41 @@ class TestSweep:
             cli.main(["sweep", "--conjecture", "bogus"])
         assert exc.value.code == 64
 
+    def test_workers_option_is_refused(self, capsys, tmp_path):
+        """The sweep runs serially; --workers is not an option any more."""
+        absent = tmp_path / "absent.ndjson"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--n-max", "2", "--workers", "2", "--out", str(absent)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 64
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "seaweedspec: error: unrecognized arguments: --workers 2"
+        )
+        assert not absent.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("index", "1|1 / 2"),
+    ("render", "1|1 / 2"),
+    ("sweep", "--n-max", "2"),
+    ("sweep", "--n-max", "2", "--resume"),
+    ("sweep", "--conjecture", "stability_4_17", "--k-max", "1", "--r-max", "1"),
+    ("sweep", "--conjecture", "stability_4_17", "--k-max", "1", "--r-max", "1", "--resume"),
+], ids=["index", "render", "sweep", "sweep_resume", "stability_4_17", "stability_4_17_resume"])
+def test_out_path_the_system_refuses_is_usage_error(capsys, tmp_path, argv, target):
+    """An --out under a missing directory, or naming a directory, exits 64
+    with one error line and no traceback, and creates nothing."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = folder / "missing" / "x" if target == "missing_dir" else folder
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (64, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert list(folder.iterdir()) == []
+
 
 class TestParser:
     def test_missing_command_is_usage_error(self):

@@ -55,8 +55,6 @@ class TestSweepJob:
             SweepJob(n_min=0)
         with pytest.raises(ValueError, match="bad n range"):
             SweepJob(n_min=5, n_max=4)
-        with pytest.raises(ValueError, match="workers"):
-            SweepJob(workers=0)
         with pytest.raises(ValueError, match="resume"):
             SweepJob(resume=True)
         with pytest.raises(ValueError, match="k_max and r_max"):
@@ -97,14 +95,13 @@ class TestUnimodalitySweep:
         assert len(records) == 341
         assert len({r["key"] for r in records}) == 341
 
-    def test_workers_do_not_change_the_records(self, tmp_path):
-        paths = [tmp_path / name for name in ("serial.ndjson", "pooled.ndjson", "again.ndjson")]
-        for path, workers in zip(paths, (1, 2, 1)):
-            run_unimodality_sweep(SweepJob(n_max=5, out=str(path), workers=workers))
-        serial, pooled, again = (path.read_bytes() for path in paths)
-        assert serial.count(b"\n") == 341
-        assert pooled == serial
-        assert again == serial
+    def test_serial_runs_give_the_same_bytes(self, tmp_path):
+        paths = [tmp_path / name for name in ("first.ndjson", "again.ndjson")]
+        for path in paths:
+            run_unimodality_sweep(SweepJob(n_max=5, out=str(path)))
+        first, again = (path.read_bytes() for path in paths)
+        assert first.count(b"\n") == 341
+        assert again == first
 
     @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
     def test_records_equal_json_dumps_of_the_generic_record(self, tmp_path, conjecture):
@@ -437,11 +434,9 @@ class TestOrbitCensus:
     """The sweep walks one pair of each swap/reverse orbit per run, and the
     records are those of walking every pair."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_record_file_bytes_are_pinned(self, tmp_path, each_kernel, workers):
-        """Each pool worker keeps a census of its own rows."""
+    def test_record_file_bytes_are_pinned(self, tmp_path, each_kernel):
         out = tmp_path / "records.ndjson"
-        run_sweep(SweepJob(n_max=8, out=str(out), workers=workers))
+        run_sweep(SweepJob(n_max=8, out=str(out)))
         data = out.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == UNIMODAL_N8_RECORDS
 
