@@ -13,7 +13,10 @@ EngineInvariantError rather than returning False.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import neg
 
 from .core import Composition, IntegerMultiset, SeaweedSpec, multiset_equal
 from .spectrum import extended_spectrum_matrix, spectrum, spectrum_matrix
@@ -143,7 +146,8 @@ def spectrum_report(g: SeaweedSpec) -> SpectrumReport:
 
 
 def _full_multiset(rows) -> IntegerMultiset:
-    return IntegerMultiset([cell for row in rows for cell in row])
+    """Every cell of rows, counted at C speed and validated once per value."""
+    return IntegerMultiset(Counter(chain.from_iterable(rows)))
 
 
 def _transposed(rows):
@@ -212,7 +216,7 @@ def verify_reverse_lemma(g: SeaweedSpec) -> bool:
 def verify_skew_symmetry(g: SeaweedSpec) -> bool:
     """The full matrix satisfies A[i][j] = -A[j][i]. Frobenius g only."""
     rows = extended_spectrum_matrix(g)
-    if rows == tuple([tuple([-x for x in col]) for col in zip(*rows)]):
+    if rows == tuple([tuple(map(neg, col)) for col in zip(*rows)]):
         return True
     n = g.n
     for i in range(n):
@@ -230,17 +234,15 @@ def _two_part(a: int, b: int, n: int) -> SeaweedSpec:
 
 
 def _submatrix_multiset(rows, row_range, col_range) -> IntegerMultiset:
-    values = []
     lo, hi = col_range.start - 1, col_range.stop - 1
-    for i in row_range:
-        cells = rows[i - 1][lo:hi]
+    block = [rows[i - 1][lo:hi] for i in row_range]
+    for i, cells in zip(row_range, block):
         if None in cells:
             raise EngineInvariantError(
                 f"expected admissible cell ({i},{col_range.start + cells.index(None)}) "
                 "is outside the mask"
             )
-        values += cells
-    return IntegerMultiset(values)
+    return IntegerMultiset(Counter(chain.from_iterable(block)))
 
 
 def verify_block_lemmas(k1: int, k2: int, m: int) -> list[str]:

@@ -231,6 +231,10 @@ def cmd_verify_family(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    # An empty grid checks nothing, so it must not report success.
+    for flag, bound in (("--max-k", args.max_k), ("--max-m", args.max_m)):
+        if bound < 1:
+            raise ParseError(f"{flag} must be at least 1, got {bound}")
     lines = []
     try:
         if args.seaweed:

@@ -9,8 +9,12 @@ top blocks ascend and bottom blocks descend.
 
 Block indices never decrease along 1..n, so row i's admissible columns are
 one contiguous interval: from the first position of i's top block to the
-last position of i's bottom block. The masked matrix and the mask are built
-row by row from those intervals. Read by blocks instead, the same mask is
+last position of i's bottom block. The mask is built row by row from those
+intervals. Neither matrix does arithmetic per entry: each row of the full
+matrix is one itemgetter pass over a slice of a single table of all
+possible differences, vertices of equal potential share one row tuple, and
+the masked matrix slices each full row to its interval and pads it with
+slices of one tuple of Nones. Read by blocks instead, the same mask is
 the diagonal plus the upper triangle of each bottom block plus the lower
 triangle of each top block, which is how both kernels count it. Every arc
 joins potentials one apart, so a block's right half is its left half
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import itemgetter
 
 from . import _kernel
 from ._engine import kernel
@@ -102,25 +107,48 @@ def shape_mask(g: SeaweedSpec) -> frozenset[tuple[int, int]]:
     return frozenset(cells)
 
 
+def _difference_rows(phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row i holds phi(i) - phi(j) for every j; rows of equal potential are
+    one tuple.
+
+    With lo and hi the least and greatest potential, the differences all lie
+    in table = (lo-hi, ..., hi-lo). Row p's differences p - x are the entries
+    hi - x of the slice of table starting at p - lo, so one itemgetter of
+    those offsets, applied to one slice per distinct potential, builds every
+    row without arithmetic per entry.
+    """
+    if len(phi) == 1:
+        return ((0,),)  # an itemgetter of one index returns a bare int
+    lo, hi = min(phi), max(phi)
+    width = hi - lo + 1
+    table = tuple(range(lo - hi, hi - lo + 1))
+    pick = itemgetter(*[hi - x for x in phi])
+    rows = {p: pick(table[p - lo : p - lo + width]) for p in set(phi)}
+    return tuple(map(rows.__getitem__, phi))
+
+
 def spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int | None, ...], ...]:
     """The eigenvalue at every admissible position, None elsewhere.
 
     Row i, column j (1-based in math terms) sits at [i-1][j-1]. Each row is
     None, then phi(i) - phi(j) over the row's admissible interval (see
-    shape_mask), then None again.
+    shape_mask), then None again: the interval is sliced out of the
+    extended matrix's row, and the padding out of one tuple of n Nones.
     """
-    phi = vertex_potentials(g)
-    n = g.n
+    nones = (None,) * g.n
     return tuple(
-        (None,) * lo + tuple([p - x for x in phi[lo:hi]]) + (None,) * (n - hi)
-        for p, (lo, hi) in zip(phi, _row_spans(g))
+        nones[:lo] + row[lo:hi] + nones[hi:]
+        for row, (lo, hi) in zip(_difference_rows(vertex_potentials(g)), _row_spans(g))
     )
 
 
 def extended_spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int, ...], ...]:
-    """All n^2 potential differences; skew-symmetric by construction."""
-    phi = vertex_potentials(g)
-    return tuple([tuple([p - x for x in phi]) for p in phi])
+    """All n^2 potential differences; skew-symmetric by construction.
+
+    Rows of vertices with equal potential are the same tuple object, so
+    the matrix holds one row per distinct potential.
+    """
+    return _difference_rows(vertex_potentials(g))
 
 
 def matrix_text(rows) -> str:

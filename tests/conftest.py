@@ -1,5 +1,7 @@
-"""Session fixtures: the compiled kernel, built from source for the tests."""
+"""Shared fixtures: the compiled kernel, built from source for the tests, and
+a parametrisation that runs a test under each kernel."""
 
+import importlib
 import importlib.util
 import shlex
 import shutil
@@ -8,6 +10,8 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+
+from seaweedspec import _kernel
 
 WALK_C = Path(__file__).resolve().parent.parent / "src" / "seaweedspec" / "_walk.c"
 
@@ -41,3 +45,12 @@ def walk(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def each_kernel(request, monkeypatch):
+    """Run the test under each kernel, swapped into every module that binds it."""
+    chosen = _kernel if request.param == "pure" else request.getfixturevalue("walk")
+    for name in ("sweep", "spectrum", "meander"):
+        monkeypatch.setattr(importlib.import_module(f"seaweedspec.{name}"), "kernel", chosen)
+    return request.param

@@ -8,6 +8,7 @@ from seaweedspec import (
     IntegerMultiset,
     analysis,
     enumerate_frobenius,
+    family_spec,
     is_log_concave,
     is_symmetric_about_half,
     is_unbroken_centered_half,
@@ -19,6 +20,7 @@ from seaweedspec import (
     verify_skew_symmetry,
     verify_swap_lemma,
 )
+from strategies import LARGE_POINTS, orientations
 
 
 class TestPredicates:
@@ -116,6 +118,14 @@ class TestProvenIdentities:
                 assert verify_swap_lemma(g)
                 assert verify_reverse_lemma(g)
                 assert verify_skew_symmetry(g)
+
+
+@pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
+def test_proven_identities_at_large_n(each_kernel, f, k, r):
+    for g in orientations(family_spec(f, k, r)):
+        assert verify_swap_lemma(g)
+        assert verify_reverse_lemma(g)
+        assert verify_skew_symmetry(g)
 
 
 class TestBlockLemmas:

@@ -293,6 +293,14 @@ class TestVerifyLemmas:
         assert code == 64
         assert "coprime" in err
 
+    @pytest.mark.parametrize("flag", ["--max-k", "--max-m"])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_grid_bound_below_one_is_usage_error(self, capsys, flag, bound):
+        """An empty grid would check nothing and still report success."""
+        assert run_cli(capsys, "verify-lemmas", flag, bound) == (
+            64, "", f"error: {flag} must be at least 1, got {bound}\n"
+        )
+
 
 class TestSweep:
     def test_small_clean_run(self, capsys):

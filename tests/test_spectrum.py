@@ -6,6 +6,7 @@ from hypothesis import given
 import goldens
 from oracles import flag_mask, oracle_matrix, oracle_potentials, oracle_spectrum
 from seaweedspec import (
+    FamilyId,
     IntegerMultiset,
     _kernel,
     compositions_of,
@@ -125,6 +126,19 @@ class TestMatrices:
         assert lines[5] == "· · · · · 0 -1"
         assert matrix_text(extended_spectrum_matrix(parse_seaweed("1|1 / 2"))) == "0 1\n-1 0"
 
+    @pytest.mark.parametrize("matrix", [spectrum_matrix, extended_spectrum_matrix])
+    def test_one_vertex(self, matrix):
+        assert matrix(parse_seaweed("1 / 1")) == ((0,),)
+
+    def test_rows_of_equal_potential_are_one_tuple(self, each_kernel):
+        g = family_spec(FamilyId.K2, 121, None)
+        phi = vertex_potentials(g)
+        rows = extended_spectrum_matrix(g)
+        assert len(set(phi)) < g.n  # k2 repeats potentials, so rows are shared
+        assert len({id(row) for row in rows}) == len(set(phi))
+        for row, p in zip(rows, phi):
+            assert row is rows[phi.index(p)]
+
     def test_matrix_entries_are_potential_differences(self):
         g = parse_seaweed("5|2 / 7")
         phi = vertex_potentials(g)
@@ -169,6 +183,21 @@ def test_mask_and_matrix_match_flag_oracle_at_large_n(f, k, r):
             if cell is not None
         }
         assert spectrum_matrix(g) == want
+
+
+@pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
+def test_matrices_are_oracle_differences_at_large_n(each_kernel, f, k, r):
+    """The masked matrix holds the same differences on shape_mask's cells,
+    which the test above checks against flag_mask at these points."""
+    for g in orientations(family_spec(f, k, r)):
+        phi = oracle_potentials(g.top.parts, g.bottom.parts)
+        want = tuple(tuple(p - x for x in phi) for p in phi)
+        assert extended_spectrum_matrix(g) == want
+        mask = shape_mask(g)
+        assert spectrum_matrix(g) == tuple(
+            tuple(cell if (i, j) in mask else None for j, cell in enumerate(row, start=1))
+            for i, row in enumerate(want, start=1)
+        )
 
 
 class TestSpectrum:

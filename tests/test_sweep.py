@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 
 import pytest
@@ -18,7 +17,7 @@ from seaweedspec import (
     run_sweep,
     run_unimodality_sweep,
 )
-from seaweedspec import _kernel, analysis, cli, sweep
+from seaweedspec import analysis, cli, sweep
 from seaweedspec._engine import kernel
 from seaweedspec.sweep import _pair_record
 from seaweedspec.analysis import EngineInvariantError
@@ -415,15 +414,6 @@ STABILITY_RECORD_SHA256 = [
     (dict(conjecture="stability_4_16", base="4|3 / 7", r_max=12),
      "64d2f6096377b9762dc03516ccf99ef2512ff3a5a01a2f0a072a496dfd567324"),
 ]
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def each_kernel(request, monkeypatch):
-    """Run the test under each kernel, swapped into every module that binds it."""
-    chosen = _kernel if request.param == "pure" else request.getfixturevalue("walk")
-    for name in ("sweep", "spectrum", "meander"):
-        monkeypatch.setattr(importlib.import_module(f"seaweedspec.{name}"), "kernel", chosen)
-    return request.param
 
 
 # The record file of `sweep --n-max 8 --out F`: its size and sha256.
