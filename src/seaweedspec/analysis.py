@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import neg
 
-from .core import Composition, IntegerMultiset, SeaweedSpec, multiset_equal
+from .core import Composition, IntegerMultiset, SeaweedSpec
 from .spectrum import extended_spectrum_matrix, spectrum, spectrum_matrix
 
 
@@ -128,11 +128,7 @@ class SpectrumReport:
         return {
             "spec": self.spec,
             "spectrum": self.spectrum.to_json_obj(),
-            "unbroken": self.unbroken,
-            "centered_half": self.centered_half,
-            "unimodal": self.unimodal,
-            "log_concave": self.log_concave,
-            "symmetric_about_half": self.symmetric_about_half,
+            **{name: getattr(self, name) for name in SHAPE_FIELDS},
         }
 
 
@@ -159,33 +155,40 @@ def _antitransposed(rows):
     return tuple(zip(*rows[::-1]))[::-1]
 
 
-def _verify_index_map(
-    g: SeaweedSpec, h: SeaweedSpec, name: str, partner: str, flip, source
-) -> bool:
-    """Entry (i, j) of g's masked and full matrices equals entry source(n, i, j) of h's.
+def _first_difference(rows, want):
+    """The first (i, j, got, wanted) in row-major order where rows and want
+    differ, or None when they agree wherever both have an entry (so only
+    their shapes differ)."""
+    for i, (row, wanted_row) in enumerate(zip(rows, want)):
+        for j, (got, wanted) in enumerate(zip(row, wanted_row)):
+            if got != wanted:
+                return i, j, got, wanted
+    return None
 
-    flip(rows_h) is h's matrix rearranged so that its (i, j) entry is the
-    one at source(n, i, j). The whole matrices are compared at once; only
-    on a mismatch does the row-major scan run, to name the first differing
-    entry. Then the spectra of g and h must agree.
+
+def _verify_index_map(g: SeaweedSpec, h: SeaweedSpec, name: str, partner: str, flip) -> bool:
+    """g's masked and full matrices equal flip of h's, and their spectra agree.
+
+    Each matrix is one whole-matrix comparison; a failure names the first
+    differing entry in g's row-major order, or the shapes.
     """
-    n = g.n
     matrices = (("entry", spectrum_matrix), ("extended entry", extended_spectrum_matrix))
     for label, matrix in matrices:
-        rows_g = matrix(g)
-        rows_h = matrix(h)
-        if rows_g == flip(rows_h):
-            continue
-        for i in range(n):
-            for j in range(n):
-                a, b = source(n, i, j)
-                if rows_g[i][j] != rows_h[a][b]:
-                    raise EngineInvariantError(
-                        f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is "
-                        f"{rows_g[i][j]} but {partner} has {rows_h[a][b]}"
-                    )
-        raise EngineInvariantError(f"{name} failure at {g}: matrix shapes differ")
-    if not multiset_equal(spectrum(g), spectrum(h)):
+        rows = matrix(g)
+        want = flip(matrix(h))
+        if rows != want:
+            diff = _first_difference(rows, want)
+            if diff is None:
+                raise EngineInvariantError(f"{name} failure at {g}: matrix shapes differ")
+            i, j, got, wanted = diff
+            raise EngineInvariantError(
+                f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is {got} "
+                f"but {partner} has {wanted}"
+            )
+        # The flip shares no rows with h's matrix: free it before the next
+        # one is built.
+        del want
+    if spectrum(g) != spectrum(h):
         raise EngineInvariantError(f"{name} failure at {g}: spectra differ")
     return True
 
@@ -196,9 +199,7 @@ def verify_swap_lemma(g: SeaweedSpec) -> bool:
     Checks the masks, the masked matrices, the full matrices, and (as a
     corollary) the spectra of g and its swap. Frobenius g only.
     """
-    return _verify_index_map(
-        g, g.swapped(), "swap", "transposed swap", _transposed, lambda n, i, j: (j, i)
-    )
+    return _verify_index_map(g, g.swapped(), "swap", "transposed swap", _transposed)
 
 
 def verify_reverse_lemma(g: SeaweedSpec) -> bool:
@@ -207,26 +208,22 @@ def verify_reverse_lemma(g: SeaweedSpec) -> bool:
     Entry (i,j) of g matches entry (n+1-j, n+1-i) of the reversal, masked
     and full alike. Frobenius g only.
     """
-    return _verify_index_map(
-        g, g.reversed(), "reverse", "the reversal", _antitransposed,
-        lambda n, i, j: (n - 1 - j, n - 1 - i),
-    )
+    return _verify_index_map(g, g.reversed(), "reverse", "the reversal", _antitransposed)
 
 
 def verify_skew_symmetry(g: SeaweedSpec) -> bool:
-    """The full matrix satisfies A[i][j] = -A[j][i]. Frobenius g only."""
+    """The full matrix equals its negated transpose. Frobenius g only."""
     rows = extended_spectrum_matrix(g)
-    if rows == tuple([tuple(map(neg, col)) for col in zip(*rows)]):
+    want = tuple([tuple(map(neg, col)) for col in zip(*rows)])
+    if rows == want:
         return True
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != -rows[j][i]:
-                raise EngineInvariantError(
-                    f"skew failure at {g}: ({i + 1},{j + 1})={rows[i][j]} "
-                    f"vs ({j + 1},{i + 1})={rows[j][i]}"
-                )
-    raise EngineInvariantError(f"skew failure at {g}: matrix is not square")
+    diff = _first_difference(rows, want)
+    if diff is None:
+        raise EngineInvariantError(f"skew failure at {g}: matrix is not square")
+    i, j, got, negated = diff
+    raise EngineInvariantError(
+        f"skew failure at {g}: ({i + 1},{j + 1})={got} vs ({j + 1},{i + 1})={-negated}"
+    )
 
 
 def _two_part(a: int, b: int, n: int) -> SeaweedSpec:
@@ -265,38 +262,32 @@ def verify_block_lemmas(k1: int, k2: int, m: int) -> list[str]:
 
     cut = m * k1 + k2
     n1 = (m + 1) * k1 + k2
-    g1 = _two_part(cut, k1, n1)
-    rows_g1 = spectrum_matrix(g1)
+    rows_g1 = spectrum_matrix(_two_part(cut, k1, n1))
     performed = []
 
-    g2 = _two_part((m - 1) * k1 + k2, k1, cut) if m > 1 else SeaweedSpec(
-        Composition((k2, k1)), Composition((cut,))
+    def check(corner: str, got: IntegerMultiset, want: IntegerMultiset) -> None:
+        if got != want:
+            raise EngineInvariantError(
+                f"{corner.replace('_', '-')} block failure at k1={k1}, k2={k2}, m={m}: "
+                f"{got.to_text()} vs {want.to_text()}"
+            )
+        performed.append(corner)
+
+    g2 = _two_part((m - 1) * k1 + k2, k1, cut)
+    check(
+        "top_left",
+        _submatrix_multiset(rows_g1, range(1, cut + 1), range(1, cut + 1)),
+        _full_multiset(extended_spectrum_matrix(g2)),
     )
-    top_left = _submatrix_multiset(rows_g1, range(1, cut + 1), range(1, cut + 1))
-    ext_g2 = _full_multiset(extended_spectrum_matrix(g2))
-    if not multiset_equal(top_left, ext_g2):
-        raise EngineInvariantError(
-            f"top-left block failure at k1={k1}, k2={k2}, m={m}: "
-            f"{top_left.to_text()} vs {ext_g2.to_text()}"
-        )
-    performed.append("top_left")
 
     if k1 > k2:
-        small = _two_part(k1 - k2, k2, k1)
-        bottom_right = _submatrix_multiset(
-            rows_g1, range(cut + 1, n1 + 1), range(cut + 1, n1 + 1)
+        check(
+            "bottom_right",
+            _submatrix_multiset(rows_g1, range(cut + 1, n1 + 1), range(cut + 1, n1 + 1)),
+            _full_multiset(extended_spectrum_matrix(_two_part(k1 - k2, k2, k1))),
         )
-        ext_small = _full_multiset(extended_spectrum_matrix(small))
-        if not multiset_equal(bottom_right, ext_small):
-            raise EngineInvariantError(
-                f"bottom-right block failure at k1={k1}, k2={k2}, m={m}: "
-                f"{bottom_right.to_text()} vs {ext_small.to_text()}"
-            )
-        performed.append("bottom_right")
 
-        top_right = _submatrix_multiset(
-            rows_g1, range(1, cut + 1), range(cut + 1, n1 + 1)
-        )
+        top_right = _submatrix_multiset(rows_g1, range(1, cut + 1), range(cut + 1, n1 + 1))
         if m == 1:
             ref_rows = spectrum_matrix(_two_part(k1, k2, k1 + k2))
             ref = _submatrix_multiset(ref_rows, range(1, k1 + 1), range(1, k1 + k2 + 1))
@@ -305,12 +296,6 @@ def verify_block_lemmas(k1: int, k2: int, m: int) -> list[str]:
             ref = _submatrix_multiset(
                 ref_rows, range(1, cut + 1), range((m - 1) * k1 + k2 + 1, cut + 1)
             )
-        shifted = IntegerMultiset({v + 1: c for v, c in ref.items()})
-        if not multiset_equal(top_right, shifted):
-            raise EngineInvariantError(
-                f"top-right block failure at k1={k1}, k2={k2}, m={m}: "
-                f"{top_right.to_text()} vs {shifted.to_text()}"
-            )
-        performed.append("top_right")
+        check("top_right", top_right, IntegerMultiset({v + 1: c for v, c in ref.items()}))
 
     return performed

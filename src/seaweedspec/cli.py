@@ -236,38 +236,32 @@ def cmd_verify_lemmas(args) -> int:
         if bound < 1:
             raise ParseError(f"{flag} must be at least 1, got {bound}")
     lines = []
-    try:
-        if args.seaweed:
-            g = parse_seaweed(args.seaweed)
-            verify_swap_lemma(g)
-            verify_reverse_lemma(g)
-            verify_skew_symmetry(g)
-            lines.append(f"{g} swap ok")
-            lines.append(f"{g} reverse ok")
-            lines.append(f"{g} skew ok")
-        triples = []
-        if args.k1 is not None or args.k2 is not None or args.m is not None:
-            if None in (args.k1, args.k2, args.m):
-                raise ParseError("--k1, --k2 and --m must be given together")
-            triples = [(args.k1, args.k2, args.m)]
-        elif not args.seaweed:
-            from math import gcd
+    if args.seaweed:
+        g = parse_seaweed(args.seaweed)
+        verify_swap_lemma(g)
+        verify_reverse_lemma(g)
+        verify_skew_symmetry(g)
+        lines.append(f"{g} swap ok")
+        lines.append(f"{g} reverse ok")
+        lines.append(f"{g} skew ok")
+    triples = []
+    if args.k1 is not None or args.k2 is not None or args.m is not None:
+        if None in (args.k1, args.k2, args.m):
+            raise ParseError("--k1, --k2 and --m must be given together")
+        triples = [(args.k1, args.k2, args.m)]
+    elif not args.seaweed:
+        from math import gcd
 
-            triples = [
-                (k1, k2, m)
-                for k1 in range(1, args.max_k + 1)
-                for k2 in range(1, args.max_k + 1)
-                if gcd(k1, k2) == 1
-                for m in range(1, args.max_m + 1)
-            ]
-        for k1, k2, m in triples:
-            performed = verify_block_lemmas(k1, k2, m)
-            lines.append(f"blocks k1={k1} k2={k2} m={m} ok ({', '.join(performed)})")
-    except EngineInvariantError as exc:
-        for line in lines:
-            print(line)
-        _err(exc)
-        return EXIT_ENGINE
+        triples = [
+            (k1, k2, m)
+            for k1 in range(1, args.max_k + 1)
+            for k2 in range(1, args.max_k + 1)
+            if gcd(k1, k2) == 1
+            for m in range(1, args.max_m + 1)
+        ]
+    for k1, k2, m in triples:
+        performed = verify_block_lemmas(k1, k2, m)
+        lines.append(f"blocks k1={k1} k2={k2} m={m} ok ({', '.join(performed)})")
     lines.append(f"{len(lines)} checks pass")
     _emit(args, "\n".join(lines))
     return EXIT_OK

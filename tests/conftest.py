@@ -3,15 +3,23 @@ a parametrisation that runs a test under each kernel."""
 
 import importlib
 import importlib.util
+import pkgutil
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
 import pytest
 
-from seaweedspec import _kernel
+import seaweedspec
+from seaweedspec import _engine, _kernel
+
+# Import every module of the package now, so that each_kernel finds every
+# module that binds the kernel and no module binds a swapped-in one later.
+for _info in pkgutil.iter_modules(seaweedspec.__path__):
+    importlib.import_module(f"seaweedspec.{_info.name}")
 
 WALK_C = Path(__file__).resolve().parent.parent / "src" / "seaweedspec" / "_walk.c"
 
@@ -49,8 +57,11 @@ def walk(tmp_path_factory):
 
 @pytest.fixture(params=["pure", "compiled"])
 def each_kernel(request, monkeypatch):
-    """Run the test under each kernel, swapped into every module that binds it."""
+    """Run the test under each kernel, swapped into every module of the
+    package whose `kernel` is the one the package picked at import."""
     chosen = _kernel if request.param == "pure" else request.getfixturevalue("walk")
-    for name in ("sweep", "spectrum", "meander"):
-        monkeypatch.setattr(importlib.import_module(f"seaweedspec.{name}"), "kernel", chosen)
+    picked = _engine.kernel
+    for name, module in list(sys.modules.items()):
+        if name.startswith("seaweedspec.") and getattr(module, "kernel", None) is picked:
+            monkeypatch.setattr(module, "kernel", chosen)
     return request.param

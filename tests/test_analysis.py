@@ -185,10 +185,11 @@ def corrupting(monkeypatch, name, spec, cells, value=99):
 class TestVerifierFailures:
     """A corrupt cell makes each verifier raise, naming the first mismatch.
 
-    The seaweed is 2|4 / 1|2|3 (n = 6). The corrupting tests set two cells,
-    chosen so that the first mismatch in the checked seaweed's row-major
-    order is not the first corrupt cell in the partner's row-major order;
-    the last two give a matrix of the wrong shape.
+    The seaweed is 2|4 / 1|2|3 (n = 6). The swap, reverse and skew tests
+    set two cells, chosen so that the first mismatch in the checked
+    seaweed's row-major order is not the first corrupt cell in the
+    partner's row-major order; the block tests corrupt a corner or its
+    reference; the last two give a matrix of the wrong shape.
     """
 
     G = "2|4 / 1|2|3"
@@ -239,23 +240,54 @@ class TestVerifierFailures:
             verify_block_lemmas(2, 1, 2)
         assert str(err.value) == f"expected admissible cell {first} is outside the mask"
 
-    def test_swap_partner_of_another_shape(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, spec, triple, message",
+        [
+            ("extended_spectrum_matrix", "3|2 / 5", (2, 1, 2),
+             "top-left block failure at k1=2, k2=1, m=2: {-3, -2^3, -1^5, 0^7, 1^5, 2^3, 3} "
+             "vs {-3, -2^3, -1^5, 0^6, 1^5, 2^3, 3, 7}"),
+            ("extended_spectrum_matrix", "1|1 / 2", (2, 1, 1),
+             "bottom-right block failure at k1=2, k2=1, m=1: {-1, 0^2, 1} vs {-1, 0, 1, 7}"),
+            ("spectrum_matrix", "2|1 / 3", (2, 1, 1),
+             "top-right block failure at k1=2, k2=1, m=1: {0, 1^2, 2^2, 3} "
+             "vs {0, 1, 2^2, 3, 8}"),
+        ],
+        ids=["top_left", "bottom_right", "top_right"],
+    )
+    def test_block_lemma_corner_mismatch(self, monkeypatch, name, spec, triple, message):
+        # cell (1,1) of each corner's reference matrix becomes 7
+        corrupting(monkeypatch, name, spec, [(0, 0)], value=7)
+        with pytest.raises(EngineInvariantError) as err:
+            verify_block_lemmas(*triple)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda rows, n: rows + ((0,) * n,), lambda rows, n: rows[:-1]],
+        ids=["row_added", "row_dropped"],
+    )
+    def test_swap_partner_of_another_shape(self, monkeypatch, reshape):
         build = analysis.extended_spectrum_matrix
         monkeypatch.setattr(
             analysis,
             "extended_spectrum_matrix",
-            lambda g: build(g) + ((0,) * g.n,) if str(g) == "1|2|3 / 2|4" else build(g),
+            lambda g: reshape(build(g), g.n) if str(g) == "1|2|3 / 2|4" else build(g),
         )
         with pytest.raises(EngineInvariantError) as err:
             verify_swap_lemma(parse_seaweed(self.G))
         assert str(err.value) == f"swap failure at {self.G}: matrix shapes differ"
 
-    def test_skew_matrix_not_square(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda row: row + (0,), lambda row: row[:-1]],
+        ids=["column_added", "column_dropped"],
+    )
+    def test_skew_matrix_not_square(self, monkeypatch, reshape):
         build = analysis.extended_spectrum_matrix
         monkeypatch.setattr(
             analysis,
             "extended_spectrum_matrix",
-            lambda g: tuple(row + (0,) for row in build(g)),
+            lambda g: tuple(reshape(row) for row in build(g)),
         )
         with pytest.raises(EngineInvariantError) as err:
             verify_skew_symmetry(parse_seaweed(self.G))

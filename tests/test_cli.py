@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import seaweedspec
-from oracles import oracle_matrix
-from seaweedspec import FamilyId, IntegerMultiset, cli, family_spec
+from oracles import graph_components, oracle_matrix
+from seaweedspec import EngineInvariantError, FamilyId, IntegerMultiset, cli, family_spec
+from strategies import LARGE_POINTS, orientations
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,28 @@ class TestIndex:
         assert code == 64
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "g",
+        [pytest.param(family_spec(f, k, r), id=f.value) for f, k, r in LARGE_POINTS]
+        + [pytest.param(seaweedspec.parse_seaweed("5|5|5|5 / 2|8|10"), id="non_frobenius")],
+    )
+    def test_json_under_each_kernel_matches_graph_oracle(self, capsys, each_kernel, g):
+        """index runs the kernel each_kernel swapped in, not the one cli
+        bound at import."""
+        assert (cli.kernel is seaweedspec._kernel) == (each_kernel == "pure")
+        for h in orientations(g):
+            cycles, paths = graph_components(h.top.parts, h.bottom.parts)
+            code, out, err = run_cli(capsys, "index", str(h), "--format", "json")
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {
+                "spec": str(h),
+                "index_sl": 2 * cycles + paths - 1,
+                "index_gl": 2 * cycles + paths,
+                "paths": paths,
+                "cycles": cycles,
+                "frobenius": 2 * cycles + paths == 1,
+            }
 
 
 class TestSpectrum:
@@ -292,6 +315,27 @@ class TestVerifyLemmas:
         code, _, err = run_cli(capsys, "verify-lemmas", "--k1", "2", "--k2", "4", "--m", "1")
         assert code == 64
         assert "coprime" in err
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+    def test_engine_failure_prints_only_the_error(self, capsys, tmp_path, monkeypatch, to_file):
+        """The checks that passed before the failure are not printed, and
+        --out is not written."""
+        verify = cli.verify_block_lemmas
+        calls = []
+
+        def failing_third(k1, k2, m):
+            calls.append((k1, k2, m))
+            if len(calls) == 3:
+                raise EngineInvariantError(f"corrupt at k1={k1}, k2={k2}, m={m}")
+            return verify(k1, k2, m)
+
+        monkeypatch.setattr(cli, "verify_block_lemmas", failing_third)
+        out_file = tmp_path / "F"
+        argv = ["verify-lemmas", "--max-k", "3", "--max-m", "2"]
+        argv += ["--out", str(out_file)] if to_file else []
+        assert run_cli(capsys, *argv) == (1, "", "error: corrupt at k1=1, k2=2, m=1\n")
+        assert len(calls) == 3
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("flag", ["--max-k", "--max-m"])
     @pytest.mark.parametrize("bound", ["0", "-1"])
