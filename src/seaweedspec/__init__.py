@@ -40,8 +40,6 @@ from .families import (
     family_spectrum,
 )
 from .meander import (
-    Meander,
-    build_meander,
     index_gcd_maximal_parabolic,
     index_gcd_three_part,
     index_gl,
@@ -81,14 +79,12 @@ __all__ = [
     "EngineInvariantError",
     "FamilyId",
     "IntegerMultiset",
-    "Meander",
     "OrientedMeander",
     "ParseError",
     "SeaweedSpec",
     "SpectrumReport",
     "SpectrumUndefinedError",
     "SweepJob",
-    "build_meander",
     "compositions_of",
     "default_extension_base",
     "enumerate_frobenius",

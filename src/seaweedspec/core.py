@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
 
@@ -34,17 +33,6 @@ class Composition:
     @property
     def n(self) -> int:
         return sum(self.parts)
-
-    def prefix_sums(self) -> tuple[int, ...]:
-        """Running totals, one per part: (a1, a1+a2, ...)."""
-        return tuple(accumulate(self.parts))
-
-    def block_of(self) -> tuple[int, ...]:
-        """1-based block index for each of the n positions, in order."""
-        out = []
-        for idx, p in enumerate(self.parts, start=1):
-            out.extend([idx] * p)
-        return tuple(out)
 
     def reversed(self) -> "Composition":
         return Composition(self.parts[::-1])

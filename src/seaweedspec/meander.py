@@ -1,47 +1,21 @@
-"""Meander graphs of seaweeds and the component-count index formulas.
+"""The meander census and the index formulas that read off it.
 
 The meander of a seaweed puts its n vertices on a line and nests arcs inside
-every top block above the line and every bottom block below it, innermost
-pairs last. Each vertex meets at most one top arc and at most one bottom
-arc, so every connected component is a simple path or an even cycle, and
-the index of the seaweed reads off the component census.
+every top block above the line and every bottom block below it. Each vertex
+meets at most one top arc and at most one bottom arc, so every connected
+component is a simple path or an even cycle, and the index of the seaweed
+reads off the census of cycles and paths that the kernel's walk returns.
+The kernels keep their own partner arrays for that walk; in Python the arcs
+are built once, by `spectrum.orient`. This module holds only the
+census-based index functions and the gcd closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from ._engine import kernel
-from .core import Composition, SeaweedSpec
-
-
-def _block_edges(parts: Composition) -> tuple[tuple[int, int], ...]:
-    edges = []
-    s = 1
-    for p in parts:
-        e = s + p - 1
-        i, j = s, e
-        while i < j:
-            edges.append((i, j))
-            i += 1
-            j -= 1
-        s = e + 1
-    return tuple(edges)
-
-
-@dataclass(frozen=True)
-class Meander:
-    """n vertices plus the top and bottom arc sets, each arc as (low, high)."""
-
-    n: int
-    top_edges: tuple[tuple[int, int], ...]
-    bottom_edges: tuple[tuple[int, int], ...]
-
-
-def build_meander(g: SeaweedSpec) -> Meander:
-    """Arcs of g's meander, in block order with outermost arcs first."""
-    return Meander(g.n, _block_edges(g.top), _block_edges(g.bottom))
+from .core import SeaweedSpec
 
 
 def index_gl(g: SeaweedSpec) -> int:

@@ -1,16 +1,16 @@
 """Hand-emitted SVG pictures of oriented meanders.
 
-Vertices sit on a horizontal line, top arcs bow upward and carry their
-right-to-left orientation, bottom arcs bow downward left-to-right; each
-arc ends in an arrowhead. Arc height grows with endpoint distance so
-nested arcs nest visually. Output is a deterministic function of the
-seaweed.
+Vertices sit on a horizontal line and every arc of `orient` is drawn in
+its own direction, ending in an arrowhead: an arc that runs right to left
+(a top arc) bows upward, one that runs left to right (a bottom arc) bows
+downward. Arc height grows with endpoint distance so nested arcs nest
+visually. Output is a deterministic function of the seaweed.
 """
 
 from __future__ import annotations
 
 from .core import SeaweedSpec
-from .meander import build_meander
+from .spectrum import orient
 
 _STROKE = "#1c1c1c"
 _SPACING = 48
@@ -22,12 +22,12 @@ def _arc_height(dx: float) -> float:
 
 
 def render_svg(g: SeaweedSpec) -> str:
-    m = build_meander(g)
+    edges = orient(g).edges
     n = g.n
     xs = {v: _MARGIN + _SPACING * (v - 1) for v in range(1, n + 1)}
 
-    top_h = max((_arc_height(_SPACING * (q - p)) for p, q in m.top_edges), default=0.0)
-    bot_h = max((_arc_height(_SPACING * (q - p)) for p, q in m.bottom_edges), default=0.0)
+    top_h = max((_arc_height(_SPACING * (u - v)) for u, v in edges if u > v), default=0.0)
+    bot_h = max((_arc_height(_SPACING * (v - u)) for u, v in edges if u < v), default=0.0)
     pad = 24.0
     ymid = pad + top_h
     width = 2 * _MARGIN + _SPACING * (n - 1)
@@ -52,11 +52,8 @@ def render_svg(g: SeaweedSpec) -> str:
             f'stroke-width="1.6" marker-end="url(#arrow)"/>'
         )
 
-    # Top arcs point right to left, bottom arcs left to right.
-    for p, q in m.top_edges:
-        parts.append(arc(xs[q], xs[p], above=True))
-    for p, q in m.bottom_edges:
-        parts.append(arc(xs[p], xs[q], above=False))
+    for u, v in edges:
+        parts.append(arc(xs[u], xs[v], above=u > v))
 
     for v in range(1, n + 1):
         parts.append(f'<circle cx="{xs[v]:.1f}" cy="{ymid:.1f}" r="3.2" fill="{_STROKE}"/>')

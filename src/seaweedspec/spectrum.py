@@ -1,8 +1,10 @@
 """Spectra of Frobenius seaweeds via meander vertex potentials.
 
-Orient every top arc right-to-left and every bottom arc left-to-right; a
-Frobenius seaweed's meander is a single path, and following it assigns each
-vertex an integer potential that drops by one along every oriented arc.
+`orient` builds the meander's arcs, the one place in Python that does: each
+block nests its arcs outermost first, every top arc runs right-to-left and
+every bottom arc left-to-right. A Frobenius seaweed's meander is a single
+path, and following it assigns each vertex an integer potential that drops
+by one along every oriented arc.
 The eigenvalue attached to an admissible position (i,j) is then just
 phi(i) - phi(j), the mask of admissible positions being the pairs whose
 top blocks ascend and bottom blocks descend.
@@ -37,7 +39,7 @@ from operator import itemgetter
 from . import _kernel
 from ._engine import kernel
 from .core import IntegerMultiset, SeaweedSpec
-from .meander import build_meander, is_frobenius
+from .meander import is_frobenius
 
 NOT_SINGLE_PATH = "spectrum undefined: meander is not a single path"
 
@@ -59,10 +61,20 @@ class OrientedMeander:
 
 
 def orient(g: SeaweedSpec) -> OrientedMeander:
-    m = build_meander(g)
-    directed = [(q, p) for p, q in m.top_edges]
-    directed += [(p, q) for p, q in m.bottom_edges]
-    return OrientedMeander(m.n, tuple(directed))
+    """The meander's arcs, read off the parts and directed.
+
+    A block [s..e] nests the arcs {s, e}, {s+1, e-1}, ... outermost first,
+    so an odd block leaves its middle unmatched and a singleton adds no arc.
+    Top blocks come first, each top arc stored high end to low end, then
+    bottom blocks, each bottom arc low end to high end.
+    """
+    edges = []
+    for parts, top in ((g.top.parts, True), (g.bottom.parts, False)):
+        for s, p in zip(accumulate(parts, initial=1), parts):
+            lows = range(s, s + p // 2)
+            highs = reversed(range(s + (p + 1) // 2, s + p))
+            edges += zip(highs, lows) if top else zip(lows, highs)
+    return OrientedMeander(g.n, tuple(edges))
 
 
 def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:

@@ -274,6 +274,31 @@ class TestVerifyFamily:
             cli.main(["verify-family", "k9"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+    def test_engine_failure_prints_only_the_error(self, capsys, tmp_path, monkeypatch, to_file):
+        """A closed form that disagrees with the engine is a failed identity:
+        exit 1, one error line naming the point and both multisets, and
+        neither the points that passed nor the --out file."""
+        closed_form = cli.family_spectrum
+
+        def wrong_at_k5(fam, k, r):
+            return IntegerMultiset({0: 1}) if k == 5 else closed_form(fam, k, r)
+
+        monkeypatch.setattr(cli, "family_spectrum", wrong_at_k5)
+        out_file = tmp_path / "F"
+        argv = ["verify-family", "k2", "--k", "3..9:odd"]
+        argv += ["--out", str(out_file)] if to_file else []
+        engine = seaweedspec.spectrum(family_spec(FamilyId.K2, 5)).to_text()
+        err = f"error: family k2 failure at k=5, r=None: closed-form spectrum {{0}} vs engine {engine}\n"
+        assert run_cli(capsys, *argv) == (1, "", err)
+        assert not out_file.exists()
+
+    def test_extended_closed_form_failure_is_named(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "family_extended_spectrum", lambda fam, k, r: IntegerMultiset())
+        engine = seaweedspec.extended_spectrum(family_spec(FamilyId.K1, 2)).to_text()
+        err = f"error: family k1 failure at k=2, r=None: closed-form extended spectrum {{}} vs engine {engine}\n"
+        assert run_cli(capsys, "verify-family", "k1", "--k", "2") == (1, "", err)
+
 
 class TestVerifyLemmas:
     def test_single_spec(self, capsys):

@@ -85,12 +85,6 @@ class TestCompositionType:
         with pytest.raises(ValueError):
             Composition((2, 0))
 
-    def test_prefix_sums(self):
-        assert Composition((2, 4)).prefix_sums() == (2, 6)
-
-    def test_block_of(self):
-        assert Composition((1, 2, 3)).block_of() == (1, 2, 2, 3, 3, 3)
-
     def test_reversed(self):
         assert Composition((1, 2, 3)).reversed().parts == (3, 2, 1)
 
@@ -231,3 +225,17 @@ class TestIntegerMultiset:
         x, y = IntegerMultiset(a), IntegerMultiset(b)
         assert x + y == y + x
         assert (x + y).size == x.size + y.size
+
+
+def test_public_surface_is_consistent():
+    """__all__ names each public name once, every one resolves on the
+    package, and a star import binds exactly those names."""
+    import seaweedspec
+
+    names = seaweedspec.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(seaweedspec, n)] == []
+    namespace = {}
+    exec("from seaweedspec import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names)

@@ -4,7 +4,6 @@ from hypothesis import given
 import goldens
 from oracles import graph_components
 from seaweedspec import (
-    build_meander,
     compositions_of,
     index_gcd_maximal_parabolic,
     index_gcd_three_part,
@@ -15,36 +14,6 @@ from seaweedspec import (
 )
 from seaweedspec._engine import kernel
 from strategies import seaweeds
-
-
-def test_build_meander_golden():
-    m = build_meander(parse_seaweed("2|4 / 1|2|3"))
-    assert m.n == 6
-    assert m.top_edges == ((1, 2), (3, 6), (4, 5))
-    assert m.bottom_edges == ((2, 3), (4, 6))
-
-
-def test_build_meander_odd_block_leaves_middle_unmatched():
-    m = build_meander(parse_seaweed("5|2 / 7"))
-    assert m.top_edges == ((1, 5), (2, 4), (6, 7))
-    assert m.bottom_edges == ((1, 7), (2, 6), (3, 5))
-    # vertex 3 has no top arc: it is the middle of the odd block [1..5]
-    assert all(3 not in arc for arc in m.top_edges)
-
-
-def test_singleton_blocks_have_no_arcs():
-    m = build_meander(parse_seaweed("1|1|1 / 1|1|1"))
-    assert m.top_edges == ()
-    assert m.bottom_edges == ()
-
-
-@given(seaweeds(max_n=14))
-def test_each_vertex_meets_at_most_one_arc_per_side(g):
-    m = build_meander(g)
-    for edges in (m.top_edges, m.bottom_edges):
-        touched = [v for e in edges for v in e]
-        assert len(touched) == len(set(touched))
-        assert all(p < q for p, q in edges)
 
 
 def census(g):

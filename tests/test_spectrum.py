@@ -1,13 +1,15 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 import goldens
-from oracles import flag_mask, oracle_matrix, oracle_potentials, oracle_spectrum
+from oracles import _side_edges, flag_mask, oracle_matrix, oracle_potentials, oracle_spectrum
 from seaweedspec import (
     FamilyId,
     IntegerMultiset,
+    OrientedMeander,
     _kernel,
     compositions_of,
     enumerate_frobenius,
@@ -20,6 +22,7 @@ from seaweedspec import (
     orient,
     parse_seaweed,
     principal_element,
+    render_svg,
     shape_mask,
     spectrum,
     spectrum_matrix,
@@ -30,13 +33,15 @@ from seaweedspec.spectrum import NOT_SINGLE_PATH, SpectrumUndefinedError
 from strategies import LARGE_POINTS, orientations, seaweeds
 
 
-def frobenius_cases(max_n):
+def all_pairs(max_n):
     for n in range(1, max_n + 1):
         for top in compositions_of(n):
             for bottom in compositions_of(n):
-                g = parse_seaweed(f"{top} / {bottom}")
-                if is_frobenius(g):
-                    yield g
+                yield parse_seaweed(f"{top} / {bottom}")
+
+
+def frobenius_cases(max_n):
+    return (g for g in all_pairs(max_n) if is_frobenius(g))
 
 
 class TestOrient:
@@ -48,6 +53,47 @@ class TestOrient:
     def test_top_arcs_point_left_bottom_arcs_point_right(self):
         om = orient(parse_seaweed("5|2 / 7"))
         assert om.edges == ((5, 1), (4, 2), (7, 6), (1, 7), (2, 6), (3, 5))
+
+    def test_exhaustive_against_side_edges_oracle(self):
+        """Top arcs reversed, then bottom arcs as they are, block by block
+        with outermost arcs first."""
+        for g in all_pairs(7):
+            top = [(q, p) for p, q in _side_edges(g.top.parts)]
+            assert orient(g) == OrientedMeander(g.n, tuple(top + _side_edges(g.bottom.parts)))
+
+    @given(seaweeds(max_n=14))
+    def test_arc_structure(self, g):
+        edges = orient(g).edges
+        top = [e for e in edges if e[0] > e[1]]
+        bottom = [e for e in edges if e[0] < e[1]]
+        # top arcs descend, bottom arcs ascend, and all top arcs come first
+        assert edges == tuple(top + bottom)
+        # each vertex meets at most one arc per side
+        for side in (top, bottom):
+            touched = [v for e in side for v in e]
+            assert len(touched) == len(set(touched))
+        # a block of p vertices adds p // 2 arcs, none for a singleton, and
+        # an odd block leaves its middle vertex unmatched on that side
+        for parts, side in ((g.top.parts, top), (g.bottom.parts, bottom)):
+            assert len(side) == sum(p // 2 for p in parts)
+            touched = {v for e in side for v in e}
+            start = 1
+            for p in parts:
+                if p % 2:
+                    assert start + p // 2 not in touched
+                start += p
+
+
+class TestRenderSvg:
+    def test_every_drawing_through_n7_is_pinned(self):
+        """sha256 of the concatenated SVGs of all 5,461 pairs through n = 7,
+        in compositions_of order."""
+        digest = hashlib.sha256()
+        for g in all_pairs(7):
+            digest.update(render_svg(g).encode())
+        assert digest.hexdigest() == (
+            "da6d85e15e4bd412b0931c6221f1751357906742b591706b48903b7131d6f8f4"
+        )
 
 
 class TestVertexPotentials:
