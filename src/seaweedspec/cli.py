@@ -32,11 +32,8 @@ from .analysis import (
 )
 from .core import ParseError, parse_seaweed
 from .families import (
-    EXTENDED_CLOSED_FORM,
+    FAMILIES,
     FamilyId,
-    K_AND_R,
-    K_ONLY,
-    R_ONLY,
     family_extended_spectrum,
     family_spec,
     family_spectrum,
@@ -62,7 +59,8 @@ EXIT_NOT_FROBENIUS = 3
 EXIT_USAGE = 64
 EXIT_PIPE = 141
 
-_RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?(:odd)?$")
+_RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?(:odd)?$", re.ASCII)
+_INT = re.compile(r"-?\d+", re.ASCII)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,8 +95,18 @@ def _parse_range(text: str, flag: str) -> list[int]:
         raise ParseError(f"bad {flag} range {text!r}: {hi} < {lo}")
     values = range(lo, hi + 1)
     if m.group(3):
-        return [v for v in values if v % 2 == 1]
+        values = [v for v in values if v % 2 == 1]
+    if not values:
+        # An empty grid checks nothing, so it must not report success.
+        raise ParseError(f"bad {flag} range {text!r}: it holds no values")
     return list(values)
+
+
+def _int(text: str) -> int:
+    """An integer flag's value: an optional minus sign and ASCII digits."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}: expected ASCII digits")
+    return int(text)
 
 
 def _json(obj) -> str:
@@ -182,14 +190,17 @@ def cmd_render(args) -> int:
 
 def cmd_verify_family(args) -> int:
     fam = FamilyId(args.family)
-    needs_k = fam in K_ONLY or fam in K_AND_R
-    needs_r = fam in R_ONLY or fam in K_AND_R
-    if needs_k and not args.k:
-        raise ParseError(f"family {fam.value} needs --k")
-    if needs_r and not args.r:
-        raise ParseError(f"family {fam.value} needs --r")
-    k_values = _parse_range(args.k, "--k") if needs_k else [None]
-    r_values = _parse_range(args.r, "--r") if needs_r else [None]
+    row = FAMILIES[fam]
+    ranges = {"k": args.k, "r": args.r}
+    for name, text in ranges.items():
+        if name in row.params and not text:
+            raise ParseError(f"family {fam.value} needs --{name}")
+        if name not in row.params and text is not None:
+            raise ParseError(f"family {fam.value} takes no --{name}")
+    k_values, r_values = (
+        _parse_range(text, f"--{name}") if name in row.params else [None]
+        for name, text in ranges.items()
+    )
 
     # A closed form that disagrees with the engine is a failed proven
     # identity, so the first mismatch ends the command; only passing points
@@ -198,7 +209,7 @@ def cmd_verify_family(args) -> int:
     for k, r in points:
         closed = [("spectrum", family_spectrum(fam, k, r), spectrum)]
         g = family_spec(fam, k, r)
-        if fam in EXTENDED_CLOSED_FORM:
+        if row.extended:
             closed.append(
                 ("extended spectrum", family_extended_spectrum(fam, k, r), extended_spectrum)
             )
@@ -331,21 +342,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-lemmas",
                        help="swap/reverse/skew identities and corner-block identities")
     p.add_argument("--spec", dest="seaweed", help="seaweed for the symmetry checks")
-    p.add_argument("--k1", type=int)
-    p.add_argument("--k2", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--max-k", type=int, default=8,
+    p.add_argument("--k1", type=_int)
+    p.add_argument("--k2", type=_int)
+    p.add_argument("--m", type=_int)
+    p.add_argument("--max-k", type=_int, default=8,
                    help="grid bound for k1 and k2 when no triple is given")
-    p.add_argument("--max-m", type=int, default=4)
+    p.add_argument("--max-m", type=_int, default=4)
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("sweep", help="exhaustive or targeted conjecture sweeps")
     p.add_argument("--conjecture", choices=CONJECTURES, default="unimodal_2_8")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--r-max", type=int, default=6)
+    p.add_argument("--n-min", type=_int, default=1)
+    p.add_argument("--n-max", type=_int, default=10)
+    p.add_argument("--k-max", type=_int, default=8)
+    p.add_argument("--r-max", type=_int, default=6)
     p.add_argument("--base", help="base seaweed for stability_4_16")
     p.add_argument("--out", dest="records", help="append NDJSON records here")
     p.add_argument("--resume", action="store_true",

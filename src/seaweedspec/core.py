@@ -81,12 +81,12 @@ def parse_composition(text: str) -> Composition:
     """Parse "3|1|2" into a Composition.
 
     Whitespace around parts is tolerated; every token must be a positive
-    decimal integer.
+    integer in ASCII decimal digits.
     """
     tokens = [t.strip() for t in text.strip().split("|")]
     parts = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"bad composition part {tok!r}: expected a positive integer")
         value = int(tok)
         if value < 1:

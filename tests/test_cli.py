@@ -269,6 +269,22 @@ class TestVerifyFamily:
         assert code == 64
         assert "5..2" in err
 
+    def test_range_with_no_values_is_usage_error(self, capsys, tmp_path):
+        """An empty grid would check nothing and still report success."""
+        out_file = tmp_path / "F"
+        argv = ["verify-family", "k2", "--k", "4..4:odd", "--out", str(out_file)]
+        err = "error: bad --k range '4..4:odd': it holds no values\n"
+        assert run_cli(capsys, *argv) == (64, "", err)
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["2s-r1", "--k", "3", "--r", "1"], "--k"),
+        (["k1", "--k", "2", "--r", "1..3"], "--r"),
+    ], ids=["2s-r1", "k1"])
+    def test_flag_the_family_does_not_take_is_usage_error(self, capsys, argv, flag):
+        err = f"error: family {argv[0]} takes no {flag}\n"
+        assert run_cli(capsys, "verify-family", *argv) == (64, "", err)
+
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify-family", "k9"])
@@ -604,6 +620,29 @@ class TestParser:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == "seaweedspec 0.1.0\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["index", "\u0661|\u0661 / 2"], "bad composition part '\u0661': expected a positive integer"),
+        (["index", "\u00b2|1 / 3"], "bad composition part '\u00b2': expected a positive integer"),
+        (["verify-family", "k1", "--k", "\u0661..\u0663"],
+         "bad --k range '\u0661..\u0663': expected A, A..B, or A..B:odd"),
+    ], ids=["arabic-indic", "superscript", "range"])
+    def test_non_ascii_digits_are_usage_errors(self, capsys, argv, err):
+        """Seaweeds and ranges take ASCII digits only, though int() reads
+        any Unicode decimal digit."""
+        assert run_cli(capsys, *argv) == (64, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-lemmas", "--max-k", "\u0663"],
+        ["verify-lemmas", "--k2", "1", "--m", "1", "--k1", "\u0662"],
+        ["sweep", "--n-max", "\u0663"],
+    ], ids=["max-k", "k1", "n-max"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (64, "")
+        assert captured.err.endswith(f"invalid integer '{argv[-1]}': expected ASCII digits\n")
 
 
 def console_command():

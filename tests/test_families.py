@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import goldens
@@ -16,7 +18,7 @@ from seaweedspec import (
     spectrum,
 )
 from seaweedspec.core import Composition, SeaweedSpec
-from seaweedspec.families import FOURS_VARIANTS, TWOS_VARIANTS
+from seaweedspec.families import FAMILIES, FOURS_VARIANTS, TWOS_VARIANTS
 
 
 class TestFamilySpec:
@@ -126,6 +128,51 @@ class TestFamilyExtendedSpectrum:
                 continue
             with pytest.raises(ValueError, match="only available for"):
                 family_extended_spectrum(f, k=3, r=2)
+
+
+def _outcome(fn, f, k, r):
+    try:
+        fn(f, k, r)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+class TestFamilyTable:
+    def test_closed_forms_are_pinned(self):
+        """Every family over its own parameters, k < 80 and r < 30: the
+        seaweed and closed-form spectrum of each point, beyond the grids
+        that are compared with the engine."""
+        lines = []
+        for f in FamilyId:
+            params = FAMILIES[f].params
+            for k in range(1, 80) if "k" in params else [None]:
+                for r in range(1, 30) if "r" in params else [None]:
+                    try:
+                        g, s = family_spec(f, k, r), family_spectrum(f, k, r)
+                    except ValueError:
+                        continue
+                    lines.append(f"{f.value} {k} {r} {g} {s.to_text()}")
+        assert len(lines) == 7326
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "2e69c2d23e7d760bf67863280194c122732c77a69d6508e58bf3ee2e6848fe62"
+        )
+
+    def test_functions_share_one_domain(self):
+        """family_spec, family_spectrum and, where a row has one, the
+        extended closed form accept the same points and refuse the rest with
+        the same message."""
+        messages = set()
+        for f in FamilyId:
+            fns = [family_spec, family_spectrum]
+            fns += [family_extended_spectrum] if FAMILIES[f].extended else []
+            for k in (None, -1, 0, 1, 2, 3, 4):
+                for r in (None, 0, 1, 2):
+                    outcomes = {_outcome(fn, f, k, r) for fn in fns}
+                    assert len(outcomes) == 1, (f.value, k, r, outcomes)
+                    messages |= outcomes
+        assert {"accepted", "family k2: k must be an odd number >= 3, got 1",
+                "family 2s-r1 needs r", "family k-4r: k must be odd, got 2"} <= messages
 
 
 def _frobenius_with_final_top_block(max_n, final):
