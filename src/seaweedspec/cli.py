@@ -386,9 +386,6 @@ def main(argv=None) -> int:
         # fault, not the engine.
         _err(exc)
         return EXIT_USAGE
-    except ParseError as exc:
-        _err(exc)
-        return EXIT_USAGE
     except EngineInvariantError as exc:
         _err(exc)
         return EXIT_ENGINE

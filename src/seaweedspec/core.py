@@ -134,7 +134,24 @@ def compositions_of(n: int) -> Iterator[Composition]:
         yield Composition(tuple(parts))
 
 
-_TEXT_ENTRY = re.compile(r"^(-?\d+)(?:\^(\d+))?$")
+# The integers that to_text and to_json_obj write: ASCII digits only.
+_INTEGER = re.compile(r"-?[0-9]+")
+_TEXT_ENTRY = re.compile(r"(-?[0-9]+)(?:\^([0-9]+))?")
+
+
+def _summed(items: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The value -> count dict of (value, count) items, ascending, with equal
+    values summed and zero counts dropped; every value and count is checked
+    before it is summed."""
+    acc: dict[int, int] = {}
+    for value, count in items:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"multiset values must be integers, got {value!r}")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"multiplicity of {value} must be a nonnegative integer, got {count!r}")
+        if count:
+            acc[value] = acc.get(value, 0) + count
+    return dict(sorted(acc.items()))
 
 
 class IntegerMultiset:
@@ -147,7 +164,6 @@ class IntegerMultiset:
     __slots__ = ("_counts",)
 
     def __init__(self, source: Mapping[int, int] | Iterable[int] = ()):
-        acc: dict[int, int] = {}
         items: Iterable[tuple[int, int]]
         if isinstance(source, IntegerMultiset):
             items = source.items()
@@ -155,14 +171,7 @@ class IntegerMultiset:
             items = source.items()
         else:
             items = ((v, 1) for v in source)
-        for value, count in items:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"multiset values must be integers, got {value!r}")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise ValueError(f"multiplicity of {value} must be a nonnegative integer, got {count!r}")
-            if count:
-                acc[value] = acc.get(value, 0) + count
-        self._counts = dict(sorted(acc.items()))
+        self._counts = _summed(items)
 
     @classmethod
     def _from_histogram(cls, counts: dict[int, int]) -> "IntegerMultiset":
@@ -276,7 +285,7 @@ class IntegerMultiset:
         counts: dict[int, int] = {}
         for token in body.split(","):
             token = token.strip()
-            m = _TEXT_ENTRY.match(token)
+            m = _TEXT_ENTRY.fullmatch(token)
             if not m:
                 raise ParseError(f"bad multiset entry {token!r}")
             value = int(m.group(1))
@@ -292,14 +301,16 @@ class IntegerMultiset:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, int]) -> "IntegerMultiset":
-        counts: dict[int, int] = {}
-        for key, count in obj.items():
-            try:
-                value = int(key, 10)
-            except (TypeError, ValueError):
-                raise ParseError(f"bad multiset key {key!r}: expected a decimal integer") from None
-            counts[value] = counts.get(value, 0) + count
-        return cls(counts)
+        """Parse the to_json_obj format back into a multiset."""
+
+        def value(key) -> int:
+            if not (isinstance(key, str) and _INTEGER.fullmatch(key)):
+                raise ParseError(f"bad multiset key {key!r}: expected a decimal integer")
+            return int(key)
+
+        multiset = cls.__new__(cls)
+        multiset._counts = _summed((value(key), count) for key, count in obj.items())
+        return multiset
 
 
 def multiset_equal(a: IntegerMultiset, b: IntegerMultiset) -> bool:

@@ -14,6 +14,13 @@ Frobenius records. A record carries no timing, so a record file is a
 function of the job alone: every run writes the same bytes, and reruns
 with --resume skip finished keys.
 
+Both sweeps resume through one loader, _load_completed. It reads the file
+once and marks each finished key as one byte at its slot in a flat
+bytearray: a pair's place in pair order (see _pair_slots), or a grid
+point's index in its grid. It keeps only the records the sweep acts on,
+and the sweep checks those before it opens its output, so a resumed record
+that breaks a proven claim stops the run before anything is appended.
+
 The index of a pair comes from an orbit census (see _row_indices). The
 pairs a | b, b | a, rev a | rev b and rev b | rev a have mirror-image
 meanders, so one walk gives the index of all four, and a run walks about a
@@ -199,8 +206,9 @@ def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: in
 _SPEC_SEP = '", "spec": "'
 _INDEX_SEP = '", "index": '
 _PLAIN_TAIL = (
-    ', "frobenius": false, "unbroken": null, "centered_half": null, "unimodal": null,'
-    ' "log_concave": null, "symmetric_about_half": null, "spectrum": null}\n'
+    ', "frobenius": false'
+    + "".join(f', "{name}": null' for name in SHAPE_FIELDS)
+    + ', "spectrum": null}\n'
 )
 
 
@@ -241,26 +249,33 @@ _STABILITY_READS = frozenset(("spec", "passed"))
 _BLOCK = 1 << 16
 
 
-def _read_back(
+def _load_completed(
     job: SweepJob,
-    fixed: Callable[[bytes, bytes], None] | None,
-    record: Callable[[dict], None],
-) -> None:
-    """Feed the records already in job.out back, a block of lines at a time.
+    done: bytearray,
+    slot: Callable[[bytes, bytes], int | None],
+    acts: Callable[[dict], bool],
+) -> dict[int, dict]:
+    """Mark the keys already in job.out in done, and return the records
+    whose consume acts on them, keyed by slot; the last line of a key
+    decides whether its record is kept.
 
-    Each fixed-shape line of job's conjecture (see _line_pattern) goes to
-    fixed(top, bottom) without being decoded. Every other nonblank line is
-    parsed with json.loads, and the records of job's conjecture go to
-    record(rec); such a record whose key is unhashable, or that lacks a
-    field its sweep reads back, is corrupt. Every record the sweep writes
-    ends in a newline, so a last line without one is the torn tail of a
-    killed run: once the rest has been read, the file is truncated back to
-    the last newline and that record is computed again. A corrupt line
-    before it is fatal and leaves the file as it was.
+    slot(top, bottom) is the place in done of the key "top / bottom" (ASCII
+    bytes), or None for a key the job does not walk, which is ignored. A
+    fixed-shape line of job's conjecture (see _line_pattern) gives top and
+    bottom without being decoded, and its record is never kept. Every other
+    nonblank line is parsed with json.loads, so a key spelled another way
+    that decodes to the same text still counts. A record of job's
+    conjecture whose key is unhashable, or that lacks a field its sweep
+    reads back, is corrupt; records of other conjectures are ignored.
+    Every record the sweep writes ends in a newline, so a last line without
+    one is the torn tail of a killed run: once the rest has been read, the
+    file is truncated back to the last newline and that record is computed
+    again. A corrupt line before it is fatal and leaves the file as it was.
     """
     path = job.out
     findall = _line_pattern(job.conjecture).findall
     reads = _PAIR_READS if job.conjecture in _PAIR_CONJECTURES else _STABILITY_READS
+    kept: dict[int, dict] = {}
     lineno = 0
     rest = b""
     with open(path, "rb") as fh:
@@ -270,102 +285,57 @@ def _read_back(
             cut = block.rfind(b"\n") + 1
             rest = block[cut:]
             for lineno, (top, bottom, line) in enumerate(findall(block, 0, cut), lineno + 1):
-                if not line:
-                    fixed(top, bottom)
-                elif line.strip():
+                if line:
+                    if not line.strip():
+                        continue
                     rec = _parse_record(line, path, lineno)
-                    if rec.get("conjecture") == job.conjecture:
-                        if not (rec.keys() >= reads and isinstance(rec["key"], Hashable)):
-                            raise ParseError(f"corrupt sweep record at {path}:{lineno}")
-                        record(rec)
+                    if rec.get("conjecture") != job.conjecture:
+                        continue
+                    if not (rec.keys() >= reads and isinstance(rec["key"], Hashable)):
+                        raise ParseError(f"corrupt sweep record at {path}:{lineno}")
+                    key = rec["key"]
+                    if not (isinstance(key, str) and key.isascii()):
+                        continue
+                    top, _, bottom = key.encode().partition(b" / ")
+                k = slot(top, bottom)
+                if k is not None:
+                    done[k] = 1
+                    if line and acts(rec):
+                        kept[k] = rec
+                    else:
+                        kept.pop(k, None)
         end = fh.tell() - len(rest)
     if rest:
         os.truncate(path, end)
+    return kept
 
 
-def _load_completed(job: SweepJob) -> tuple[dict[int, bytearray], dict[tuple[int, int], dict]]:
-    """The pairs of a unimodality sweep already in job.out, and the records
-    its consume acts on, read back at about the speed of reading the file.
-
-    A pair is (n, i * m + j), for the i-th top and j-th bottom of the m
-    compositions of n in _compositions(n) order. The pairs done are one
-    bytearray of m * m flags per n in range, one byte per pair; the kept
-    records are keyed by pair. A fixed-shape line (see _line_pattern) is
-    recognised without json.loads: its record is never kept, and if its key
-    is no pair in range it is ignored, as its decoded key would be. Every
-    other line is decoded, so a key spelled another way that decodes to the
-    same text still counts. As in the file, the last line of a key decides
-    whether its record is kept. Keys of other conjectures, of n outside
-    [n_min, n_max] or not in canonical spelling are ignored.
-    """
-    done: dict[int, bytearray] = {}
-    kept: dict[tuple[int, int], dict] = {}
-    if not (job.resume and job.out and os.path.exists(job.out)):
-        return done, kept
-    where: dict[bytes, tuple[int, int, int]] = {}  # text -> (n, m, rank)
+def _pair_slots(job: SweepJob) -> tuple[dict[int, int], Callable[[bytes, bytes], int | None]]:
+    """The slots of a unimodality sweep's pairs, in pair order: the pair of
+    the i-th top and j-th bottom of the m compositions of n, in
+    _compositions(n) order, sits at start[n] + i * m + j. start[n_max + 1]
+    is the number of pairs. A key of two n, of n outside [n_min, n_max] or
+    not in canonical spelling has no slot."""
+    start: dict[int, int] = {}
+    where: dict[bytes, tuple[int, int, int]] = {}  # text -> (n, slot of its row, rank)
+    size = 0
     for n in range(job.n_min, job.n_max + 1):
         comps = _compositions(n)
         m = len(comps)
-        done[n] = bytearray(m * m)
+        start[n] = size
         for rank, (_, text) in enumerate(comps):
-            where[text.encode()] = (n, m, rank)
+            where[text.encode()] = (n, size + rank * m, rank)
+        size += m * m
+    start[job.n_max + 1] = size
 
-    def pair(top: bytes, bottom: bytes) -> tuple[int, int] | None:
+    def slot(top: bytes, bottom: bytes) -> int | None:
         t = where.get(top)
         b = where.get(bottom)
         if t is None or b is None or t[0] != b[0]:
             return None
-        return t[0], t[2] * t[1] + b[2]
+        return t[1] + b[2]
 
-    def fixed(top: bytes, bottom: bytes) -> None:
-        # pair(), inlined: this runs once per line of the file.
-        t = where.get(top)
-        b = where.get(bottom)
-        if t is not None and b is not None and t[0] == b[0]:
-            flags = done[t[0]]
-            k = t[2] * t[1] + b[2]
-            if flags[k]:
-                kept.pop((t[0], k), None)
-            else:
-                flags[k] = 1
-
-    def record(rec: dict) -> None:
-        text = rec["key"]
-        if not (isinstance(text, str) and text.isascii()):
-            return
-        top, _, bottom = text.encode().partition(b" / ")
-        key = pair(top, bottom)
-        if key is not None:
-            done[key[0]][key[1]] = 1
-            if _pair_record_acts(rec):
-                kept[key] = rec
-            else:
-                kept.pop(key, None)
-
-    _read_back(job, fixed, record)
-    return done, kept
-
-
-def _load_completed_keys(
-    job: SweepJob, acts: Callable[[dict], bool]
-) -> tuple[set[str], dict[str, dict]]:
-    """Keys of a stability sweep's records already in job.out, and the
-    records `acts` keeps; the last line of a key decides."""
-    completed: set[str] = set()
-    kept: dict[str, dict] = {}
-    if not (job.resume and job.out and os.path.exists(job.out)):
-        return completed, kept
-
-    def record(rec: dict) -> None:
-        key = rec["key"]
-        completed.add(key)
-        if acts(rec):
-            kept[key] = rec
-        else:
-            kept.pop(key, None)
-
-    _read_back(job, None, record)
-    return completed, kept
+    return start, slot
 
 
 def _row_records(
@@ -414,7 +384,6 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
     summary, not in an exception.
     """
     pairs = 0
-    skipped = 0
     frobenius_count = 0
     counterexamples = []
     collect = job.conjecture == "unimodal_2_8"
@@ -428,24 +397,23 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         if collect and rec["unimodal"] is False:
             counterexamples.append({"spec": rec["spec"], "spectrum": rec["spectrum"]})
 
-    done, kept = _load_completed(job)
-    kept_in: dict[int, list[dict]] = {}
-    for key in sorted(kept):
-        kept_in.setdefault(key[0], []).append(kept[key])
+    done = None
+    if job.resume and os.path.exists(job.out):
+        start, slot = _pair_slots(job)
+        done = bytearray(start[job.n_max + 1])
+        kept = _load_completed(job, done, slot, _pair_record_acts)
+        for k in sorted(kept):
+            consume(kept[k])
     census: Census = {}  # one per run
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for n in range(job.n_min, job.n_max + 1):
             m = len(_compositions(n))
             pairs += m * m
-            for rec in kept_in.get(n, ()):
-                consume(rec)
-            flags = done.get(n)
             for i in range(m):
                 js = None
-                if flags is not None:
-                    row = flags[i * m:(i + 1) * m]
+                if done is not None:
+                    row = done[start[n] + i * m:start[n] + (i + 1) * m]
                     resumed = row.count(1)
-                    skipped += resumed
                     if resumed == m:
                         continue
                     if resumed:
@@ -464,7 +432,7 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         "n_min": job.n_min,
         "n_max": job.n_max,
         "pairs": pairs,
-        "resumed": skipped,
+        "resumed": 0 if done is None else done.count(1),
         "frobenius": frobenius_count,
         "engine_invariant_failures": 0,
         "counterexamples": counterexamples,
@@ -599,8 +567,6 @@ def run_stability_sweep(job: SweepJob) -> dict:
     if job.conjecture not in _STABILITY:
         raise ValueError(f"not a stability conjecture: {job.conjecture!r}")
     grid, names = _STABILITY[job.conjecture]
-    checked = 0
-    skipped = 0
     counterexamples = []
 
     @lru_cache(maxsize=None)
@@ -615,17 +581,24 @@ def run_stability_sweep(job: SweepJob) -> dict:
             failed = [name for name in ("frobenius",) + names if rec.get(name) is False]
             counterexamples.append({"spec": rec["spec"], "failed": failed})
 
-    points = grid(job, spectrum_of)  # first: 4_16 takes its base spectra here
-    completed, kept = _load_completed_keys(job, lambda rec: not rec["passed"])
+    points = list(grid(job, spectrum_of))  # first: 4_16 takes its base spectra here
+    done = None
+    if job.resume and os.path.exists(job.out):
+        where = {str(g).encode(): k for k, (g, *_) in enumerate(points)}
+        done = bytearray(len(points))
+        kept = _load_completed(
+            job,
+            done,
+            lambda top, bottom: where.get(top + b" / " + bottom),
+            lambda rec: not rec["passed"],
+        )
+        for k in sorted(kept):
+            consume(kept[k])
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
-        for g, params, fixed, checks in points:
-            checked += 1
-            key = str(g)
-            if key in completed:
-                skipped += 1
-                if key in kept:
-                    consume(kept[key])
+        for k, (g, params, fixed, checks) in enumerate(points):
+            if done is not None and done[k]:
                 continue
+            key = str(g)
             s = spectrum_of(g.top.parts, g.bottom.parts)
             results = dict.fromkeys(names)
             if s is not None:
@@ -650,8 +623,8 @@ def run_stability_sweep(job: SweepJob) -> dict:
         "conjecture": job.conjecture,
         "k_max": job.k_max,
         "r_max": job.r_max,
-        "checked": checked,
-        "resumed": skipped,
+        "checked": len(points),
+        "resumed": 0 if done is None else done.count(1),
         "counterexamples": counterexamples,
     }
     if job.conjecture == "stability_4_16":

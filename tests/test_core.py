@@ -209,6 +209,34 @@ class TestIntegerMultiset:
         with pytest.raises(ParseError):
             IntegerMultiset.from_json_obj({"one": 1})
 
+    @pytest.mark.parametrize(
+        "parse, source, message",
+        [
+            pytest.param(
+                IntegerMultiset.from_text, "{١^٢}", "bad multiset entry", id="text-arabic-indic"
+            ),
+            pytest.param(
+                IntegerMultiset.from_json_obj, {"٣": 1}, "bad multiset key", id="json-arabic-indic"
+            ),
+            pytest.param(IntegerMultiset.from_json_obj, {"1_0": 1}, "bad multiset key", id="underscore"),
+            pytest.param(IntegerMultiset.from_json_obj, {" 3 ": 1}, "bad multiset key", id="spaces"),
+            pytest.param(IntegerMultiset.from_json_obj, {"+3": 1}, "bad multiset key", id="plus"),
+            pytest.param(
+                IntegerMultiset.from_json_obj, {"3": True},
+                "^multiplicity of 3 must be a nonnegative integer, got True$", id="bool-count",
+            ),
+            pytest.param(
+                IntegerMultiset.from_json_obj, {"3": 2, "03": -1},
+                "^multiplicity of 3 must be a nonnegative integer, got -1$", id="negative-count",
+            ),
+        ],
+    )
+    def test_reads_only_what_it_writes(self, parse, source, message):
+        """ASCII digits with an optional minus sign, and int counts checked
+        before equal values are summed."""
+        with pytest.raises(ValueError, match=message):
+            parse(source)
+
     @given(integer_multiset_counts())
     def test_text_round_trip(self, counts):
         s = IntegerMultiset(counts)

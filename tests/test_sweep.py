@@ -537,9 +537,29 @@ def fresh_file(path, conjecture="unimodal_2_8", n_max=7):
     return summary, path.read_bytes().splitlines(keepends=True)
 
 
+def walked(job):
+    """The keys job walks, in slot order, the loader's slot of a key, and
+    whether the job's consume acts on a record."""
+    if job.conjecture in sweep._PAIR_CONJECTURES:
+        _, slot = sweep._pair_slots(job)
+        keys = [
+            f"{a} / {b}"
+            for n in range(job.n_min, job.n_max + 1)
+            for _, a in sweep._compositions(n)
+            for _, b in sweep._compositions(n)
+        ]
+        return keys, slot, sweep._pair_record_acts
+    grid, _ = sweep._STABILITY[job.conjecture]
+    keys = [str(g) for g, *_ in grid(job, None)]
+    where = {key.encode(): k for k, key in enumerate(keys)}
+    return keys, lambda top, bottom: where.get(top + b" / " + bottom), lambda rec: not rec["passed"]
+
+
 def json_path(path, job):
     """What resuming job over path means, by json.loads on every line: the
-    in-range keys done and the keys whose record is kept (last line wins)."""
+    keys done that job walks and the keys whose record is kept (last line
+    wins)."""
+    keys, _, acts = walked(job)
     done, kept = set(), set()
     with open(path, "rb") as fh:
         for line in fh:
@@ -549,30 +569,19 @@ def json_path(path, job):
             if rec.get("conjecture") != job.conjecture:
                 continue
             done.add(rec["key"])
-            if sweep._pair_record_acts(rec):
+            if acts(rec):
                 kept.add(rec["key"])
             else:
                 kept.discard(rec["key"])
-    in_range = {
-        f"{a} / {b}"
-        for n in range(job.n_min, job.n_max + 1)
-        for _, a in sweep._compositions(n)
-        for _, b in sweep._compositions(n)
-    }
-    return done & in_range, kept & in_range
+    return done & set(keys), kept & set(keys)
 
 
 def loaded(job):
-    """The same two key sets, from the loader's flags and kept pairs."""
-    done, kept = sweep._load_completed(job)
-    texts = {n: [text for _, text in sweep._compositions(n)] for n in done}
-
-    def key(n, k):
-        m = len(texts[n])
-        return f"{texts[n][k // m]} / {texts[n][k % m]}"
-
-    keys = {key(n, k) for n, flags in done.items() for k, flag in enumerate(flags) if flag}
-    return keys, {key(n, k) for n, k in kept}
+    """The same two key sets, from the loader's flags and kept slots."""
+    keys, slot, acts = walked(job)
+    done = bytearray(len(keys))
+    kept = sweep._load_completed(job, done, slot, acts)
+    return {keys[k] for k, flag in enumerate(done) if flag}, {keys[k] for k in kept}
 
 
 @pytest.fixture
@@ -608,9 +617,20 @@ class TestRecordCodec:
         _, lines = fresh_file(tmp_path / "f.ndjson", n_max=2)
         assert lines[1] == plain_line(b"2 / 2")
 
-    @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
-    def test_fast_path_agrees_with_json_on_every_fresh_line(self, tmp_path, conjecture):
+    @pytest.mark.parametrize(
+        "conjecture, total, fixed_shape, acted_on",
+        [
+            pytest.param("unimodal_2_8", 5461, 5461 - 275, 275, id="unimodal_2_8"),
+            pytest.param("none", 5461, 5461 - 275, 275, id="none"),
+            pytest.param("stability_4_17", 48, 0, 0, id="stability_4_17"),
+        ],
+    )
+    def test_fast_path_agrees_with_json_on_every_fresh_line(
+        self, tmp_path, conjecture, total, fixed_shape, acted_on
+    ):
         summary, lines = fresh_file(tmp_path / "f.ndjson", conjecture)
+        job = SweepJob(conjecture=conjecture, n_max=7, out=str(tmp_path / "f.ndjson"), resume=True)
+        _, _, acts = walked(job)
         match = sweep._line_pattern(conjecture).fullmatch
         fast = 0
         for line in lines:
@@ -619,15 +639,14 @@ class TestRecordCodec:
             if other is None:
                 fast += 1
                 assert (top + b" / " + bottom).decode() == rec["key"] == rec["spec"]
-                assert not sweep._pair_record_acts(rec)
+                assert not acts(rec)
             else:
                 assert other == line
-                assert rec["frobenius"] and sweep._pair_record_acts(rec)
-        assert fast == len(lines) - summary["frobenius"] == 5461 - 275
-        job = SweepJob(conjecture=conjecture, n_max=7, out=str(tmp_path / "f.ndjson"), resume=True)
+                assert rec["frobenius"] and acts(rec) == bool(acted_on)
+        assert fast == fixed_shape == len(lines) - summary.get("frobenius", len(lines))
         done, kept = loaded(job)
         assert (done, kept) == json_path(job.out, job)
-        assert len(done) == 5461 and len(kept) == 275
+        assert len(done) == len(lines) == total and len(kept) == acted_on
 
     @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
     @pytest.mark.parametrize("cut", ["empty", "row boundary", "mid-row", "complete"])
@@ -739,6 +758,14 @@ FAKE_COUNTEREXAMPLE = {
 }
 
 
+# A fabricated Frobenius record of 2 / 1|1 whose support has gaps, which a
+# proven claim rules out.
+GAPS_2_11 = {
+    **FAKE_COUNTEREXAMPLE, "key": "2 / 1|1", "spec": "2 / 1|1", "unbroken": False,
+    "centered_half": False,
+}
+
+
 class TestResumeSemantics:
     def test_last_line_of_a_key_wins(self, tmp_path):
         fake = json.dumps(FAKE_COUNTEREXAMPLE).encode() + b"\n"
@@ -764,6 +791,51 @@ class TestResumeSemantics:
         with pytest.raises(EngineInvariantError, match="^2 / 1\\|1: spectrum endpoints"):
             run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
 
+    def test_resumed_record_is_checked_before_any_new_row(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        path.write_text(json.dumps(GAPS_2_11) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(EngineInvariantError, match="^2 / 1\\|1: spectrum support has gaps"):
+            run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
+        assert path.read_bytes() == before
+
+    def test_resumed_record_that_breaks_a_claim_exits_before_appending(self, tmp_path, capsys):
+        path = tmp_path / "r.ndjson"
+        path.write_text(json.dumps(GAPS_2_11) + "\n")
+        before = path.read_bytes()
+        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: 2 / 1|1: spectrum support has gaps")
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("failing_last, found", [(False, []), (True, ["2|1 / 3"])])
+    def test_last_stability_line_of_a_key_wins(self, tmp_path, failing_last, found):
+        path = tmp_path / "r.ndjson"
+        job = dict(conjecture="stability_4_17", k_max=1, r_max=2)
+        fresh = run_stability_sweep(SweepJob(**job, out=str(path)))
+        passing = path.read_bytes().splitlines(keepends=True)[0]
+        rec = json.loads(passing)
+        assert rec["key"] == "2|1 / 3"
+        failing = json.dumps({**rec, "support_matches": False, "passed": False}).encode() + b"\n"
+        path.write_bytes(passing + failing if failing_last else failing + passing)
+        summary = run_stability_sweep(SweepJob(**job, out=str(path), resume=True))
+        assert summary["resumed"] == 1
+        assert [c["spec"] for c in summary["counterexamples"]] == found
+        assert summary["checked"] == fresh["checked"] == 2
+
+    def test_stability_key_of_no_grid_point_is_ignored(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        job = dict(conjecture="stability_4_17", k_max=1, r_max=2)
+        fresh = run_stability_sweep(SweepJob(**job, out=str(path)))
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        # 4|1 / 5 is the point k = 2, r = 1: a point of 4_17, not of this grid.
+        outside = {**json.loads(first), "key": "4|1 / 5", "spec": "4|1 / 5", "k": 2}
+        path.write_bytes(first + json.dumps({**outside, "passed": False}).encode() + b"\n")
+        summary = run_stability_sweep(SweepJob(**job, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": 1}
+
     def test_duplicated_key_counts_once(self, tmp_path):
         path = tmp_path / "r.ndjson"
         fresh, lines = fresh_file(path, n_max=3)
@@ -779,9 +851,9 @@ class TestResumeSemantics:
         fresh = run_unimodality_sweep(SweepJob(n_min=2, n_max=3))
         assert run_unimodality_sweep(job) == {**fresh, "resumed": 20}
         assert path.read_bytes() == b"".join(lines)
-        done, kept = sweep._load_completed(job)
-        assert sorted(done) == [2, 3]
-        assert {n for n, _ in kept} == {2, 3}
+        done, kept = loaded(job)
+        assert len(done) == 20
+        assert {sum(map(int, key.split(" / ")[0].split("|"))) for key in kept} == {2, 3}
 
     def test_mixed_file_resumes_under_each_conjecture(self, tmp_path):
         uni, stab = tmp_path / "uni.ndjson", tmp_path / "stab.ndjson"
