@@ -21,8 +21,11 @@ have the same sum. Every caller in the package passes the parts of a
 enumerated. Off valid input the result is unspecified: ``((5,), (1,))``
 gives (0, 3) and ``((3, -1), (2,))`` raises IndexError, where the
 compiled kernel raises ValueError. Checking here would cost the hot path: a part >= 1
-and an equal-sum check in ``_walk`` made the n = 10 census (262,144
-calls) 15-21% slower, median ratio of 16 alternating runs, twice.
+and an equal-sum check in ``_walk`` made component_counts over every pair
+of n = 10 (262,144 calls) 15-21% slower, median ratio of 16 alternating
+runs, twice. The sweep itself walks no meander for the index: it reads
+2C + P off a table copied along the winding-down moves of
+Coll-Hyatt-Magnant-Wang (2015), see ``sweep._census``.
 
 Conventions baked in here (shared with the full matrix pipeline):
   * vertices are 1..n; each top block [s..e] contributes the nested pairs

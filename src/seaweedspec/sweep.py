@@ -21,11 +21,12 @@ point's index in its grid. It keeps only the records the sweep acts on,
 and the sweep checks those before it opens its output, so a resumed record
 that breaks a proven claim stops the run before anything is appended.
 
-The index of a pair comes from an orbit census (see _row_indices). The
-pairs a | b, b | a, rev a | rev b and rev b | rev a have mirror-image
-meanders, so one walk gives the index of all four, and a run walks about a
-quarter of its pairs. The census lives for one run: each sweep starts with
-an empty one. A Frobenius record still takes its own spectrum.
+The index of a pair is read off a census (see _census): one byte per pair
+holding 2C + P, each table copied by slices out of the tables of smaller n
+along the winding-down moves of Coll-Hyatt-Magnant-Wang (2015), so no
+meander is walked. A run builds it for every n up to n_max, including the n
+below n_min it does not write, and it lives for that run. A Frobenius record
+still takes its own spectrum.
 """
 
 from __future__ import annotations
@@ -120,11 +121,13 @@ def read_records(path: str) -> list[dict]:
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
     """All Frobenius seaweeds on n vertices, in composition-pair order."""
     comps = _compositions(n)
-    census: Census = {}
-    for i, (top, _) in enumerate(comps):
-        for (bottom, _), index in zip(comps, _row_indices(census, n, i)):
-            if index == 0:
-                yield SeaweedSpec(Composition(top), Composition(bottom))
+    m = len(comps)
+    table = _census(n)[n]
+    pos = table.find(1)  # 2C + P = 1: index 0
+    while pos >= 0:
+        i, j = divmod(pos, m)
+        yield SeaweedSpec(Composition(comps[i][0]), Composition(comps[j][0]))
+        pos = table.find(1, pos + 1)
 
 
 @lru_cache(maxsize=16)
@@ -136,51 +139,63 @@ def _compositions(n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
     return tuple((c.parts, "|".join(map(str, c.parts))) for c in compositions_of(n))
 
 
-@lru_cache(maxsize=16)
-def _reverse_ranks(n: int) -> tuple[int, ...]:
-    """The rank in _compositions(n) of each composition's reverse."""
-    comps = _compositions(n)
-    rank = {parts: r for r, (parts, _) in enumerate(comps)}
-    return tuple(rank[parts[::-1]] for parts, _ in comps)
+def _census(n_max: int) -> list[bytearray]:
+    """The gl index 2C + P (index + 1) of every composition pair of each
+    n <= n_max, with no meander walked.
 
+    census[n] holds one byte per pair of n, the pair of the i-th top and
+    j-th bottom of the m compositions in _compositions(n) at i * m + j;
+    census[0] is the empty pair. A seaweed on n vertices has index at most
+    n - 1, so index + 1 fits a byte for every n < 256; no sweep reaches
+    n = 256 (4^255 pairs).
 
-# A census: for each n, one byte per composition pair of n, the pair (i, j)
-# of the i-th top and j-th bottom at i * m + j, holding the pair's index + 1
-# once its orbit has been walked and 0 before. A census lives for one run:
-# a sweep or one enumerate_frobenius.
-Census = dict[int, bytearray]
-
-
-def _row_indices(census: Census, n: int, i: int, js: list[int] | None = None) -> list[int]:
-    """The index of each pair (i, j) of n for j in js (every j when js is
-    None), walking each swap/reverse orbit once per census.
-
-    The meander of b | a mirrors that of a | b top to bottom, and the
-    meander of rev a | rev b mirrors it left to right, so the four pairs of
-    an orbit share (cycles, paths): one walk fills all four bytes.
+    Each table is copied out of smaller ones by the winding-down moves of
+    Coll, Hyatt, Magnant and Wang (Meander graphs and Frobenius seaweed Lie
+    algebras II, 2015). They take a top a and a bottom b with first parts
+    a1 >= b1 to a smaller pair with the same 2C + P, save that the first
+    move drops a1 (the a1 vertices of the two blocks it cuts off):
+      a1 == b1:       a2.. | b2..
+      a1 == 2 b1:     b1, a2.. | b2..
+      a1 > 2 b1:      a1 - 2 b1, b1, a2.. | b2..
+      b1 < a1 < 2 b1: b1, a2.. | 2 b1 - a1, b2..
+    and a1 < b1 flips to b | a. A composition's rank is its cut mask, so a
+    move is a right shift of the masks, and the bottoms of first part b1
+    are every 2^b1-th column from 2^(b1-1) (column 0 for b1 = n). So each
+    such column group of a row is one slice of a row of a smaller table,
+    or, when a1 < b1, of a column of this one.
     """
-    comps = _compositions(n)
-    m = len(comps)
-    table = census.get(n)
-    if table is None:
-        # A seaweed on n vertices has index at most n - 1, so index + 1 fits
-        # a byte for every n < 256; no sweep reaches n = 256 (4^255 pairs).
-        table = census[n] = bytearray(m * m)
-    rev = _reverse_ranks(n)
-    ri = rev[i]
-    top = comps[i][0]
-    row = i * m
-    component_counts = kernel.component_counts
-    indices = []
-    for j in range(m) if js is None else js:
-        known = table[row + j]
-        if not known:
-            cycles, paths = component_counts(top, comps[j][0])
-            known = 2 * cycles + paths
-            rj = rev[j]
-            table[row + j] = table[j * m + i] = table[ri * m + rj] = table[rj * m + ri] = known
-        indices.append(known - 1)
-    return indices
+    census = [bytearray(1)]
+    width = [1]  # m of each n
+    adds = [bytes(range(a, 256)) + bytes(range(a)) for a in range(n_max + 1)]
+    for n in range(1, n_max + 1):
+        m = 1 << (n - 1)
+        table = bytearray(m * m)
+        for A in range(m):
+            a = (A & -A).bit_length() or n  # the top's first part
+            row = A * m
+            for b in range(1, a + 1):
+                group = slice(row + (1 << (b - 1)) % m, row + m, 1 << b)
+                if a == b:
+                    r, w = A >> a, width[n - a]
+                    table[group] = census[n - a][r * w:(r + 1) * w].translate(adds[a])
+                elif a >= 2 * b:
+                    r, w = A >> b, width[n - b]
+                    if a > 2 * b:
+                        r |= 1 << (a - 2 * b - 1)
+                    table[group] = census[n - b][r * w:(r + 1) * w]
+                else:
+                    s = a - b
+                    r, w = A >> s, width[n - s]
+                    start = r * w + (1 << (b - s - 1))
+                    table[group] = census[n - s][start:(r + 1) * w:1 << (b - s)]
+        for A in range(m):
+            a = (A & -A).bit_length() or n
+            for b in range(a + 1, n + 1):
+                start = (1 << (b - 1)) % m
+                table[A * m + start:(A + 1) * m:1 << b] = table[start * m + A::m << b]
+        census.append(table)
+        width.append(m)
+    return census
 
 
 def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:
@@ -339,16 +354,19 @@ def _pair_slots(job: SweepJob) -> tuple[dict[int, int], Callable[[bytes, bytes],
 
 
 def _row_records(
-    conjecture: str, n: int, i: int, js: list[int] | None, write: bool, census: Census
+    conjecture: str, n: int, i: int, js: list[int] | None, write: bool, row: bytes
 ) -> tuple[str, list[dict]]:
     """NDJSON text of the i-th top composition of n against the bottoms at
     indices js (all of them when js is None), and the Frobenius records
-    among them, with the indices taken from the run's census. The text is
-    empty unless write is set, since without an output file nothing would
-    read it."""
+    among them, with 2C + P read off row, the row's bytes of the census.
+    The text is empty unless write is set, since without an output file
+    nothing would read it."""
     comps = _compositions(n)
     top, top_text = comps[i]
-    bottoms = comps if js is None else [comps[j] for j in js]
+    bottoms = comps
+    if js is not None:
+        bottoms = [comps[j] for j in js]
+        row = [row[j] for j in js]
     # A record of nonzero index is the fixed-shape line, formatted directly.
     key_head = f"{_plain_head(conjecture)}{top_text} / "
     spec_head = f"{_SPEC_SEP}{top_text} / "
@@ -356,7 +374,8 @@ def _row_records(
     tail = _PLAIN_TAIL
     lines = []
     frobenius = []
-    for (bottom, bottom_text), index in zip(bottoms, _row_indices(census, n, i, js)):
+    for (bottom, bottom_text), gl in zip(bottoms, row):
+        index = gl - 1
         if index:
             if write:
                 lines.append(
@@ -404,11 +423,12 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         kept = _load_completed(job, done, slot, _pair_record_acts)
         for k in sorted(kept):
             consume(kept[k])
-    census: Census = {}  # one per run
+    census = _census(job.n_max)  # one per run
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for n in range(job.n_min, job.n_max + 1):
             m = len(_compositions(n))
             pairs += m * m
+            table = census[n]
             for i in range(m):
                 js = None
                 if done is not None:
@@ -418,7 +438,9 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
                         continue
                     if resumed:
                         js = [j for j in range(m) if not row[j]]
-                text, frobenius = _row_records(job.conjecture, n, i, js, out is not None, census)
+                text, frobenius = _row_records(
+                    job.conjecture, n, i, js, out is not None, table[i * m:(i + 1) * m]
+                )
                 # A row reaches the file before its records are checked,
                 # so a record that fails a proven claim is on disk.
                 if out:

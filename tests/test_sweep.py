@@ -28,9 +28,9 @@ class TestEnumerateFrobenius:
     def test_n2_golden(self):
         assert {str(g) for g in enumerate_frobenius(2)} == {"1|1 / 2", "2 / 1|1"}
 
-    def test_counts_through_n6(self):
-        assert [sum(1 for _ in enumerate_frobenius(n)) for n in range(1, 7)] == [
-            1, 2, 6, 14, 34, 68,
+    def test_counts_through_n12(self):
+        assert [sum(1 for _ in enumerate_frobenius(n)) for n in range(1, 13)] == [
+            1, 2, 6, 14, 34, 68, 150, 296, 586, 1140, 2182, 4130,
         ]
 
     def test_equals_the_frobenius_keys_of_the_sweep_file(self, tmp_path):
@@ -421,8 +421,9 @@ UNIMODAL_N8_RECORDS = (5_499_653, "bb3887204b7ca2ae4685a3d03f2cad1be2dacf40604d3
 
 
 class TestOrbitCensus:
-    """The sweep walks one pair of each swap/reverse orbit per run, and the
-    records are those of walking every pair."""
+    """The sweep reads every pair's index off the census, which is built by
+    the winding-down moves with no meander walked, and the records are
+    those of walking every pair."""
 
     def test_record_file_bytes_are_pinned(self, tmp_path, each_kernel):
         out = tmp_path / "records.ndjson"
@@ -431,8 +432,8 @@ class TestOrbitCensus:
         assert (len(data), hashlib.sha256(data).hexdigest()) == UNIMODAL_N8_RECORDS
 
     def test_resume_over_a_mid_row_cut_gives_the_fresh_bytes(self, tmp_path, each_kernel):
-        """The rows before the cut are skipped, so the orbit partners that
-        lie only in them are walked by the resumed run itself."""
+        """The rows before the cut are skipped, so the census rows they
+        hold are built by the resumed run itself."""
         fresh = tmp_path / "fresh.ndjson"
         fresh_summary = run_sweep(SweepJob(n_max=8, out=str(fresh)))
         lines = fresh.read_bytes().splitlines(keepends=True)
@@ -443,21 +444,49 @@ class TestOrbitCensus:
         assert summary == {**fresh_summary, "resumed": keep}
         assert path.read_bytes() == fresh.read_bytes()
 
-    def test_one_walk_per_orbit_and_run(self, monkeypatch):
+    def test_census_equals_the_walk_on_every_pair_through_n9(self, each_kernel):
+        census = sweep._census(9)
+        assert census[0] == b"\x00"
+        for n in range(1, 10):
+            tops = [c.parts for c in compositions_of(n)]
+            walked = bytes(
+                2 * cycles + paths
+                for top in tops
+                for bottom in tops
+                for cycles, paths in [sweep.kernel.component_counts(top, bottom)]
+            )
+            assert census[n] == walked, n
+
+    def test_sweep_and_enumerate_frobenius_walk_no_meander(self, monkeypatch):
         walked = []
         walk = sweep.kernel.component_counts
 
         def counting(top, bottom):
-            walked.append(sum(top))
+            walked.append((top, bottom))
             return walk(top, bottom)
 
         monkeypatch.setattr(sweep.kernel, "component_counts", counting)
-        orbits = [1, 3, 7, 24, 76, 288, 1072, 4224]  # per n = 1..8
-        for _ in range(2):  # a second run in the process walks again
-            walked.clear()
-            run_sweep(SweepJob(n_max=8))
-            assert len(walked) == sum(orbits) == 5695
-            assert [walked.count(n) for n in range(1, 9)] == orbits
+        assert run_sweep(SweepJob(n_max=8))["pairs"] == 21845
+        assert sum(1 for _ in enumerate_frobenius(8)) == 296
+        assert walked == []
+
+    @pytest.mark.parametrize("n_min", [1, 5, 8])
+    def test_n_min_writes_the_tail_of_the_full_file(self, tmp_path, n_min):
+        """A run from n_min builds the census of the n below it too, and
+        writes exactly the lines of n >= n_min of the run from 1."""
+        full = tmp_path / "full.ndjson"
+        run_sweep(SweepJob(n_max=8, out=str(full)))
+        below = (4 ** (n_min - 1) - 1) // 3  # the pairs of n < n_min
+        tail = b"".join(full.read_bytes().splitlines(keepends=True)[below:])
+        out = tmp_path / "tail.ndjson"
+        run_sweep(SweepJob(n_min=n_min, n_max=8, out=str(out)))
+        assert out.read_bytes() == tail
+        # n_min..7, then 77 rows and 45 pairs of n = 8
+        keep = (4**7 - 1) // 3 - below + 77 * 128 + 45
+        out.write_bytes(b"".join(tail.splitlines(keepends=True)[:keep]))
+        summary = run_sweep(SweepJob(n_min=n_min, n_max=8, out=str(out), resume=True))
+        assert summary["resumed"] == keep
+        assert out.read_bytes() == tail
 
 
 def fabricated_resume(tmp_path, grid, **changes):
