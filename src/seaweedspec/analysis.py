@@ -4,11 +4,12 @@ The predicates inspect the multiplicity profile of an eigenvalue multiset
 (counts in ascending value order). shape_fields evaluates all of them under
 their record field names, and check_proven_claims is the one place that
 holds a spectrum's shape to what is proven: its support is an unbroken
-interval with endpoints summing to one, and a log-concave profile is
-unimodal. The sweep and spectrum_report both go through it. The verify_*
-functions recompute both sides of identities that are theorems. A failure
-of either kind can only mean a bug in the engine, so they raise
-EngineInvariantError rather than returning False.
+interval with endpoints summing to one, it is symmetric about 1/2
+(Gerstenhaber-Giaquinto 2009), and a log-concave profile is unimodal. The
+sweep and spectrum_report both go through it. The verify_* functions
+recompute both sides of identities that are theorems. A failure of either
+kind can only mean a bug in the engine, so they raise EngineInvariantError
+rather than returning False.
 """
 
 from __future__ import annotations
@@ -67,8 +68,14 @@ def is_log_concave(s: IntegerMultiset) -> bool:
 
 
 def is_symmetric_about_half(s: IntegerMultiset) -> bool:
-    """Does e -> 1-e preserve all multiplicities? Diagnostic only."""
-    return all(s.multiplicity(v) == s.multiplicity(1 - v) for v in s.support())
+    """Does e -> 1-e preserve all multiplicities?
+
+    One comparison of the counts with their image under the map, exact on
+    any multiset. This holds for every Frobenius seaweed spectrum, so
+    check_proven_claims treats a False here as an engine bug.
+    """
+    counts = s.counts()
+    return counts == {1 - v: c for v, c in counts.items()}
 
 
 #: The shape fields of a spectrum, in record order.
@@ -104,6 +111,13 @@ def check_proven_claims(spec: str, spectrum_obj, fields: dict) -> None:
     if fields["centered_half"] is False:
         raise EngineInvariantError(
             f"{spec}: spectrum endpoints do not sum to 1, which is impossible: {spectrum_obj}"
+        )
+    if fields["symmetric_about_half"] is False:
+        # The Kirillov form pairs the eigenspaces of a and 1 - a of the
+        # principal element (Gerstenhaber-Giaquinto, Lett. Math. Phys. 88,
+        # 2009).
+        raise EngineInvariantError(
+            f"{spec}: spectrum is not symmetric about 1/2, which is impossible: {spectrum_obj}"
         )
     if fields["log_concave"] and fields["unimodal"] is False:
         raise EngineInvariantError(

@@ -10,9 +10,11 @@ names, and one record builder makes every stability record from them.
 
 The unimodality sweep is one serial loop over rows, one row per top
 composition: it appends the row's NDJSON records, then checks the row's
-Frobenius records. A record carries no timing, so a record file is a
-function of the job alone: every run writes the same bytes, and reruns
-with --resume skip finished keys.
+Frobenius records. A row's text is one string join of pieces laid out at C
+speed, so no Python code runs for a pair of nonzero index: only the
+Frobenius pairs of the row are visited (see _row_records). A record carries
+no timing, so a record file is a function of the job alone: every run
+writes the same bytes, and reruns with --resume skip finished keys.
 
 Both sweeps resume through one loader, _load_completed. It reads the file
 once and marks each finished key as one byte at its slot in a flat
@@ -120,23 +122,24 @@ def read_records(path: str) -> list[dict]:
 
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
     """All Frobenius seaweeds on n vertices, in composition-pair order."""
-    comps = _compositions(n)
-    m = len(comps)
+    parts, _ = _compositions(n)
+    m = len(parts)
     table = _census(n)[n]
     pos = table.find(1)  # 2C + P = 1: index 0
     while pos >= 0:
         i, j = divmod(pos, m)
-        yield SeaweedSpec(Composition(comps[i][0]), Composition(comps[j][0]))
+        yield SeaweedSpec(Composition(parts[i]), Composition(parts[j]))
         pos = table.find(1, pos + 1)
 
 
 @lru_cache(maxsize=16)
-def _compositions(n: int) -> tuple[tuple[tuple[int, ...], str], ...]:
-    """Each composition of n with its text, joined once per n. The resume
-    loader and the run loop both walk every n of a sweep, so a sweep's n
-    stay cached together: 16 n are more than any sweep of 4^(n-1) pairs
-    per n can reach."""
-    return tuple((c.parts, "|".join(map(str, c.parts))) for c in compositions_of(n))
+def _compositions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """The parts of each composition of n, and their texts, joined once per
+    n. The resume loader and the run loop both walk every n of a sweep, so
+    a sweep's n stay cached together: 16 n are more than any sweep of
+    4^(n-1) pairs per n can reach."""
+    parts = tuple(c.parts for c in compositions_of(n))
+    return parts, tuple("|".join(map(str, p)) for p in parts)
 
 
 def _census(n_max: int) -> list[bytearray]:
@@ -215,8 +218,9 @@ def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: in
 
 # The fixed-shape record line: json.dumps(_pair_record(...)) + "\n" for a
 # pair of nonzero index, which is all but a few lines of a sweep. The writer
-# formats it from these pieces and the loader recognises it by them. A key
-# holds only digits, "|", " " and "/", and the conjecture is one of
+# formats it from these pieces and the loader recognises it by them; the
+# writer formats a Frobenius line from the same pieces (_frobenius_line). A
+# key holds only digits, "|", " " and "/", and the conjecture is one of
 # CONJECTURES, so nothing in the line needs escaping.
 _SPEC_SEP = '", "spec": "'
 _INDEX_SEP = '", "index": '
@@ -229,6 +233,28 @@ _PLAIN_TAIL = (
 
 def _plain_head(conjecture: str) -> str:
     return f'{{"conjecture": "{conjecture}", "key": "'
+
+
+# The shape fields of a Frobenius line, to be formatted with their JSON
+# literals in SHAPE_FIELDS order.
+_FROBENIUS_FLAGS = "".join(f', "{name}": {{}}' for name in SHAPE_FIELDS)
+_JSON_LITERAL = {True: "true", False: "false", None: "null"}
+
+
+def _frobenius_line(key_head: str, spec_head: str, bottom_text: str, rec: dict) -> str:
+    """json.dumps(rec) + "\n" for the Frobenius record rec, whose key is the
+    text of key_head and spec_head followed by bottom_text, formatted from
+    the pieces of the fixed-shape line. The spectrum's keys are decimal
+    integers, so they need no escaping either."""
+    # A list, not a map: unpacking a map builds a tuple of guessed size and
+    # resizes it, which runs the cycle collector more often over a sweep.
+    flags = _FROBENIUS_FLAGS.format(*[_JSON_LITERAL[rec[name]] for name in SHAPE_FIELDS])
+    spectrum = rec["spectrum"]
+    values = ", ".join(map('"{}": {}'.format, spectrum, spectrum.values()))
+    return (
+        f'{key_head}{bottom_text}{spec_head}{bottom_text}{_INDEX_SEP}0, "frobenius": true'
+        f'{flags}, "spectrum": {{{values}}}}}\n'
+    )
 
 
 @lru_cache(maxsize=None)
@@ -254,9 +280,7 @@ def _line_pattern(conjecture: str) -> re.Pattern:
 
 
 # The fields each kind of sweep reads from a record it resumes over.
-_PAIR_READS = frozenset(
-    ("spec", "frobenius", "unbroken", "centered_half", "unimodal", "log_concave", "spectrum")
-)
+_PAIR_READS = frozenset(("spec", "frobenius", *SHAPE_FIELDS, "spectrum"))
 _STABILITY_READS = frozenset(("spec", "passed"))
 
 # Bytes read per block. 64 KiB read back the n <= 10 file 11% faster than
@@ -335,10 +359,10 @@ def _pair_slots(job: SweepJob) -> tuple[dict[int, int], Callable[[bytes, bytes],
     where: dict[bytes, tuple[int, int, int]] = {}  # text -> (n, slot of its row, rank)
     size = 0
     for n in range(job.n_min, job.n_max + 1):
-        comps = _compositions(n)
-        m = len(comps)
+        _, texts = _compositions(n)
+        m = len(texts)
         start[n] = size
-        for rank, (_, text) in enumerate(comps):
+        for rank, text in enumerate(texts):
             where[text.encode()] = (n, size + rank * m, rank)
         size += m * m
     start[job.n_max + 1] = size
@@ -360,33 +384,39 @@ def _row_records(
     indices js (all of them when js is None), and the Frobenius records
     among them, with 2C + P read off row, the row's bytes of the census.
     The text is empty unless write is set, since without an output file
-    nothing would read it."""
-    comps = _compositions(n)
-    top, top_text = comps[i]
-    bottoms = comps
+    nothing would read it.
+
+    The text is one join of five pieces per pair, laid out by list repeat
+    and slice assignment: the fixed-shape line's key head, bottom, spec
+    head, bottom, and the tail of the pair's 2C + P. Only the Frobenius
+    bottoms (2C + P = 1) are visited, each found by row.find, and each has
+    its five pieces replaced by its record's line and four empty strings.
+    """
+    parts, texts = _compositions(n)
+    top, top_text = parts[i], texts[i]
     if js is not None:
-        bottoms = [comps[j] for j in js]
-        row = [row[j] for j in js]
-    # A record of nonzero index is the fixed-shape line, formatted directly.
+        parts = list(map(parts.__getitem__, js))
+        texts = list(map(texts.__getitem__, js))
+        row = bytes(map(row.__getitem__, js))
     key_head = f"{_plain_head(conjecture)}{top_text} / "
     spec_head = f"{_SPEC_SEP}{top_text} / "
-    index_sep = _INDEX_SEP
-    tail = _PLAIN_TAIL
-    lines = []
+    if write:
+        # The tail of each 2C + P <= n a pair of n can have; that of
+        # 2C + P = 1 is always replaced.
+        ends = [f"{_INDEX_SEP}{gl - 1}{_PLAIN_TAIL}" for gl in range(n + 1)]
+        pieces = [key_head, None, spec_head, None, None] * len(row)
+        pieces[1::5] = pieces[3::5] = texts
+        pieces[4::5] = map(ends.__getitem__, row)
     frobenius = []
-    for (bottom, bottom_text), gl in zip(bottoms, row):
-        index = gl - 1
-        if index:
-            if write:
-                lines.append(
-                    f"{key_head}{bottom_text}{spec_head}{bottom_text}{index_sep}{index}{tail}"
-                )
-        else:
-            rec = _pair_record(conjecture, f"{top_text} / {bottom_text}", top, bottom, index)
-            if write:
-                lines.append(json.dumps(rec) + "\n")
-            frobenius.append(rec)
-    return "".join(lines), frobenius
+    lo = 0
+    while (pos := row.find(1, lo)) >= 0:
+        rec = _pair_record(conjecture, f"{top_text} / {texts[pos]}", top, parts[pos], 0)
+        frobenius.append(rec)
+        if write:
+            line = _frobenius_line(key_head, spec_head, texts[pos], rec)
+            pieces[5 * pos:5 * pos + 5] = line, "", "", "", ""
+        lo = pos + 1
+    return "".join(pieces) if write else "", frobenius
 
 
 def _pair_record_acts(rec: dict) -> bool:
@@ -426,7 +456,7 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
     census = _census(job.n_max)  # one per run
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for n in range(job.n_min, job.n_max + 1):
-            m = len(_compositions(n))
+            m = len(_compositions(n)[0])
             pairs += m * m
             table = census[n]
             for i in range(m):

@@ -3,6 +3,7 @@ a parametrisation that runs a test under each kernel."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
 import shlex
 import shutil
@@ -22,6 +23,17 @@ for _info in pkgutil.iter_modules(seaweedspec.__path__):
     importlib.import_module(f"seaweedspec.{_info.name}")
 
 WALK_C = Path(__file__).resolve().parent.parent / "src" / "seaweedspec" / "_walk.c"
+
+
+@pytest.fixture
+def child_env():
+    """os.environ for a child interpreter, with the root of the package
+    under test first on PYTHONPATH, so that the child imports the same
+    package as this process, installed or not, whatever its working
+    directory."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(seaweedspec.__file__)))
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
 
 
 @pytest.fixture(scope="session")

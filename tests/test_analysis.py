@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import goldens
 from seaweedspec import (
@@ -20,7 +22,22 @@ from seaweedspec import (
     verify_skew_symmetry,
     verify_swap_lemma,
 )
-from strategies import LARGE_POINTS, orientations
+from seaweedspec._engine import kernel
+from strategies import LARGE_POINTS, integer_multiset_counts, orientations
+
+
+@st.composite
+def mirrored_counts(draw) -> dict[int, int]:
+    """Counts symmetric about 1/2 + shift, gaps allowed: symmetric about 1/2
+    when shift is 0, and with one count raised when asked."""
+    half = draw(st.dictionaries(st.integers(-20, 0), st.integers(1, 9), max_size=6))
+    shift = draw(st.sampled_from([0, 0, 0, -1, 1, 2]))
+    counts = {}
+    for v, c in half.items():
+        counts[v + shift] = counts[1 - v + shift] = c
+    if counts and draw(st.booleans()):
+        counts[draw(st.sampled_from(sorted(counts)))] += 1
+    return counts
 
 
 class TestPredicates:
@@ -42,6 +59,16 @@ class TestPredicates:
         assert is_symmetric_about_half(IntegerMultiset(goldens.SPECTRUM_5_2_7))
         assert is_symmetric_about_half(IntegerMultiset({0: 1, 1: 1}))
         assert not is_symmetric_about_half(IntegerMultiset({0: 1, 1: 2}))
+
+    @given(st.one_of(integer_multiset_counts(), mirrored_counts()))
+    @example({})  # empty
+    @example({-1: 2, 2: 2})  # gapped
+    @example({1: 1, 2: 3, 3: 1})  # an interval symmetric about 2
+    @example({0: 1, 1: 2})  # asymmetric on a symmetric support
+    def test_symmetric_about_half_equals_its_definition(self, counts):
+        s = IntegerMultiset(counts)
+        definition = all(s.multiplicity(v) == s.multiplicity(1 - v) for v in s.support())
+        assert is_symmetric_about_half(s) == definition
 
     def test_unbroken_centered_half(self):
         assert is_unbroken_centered_half(IntegerMultiset({-1: 1, 0: 2, 1: 2, 2: 1})) == (
@@ -94,6 +121,15 @@ class TestSpectrumReport:
     def test_broken_proven_claim_raises(self, monkeypatch):
         monkeypatch.setattr(analysis, "is_unbroken_centered_half", lambda s: (False, False))
         with pytest.raises(EngineInvariantError, match="2\\|1 / 3: spectrum support has gaps"):
+            spectrum_report(parse_seaweed("2|1 / 3"))
+
+    def test_asymmetric_spectrum_raises(self, monkeypatch):
+        """A kernel histogram that leaves 0 once and 1 twice: unbroken and
+        centered, but not symmetric about 1/2 as every Frobenius spectrum is."""
+        monkeypatch.setattr(kernel, "spectrum_counts", lambda top, bottom: {0: 2, 1: 2})
+        with pytest.raises(
+            EngineInvariantError, match="^2\\|1 / 3: spectrum is not symmetric about 1/2"
+        ):
             spectrum_report(parse_seaweed("2|1 / 3"))
 
     def test_json_obj_is_flat(self):

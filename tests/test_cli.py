@@ -536,12 +536,16 @@ class TestSweep:
             ({"conjecture": "unimodal_2_8", "key": "1 / 1"}, ["--n-max", "1"]),
             ({"conjecture": "unimodal_2_8", "key": "1 / 1", "frobenius": True,
               "unimodal": True}, ["--n-max", "1"]),
+            ({"conjecture": "unimodal_2_8", "key": "1 / 1", "spec": "1 / 1", "frobenius": True,
+              "unbroken": True, "centered_half": True, "unimodal": True, "log_concave": True,
+              "spectrum": {"0": 1, "1": 1}}, ["--n-max", "1"]),
             ({"conjecture": "stability_4_17", "key": [1]}, ["--k-max", "1", "--r-max", "1"]),
             ({"conjecture": "stability_4_17", "key": "2|1 / 3"}, ["--k-max", "1", "--r-max", "1"]),
             ({"conjecture": "stability_4_17", "key": "2|1 / 3", "passed": False},
              ["--k-max", "1", "--r-max", "1"]),
         ],
-        ids=["no_frobenius", "no_spectrum", "unhashable_key", "no_passed", "no_spec"],
+        ids=["no_frobenius", "no_spectrum", "no_symmetric_about_half", "unhashable_key",
+             "no_passed", "no_spec"],
     )
     def test_record_missing_what_resume_reads_is_corrupt(self, capsys, tmp_path, record, grid):
         path = tmp_path / "records.ndjson"
@@ -647,23 +651,17 @@ class TestParser:
 
 def console_command():
     """Launch ``seaweedspec.cli:main``: the installed console script if there
-    is one, else ``python -m seaweedspec.cli`` (a source checkout).
-
-    Either way the child imports the same package as this process, whatever
-    the working directory."""
+    is one, else ``python -m seaweedspec.cli`` (a source checkout). Run it
+    with the child_env fixture, so that either way the child imports the
+    same package as this process."""
     script = shutil.which("seaweedspec")
-    command = [script] if script else [sys.executable, "-m", "seaweedspec.cli"]
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(seaweedspec.__file__)))
-    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-    return command, env
+    return [script] if script else [sys.executable, "-m", "seaweedspec.cli"]
 
 
-def test_console_script_is_deterministic():
-    command, env = console_command()
-    argv = command + ["spectrum", "2|4 / 1|2|3", "--format", "json"]
-    first = subprocess.run(argv, capture_output=True, text=True, env=env)
-    second = subprocess.run(argv, capture_output=True, text=True, env=env)
+def test_console_script_is_deterministic(child_env):
+    argv = console_command() + ["spectrum", "2|4 / 1|2|3", "--format", "json"]
+    first = subprocess.run(argv, capture_output=True, text=True, env=child_env)
+    second = subprocess.run(argv, capture_output=True, text=True, env=child_env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout == '{"-2":1,"-1":2,"0":5,"1":5,"2":2,"3":1}\n'
     assert first.stderr == ""
@@ -673,14 +671,16 @@ def test_console_script_is_deterministic():
     ["index", "1|2 / 3"],
     ["sweep", "--n-max", "3"],
 ], ids=["index", "sweep"])
-def test_closed_stdout_exits_141_without_traceback(argv):
+def test_closed_stdout_exits_141_without_traceback(child_env, argv):
     """A reader that leaves at once (as `| head -0` does) is not an error of
     the command: exit 128 + SIGPIPE, and nothing on stderr."""
-    command, env = console_command()
+    command = console_command()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(command + argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        done = subprocess.run(
+            command + argv, stdout=write_end, stderr=subprocess.PIPE, env=child_env
+        )
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")

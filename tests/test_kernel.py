@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -81,7 +80,7 @@ def test_spectrum_counts_match_oracle_up_to_removed_zero():
         assert got == oracle_spectrum(top, bottom)
 
 
-def test_active_kernel_is_reported(walk):
+def test_active_kernel_is_reported(walk, child_env):
     # The child registers the built kernel as seaweedspec._walk before the
     # package imports, as an installed build would provide it.
     code = (
@@ -91,7 +90,7 @@ def test_active_kernel_is_reported(walk):
         "import seaweedspec\n"
         "print(seaweedspec.kernel_implementation())\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "SEAWEEDSPEC_PURE"}
+    env = {k: v for k, v in child_env.items() if k != "SEAWEEDSPEC_PURE"}
     for override, expected in ({}, "compiled"), ({"SEAWEEDSPEC_PURE": "1"}, "pure"):
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -163,13 +162,13 @@ def test_kernels_agree_past_the_stack_buffer(walk):
         assert results(walk, top, bottom) == results(_kernel, top, bottom)
 
 
-def test_pure_fallback_env_override():
+def test_pure_fallback_env_override(child_env):
     code = (
         "import seaweedspec\n"
         "print(seaweedspec.kernel_implementation())\n"
         "print(seaweedspec.spectrum(seaweedspec.parse_seaweed('2|4 / 1|2|3')).to_text())\n"
     )
-    env = dict(os.environ, SEAWEEDSPEC_PURE="1")
+    env = dict(child_env, SEAWEEDSPEC_PURE="1")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -419,6 +419,12 @@ STABILITY_RECORD_SHA256 = [
 # The record file of `sweep --n-max 8 --out F`: its size and sha256.
 UNIMODAL_N8_RECORDS = (5_499_653, "bb3887204b7ca2ae4685a3d03f2cad1be2dacf40604d329befd6a793831ecc13")
 
+# The same of `sweep --n-max 9 --out F`, the benchmark's sweep, with its
+# line count.
+UNIMODAL_N9_RECORDS = (
+    87_381, 22_304_413, "3b85a70057d056aacc71cf0d619c7590ff57acb3bc31856fec0c5e58509f0805"
+)
+
 
 class TestOrbitCensus:
     """The sweep reads every pair's index off the census, which is built by
@@ -487,6 +493,45 @@ class TestOrbitCensus:
         summary = run_sweep(SweepJob(n_min=n_min, n_max=8, out=str(out), resume=True))
         assert summary["resumed"] == keep
         assert out.read_bytes() == tail
+
+
+class TestRowWriter:
+    """Each row is one join of the fixed-shape pieces of its pairs, with each
+    Frobenius pair's pieces replaced by its line, formatted from the same
+    pieces. A resumed partial row takes the same path."""
+
+    def test_n9_file_is_pinned(self, tmp_path, each_kernel):
+        out = tmp_path / "records.ndjson"
+        run_sweep(SweepJob(n_max=9, out=str(out)))
+        data = out.read_bytes()
+        assert (data.count(b"\n"), len(data), hashlib.sha256(data).hexdigest()) == (
+            UNIMODAL_N9_RECORDS
+        )
+
+    def test_frobenius_lines_equal_json_dumps_of_the_record(self, tmp_path, each_kernel):
+        out = tmp_path / "records.ndjson"
+        run_sweep(SweepJob(n_max=9, out=str(out)))
+        lines = out.read_text().splitlines(keepends=True)
+        lines = [line for line in lines if '"frobenius": true' in line]
+        expected = [
+            json.dumps(_pair_record("unimodal_2_8", str(g), g.top.parts, g.bottom.parts, 0)) + "\n"
+            for n in range(1, 10)
+            for g in enumerate_frobenius(n)
+        ]
+        assert len(lines) == len(expected) == 1157
+        assert lines == expected
+
+    def test_resume_after_every_line_gives_the_fresh_file(self, tmp_path):
+        """The n <= 5 file cut after each of its lines: the cuts inside a row
+        leave Frobenius bottoms on either side."""
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=5)
+        assert len(lines) == 341
+        path = tmp_path / "cut.ndjson"
+        for keep in range(1, len(lines) + 1):
+            path.write_bytes(b"".join(lines[:keep]))
+            summary = run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
+            assert summary == {**fresh, "resumed": keep}, keep
+            assert path.read_bytes() == b"".join(lines), keep
 
 
 def fabricated_resume(tmp_path, grid, **changes):
@@ -574,8 +619,8 @@ def walked(job):
         keys = [
             f"{a} / {b}"
             for n in range(job.n_min, job.n_max + 1)
-            for _, a in sweep._compositions(n)
-            for _, b in sweep._compositions(n)
+            for a in sweep._compositions(n)[1]
+            for b in sweep._compositions(n)[1]
         ]
         return keys, slot, sweep._pair_record_acts
     grid, _ = sweep._STABILITY[job.conjecture]
@@ -795,6 +840,14 @@ GAPS_2_11 = {
 }
 
 
+# A fabricated Frobenius record of 2 / 1|1 whose spectrum is not symmetric
+# about 1/2, which a proven claim rules out; it breaks no other claim.
+ASYMMETRIC_2_11 = {
+    **FAKE_COUNTEREXAMPLE, "key": "2 / 1|1", "spec": "2 / 1|1", "unimodal": True,
+    "log_concave": True, "symmetric_about_half": False, "spectrum": {"0": 1, "1": 2},
+}
+
+
 class TestResumeSemantics:
     def test_last_line_of_a_key_wins(self, tmp_path):
         fake = json.dumps(FAKE_COUNTEREXAMPLE).encode() + b"\n"
@@ -837,6 +890,17 @@ class TestResumeSemantics:
         assert (code, captured.out) == (1, "")
         assert captured.err.count("error:") == 1
         assert captured.err.startswith("error: 2 / 1|1: spectrum support has gaps")
+        assert path.read_bytes() == before
+
+    def test_resumed_asymmetric_record_exits_before_appending(self, tmp_path, capsys):
+        path = tmp_path / "r.ndjson"
+        path.write_text(json.dumps(ASYMMETRIC_2_11) + "\n")
+        before = path.read_bytes()
+        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: 2 / 1|1: spectrum is not symmetric about 1/2")
         assert path.read_bytes() == before
 
     @pytest.mark.parametrize("failing_last, found", [(False, []), (True, ["2|1 / 3"])])
