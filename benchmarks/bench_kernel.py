@@ -1,7 +1,8 @@
 """Time the compiled kernel (``_walk``) against the pure-Python ``_kernel``.
 
-Both kernels walk every composition pair up to --n-max, first counting
-components, then building the spectrum histogram for the Frobenius pairs.
+Both kernels take every Frobenius pair up to --n-max (from
+``enumerate_frobenius``, which reads the index off the census and walks no
+meander), first computing the potentials, then the spectrum histogram.
 Run from the repository root, after building the extension in place:
 
     python setup.py build_ext --inplace
@@ -11,27 +12,23 @@ Run from the repository root, after building the extension in place:
 import argparse
 import time
 
-from seaweedspec import compositions_of
+from seaweedspec import enumerate_frobenius
 from seaweedspec import _kernel
 
 
-def enumerate_pairs(n_max):
-    pairs = []
-    for n in range(1, n_max + 1):
-        tops = [c.parts for c in compositions_of(n)]
-        pairs.extend((t, b) for t in tops for b in tops)
-    return pairs
+def frobenius_pairs(n_max):
+    return [
+        (g.top.parts, g.bottom.parts)
+        for n in range(1, n_max + 1)
+        for g in enumerate_frobenius(n)
+    ]
 
 
-def run(kernel, pairs):
+def run(fn, pairs):
     t0 = time.perf_counter()
-    frobenius = 0
     for top, bottom in pairs:
-        cycles, paths = kernel.component_counts(top, bottom)
-        if cycles == 0 and paths == 1:
-            frobenius += 1
-            kernel.spectrum_counts(top, bottom)
-    return time.perf_counter() - t0, frobenius
+        fn(top, bottom)
+    return time.perf_counter() - t0
 
 
 def main():
@@ -39,8 +36,8 @@ def main():
     parser.add_argument("--n-max", type=int, default=10)
     args = parser.parse_args()
 
-    pairs = enumerate_pairs(args.n_max)
-    print(f"{len(pairs)} composition pairs through n={args.n_max}")
+    pairs = frobenius_pairs(args.n_max)
+    print(f"{len(pairs)} Frobenius pairs through n={args.n_max}")
 
     kernels = [("pure", _kernel)]
     try:
@@ -51,9 +48,10 @@ def main():
 
     times = {}
     for name, kernel in kernels:
-        elapsed, frobenius = run(kernel, pairs)
-        times[name] = elapsed
-        print(f"{name:>8}: {elapsed:8.3f}s ({frobenius} Frobenius pairs)")
+        phi = run(kernel.potentials, pairs)
+        hist = run(kernel.spectrum_counts, pairs)
+        times[name] = phi + hist
+        print(f"{name:>8}: potentials {phi * 1e3:8.1f} ms, spectrum_counts {hist * 1e3:8.1f} ms")
 
     if "compiled" in times:
         print(f"speedup: {times['pure'] / times['compiled']:.1f}x")

@@ -2,8 +2,9 @@
 
 The compiled kernel ``_walk``, built from ``_walk.c`` by ``setup.py``, is
 preferred when importable; set SEAWEEDSPEC_PURE=1 to force the pure-Python
-``_kernel``. Both expose component_counts, potentials and spectrum_counts
-with identical results.
+``_kernel``. Both expose potentials and spectrum_counts with identical
+results. The index needs no kernel: ``meander`` counts cycles and paths
+by the winding-down moves.
 """
 
 from __future__ import annotations

@@ -1,17 +1,19 @@
 """Pure-Python kernel: the per-seaweed hot loop of the exhaustive sweeps.
 
 This module and the compiled extension ``_walk`` (built from ``_walk.c``)
-return the same results from component_counts, potentials and
-spectrum_counts, and are interchangeable behind ``_engine``; both work on
-bare part tuples so the hot path never touches the higher-level classes.
-In each, the three functions run one walk of the meander (``_walk`` here),
-and spectrum_counts sums the ordered differences within every block, the
-block triangles (see its docstring). The compiled kernel counts each
-triangle pair by pair. This module reads it off one big-int product of the
-block's left half: on a single path the right half of a block mirrors the
-left, one apart (see _add_block), so a block of p vertices costs one
-product of p // 2 values instead of p^2 / 2 pair steps.
-Nothing in either module calls the three public names, so wrapping one (as
+return the same results from potentials and spectrum_counts, and are
+interchangeable behind ``_engine``; both work on bare part tuples so the
+hot path never touches the higher-level classes. In each, both functions
+walk the path from the meander's lowest endpoint (``_walk`` here) and
+return None unless it covers all n vertices; spectrum_counts then sums the
+ordered differences within every block, the block triangles (see its
+docstring). The compiled kernel counts each triangle pair by pair. This
+module reads it off one big-int product of the block's left half: on a
+single path the right half of a block mirrors the left, one apart (see
+_add_block), so a block of p vertices costs one product of p // 2 values
+instead of p^2 / 2 pair steps. Neither kernel counts cycles and paths;
+``meander`` does, by the winding-down moves.
+Nothing in either module calls the two public names, so wrapping one (as
 a per-layer tracer does) sees only outside calls. ``difference_counts``
 exists only here.
 
@@ -19,13 +21,11 @@ This module trusts its inputs: parts are positive ints and both tuples
 have the same sum. Every caller in the package passes the parts of a
 ``SeaweedSpec``, which checks both, and the sweep passes compositions it
 enumerated. Off valid input the result is unspecified: ``((5,), (1,))``
-gives (0, 3) and ``((3, -1), (2,))`` raises IndexError, where the
-compiled kernel raises ValueError. Checking here would cost the hot path: a part >= 1
-and an equal-sum check in ``_walk`` made component_counts over every pair
-of n = 10 (262,144 calls) 15-21% slower, median ratio of 16 alternating
-runs, twice. The sweep itself walks no meander for the index: it reads
-2C + P off a table copied along the winding-down moves of
-Coll-Hyatt-Magnant-Wang (2015), see ``sweep._census``.
+gives None and ``((3, -1), (2,))`` raises IndexError, where the compiled
+kernel raises ValueError. Checking here would cost the hot path: a part
+>= 1 and an equal-sum check in ``_walk`` made potentials over every pair
+of n = 10 (262,144 calls) 33-34% slower, median ratio of 16 alternating
+runs, twice.
 
 Conventions baked in here (shared with the full matrix pipeline):
   * vertices are 1..n; each top block [s..e] contributes the nested pairs
@@ -61,62 +61,32 @@ def _neighbors(parts, n):
 
 
 def _walk(top, bottom, phi):
-    """The walk: visit every component of the meander once, alternating arc
-    sides, and count (cycles, paths); an isolated vertex counts as a path.
-
-    When phi is a list of n + 1 zeros, also set phi[v] for each path vertex
-    v, relative to its path's lower end.
+    """The walk: from the lowest endpoint (a vertex with at most one arc),
+    follow the path it starts, alternating arc sides, and set phi[v] for
+    each vertex v on it, relative to that endpoint; phi is a list of n + 1
+    zeros. Returns whether the path covers all n vertices, that is whether
+    the meander is a single path.
     """
-    n = sum(top)
+    n = len(phi) - 1
     tnbr = _neighbors(top, n)
     bnbr = _neighbors(bottom, n)
-    visited = [False] * (n + 1)
-    paths = 0
-    cycles = 0
-
-    for v in range(1, n + 1):
-        if visited[v] or (tnbr[v] and bnbr[v]):
-            continue
-        # v is an endpoint (degree <= 1): walk the path it starts.
-        paths += 1
-        visited[v] = True
-        on_top = bool(tnbr[v])
-        cur = v
-        while True:
-            nxt = tnbr[cur] if on_top else bnbr[cur]
-            if not nxt:
-                break
-            if phi is not None:
-                # a top arc walked leftwards or a bottom arc walked
-                # rightwards drops by 1
-                phi[nxt] = phi[cur] - 1 if on_top == (cur > nxt) else phi[cur] + 1
-            visited[nxt] = True
-            cur = nxt
-            on_top = not on_top
-
-    for v in range(1, n + 1):
-        if visited[v]:
-            continue
-        # Everything left has degree 2, so it closes a cycle.
-        cycles += 1
-        visited[v] = True
-        cur = tnbr[v]
-        on_top = False
-        while cur != v:
-            visited[cur] = True
-            nxt = tnbr[cur] if on_top else bnbr[cur]
-            cur = nxt
-            on_top = not on_top
-
-    return cycles, paths
-
-
-def component_counts(top, bottom):
-    """Count (cycles, paths) of the meander on the two part tuples.
-
-    An isolated vertex counts as a path.
-    """
-    return _walk(top, bottom, None)
+    v = 1
+    while v <= n and tnbr[v] and bnbr[v]:
+        v += 1
+    if v > n:
+        return False  # every vertex has two arcs: all cycles
+    on_top = bool(tnbr[v])
+    cur = v
+    covered = 1
+    while True:
+        nxt = tnbr[cur] if on_top else bnbr[cur]
+        if not nxt:
+            return covered == n
+        # a top arc walked leftwards or a bottom arc walked rightwards drops by 1
+        phi[nxt] = phi[cur] - 1 if on_top == (cur > nxt) else phi[cur] + 1
+        covered += 1
+        cur = nxt
+        on_top = not on_top
 
 
 def potentials(top, bottom):
@@ -127,7 +97,7 @@ def potentials(top, bottom):
     exactly when the potentials exist.
     """
     phi = [0] * (sum(top) + 1)
-    if _walk(top, bottom, phi) != (0, 1):
+    if not _walk(top, bottom, phi):
         return None
     shift = phi[-1]
     return tuple([p - shift for p in phi[1:]])
@@ -250,7 +220,7 @@ def spectrum_counts(top, bottom):
     """
     n = sum(top)
     phi = [0] * (n + 1)
-    if _walk(top, bottom, phi) != (0, 1):
+    if not _walk(top, bottom, phi):
         return None
 
     # Potentials span at most n - 1 (the path has n - 1 arcs), and so does

@@ -1,6 +1,6 @@
-/* Compiled kernel: component_counts, potentials and spectrum_counts with the
-   contract of the functions of the same names in _kernel.py, whose docstrings
-   give the conventions. All three run the one walk below.
+/* Compiled kernel: potentials and spectrum_counts with the contract of the
+   functions of the same names in _kernel.py, whose docstrings give the
+   conventions. Both run the one walk below.
 
    Every part must be an int >= 1 that fits in Py_ssize_t, and both sides must
    have the same sum n; this is checked before any array is touched. The
@@ -12,9 +12,8 @@
 
 typedef struct {
     PyObject *top, *bottom; /* PySequence_Fast of the two part sequences */
-    Py_ssize_t n, cycles, paths;
+    Py_ssize_t n;
     Py_ssize_t *tnbr, *bnbr, *phi; /* n + 1 slots each, vertex v at [v] */
-    char *seen;
 } Meander;
 
 static int parts_sum(PyObject *seq, Py_ssize_t *sum)
@@ -84,14 +83,13 @@ static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, const char
         PyErr_Format(PyExc_ValueError, "top sums to %zd but bottom to %zd", m->n, bottom_sum);
         return -1;
     }
-    if ((size_t)m->n >= PY_SSIZE_T_MAX / (3 * sizeof(Py_ssize_t) + 1) ||
-        !(m->tnbr = PyMem_Malloc((size_t)(m->n + 1) * (3 * sizeof(Py_ssize_t) + 1)))) {
+    if ((size_t)m->n >= PY_SSIZE_T_MAX / (3 * sizeof(Py_ssize_t)) ||
+        !(m->tnbr = PyMem_Malloc((size_t)(m->n + 1) * 3 * sizeof(Py_ssize_t)))) {
         PyErr_NoMemory();
         return -1;
     }
     m->bnbr = m->tnbr + (m->n + 1);
     m->phi = m->tnbr + 2 * (m->n + 1);
-    m->seen = (char *)(m->tnbr + 3 * (m->n + 1));
     fill_neighbors(m->top, m->tnbr);
     fill_neighbors(m->bottom, m->bnbr);
     return 0;
@@ -104,43 +102,26 @@ static void release(Meander *m)
     PyMem_Free(m->tnbr);
 }
 
-/* The walk: visit every component once, alternating arc sides, and count
-   m->cycles and m->paths, an isolated vertex being a path. With want_phi,
-   also set m->phi[v] for each path vertex v, relative to its path's lower
-   end. Returns whether the meander is a single path. */
-static int walk(Meander *m, int want_phi)
+/* The walk: from the lowest endpoint (a vertex with at most one arc), follow
+   the path it starts, alternating arc sides, and set m->phi[v] for each vertex
+   v on it, relative to that endpoint. Returns whether the path covers all n
+   vertices, that is whether the meander is a single path. */
+static int walk(Meander *m)
 {
     const Py_ssize_t *tnbr = m->tnbr, *bnbr = m->bnbr;
-    Py_ssize_t *phi = m->phi, v, cur, nxt;
-    char *seen = m->seen;
+    Py_ssize_t *phi = m->phi, v = 1, cur, nxt, covered = 1;
     int on_top;
 
-    memset(seen, 0, (size_t)m->n + 1);
-    m->cycles = m->paths = 0;
-    for (v = 1; v <= m->n; v++) {
-        if (seen[v] || (tnbr[v] && bnbr[v]))
-            continue;
-        m->paths++;
-        seen[v] = 1;
-        phi[v] = 0;
-        for (cur = v, on_top = tnbr[v] != 0; (nxt = on_top ? tnbr[cur] : bnbr[cur]);
-             cur = nxt, on_top = !on_top) {
-            /* a top arc walked leftwards or a bottom arc walked rightwards drops by 1 */
-            if (want_phi)
-                phi[nxt] = phi[cur] + (on_top == (cur > nxt) ? -1 : 1);
-            seen[nxt] = 1;
-        }
-    }
-    for (v = 1; v <= m->n; v++) {
-        if (seen[v])
-            continue;
-        m->cycles++;
-        for (cur = v, on_top = 1; !seen[cur]; on_top = !on_top) {
-            seen[cur] = 1;
-            cur = on_top ? tnbr[cur] : bnbr[cur];
-        }
-    }
-    return m->cycles == 0 && m->paths == 1;
+    while (v <= m->n && tnbr[v] && bnbr[v])
+        v++;
+    if (v > m->n)
+        return 0; /* every vertex has two arcs: all cycles */
+    phi[v] = 0;
+    for (cur = v, on_top = tnbr[v] != 0; (nxt = on_top ? tnbr[cur] : bnbr[cur]);
+         cur = nxt, on_top = !on_top, covered++)
+        /* a top arc walked leftwards or a bottom arc walked rightwards drops by 1 */
+        phi[nxt] = phi[cur] + (on_top == (cur > nxt) ? -1 : 1);
+    return covered == m->n;
 }
 
 /* Add {sign * (phi(a) - phi(b)) : a < b} over every block of seq into hist,
@@ -161,20 +142,6 @@ static void add_block_differences(PyObject *seq, const Py_ssize_t *phi, Py_ssize
     }
 }
 
-static PyObject *component_counts(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                  Py_ssize_t nargs)
-{
-    Meander m;
-    PyObject *result = NULL;
-
-    if (build(&m, args, nargs, "component_counts") == 0) {
-        walk(&m, 0);
-        result = Py_BuildValue("(nn)", m.cycles, m.paths);
-    }
-    release(&m);
-    return result;
-}
-
 static PyObject *potentials(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     Meander m;
@@ -183,7 +150,7 @@ static PyObject *potentials(PyObject *Py_UNUSED(self), PyObject *const *args, Py
 
     if (build(&m, args, nargs, "potentials") < 0)
         goto done;
-    if (!walk(&m, 1)) {
+    if (!walk(&m)) {
         result = Py_NewRef(Py_None);
         goto done;
     }
@@ -209,7 +176,7 @@ static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *arg
 
     if (build(&m, args, nargs, "spectrum_counts") < 0)
         goto done;
-    if (!walk(&m, 1)) {
+    if (!walk(&m)) {
         result = Py_NewRef(Py_None);
         goto done;
     }
@@ -242,7 +209,6 @@ done:
     {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, #name "(top, bottom)\n--\n\n" doc}
 
 static PyMethodDef methods[] = {
-    KERNEL_FUNCTION(component_counts, "(cycles, paths) of the meander."),
     KERNEL_FUNCTION(potentials, "Potentials with phi(n) = 0, or None off a single path."),
     KERNEL_FUNCTION(spectrum_counts, "Admissible-position difference counts, or None."),
     {NULL, NULL, 0, NULL},

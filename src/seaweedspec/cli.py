@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from itertools import product
 
 from . import __version__
@@ -38,7 +39,7 @@ from .families import (
     family_spec,
     family_spectrum,
 )
-from .meander import index_gl, index_sl
+from .meander import component_counts, index_sl
 from .render import render_svg
 from .spectrum import (
     SpectrumUndefinedError,
@@ -50,7 +51,6 @@ from .spectrum import (
     spectrum_matrix,
 )
 from .sweep import CONJECTURES, SweepJob, run_sweep
-from ._engine import kernel
 
 EXIT_OK = 0
 EXIT_ENGINE = 1
@@ -115,7 +115,7 @@ def _json(obj) -> str:
 
 def cmd_index(args) -> int:
     g = parse_seaweed(args.seaweed)
-    cycles, paths = kernel.component_counts(g.top.parts, g.bottom.parts)
+    cycles, paths = component_counts(g.top.parts, g.bottom.parts)
     sl, gl = 2 * cycles + paths - 1, 2 * cycles + paths
     if args.format == "plain":
         _emit(args, str(sl))
@@ -313,7 +313,10 @@ def _add_query(sub, name, fn, help_text, extended_flag=False):
     return p
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: each build leaves a few hundred
+    objects in reference cycles for the cycle collector."""
     parser = _Parser(prog="seaweedspec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -370,8 +373,7 @@ def main(argv=None) -> int:
     """Run one command. This is the one place where an error becomes an
     exit code; a spectrum undefined for the command's seaweed argument
     names that seaweed's index."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at shutdown

@@ -23,12 +23,12 @@ point's index in its grid. It keeps only the records the sweep acts on,
 and the sweep checks those before it opens its output, so a resumed record
 that breaks a proven claim stops the run before anything is appended.
 
-The index of a pair is read off a census (see _census): one byte per pair
-holding 2C + P, each table copied by slices out of the tables of smaller n
-along the winding-down moves of Coll-Hyatt-Magnant-Wang (2015), so no
-meander is walked. A run builds it for every n up to n_max, including the n
-below n_min it does not write, and it lives for that run. A Frobenius record
-still takes its own spectrum.
+The index of a pair is read off a census (see meander._census): one byte
+per pair holding 2C + P, each table copied by slices out of the tables of
+smaller n along the winding-down moves, so no meander is walked. A run
+builds it for every n up to n_max, including the n below n_min it does not
+write, and it lives for that run. A Frobenius record still takes its own
+spectrum.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .core import (
     compositions_of,
     parse_seaweed,
 )
+from .meander import _census
 from .spectrum import SpectrumUndefinedError
 
 CONJECTURES = (
@@ -140,65 +141,6 @@ def _compositions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]
     4^(n-1) pairs per n can reach."""
     parts = tuple(c.parts for c in compositions_of(n))
     return parts, tuple("|".join(map(str, p)) for p in parts)
-
-
-def _census(n_max: int) -> list[bytearray]:
-    """The gl index 2C + P (index + 1) of every composition pair of each
-    n <= n_max, with no meander walked.
-
-    census[n] holds one byte per pair of n, the pair of the i-th top and
-    j-th bottom of the m compositions in _compositions(n) at i * m + j;
-    census[0] is the empty pair. A seaweed on n vertices has index at most
-    n - 1, so index + 1 fits a byte for every n < 256; no sweep reaches
-    n = 256 (4^255 pairs).
-
-    Each table is copied out of smaller ones by the winding-down moves of
-    Coll, Hyatt, Magnant and Wang (Meander graphs and Frobenius seaweed Lie
-    algebras II, 2015). They take a top a and a bottom b with first parts
-    a1 >= b1 to a smaller pair with the same 2C + P, save that the first
-    move drops a1 (the a1 vertices of the two blocks it cuts off):
-      a1 == b1:       a2.. | b2..
-      a1 == 2 b1:     b1, a2.. | b2..
-      a1 > 2 b1:      a1 - 2 b1, b1, a2.. | b2..
-      b1 < a1 < 2 b1: b1, a2.. | 2 b1 - a1, b2..
-    and a1 < b1 flips to b | a. A composition's rank is its cut mask, so a
-    move is a right shift of the masks, and the bottoms of first part b1
-    are every 2^b1-th column from 2^(b1-1) (column 0 for b1 = n). So each
-    such column group of a row is one slice of a row of a smaller table,
-    or, when a1 < b1, of a column of this one.
-    """
-    census = [bytearray(1)]
-    width = [1]  # m of each n
-    adds = [bytes(range(a, 256)) + bytes(range(a)) for a in range(n_max + 1)]
-    for n in range(1, n_max + 1):
-        m = 1 << (n - 1)
-        table = bytearray(m * m)
-        for A in range(m):
-            a = (A & -A).bit_length() or n  # the top's first part
-            row = A * m
-            for b in range(1, a + 1):
-                group = slice(row + (1 << (b - 1)) % m, row + m, 1 << b)
-                if a == b:
-                    r, w = A >> a, width[n - a]
-                    table[group] = census[n - a][r * w:(r + 1) * w].translate(adds[a])
-                elif a >= 2 * b:
-                    r, w = A >> b, width[n - b]
-                    if a > 2 * b:
-                        r |= 1 << (a - 2 * b - 1)
-                    table[group] = census[n - b][r * w:(r + 1) * w]
-                else:
-                    s = a - b
-                    r, w = A >> s, width[n - s]
-                    start = r * w + (1 << (b - s - 1))
-                    table[group] = census[n - s][start:(r + 1) * w:1 << (b - s)]
-        for A in range(m):
-            a = (A & -A).bit_length() or n
-            for b in range(a + 1, n + 1):
-                start = (1 << (b - 1)) % m
-                table[A * m + start:(A + 1) * m:1 << b] = table[start * m + A::m << b]
-        census.append(table)
-        width.append(m)
-    return census
 
 
 def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:

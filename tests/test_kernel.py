@@ -11,14 +11,18 @@ from seaweedspec import (
     FamilyId,
     ParseError,
     SeaweedSpec,
+    _engine,
     _kernel,
     cli,
     compositions_of,
     extended_spectrum,
     family_spec,
+    is_frobenius,
+    meander,
     parse_seaweed,
 )
 from seaweedspec._engine import kernel
+from seaweedspec.meander import component_counts
 from strategies import LARGE_POINTS, orientations, seaweeds
 
 
@@ -33,7 +37,7 @@ def results(kernel, top, bottom):
     """Everything the kernel returns for one pair, histogram key order included."""
     counts = kernel.spectrum_counts(top, bottom)
     return (
-        kernel.component_counts(top, bottom),
+        component_counts(top, bottom),
         kernel.potentials(top, bottom),
         None if counts is None else list(counts.items()),
     )
@@ -53,7 +57,7 @@ def test_kernels_agree(walk, g):
 @given(seaweeds(max_n=16))
 def test_spectrum_counts_defined_exactly_on_single_paths(g):
     top, bottom = g.top.parts, g.bottom.parts
-    cycles, paths = _kernel.component_counts(top, bottom)
+    cycles, paths = component_counts(top, bottom)
     counts = _kernel.spectrum_counts(top, bottom)
     if cycles == 0 and paths == 1:
         assert counts is not None
@@ -66,7 +70,15 @@ def test_spectrum_counts_defined_exactly_on_single_paths(g):
 
 def test_component_counts_match_bfs_oracle():
     for top, bottom in all_pairs(6):
-        assert _kernel.component_counts(top, bottom) == graph_components(top, bottom)
+        assert component_counts(top, bottom) == graph_components(top, bottom)
+
+
+def test_potentials_exist_exactly_on_frobenius_seaweeds(each_kernel):
+    """The walk's single-path test agrees with the moves on every pair."""
+    potentials = _engine.kernel.potentials  # the kernel each_kernel swapped in
+    for top, bottom in all_pairs(8):
+        g = SeaweedSpec(Composition(top), Composition(bottom))
+        assert (potentials(top, bottom) is None) == (not is_frobenius(g)), g
 
 
 def test_spectrum_counts_match_oracle_up_to_removed_zero():
@@ -115,7 +127,7 @@ def test_active_kernel_is_reported(walk, child_env):
         (7, (7,), TypeError),
     ],
 )
-@pytest.mark.parametrize("name", ["component_counts", "potentials", "spectrum_counts"])
+@pytest.mark.parametrize("name", ["potentials", "spectrum_counts"])
 def test_compiled_kernel_checks_its_inputs(walk, name, top, bottom, error):
     with pytest.raises(error):
         getattr(walk, name)(top, bottom)
@@ -130,8 +142,13 @@ def test_public_entries_reject_bad_input_before_any_kernel_call(
 ):
     """The pure kernel trusts its inputs, so the public entries must check them."""
     calls = []
-    for name in ("component_counts", "potentials", "spectrum_counts"):
-        monkeypatch.setattr(kernel, name, lambda *args, name=name: calls.append(name))
+    for module, name in (
+        (meander, "component_counts"),
+        (cli, "component_counts"),
+        (kernel, "potentials"),
+        (kernel, "spectrum_counts"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(ParseError):
         parse_seaweed(text)
     with pytest.raises(ValueError):
@@ -201,7 +218,7 @@ def frobenius_pairs_through_10():
     return [
         (top, bottom)
         for top, bottom in all_pairs(10)
-        if _kernel.component_counts(top, bottom) == (0, 1)
+        if component_counts(top, bottom) == (0, 1)
     ]
 
 

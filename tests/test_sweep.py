@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from oracles import graph_components
 
 from seaweedspec import (
     Composition,
@@ -17,8 +18,7 @@ from seaweedspec import (
     run_sweep,
     run_unimodality_sweep,
 )
-from seaweedspec import analysis, cli, sweep
-from seaweedspec._engine import kernel
+from seaweedspec import analysis, cli, meander, sweep
 from seaweedspec.sweep import _pair_record
 from seaweedspec.analysis import EngineInvariantError
 from seaweedspec.spectrum import SpectrumUndefinedError
@@ -112,7 +112,7 @@ class TestUnimodalitySweep:
             tops = [c.parts for c in compositions_of(n)]
             for top in tops:
                 for bottom in tops:
-                    cycles, paths = kernel.component_counts(top, bottom)
+                    cycles, paths = meander.component_counts(top, bottom)
                     key = f"{Composition(top)} / {Composition(bottom)}"
                     rec = _pair_record(conjecture, key, top, bottom, 2 * cycles + paths - 1)
                     expected.append(json.dumps(rec) + "\n")
@@ -429,7 +429,7 @@ UNIMODAL_N9_RECORDS = (
 class TestOrbitCensus:
     """The sweep reads every pair's index off the census, which is built by
     the winding-down moves with no meander walked, and the records are
-    those of walking every pair."""
+    those of running the moves on every pair."""
 
     def test_record_file_bytes_are_pinned(self, tmp_path, each_kernel):
         out = tmp_path / "records.ndjson"
@@ -451,27 +451,33 @@ class TestOrbitCensus:
         assert path.read_bytes() == fresh.read_bytes()
 
     def test_census_equals_the_walk_on_every_pair_through_n9(self, each_kernel):
-        census = sweep._census(9)
+        """Each census byte is 2C + P of the meander walked by BFS, and is 1
+        exactly where the kernel's walk covers all n vertices in one path."""
+        census = meander._census(9)
         assert census[0] == b"\x00"
         for n in range(1, 10):
             tops = [c.parts for c in compositions_of(n)]
+            pairs = [(top, bottom) for top in tops for bottom in tops]
             walked = bytes(
                 2 * cycles + paths
-                for top in tops
-                for bottom in tops
-                for cycles, paths in [sweep.kernel.component_counts(top, bottom)]
+                for top, bottom in pairs
+                for cycles, paths in [graph_components(top, bottom)]
             )
             assert census[n] == walked, n
+            one_path = bytes(
+                int(sweep.kernel.potentials(top, bottom) is not None) for top, bottom in pairs
+            )
+            assert bytes(byte == 1 for byte in census[n]) == one_path, n
 
     def test_sweep_and_enumerate_frobenius_walk_no_meander(self, monkeypatch):
         walked = []
-        walk = sweep.kernel.component_counts
+        moves = meander.component_counts
 
         def counting(top, bottom):
             walked.append((top, bottom))
-            return walk(top, bottom)
+            return moves(top, bottom)
 
-        monkeypatch.setattr(sweep.kernel, "component_counts", counting)
+        monkeypatch.setattr(meander, "component_counts", counting)
         assert run_sweep(SweepJob(n_max=8))["pairs"] == 21845
         assert sum(1 for _ in enumerate_frobenius(8)) == 296
         assert walked == []
