@@ -27,7 +27,6 @@ from .core import (
     ParseError,
     SeaweedSpec,
     compositions_of,
-    multiset_equal,
     parse_composition,
     parse_seaweed,
 )
@@ -56,7 +55,6 @@ from .spectrum import (
     matrix_text,
     orient,
     principal_element,
-    shape_mask,
     spectrum,
     spectrum_matrix,
     vertex_potentials,
@@ -66,7 +64,6 @@ from .sweep import (
     default_extension_base,
     enumerate_frobenius,
     extension_variant_spec,
-    read_records,
     run_stability_sweep,
     run_sweep,
     run_unimodality_sweep,
@@ -108,17 +105,14 @@ __all__ = [
     "is_unimodal",
     "kernel_implementation",
     "matrix_text",
-    "multiset_equal",
     "orient",
     "parse_composition",
     "parse_seaweed",
     "principal_element",
-    "read_records",
     "render_svg",
     "run_stability_sweep",
     "run_sweep",
     "run_unimodality_sweep",
-    "shape_mask",
     "spectrum",
     "spectrum_matrix",
     "spectrum_report",

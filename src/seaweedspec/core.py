@@ -165,9 +165,7 @@ class IntegerMultiset:
 
     def __init__(self, source: Mapping[int, int] | Iterable[int] = ()):
         items: Iterable[tuple[int, int]]
-        if isinstance(source, IntegerMultiset):
-            items = source.items()
-        elif isinstance(source, Mapping):
+        if isinstance(source, (IntegerMultiset, Mapping)):
             items = source.items()
         else:
             items = ((v, 1) for v in source)
@@ -217,14 +215,6 @@ class IntegerMultiset:
     def contains(self, other: "IntegerMultiset") -> bool:
         """True when every element of other occurs here at least as often."""
         return all(self._counts.get(v, 0) >= c for v, c in other.items())
-
-    def without_one(self, value: int) -> "IntegerMultiset":
-        """Remove a single occurrence of value."""
-        if self._counts.get(value, 0) < 1:
-            raise ValueError(f"cannot remove {value}: not present")
-        counts = dict(self._counts)
-        counts[value] -= 1
-        return IntegerMultiset(counts)
 
     def __add__(self, other: "IntegerMultiset") -> "IntegerMultiset":
         if not isinstance(other, IntegerMultiset):
@@ -311,8 +301,3 @@ class IntegerMultiset:
         multiset = cls.__new__(cls)
         multiset._counts = _summed((value(key), count) for key, count in obj.items())
         return multiset
-
-
-def multiset_equal(a: IntegerMultiset, b: IntegerMultiset) -> bool:
-    """Exact multiset equality (values and multiplicities)."""
-    return a == b

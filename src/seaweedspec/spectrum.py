@@ -11,7 +11,7 @@ top blocks ascend and bottom blocks descend.
 
 Block indices never decrease along 1..n, so row i's admissible columns are
 one contiguous interval: from the first position of i's top block to the
-last position of i's bottom block. The mask is built row by row from those
+last position of i's bottom block, and `_row_spans` lists those
 intervals. Neither matrix does arithmetic per entry: each row of the full
 matrix is one itemgetter pass over a slice of a single table of all
 possible differences, vertices of equal potential share one row tuple, and
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import itemgetter
 
 from . import _kernel
@@ -93,8 +93,11 @@ def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:
 def _row_spans(g: SeaweedSpec) -> list[tuple[int, int]]:
     """Half-open 0-based column interval [lo, hi) of each row's admissible cells.
 
-    lo is where the row's top block starts and hi where its bottom block ends;
-    the interval always holds the diagonal.
+    (i, j) is admissible when i's top block index is at most j's and i's
+    bottom block index is at least j's. Since block indices never decrease,
+    that is j running from the first position of i's top block (lo) to the
+    last position of i's bottom block (hi); the interval always holds the
+    diagonal.
     """
     starts = []
     for lo, p in zip(accumulate(g.top.parts, initial=0), g.top.parts):
@@ -103,20 +106,6 @@ def _row_spans(g: SeaweedSpec) -> list[tuple[int, int]]:
     for hi, p in zip(accumulate(g.bottom.parts), g.bottom.parts):
         ends += [hi] * p
     return list(zip(starts, ends))
-
-
-def shape_mask(g: SeaweedSpec) -> frozenset[tuple[int, int]]:
-    """Admissible 1-based positions (i, j) of the seaweed's shape.
-
-    (i, j) is admissible when i's top block index is at most j's and i's
-    bottom block index is at least j's; the diagonal is always included.
-    Since block indices never decrease, that is j running from the first
-    position of i's top block to the last position of i's bottom block.
-    """
-    cells = []
-    for i, (lo, hi) in enumerate(_row_spans(g), start=1):
-        cells += zip(repeat(i, hi - lo), range(lo + 1, hi + 1))
-    return frozenset(cells)
 
 
 def _difference_rows(phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -144,7 +133,7 @@ def spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int | None, ...], ...]:
 
     Row i, column j (1-based in math terms) sits at [i-1][j-1]. Each row is
     None, then phi(i) - phi(j) over the row's admissible interval (see
-    shape_mask), then None again: the interval is sliced out of the
+    _row_spans), then None again: the interval is sliced out of the
     extended matrix's row, and the padding out of one tuple of n Nones.
     """
     nones = (None,) * g.n

@@ -111,16 +111,6 @@ def _parse_record(line: str | bytes, path: str, lineno: int) -> dict:
     return rec
 
 
-def read_records(path: str) -> list[dict]:
-    """Load an NDJSON record file, stopping hard on a corrupt line."""
-    with open(path, encoding="utf-8") as fh:
-        return [
-            _parse_record(line, path, lineno)
-            for lineno, line in enumerate(fh, start=1)
-            if line.strip()
-        ]
-
-
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
     """All Frobenius seaweeds on n vertices, in composition-pair order."""
     parts, _ = _compositions(n)

@@ -7,11 +7,14 @@ per-pair path walks. None of them share code with the package.
 mask_histogram scans all n^2 positions with the block-index rule, the
 reference for the kernel's block-by-block histogram; oracle_matrix lays the
 oracle potentials over the flag mask, the reference for the row-interval
-matrix.
+matrix. read_ndjson and without_one are plain test helpers, not oracles.
 """
 
+import json
 from collections import deque
 from itertools import accumulate
+
+from seaweedspec import IntegerMultiset
 
 
 def _side_edges(parts):
@@ -168,3 +171,18 @@ def mask_histogram(top, bottom):
                 d = phi[i] - phi[j]
                 counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def read_ndjson(path):
+    """The records of an NDJSON file, one json.loads per nonblank line."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def without_one(multiset, value):
+    """multiset with a single occurrence of value removed."""
+    counts = multiset.counts()
+    if counts.get(value, 0) < 1:
+        raise ValueError(f"cannot remove {value}: not present")
+    counts[value] -= 1
+    return IntegerMultiset(counts)

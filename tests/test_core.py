@@ -8,10 +8,10 @@ from seaweedspec import (
     ParseError,
     SeaweedSpec,
     compositions_of,
-    multiset_equal,
     parse_composition,
     parse_seaweed,
 )
+from oracles import without_one
 from strategies import compositions, integer_multiset_counts, seaweeds
 
 
@@ -148,7 +148,6 @@ class TestIntegerMultiset:
         b = IntegerMultiset([1, 0, 0])
         assert a == b
         assert hash(a) == hash(b)
-        assert multiset_equal(a, b)
         assert a != IntegerMultiset({0: 2})
 
     def test_add_sub(self):
@@ -169,14 +168,15 @@ class TestIntegerMultiset:
         assert IntegerMultiset._from_histogram({0: 1}) == IntegerMultiset()
         s = IntegerMultiset._from_histogram({-1: 2, 0: 3, 4: 1})
         assert s.items() == ((-1, 2), (0, 2), (4, 1))
-        assert s == IntegerMultiset({-1: 2, 0: 3, 4: 1}).without_one(0)
+        assert s == without_one(IntegerMultiset({-1: 2, 0: 3, 4: 1}), 0)
 
     def test_without_one(self):
         s = IntegerMultiset({0: 2, 1: 1})
-        assert s.without_one(1).counts() == {0: 2}
-        assert s.without_one(0).counts() == {0: 1, 1: 1}
+        assert without_one(s, 1).counts() == {0: 2}
+        assert without_one(s, 0).counts() == {0: 1, 1: 1}
+        assert s.counts() == {0: 2, 1: 1}
         with pytest.raises(ValueError):
-            s.without_one(7)
+            without_one(s, 7)
 
     def test_membership_and_bool(self):
         s = IntegerMultiset({2: 1})
@@ -247,6 +247,14 @@ class TestIntegerMultiset:
         s = IntegerMultiset(counts)
         assert IntegerMultiset.from_json_obj(s.to_json_obj()) == s
 
+    @given(integer_multiset_counts())
+    def test_copy_is_equal_and_owns_its_counts(self, counts):
+        s = IntegerMultiset(counts)
+        copy = IntegerMultiset(s)
+        assert copy == s
+        assert copy.items() == s.items()
+        assert copy._counts is not s._counts
+
     @settings(max_examples=50)
     @given(integer_multiset_counts(), integer_multiset_counts())
     def test_addition_is_commutative(self, a, b):
@@ -257,10 +265,62 @@ class TestIntegerMultiset:
 
 def test_public_surface_is_consistent():
     """__all__ names each public name once, every one resolves on the
-    package, and a star import binds exactly those names."""
+    package, and a star import binds exactly those names. The list is
+    pinned, so adding or removing a public name is a deliberate edit here."""
     import seaweedspec
 
     names = seaweedspec.__all__
+    assert sorted(names) == [
+        "Composition",
+        "EngineInvariantError",
+        "FamilyId",
+        "IntegerMultiset",
+        "OrientedMeander",
+        "ParseError",
+        "SeaweedSpec",
+        "SpectrumReport",
+        "SpectrumUndefinedError",
+        "SweepJob",
+        "compositions_of",
+        "default_extension_base",
+        "enumerate_frobenius",
+        "extend_with_2s",
+        "extend_with_4s",
+        "extended_spectrum",
+        "extended_spectrum_matrix",
+        "extension_variant_spec",
+        "family_extended_spectrum",
+        "family_spec",
+        "family_spectrum",
+        "frobenius_form_support",
+        "index_gcd_maximal_parabolic",
+        "index_gcd_three_part",
+        "index_gl",
+        "index_sl",
+        "is_frobenius",
+        "is_log_concave",
+        "is_symmetric_about_half",
+        "is_unbroken_centered_half",
+        "is_unimodal",
+        "kernel_implementation",
+        "matrix_text",
+        "orient",
+        "parse_composition",
+        "parse_seaweed",
+        "principal_element",
+        "render_svg",
+        "run_stability_sweep",
+        "run_sweep",
+        "run_unimodality_sweep",
+        "spectrum",
+        "spectrum_matrix",
+        "spectrum_report",
+        "verify_block_lemmas",
+        "verify_reverse_lemma",
+        "verify_skew_symmetry",
+        "verify_swap_lemma",
+        "vertex_potentials",
+    ]
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(seaweedspec, n)] == []
     namespace = {}

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 
 import goldens
-from oracles import _side_edges, flag_mask, oracle_matrix, oracle_potentials, oracle_spectrum
+from oracles import (
+    _side_edges,
+    flag_mask,
+    oracle_matrix,
+    oracle_potentials,
+    oracle_spectrum,
+    without_one,
+)
 from seaweedspec import (
     FamilyId,
     IntegerMultiset,
@@ -23,13 +30,12 @@ from seaweedspec import (
     parse_seaweed,
     principal_element,
     render_svg,
-    shape_mask,
     spectrum,
     spectrum_matrix,
     vertex_potentials,
 )
 from seaweedspec._engine import kernel
-from seaweedspec.spectrum import NOT_SINGLE_PATH, SpectrumUndefinedError
+from seaweedspec.spectrum import NOT_SINGLE_PATH, SpectrumUndefinedError, _row_spans
 from strategies import LARGE_POINTS, orientations, seaweeds
 
 
@@ -125,13 +131,23 @@ class TestVertexPotentials:
             assert phi[u - 1] - phi[v - 1] == 1
 
 
+def span_cells(g):
+    """The 1-based cells (i, j) that _row_spans admits in each row i."""
+    return {
+        (i, j) for i, (lo, hi) in enumerate(_row_spans(g), start=1) for j in range(lo + 1, hi + 1)
+    }
+
+
 class TestShapeMask:
+    """The row intervals of _row_spans cover exactly the shape's admissible
+    cells, which flag_mask finds by the subspace-preservation rule."""
+
     def test_golden(self):
-        assert shape_mask(parse_seaweed("2|4 / 1|2|3")) == goldens.MASK_2_4_123
+        assert span_cells(parse_seaweed("2|4 / 1|2|3")) == goldens.MASK_2_4_123
         assert len(goldens.MASK_2_4_123) == 17
 
     def test_full_algebra_masks_everything(self):
-        assert shape_mask(parse_seaweed("3 / 3")) == {
+        assert span_cells(parse_seaweed("3 / 3")) == {
             (i, j) for i in range(1, 4) for j in range(1, 4)
         }
 
@@ -140,15 +156,15 @@ class TestShapeMask:
             for top in compositions_of(n):
                 for bottom in compositions_of(n):
                     g = parse_seaweed(f"{top} / {bottom}")
-                    assert shape_mask(g) == flag_mask(top.parts, bottom.parts)
+                    assert span_cells(g) == flag_mask(top.parts, bottom.parts)
 
     @given(seaweeds(max_n=12))
     def test_against_flag_oracle(self, g):
-        assert shape_mask(g) == flag_mask(g.top.parts, g.bottom.parts)
+        assert span_cells(g) == flag_mask(g.top.parts, g.bottom.parts)
 
     @given(seaweeds(max_n=12))
     def test_diagonal_always_admissible(self, g):
-        mask = shape_mask(g)
+        mask = span_cells(g)
         assert all((i, i) in mask for i in range(1, g.n + 1))
 
 
@@ -206,7 +222,7 @@ class TestMatrices:
     def test_spectrum_matrix_restricts_extended(self, g):
         if not is_frobenius(g):
             return
-        mask = shape_mask(g)
+        mask = flag_mask(g.top.parts, g.bottom.parts)
         masked = spectrum_matrix(g)
         full = extended_spectrum_matrix(g)
         for i in range(1, g.n + 1):
@@ -222,7 +238,7 @@ def test_mask_and_matrix_match_flag_oracle_at_large_n(f, k, r):
     for g in orientations(family_spec(f, k, r)):
         want = oracle_matrix(g.top.parts, g.bottom.parts)
         # the oracle matrix holds an int exactly on flag_mask's cells
-        assert shape_mask(g) == {
+        assert span_cells(g) == {
             (i, j)
             for i, row in enumerate(want, start=1)
             for j, cell in enumerate(row, start=1)
@@ -233,13 +249,12 @@ def test_mask_and_matrix_match_flag_oracle_at_large_n(f, k, r):
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
 def test_matrices_are_oracle_differences_at_large_n(each_kernel, f, k, r):
-    """The masked matrix holds the same differences on shape_mask's cells,
-    which the test above checks against flag_mask at these points."""
+    """The masked matrix holds the same differences on flag_mask's cells."""
     for g in orientations(family_spec(f, k, r)):
         phi = oracle_potentials(g.top.parts, g.bottom.parts)
         want = tuple(tuple(p - x for x in phi) for p in phi)
         assert extended_spectrum_matrix(g) == want
-        mask = shape_mask(g)
+        mask = flag_mask(g.top.parts, g.bottom.parts)
         assert spectrum_matrix(g) == tuple(
             tuple(cell if (i, j) in mask else None for j, cell in enumerate(row, start=1))
             for i, row in enumerate(want, start=1)
@@ -272,14 +287,14 @@ class TestSpectrum:
     def test_size_is_mask_minus_one(self, g):
         if not is_frobenius(g):
             return
-        assert spectrum(g).size == len(shape_mask(g)) - 1
+        assert spectrum(g).size == len(flag_mask(g.top.parts, g.bottom.parts)) - 1
 
     @given(seaweeds(max_n=12))
     def test_matches_masked_matrix_route(self, g):
         if not is_frobenius(g):
             return
         cells = [x for row in spectrum_matrix(g) for x in row if x is not None]
-        assert spectrum(g) == IntegerMultiset(cells).without_one(0)
+        assert spectrum(g) == without_one(IntegerMultiset(cells), 0)
 
 
 class TestExtendedSpectrum:
@@ -297,7 +312,7 @@ class TestExtendedSpectrum:
         ext = extended_spectrum(g)
         assert ext.size == g.n * g.n - 1
         cells = [x for row in extended_spectrum_matrix(g) for x in row]
-        assert ext == IntegerMultiset(cells).without_one(0)
+        assert ext == without_one(IntegerMultiset(cells), 0)
 
     @given(seaweeds(max_n=12))
     def test_contains_spectrum(self, g):
@@ -318,10 +333,10 @@ def test_kernel_histograms_give_the_validated_multisets():
     assert len(cases) == 2297
     for g in cases + large_point_cases():
         want = IntegerMultiset(kernel.spectrum_counts(g.top.parts, g.bottom.parts))
-        assert spectrum(g).items() == want.without_one(0).items()
+        assert spectrum(g).items() == without_one(want, 0).items()
         phi = vertex_potentials(g)
         want = IntegerMultiset(_kernel.difference_counts(phi, phi))
-        assert extended_spectrum(g).items() == want.without_one(0).items()
+        assert extended_spectrum(g).items() == without_one(want, 0).items()
 
 
 class TestPrincipalElement:

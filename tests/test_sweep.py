@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from oracles import graph_components
+from oracles import graph_components, read_ndjson
 
 from seaweedspec import (
     Composition,
@@ -13,7 +13,6 @@ from seaweedspec import (
     enumerate_frobenius,
     extension_variant_spec,
     parse_seaweed,
-    read_records,
     run_stability_sweep,
     run_sweep,
     run_unimodality_sweep,
@@ -36,7 +35,7 @@ class TestEnumerateFrobenius:
     def test_equals_the_frobenius_keys_of_the_sweep_file(self, tmp_path):
         out = tmp_path / "records.ndjson"
         run_sweep(SweepJob(n_max=8, out=str(out)))
-        frobenius = {r["key"] for r in read_records(str(out)) if r["frobenius"]}
+        frobenius = {r["key"] for r in read_ndjson(str(out)) if r["frobenius"]}
         assert len(frobenius) == 1 + 2 + 6 + 14 + 34 + 68 + 150 + 296
         assert {str(g) for n in range(1, 9) for g in enumerate_frobenius(n)} == frobenius
 
@@ -69,7 +68,7 @@ class TestUnimodalitySweep:
         assert summary["resumed"] == 0
         assert summary["engine_invariant_failures"] == 0
         assert summary["counterexamples"] == []
-        records = read_records(str(out))
+        records = read_ndjson(str(out))
         assert len(records) == 1365
         assert sum(r["frobenius"] for r in records) == 125
 
@@ -81,16 +80,16 @@ class TestUnimodalitySweep:
         assert again["pairs"] == first["pairs"]
         assert again["frobenius"] == first["frobenius"]
         assert again["counterexamples"] == first["counterexamples"]
-        assert len(read_records(str(out))) == 341
+        assert len(read_ndjson(str(out))) == 341
 
     def test_partial_resume_extends_the_file(self, tmp_path):
         out = tmp_path / "records.ndjson"
         run_unimodality_sweep(SweepJob(n_max=4, out=str(out)))
-        assert len(read_records(str(out))) == 85
+        assert len(read_ndjson(str(out))) == 85
         summary = run_unimodality_sweep(SweepJob(n_max=5, out=str(out), resume=True))
         assert summary["resumed"] == 85
         assert summary["pairs"] == 341
-        records = read_records(str(out))
+        records = read_ndjson(str(out))
         assert len(records) == 341
         assert len({r["key"] for r in records}) == 341
 
@@ -125,7 +124,7 @@ class TestUnimodalitySweep:
         out = tmp_path / "records.ndjson"
         with pytest.raises(EngineInvariantError, match="2 / 1\\|1: spectrum support has gaps"):
             run_unimodality_sweep(SweepJob(n_max=2, out=str(out)))
-        keys = [r["key"] for r in read_records(str(out))]
+        keys = [r["key"] for r in read_ndjson(str(out))]
         assert keys[0] == "1 / 1"  # empty spectrum: no predicates, no failure
         assert "2 / 1|1" in keys
 
@@ -266,25 +265,6 @@ class TestFilesAreClosed:
         self.check_all_closed(opened, 1)
 
 
-class TestReadRecords:
-    def test_corrupt_json_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.ndjson"
-        path.write_text('{"key": "1 / 1"}\nnot json\n')
-        with pytest.raises(ParseError, match=r"bad\.ndjson:2"):
-            read_records(str(path))
-
-    def test_non_record_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.ndjson"
-        path.write_text("42\n")
-        with pytest.raises(ParseError, match=r"bad\.ndjson:1"):
-            read_records(str(path))
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "ok.ndjson"
-        path.write_text('\n{"key": "a"}\n\n{"key": "b"}\n')
-        assert [r["key"] for r in read_records(str(path))] == ["a", "b"]
-
-
 class TestExtensionSpecs:
     def test_default_base(self):
         assert str(default_extension_base(1)) == "2|1 / 3"
@@ -317,7 +297,7 @@ class TestStabilitySweeps:
         assert summary["checked"] == 18
         assert summary["counterexamples"] == []
         assert summary["base"] == "default per-k bases"
-        records = read_records(str(out))
+        records = read_ndjson(str(out))
         assert len(records) == 18
         assert all(r["passed"] for r in records)
 
@@ -360,7 +340,7 @@ class TestStabilitySweeps:
         second = run_stability_sweep(job2)
         assert first["checked"] == second["checked"] == 4
         assert second["resumed"] == 4
-        assert len(read_records(str(out))) == 4
+        assert len(read_ndjson(str(out))) == 4
 
     def test_fabricated_failure_surfaces_on_resume(self, tmp_path):
         out = tmp_path / "records.ndjson"
@@ -387,7 +367,7 @@ class TestStabilitySweeps:
         assert summary["counterexamples"] == [
             {"spec": "2|1 / 3", "failed": ["support_matches"]}
         ]
-        assert len(read_records(str(out))) == 2
+        assert len(read_ndjson(str(out))) == 2
 
     def test_dispatch_rejects_non_stability(self):
         with pytest.raises(ValueError, match="not a stability conjecture"):
@@ -550,7 +530,7 @@ def fabricated_resume(tmp_path, grid, **changes):
     summary = run_stability_sweep(SweepJob(**grid, out=str(out), resume=True))
     assert summary["checked"] == 2
     assert summary["resumed"] == 1
-    assert len(read_records(str(out))) == 2
+    assert len(read_ndjson(str(out))) == 2
     return first["spec"], summary
 
 
@@ -590,7 +570,7 @@ class TestStabilityRecords:
             SweepJob(conjecture="stability_4_16", k_max=2, r_max=2, out=str(out))
         )
         assert summary["counterexamples"] == []
-        records = read_records(str(out))
+        records = read_ndjson(str(out))
         assert len(records) == 8
         assert all(r["unimodal_inherited"] is None and r["passed"] for r in records)
 
@@ -943,6 +923,28 @@ class TestResumeSemantics:
         summary = run_unimodality_sweep(SweepJob(n_max=3, out=str(path), resume=True))
         assert summary == {**fresh, "resumed": 21}
 
+    def test_non_object_line_is_fatal_and_leaves_the_file(self, tmp_path, capsys):
+        path = tmp_path / "r.ndjson"
+        _, lines = fresh_file(path, n_max=4)
+        damaged = b"".join(lines[:10] + [b"42\n"] + lines[10:])
+        path.write_bytes(damaged)
+        json.loads(b"42")  # valid JSON, but not a record
+        code = cli.main(["sweep", "--n-max", "4", "--out", str(path), "--resume"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (64, "")
+        assert f"corrupt sweep record at {path}:11" in captured.err
+        assert path.read_bytes() == damaged
+
+    def test_blank_lines_between_records_are_skipped(self, tmp_path):
+        path = tmp_path / "r.ndjson"
+        fresh, lines = fresh_file(path, n_max=4)
+        gaps = (b"\n", b"   \n", b"\t \n")
+        spaced = b"".join(gaps[i % 3] + line for i, line in enumerate(lines[:20]))
+        path.write_bytes(spaced)
+        summary = run_unimodality_sweep(SweepJob(n_max=4, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": 20}
+        assert path.read_bytes() == spaced + b"".join(lines[20:])
+
     def test_keys_outside_the_n_range_are_ignored(self, tmp_path):
         path = tmp_path / "r.ndjson"
         _, lines = fresh_file(path, n_max=4)
@@ -967,7 +969,7 @@ class TestResumeSemantics:
         assert summary == {**fresh_uni, "resumed": 12}
         summary = run_sweep(SweepJob(**stab_job, out=str(path), resume=True))
         assert summary == {**fresh_stab, "resumed": 3}
-        records = read_records(str(path))
+        records = read_ndjson(str(path))
         for conjecture, want in (("unimodal_2_8", uni_lines), ("stability_4_17", stab_lines)):
             got = [json.dumps(r) + "\n" for r in records if r["conjecture"] == conjecture]
             assert sorted(got) == sorted(line.decode() for line in want)
