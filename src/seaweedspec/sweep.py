@@ -16,12 +16,16 @@ Frobenius pairs of the row are visited (see _row_records). A record carries
 no timing, so a record file is a function of the job alone: every run
 writes the same bytes, and reruns with --resume skip finished keys.
 
-Both sweeps resume through one loader, _load_completed. It reads the file
-once and marks each finished key as one byte at its slot in a flat
-bytearray: a pair's place in pair order (see _pair_slots), or a grid
-point's index in its grid. It keeps only the records the sweep acts on,
-and the sweep checks those before it opens its output, so a resumed record
-that breaks a proven claim stops the run before anything is appended.
+The unimodality sweep resumes by replaying its writer (see _replay): a file
+this code wrote is a prefix of the records the job writes, so each row is
+made again and compared with the file's next bytes, and no line is
+parsed. A file that differs anywhere, and every stability sweep's file,
+goes through one loader, _load_completed. It reads the file once and marks
+each finished key as one byte at its slot in a flat bytearray: a pair's
+place in pair order (see _pair_slots), or a grid point's index in its grid.
+Either way a sweep keeps only the records it acts on, and checks those
+before it opens its output, so a resumed record that breaks a proven claim
+stops the run before anything is appended.
 
 The index of a pair is read off a census (see meander._census): one byte
 per pair holding 2C + P, each table copied by slices out of the tables of
@@ -40,7 +44,7 @@ import re
 from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 from ._engine import kernel
 from .analysis import (
@@ -225,10 +229,17 @@ def _load_completed(
     done: bytearray,
     slot: Callable[[bytes, bytes], int | None],
     acts: Callable[[dict], bool],
+    fh: BinaryIO | None = None,
 ) -> dict[int, dict]:
     """Mark the keys already in job.out in done, and return the records
     whose consume acts on them, keyed by slot; the last line of a key
     decides whether its record is kept.
+
+    A stability sweep resumes through this loader alone. The unimodality
+    sweep falls back to it when its file is not a prefix of the records it
+    writes (see _replay), and passes its own handle on job.out as fh,
+    rewound to the start, so the file is opened once; without fh, job.out
+    is opened here.
 
     slot(top, bottom) is the place in done of the key "top / bottom" (ASCII
     bytes), or None for a key the job does not walk, which is ignored. A
@@ -249,7 +260,7 @@ def _load_completed(
     kept: dict[int, dict] = {}
     lineno = 0
     rest = b""
-    with open(path, "rb") as fh:
+    with open(path, "rb") if fh is None else contextlib.nullcontext(fh) as fh:
         # readline completes the block's last line, so only the block at
         # the end of the file can end in a torn line.
         while block := fh.read(_BLOCK) + fh.readline():
@@ -357,6 +368,71 @@ def _pair_record_acts(rec: dict) -> bool:
     return rec["frobenius"] or rec["unimodal"] is False
 
 
+def _replay(
+    job: SweepJob, fh: BinaryIO, census: list[bytearray]
+) -> tuple[int, list[dict], int] | None:
+    """Check fh, from its start, against the records job writes: each row,
+    in pair order, is made again as the writer makes it and compared with
+    the file's next bytes, so no line is parsed and only one row is held.
+
+    When the file is a prefix of job's records, returns the number of
+    whole lines in it, the Frobenius records among them (the regenerated
+    ones, which equal the file's byte for byte) and the offset where its
+    last whole line ends; any bytes after that are a torn last line. Returns
+    None at the first byte that differs and at any byte past the end of
+    job's records.
+    """
+    lines = end = 0
+    frobenius: list[dict] = []
+    for n in range(job.n_min, job.n_max + 1):
+        m = len(_compositions(n)[0])
+        table = census[n]
+        for i in range(m):
+            row = table[i * m:(i + 1) * m]
+            text, recs = _row_records(job.conjecture, n, i, None, True, row)
+            want = text.encode()
+            got = fh.read(len(want))
+            if got != want:
+                if not want.startswith(got):
+                    return None
+                # The file ends inside this row.
+                whole = got.count(b"\n")
+                frobenius += recs[:row.count(1, 0, whole)]
+                return lines + whole, frobenius, end + got.rfind(b"\n") + 1
+            lines += m
+            end += len(want)
+            frobenius += recs
+    return None if fh.read(1) else (lines, frobenius, end)
+
+
+def _resume_pairs(
+    job: SweepJob,
+    census: list[bytearray],
+    done: bytearray,
+    slot: Callable[[bytes, bytes], int | None],
+) -> list[dict]:
+    """Mark the pairs already in job.out in done, and return the records
+    among them that the unimodality sweep's consume acts on, in pair order.
+
+    A file this code wrote is a prefix of the records job writes, and
+    _replay checks it as one; a matching torn last line is truncated as
+    _load_completed does. Any other file is read by _load_completed over
+    the same handle, from the start, and nothing the replay found is kept.
+    """
+    with open(job.out, "rb") as fh:
+        replayed = _replay(job, fh, census)
+        if replayed is None:
+            fh.seek(0)
+            kept = _load_completed(job, done, slot, _pair_record_acts, fh)
+            return [kept[k] for k in sorted(kept)]
+        lines, frobenius, end = replayed
+        torn = fh.tell() > end
+    done[:lines] = b"\x01" * lines
+    if torn:
+        os.truncate(job.out, end)
+    return frobenius
+
+
 def run_unimodality_sweep(job: SweepJob) -> dict:
     """Exhaustive sweep over all composition pairs for n in job's range.
 
@@ -378,14 +454,13 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         if collect and rec["unimodal"] is False:
             counterexamples.append({"spec": rec["spec"], "spectrum": rec["spectrum"]})
 
+    census = _census(job.n_max)  # one per run
     done = None
     if job.resume and os.path.exists(job.out):
         start, slot = _pair_slots(job)
         done = bytearray(start[job.n_max + 1])
-        kept = _load_completed(job, done, slot, _pair_record_acts)
-        for k in sorted(kept):
-            consume(kept[k])
-    census = _census(job.n_max)  # one per run
+        for rec in _resume_pairs(job, census, done, slot):
+            consume(rec)
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for n in range(job.n_min, job.n_max + 1):
             m = len(_compositions(n)[0])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from oracles import graph_components, read_ndjson
@@ -518,6 +519,115 @@ class TestRowWriter:
             summary = run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
             assert summary == {**fresh, "resumed": keep}, keep
             assert path.read_bytes() == b"".join(lines), keep
+
+    def test_resume_after_every_line_replays_under_each_kernel(
+        self, tmp_path, monkeypatch, each_kernel
+    ):
+        """The test above, under each kernel and with the loader out of
+        reach: every cut of a fresh file is a prefix of it."""
+        monkeypatch.setattr(sweep, "_load_completed", fallen_back)
+        self.test_resume_after_every_line_gives_the_fresh_file(tmp_path)
+
+
+def fallen_back(*args, **kwargs):
+    raise AssertionError("resume fell back to _load_completed")
+
+
+class TestReplay:
+    """A record file this code wrote is a prefix of the records its job
+    writes, and resume checks it as one, row by row, without the loader.
+    Any other file falls back to the loader and gives what the loader alone
+    gives."""
+
+    # Pairs of n <= 5, then 2 rows and 7 pairs of n = 6: Frobenius pairs of
+    # that row lie on both sides of the cut.
+    MID_ROW = (4**5 - 1) // 3 + 2 * 32 + 7
+
+    @pytest.mark.parametrize("cut", ["empty", "mid-row", "torn", "torn newline", "complete"])
+    def test_file_the_writer_made_is_replayed(self, tmp_path, monkeypatch, each_kernel, cut):
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=6)
+        row = lines[self.MID_ROW - 7:self.MID_ROW + 25]
+        assert all(b'"frobenius": true' in b"".join(side) for side in (row[:7], row[7:]))
+        keep, data = {
+            "empty": (0, b""),
+            "mid-row": (self.MID_ROW, b"".join(lines[:self.MID_ROW])),
+            "torn": (self.MID_ROW, b"".join(lines[:self.MID_ROW]) + lines[self.MID_ROW][:40]),
+            "torn newline": (len(lines) - 1, b"".join(lines)[:-1]),
+            "complete": (len(lines), b"".join(lines)),
+        }[cut]
+        path = tmp_path / "cut.ndjson"
+        path.write_bytes(data)
+        monkeypatch.setattr(sweep, "_load_completed", fallen_back)
+        summary = run_unimodality_sweep(SweepJob(n_max=6, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": keep}
+        assert path.read_bytes() == b"".join(lines)
+
+    def test_smaller_run_file_is_replayed(self, tmp_path, monkeypatch, each_kernel):
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=5)
+        path = tmp_path / "small.ndjson"
+        fresh_file(path, n_max=4)
+        monkeypatch.setattr(sweep, "_load_completed", fallen_back)
+        summary = run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": 85}
+        assert path.read_bytes() == b"".join(lines)
+
+    def test_one_byte_edit_falls_back_with_the_loader_result(self, tmp_path, monkeypatch):
+        """Each line of the n <= 4 file edited in one byte: the first digit
+        of a plain line's index, the last byte inside a Frobenius line's
+        spectrum, or the newline turned into a space. Resuming over it gives
+        what the loader alone gives: summary, or error type and message, and
+        file bytes."""
+        _, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=4)
+        assert len(lines) == 85
+        path = tmp_path / "edited.ndjson"
+        job = SweepJob(n_max=4, out=str(path), resume=True)
+        replay, load = sweep._replay, sweep._load_completed
+        loads = []
+
+        def counted_load(*args):
+            loads.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(sweep, "_load_completed", counted_load)
+
+        def outcome(data, stub):
+            path.write_bytes(data)
+            monkeypatch.setattr(sweep, "_replay", (lambda *args: None) if stub else replay)
+            try:
+                result = run_unimodality_sweep(job)
+            except Exception as exc:
+                result = (type(exc), str(exc))
+            return result, path.read_bytes()
+
+        swap = {ord("9"): ord("0"), ord("{"): ord("[")}
+        for k, line in enumerate(lines):
+            if b'"frobenius": true' in line:
+                at = line.rindex(b"}}") - 1  # the last count, or "{" of an empty spectrum
+            else:
+                at = line.rindex(b'"index": ') + len(b'"index": ')
+            assert line[at:at + 1].isdigit() or line[at:at + 1] == b"{"
+            edits = {at: swap.get(line[at], line[at] + 1), len(line) - 1: ord(" ")}
+            for at, byte in edits.items():
+                edited = bytearray(line)
+                edited[at] = byte
+                data = b"".join(lines[:k]) + bytes(edited) + b"".join(lines[k + 1:])
+                loads.clear()
+                assert outcome(data, stub=False) == outcome(data, stub=True), (k, at)
+                assert len(loads) == 2, (k, at)
+
+    def test_resume_memory_stays_below_a_quarter_of_the_file(self, tmp_path):
+        path = tmp_path / "records.ndjson"
+        run_sweep(SweepJob(n_max=8, out=str(path)))
+        size = path.stat().st_size
+        assert size == UNIMODAL_N8_RECORDS[0]
+        tracemalloc.start()
+        try:
+            summary = run_sweep(SweepJob(n_max=8, out=str(path), resume=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary["resumed"] == summary["pairs"] == 21845
+        assert peak < size / 4
 
 
 def fabricated_resume(tmp_path, grid, **changes):
