@@ -31,8 +31,11 @@ The index of a pair is read off a census (see meander._census): one byte
 per pair holding 2C + P, each table copied by slices out of the tables of
 smaller n along the winding-down moves, so no meander is walked. A run
 builds it for every n up to n_max, including the n below n_min it does not
-write, and it lives for that run. A Frobenius record still takes its own
-spectrum.
+write, and it lives for that run. The spectrum is taken once per orbit of
+the swap (t, b) -> (b, t) and the reversal (t, b) -> (t reversed, b
+reversed): they transpose and antitranspose the eigenvalue matrix, so every
+pair of an orbit has the same spectrum, shape fields and line tail (see
+_row_records).
 """
 
 from __future__ import annotations
@@ -137,6 +140,14 @@ def _compositions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]
     return parts, tuple("|".join(map(str, p)) for p in parts)
 
 
+@lru_cache(maxsize=16)
+def _reversed_ranks(n: int) -> tuple[int, ...]:
+    """The rank, in _compositions(n) order, of each composition's reverse."""
+    parts, _ = _compositions(n)
+    rank = {p: k for k, p in enumerate(parts)}
+    return tuple(rank[p[::-1]] for p in parts)
+
+
 def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:
     """The record of one composition pair: its shape fields are those of
     analysis.shape_fields, all null unless the pair is Frobenius."""
@@ -155,7 +166,7 @@ def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: in
 # The fixed-shape record line: json.dumps(_pair_record(...)) + "\n" for a
 # pair of nonzero index, which is all but a few lines of a sweep. The writer
 # formats it from these pieces and the loader recognises it by them; the
-# writer formats a Frobenius line from the same pieces (_frobenius_line). A
+# writer formats a Frobenius line from the same pieces (_frobenius_tail). A
 # key holds only digits, "|", " " and "/", and the conjecture is one of
 # CONJECTURES, so nothing in the line needs escaping.
 _SPEC_SEP = '", "spec": "'
@@ -177,20 +188,17 @@ _FROBENIUS_FLAGS = "".join(f', "{name}": {{}}' for name in SHAPE_FIELDS)
 _JSON_LITERAL = {True: "true", False: "false", None: "null"}
 
 
-def _frobenius_line(key_head: str, spec_head: str, bottom_text: str, rec: dict) -> str:
-    """json.dumps(rec) + "\n" for the Frobenius record rec, whose key is the
-    text of key_head and spec_head followed by bottom_text, formatted from
-    the pieces of the fixed-shape line. The spectrum's keys are decimal
+def _frobenius_tail(rec: dict) -> str:
+    """The end of json.dumps(rec) + "\n" for the Frobenius record rec, from
+    its index on: the line is the fixed-shape line's key head, bottom, spec
+    head and bottom followed by this. The spectrum's keys are decimal
     integers, so they need no escaping either."""
     # A list, not a map: unpacking a map builds a tuple of guessed size and
     # resizes it, which runs the cycle collector more often over a sweep.
     flags = _FROBENIUS_FLAGS.format(*[_JSON_LITERAL[rec[name]] for name in SHAPE_FIELDS])
     spectrum = rec["spectrum"]
     values = ", ".join(map('"{}": {}'.format, spectrum, spectrum.values()))
-    return (
-        f'{key_head}{bottom_text}{spec_head}{bottom_text}{_INDEX_SEP}0, "frobenius": true'
-        f'{flags}, "spectrum": {{{values}}}}}\n'
-    )
+    return f'{_INDEX_SEP}0, "frobenius": true{flags}, "spectrum": {{{values}}}}}\n'
 
 
 @lru_cache(maxsize=None)
@@ -230,6 +238,8 @@ def _load_completed(
     slot: Callable[[bytes, bytes], int | None],
     acts: Callable[[dict], bool],
     fh: BinaryIO | None = None,
+    kept: dict[int, dict] | None = None,
+    lineno: int = 0,
 ) -> dict[int, dict]:
     """Mark the keys already in job.out in done, and return the records
     whose consume acts on them, keyed by slot; the last line of a key
@@ -237,9 +247,10 @@ def _load_completed(
 
     A stability sweep resumes through this loader alone. The unimodality
     sweep falls back to it when its file is not a prefix of the records it
-    writes (see _replay), and passes its own handle on job.out as fh,
-    rewound to the start, so the file is opened once; without fh, job.out
-    is opened here.
+    writes (see _replay), and passes its own handle on job.out as fh, so the
+    file is opened once; without fh, job.out is opened here. The file is
+    read from fh's position on: kept holds the records kept from the lineno
+    lines before it, and the lines read are numbered on from there.
 
     slot(top, bottom) is the place in done of the key "top / bottom" (ASCII
     bytes), or None for a key the job does not walk, which is ignored. A
@@ -248,7 +259,8 @@ def _load_completed(
     nonblank line is parsed with json.loads, so a key spelled another way
     that decodes to the same text still counts. A record of job's
     conjecture whose key is unhashable, or that lacks a field its sweep
-    reads back, is corrupt; records of other conjectures are ignored.
+    reads back, is corrupt; records of other conjectures are ignored. So is
+    a record for which acts raises ValueError.
     Every record the sweep writes ends in a newline, so a last line without
     one is the torn tail of a killed run: once the rest has been read, the
     file is truncated back to the last newline and that record is computed
@@ -257,8 +269,7 @@ def _load_completed(
     path = job.out
     findall = _line_pattern(job.conjecture).findall
     reads = _PAIR_READS if job.conjecture in _PAIR_CONJECTURES else _STABILITY_READS
-    kept: dict[int, dict] = {}
-    lineno = 0
+    kept = {} if kept is None else kept
     rest = b""
     with open(path, "rb") if fh is None else contextlib.nullcontext(fh) as fh:
         # readline completes the block's last line, so only the block at
@@ -282,7 +293,11 @@ def _load_completed(
                 k = slot(top, bottom)
                 if k is not None:
                     done[k] = 1
-                    if line and acts(rec):
+                    try:
+                        acted = line and acts(rec)
+                    except ValueError:
+                        raise ParseError(f"corrupt sweep record at {path}:{lineno}") from None
+                    if acted:
                         kept[k] = rec
                     else:
                         kept.pop(k, None)
@@ -321,93 +336,141 @@ def _pair_slots(job: SweepJob) -> tuple[dict[int, int], Callable[[bytes, bytes],
 
 
 def _row_records(
-    conjecture: str, n: int, i: int, js: list[int] | None, write: bool, row: bytes
-) -> tuple[str, list[dict]]:
+    conjecture: str,
+    n: int,
+    i: int,
+    js: list[int] | None,
+    write: bool,
+    row: bytes,
+    memos: dict[int, dict],
+) -> tuple[str, dict[int, dict]]:
     """NDJSON text of the i-th top composition of n against the bottoms at
     indices js (all of them when js is None), and the Frobenius records
-    among them, with 2C + P read off row, the row's bytes of the census.
-    The text is empty unless write is set, since without an output file
-    nothing would read it.
+    among them by their place in js, with 2C + P read off row, the row's
+    bytes of the census. The text is empty unless write is set, since
+    without an output file nothing would read it.
 
     The text is one join of five pieces per pair, laid out by list repeat
     and slice assignment: the fixed-shape line's key head, bottom, spec
     head, bottom, and the tail of the pair's 2C + P. Only the Frobenius
     bottoms (2C + P = 1) are visited, each found by row.find, and each has
-    its five pieces replaced by its record's line and four empty strings.
+    its tail replaced by that of its record's line.
+
+    Swapping a pair's compositions, and reversing both, keeps its spectrum,
+    so a Frobenius pair's orbit under the two is keyed by its least member
+    in pair order. The first member a run visits takes the spectrum from the
+    kernel and leaves its record and line tail in n's orbit memo. Every
+    other member copies that record with its own key and spec, and reuses
+    the tail. memos is the run's, and holds the memo of one n at a time: a
+    row of another n drops it. write is the same for every row of a run, so
+    a memo's tails are there when they are needed.
     """
     parts, texts = _compositions(n)
-    top, top_text = parts[i], texts[i]
+    m = len(parts)
+    reverse = _reversed_ranks(n)
+    memo = memos.get(n)
+    if memo is None:
+        memos.clear()
+        memo = memos[n] = {}
+    top_text = texts[i]
     if js is not None:
-        parts = list(map(parts.__getitem__, js))
         texts = list(map(texts.__getitem__, js))
         row = bytes(map(row.__getitem__, js))
-    key_head = f"{_plain_head(conjecture)}{top_text} / "
-    spec_head = f"{_SPEC_SEP}{top_text} / "
     if write:
+        key_head = f"{_plain_head(conjecture)}{top_text} / "
+        spec_head = f"{_SPEC_SEP}{top_text} / "
         # The tail of each 2C + P <= n a pair of n can have; that of
         # 2C + P = 1 is always replaced.
         ends = [f"{_INDEX_SEP}{gl - 1}{_PLAIN_TAIL}" for gl in range(n + 1)]
         pieces = [key_head, None, spec_head, None, None] * len(row)
         pieces[1::5] = pieces[3::5] = texts
         pieces[4::5] = map(ends.__getitem__, row)
-    frobenius = []
+    frobenius = {}
+    ri = reverse[i]
     lo = 0
     while (pos := row.find(1, lo)) >= 0:
-        rec = _pair_record(conjecture, f"{top_text} / {texts[pos]}", top, parts[pos], 0)
-        frobenius.append(rec)
+        j = pos if js is None else js[pos]
+        rj = reverse[j]
+        orbit = min(i * m + j, j * m + i, ri * m + rj, rj * m + ri)
+        key = f"{top_text} / {texts[pos]}"
+        if orbit in memo:
+            rec, tail = memo[orbit]
+            rec = {**rec, "key": key, "spec": key}
+        else:
+            rec = _pair_record(conjecture, key, parts[i], parts[j], 0)
+            tail = _frobenius_tail(rec) if write else None
+            memo[orbit] = rec, tail
+        frobenius[pos] = rec
         if write:
-            line = _frobenius_line(key_head, spec_head, texts[pos], rec)
-            pieces[5 * pos:5 * pos + 5] = line, "", "", "", ""
+            pieces[5 * pos + 4] = tail
         lo = pos + 1
     return "".join(pieces) if write else "", frobenius
 
 
 def _pair_record_acts(rec: dict) -> bool:
     """Whether the unimodality sweep's consume does anything with rec; the
-    rest need no keeping on resume."""
-    return rec["frobenius"] or rec["unimodal"] is False
+    rest need no keeping on resume. Raises ValueError when rec is acted on
+    and its shape fields are not those of its spectrum (null for a null
+    spectrum), since consume checks the proven claims on the fields."""
+    if not (rec["frobenius"] or rec["unimodal"] is False):
+        return False
+    spectrum = rec["spectrum"]
+    try:
+        fields = (
+            dict.fromkeys(SHAPE_FIELDS) if spectrum is None
+            else shape_fields(IntegerMultiset.from_json_obj(spectrum))
+        )
+    except (AttributeError, TypeError) as exc:
+        raise ValueError("the spectrum is no multiset") from exc
+    if any(rec[name] is not fields[name] for name in SHAPE_FIELDS):
+        raise ValueError("the shape fields are not those of the spectrum")
+    return True
 
 
 def _replay(
-    job: SweepJob, fh: BinaryIO, census: list[bytearray]
-) -> tuple[int, list[dict], int] | None:
+    job: SweepJob, fh: BinaryIO, census: list[bytearray], memos: dict[int, dict]
+) -> tuple[int, dict[int, dict], int, bool] | None:
     """Check fh, from its start, against the records job writes: each row,
-    in pair order, is made again as the writer makes it and compared with
-    the file's next bytes, so no line is parsed and only one row is held.
+    in pair order, is made again as the writer makes it (memos is the
+    run's, see _row_records) and compared with the file's next bytes, so
+    no line is parsed and only one row is held.
 
-    When the file is a prefix of job's records, returns the number of
-    whole lines in it, the Frobenius records among them (the regenerated
-    ones, which equal the file's byte for byte) and the offset where its
-    last whole line ends; any bytes after that are a torn last line. Returns
-    None at the first byte that differs and at any byte past the end of
-    job's records.
+    Returns the number of whole lines matched, the Frobenius records among
+    them by slot (see _pair_slots; the regenerated records, which equal the
+    file's byte for byte), the offset where those lines end, and whether
+    the file is a prefix of job's records; any bytes after that offset of a
+    prefix are a torn last line. At the first byte that differs, and at any
+    byte past the end of job's records, the file is not a prefix, and only
+    the whole rows before that byte count as matched; None when there are
+    none.
     """
     lines = end = 0
-    frobenius: list[dict] = []
+    frobenius: dict[int, dict] = {}
     for n in range(job.n_min, job.n_max + 1):
         m = len(_compositions(n)[0])
         table = census[n]
         for i in range(m):
             row = table[i * m:(i + 1) * m]
-            text, recs = _row_records(job.conjecture, n, i, None, True, row)
+            text, recs = _row_records(job.conjecture, n, i, None, True, row, memos)
             want = text.encode()
             got = fh.read(len(want))
             if got != want:
                 if not want.startswith(got):
-                    return None
+                    return (lines, frobenius, end, False) if lines else None
                 # The file ends inside this row.
                 whole = got.count(b"\n")
-                frobenius += recs[:row.count(1, 0, whole)]
-                return lines + whole, frobenius, end + got.rfind(b"\n") + 1
+                frobenius.update((lines + j, rec) for j, rec in recs.items() if j < whole)
+                return lines + whole, frobenius, end + got.rfind(b"\n") + 1, True
+            frobenius.update((lines + j, rec) for j, rec in recs.items())
             lines += m
             end += len(want)
-            frobenius += recs
-    return None if fh.read(1) else (lines, frobenius, end)
+    return lines, frobenius, end, not fh.read(1)
 
 
 def _resume_pairs(
     job: SweepJob,
     census: list[bytearray],
+    memos: dict[int, dict],
     done: bytearray,
     slot: Callable[[bytes, bytes], int | None],
 ) -> list[dict]:
@@ -417,20 +480,21 @@ def _resume_pairs(
     A file this code wrote is a prefix of the records job writes, and
     _replay checks it as one; a matching torn last line is truncated as
     _load_completed does. Any other file is read by _load_completed over
-    the same handle, from the start, and nothing the replay found is kept.
+    the same handle, from the end of the whole rows the replay matched,
+    whose flags and records it keeps.
     """
     with open(job.out, "rb") as fh:
-        replayed = _replay(job, fh, census)
-        if replayed is None:
-            fh.seek(0)
-            kept = _load_completed(job, done, slot, _pair_record_acts, fh)
+        replayed = _replay(job, fh, census, memos)
+        lines, frobenius, end, prefix = replayed or (0, {}, 0, False)
+        done[:lines] = b"\x01" * lines
+        if not prefix:
+            fh.seek(end)
+            kept = _load_completed(job, done, slot, _pair_record_acts, fh, frobenius, lines)
             return [kept[k] for k in sorted(kept)]
-        lines, frobenius, end = replayed
         torn = fh.tell() > end
-    done[:lines] = b"\x01" * lines
     if torn:
         os.truncate(job.out, end)
-    return frobenius
+    return list(frobenius.values())
 
 
 def run_unimodality_sweep(job: SweepJob) -> dict:
@@ -455,11 +519,12 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
             counterexamples.append({"spec": rec["spec"], "spectrum": rec["spectrum"]})
 
     census = _census(job.n_max)  # one per run
+    memos: dict[int, dict] = {}  # one per run, shared by the replay and the rows
     done = None
     if job.resume and os.path.exists(job.out):
         start, slot = _pair_slots(job)
         done = bytearray(start[job.n_max + 1])
-        for rec in _resume_pairs(job, census, done, slot):
+        for rec in _resume_pairs(job, census, memos, done, slot):
             consume(rec)
     with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
         for n in range(job.n_min, job.n_max + 1):
@@ -476,13 +541,13 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
                     if resumed:
                         js = [j for j in range(m) if not row[j]]
                 text, frobenius = _row_records(
-                    job.conjecture, n, i, js, out is not None, table[i * m:(i + 1) * m]
+                    job.conjecture, n, i, js, out is not None, table[i * m:(i + 1) * m], memos
                 )
                 # A row reaches the file before its records are checked,
                 # so a record that fails a proven claim is on disk.
                 if out:
                     out.write(text)
-                for rec in frobenius:
+                for rec in frobenius.values():
                     consume(rec)
 
     counterexamples.sort(key=lambda c: c["spec"])

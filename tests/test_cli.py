@@ -495,7 +495,7 @@ class TestSweep:
             "unimodal": False,
             "log_concave": False,
             "symmetric_about_half": True,
-            "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2},
+            "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2},
             "elapsed": 0.0,
         }
         out_path.write_text(json.dumps(fake) + "\n")
@@ -505,7 +505,7 @@ class TestSweep:
         assert code == 2
         summary = json.loads(out)
         assert summary["counterexamples"] == [
-            {"spec": "1 / 1", "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2}}
+            {"spec": "1 / 1", "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2}}
         ]
 
     def test_engine_failure_exit_1(self, capsys, tmp_path):
@@ -521,7 +521,7 @@ class TestSweep:
             "unimodal": True,
             "log_concave": True,
             "symmetric_about_half": True,
-            "spectrum": {"0": 1, "2": 1},
+            "spectrum": {"-1": 1, "2": 1},
             "elapsed": 0.0,
         }
         out_path.write_text(json.dumps(fake) + "\n")

@@ -142,7 +142,7 @@ class TestUnimodalitySweep:
             "unimodal": False,
             "log_concave": False,
             "symmetric_about_half": True,
-            "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2},
+            "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2},
             "elapsed": 0.0,
         }
         out.write_text(json.dumps(fake) + "\n")
@@ -151,7 +151,7 @@ class TestUnimodalitySweep:
         )
         assert summary["resumed"] == 1
         assert summary["counterexamples"] == [
-            {"spec": "1 / 1", "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2}}
+            {"spec": "1 / 1", "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2}}
         ]
 
     def test_fabricated_engine_failure_raises(self, tmp_path):
@@ -167,7 +167,7 @@ class TestUnimodalitySweep:
             "unimodal": True,
             "log_concave": True,
             "symmetric_about_half": True,
-            "spectrum": {"0": 1, "2": 1},
+            "spectrum": {"-1": 1, "2": 1},
             "elapsed": 0.0,
         }
         out.write_text(json.dumps(fake) + "\n")
@@ -630,6 +630,104 @@ class TestReplay:
         assert peak < size / 4
 
 
+class TestOrbitMemo:
+    """Swapping a pair's compositions, and reversing both, keeps its
+    spectrum, so a sweep takes one spectrum per orbit of the two: in a fresh
+    run, and across the replay and the rows written after it on resume."""
+
+    # Pairs of n <= 8, then 65 rows and 20 pairs of n = 9: Frobenius pairs of
+    # that row lie on both sides of the cut.
+    MID_ROW_9 = (4**8 - 1) // 3 + 65 * 256 + 20
+
+    def test_orbit_members_have_one_spectrum_through_n9(self, each_kernel):
+        spectrum_counts = sweep.kernel.spectrum_counts
+        frobenius = 0
+        for n in range(1, 10):
+            for g in enumerate_frobenius(n):
+                t, b = g.top.parts, g.bottom.parts
+                counts = spectrum_counts(t, b)
+                members = [(b, t), (t[::-1], b[::-1]), (b[::-1], t[::-1])]
+                assert all(spectrum_counts(*pair) == counts for pair in members), g
+                frobenius += 1
+        assert frobenius == 1157
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        """The pairs whose spectrum the kernel is asked for, in order."""
+        asked = []
+        spectrum_counts = sweep.kernel.spectrum_counts
+
+        def counting(top, bottom):
+            asked.append((top, bottom))
+            return spectrum_counts(top, bottom)
+
+        monkeypatch.setattr(sweep.kernel, "spectrum_counts", counting)
+        return asked
+
+    def test_fresh_n9_sweep_takes_one_spectrum_per_orbit(self, spectra):
+        summary = run_sweep(SweepJob(n_max=9))
+        assert summary["frobenius"] == 1157
+        assert len(spectra) == len(set(spectra)) == 307
+
+    def test_resume_over_a_mid_row_cut_takes_one_spectrum_per_orbit(self, tmp_path, spectra):
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=9)
+        spectra.clear()
+        path = tmp_path / "cut.ndjson"
+        path.write_bytes(b"".join(lines[:self.MID_ROW_9]))
+        summary = run_sweep(SweepJob(n_max=9, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": self.MID_ROW_9}
+        assert path.read_bytes() == b"".join(lines)
+        assert len(spectra) == len(set(spectra)) == 307
+
+    def test_late_edit_loads_from_the_row_it_is_in(self, tmp_path, monkeypatch):
+        """An index digit edited in the last row of the n <= 6 file: the
+        loader reads on from the end of the rows before it, with their
+        lines counted, and the resume gives what the loader alone gives."""
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=6)
+        before = len(lines) - 32  # the lines before the last row
+        at = lines[-5].rindex(b'"index": ') + len(b'"index": ')
+        edited = lines[-5][:at] + b"9" + lines[-5][at + 1:]
+        data = b"".join(lines[:-5] + [edited] + lines[-4:])
+        path = tmp_path / "edited.ndjson"
+        load = sweep._load_completed
+        starts = []
+
+        def recording(job, done, slot, acts, fh=None, *rest):
+            starts.append((fh.tell(), *rest[1:]))
+            return load(job, done, slot, acts, fh, *rest)
+
+        monkeypatch.setattr(sweep, "_load_completed", recording)
+        path.write_bytes(data)
+        summary = run_unimodality_sweep(SweepJob(n_max=6, out=str(path), resume=True))
+        assert starts == [(len(b"".join(lines[:before])), before)]
+        assert summary == {**fresh, "resumed": len(lines)}
+        assert path.read_bytes() == data
+
+    def test_resumed_record_whose_flags_are_not_its_spectrum_is_corrupt(self, tmp_path, capsys):
+        path = tmp_path / "r.ndjson"
+        _, lines = fresh_file(path, n_max=2)
+        assert json.loads(lines[2])["key"] == "2 / 1|1"
+        lines[2] = json.dumps(
+            {**ASYMMETRIC_2_11, "symmetric_about_half": True}
+        ).encode() + b"\n"
+        damaged = b"".join(lines)
+        path.write_bytes(damaged)
+        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (64, "")
+        assert f"corrupt sweep record at {path}:3" in captured.err
+        assert path.read_bytes() == damaged
+
+    @pytest.mark.parametrize("spectrum", [None, [0, 1], {"0": "1", "1": 1}, {"x": 1}])
+    def test_resumed_record_whose_spectrum_is_no_multiset_is_corrupt(self, tmp_path, spectrum):
+        path = tmp_path / "r.ndjson"
+        _, lines = fresh_file(path, n_max=2)
+        lines[2] = json.dumps({**json.loads(lines[2]), "spectrum": spectrum}).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=r"r\.ndjson:3$"):
+            run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
+
+
 def fabricated_resume(tmp_path, grid, **changes):
     """Write only the first record of a fresh run over grid, with changes and
     passed set to false, then resume over it; return the summary."""
@@ -913,6 +1011,8 @@ class TestRecordCodec:
         assert path.read_bytes() == damaged
 
 
+# A fabricated counterexample. Its shape fields are those of its spectrum, as
+# in every record that resume does not reject as corrupt.
 FAKE_COUNTEREXAMPLE = {
     "conjecture": "unimodal_2_8",
     "key": "2 / 2",
@@ -924,7 +1024,7 @@ FAKE_COUNTEREXAMPLE = {
     "unimodal": False,
     "log_concave": False,
     "symmetric_about_half": True,
-    "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2},
+    "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2},
 }
 
 
@@ -932,7 +1032,7 @@ FAKE_COUNTEREXAMPLE = {
 # proven claim rules out.
 GAPS_2_11 = {
     **FAKE_COUNTEREXAMPLE, "key": "2 / 1|1", "spec": "2 / 1|1", "unbroken": False,
-    "centered_half": False,
+    "centered_half": False, "spectrum": {"-2": 2, "-1": 1, "2": 1, "3": 2},
 }
 
 
@@ -958,8 +1058,11 @@ class TestResumeSemantics:
             assert summary["frobenius"] == 3 + len(found)
 
     def test_kept_records_are_consumed_in_pair_order(self, tmp_path):
-        gaps = {**FAKE_COUNTEREXAMPLE, "unbroken": False, "centered_half": False}
-        off_center = {**FAKE_COUNTEREXAMPLE, "centered_half": False}
+        gaps = GAPS_2_11
+        off_center = {
+            **FAKE_COUNTEREXAMPLE, "centered_half": False, "symmetric_about_half": False,
+            "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2},
+        }
         path = tmp_path / "r.ndjson"
         path.write_text(
             json.dumps({**gaps, "key": "1|1 / 2", "spec": "1|1 / 2"}) + "\n"
