@@ -10,17 +10,23 @@ sweep and spectrum_report both go through it. The verify_* functions
 recompute both sides of identities that are theorems. A failure of either
 kind can only mean a bug in the engine, so they raise EngineInvariantError
 rather than returning False.
+
+The swap and reverse checks build each seaweed's masked and full matrices
+in one call, and compare g's rows with the partner's columns (read upward,
+for the reversal) as zip makes them; the skew check compares the columns
+with each distinct row negated once. The flipped matrix is built whole
+only on a mismatch, to name its first differing entry.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from operator import neg
+from operator import eq, neg
 
 from .core import Composition, IntegerMultiset, SeaweedSpec
-from .spectrum import extended_spectrum_matrix, spectrum, spectrum_matrix
+from .spectrum import _matrices, extended_spectrum_matrix, spectrum, spectrum_matrix
 
 
 class EngineInvariantError(RuntimeError):
@@ -156,17 +162,46 @@ def spectrum_report(g: SeaweedSpec) -> SpectrumReport:
 
 
 def _full_multiset(rows) -> IntegerMultiset:
-    """Every cell of rows, counted at C speed and validated once per value."""
-    return IntegerMultiset(Counter(chain.from_iterable(rows)))
+    """Every cell of rows, counted at C speed and validated once per value.
+
+    A row tuple that several rows share (rows of equal potential) is
+    counted once, and its counts are weighted by the number of rows that
+    share it.
+    """
+    distinct = {id(row): row for row in rows}
+    by_share = defaultdict(list)
+    for key, times in Counter(map(id, rows)).items():
+        by_share[times].append(distinct[key])
+    total = Counter(chain.from_iterable(by_share.pop(1, ())))
+    for times, group in by_share.items():
+        for value, count in Counter(chain.from_iterable(group)).items():
+            total[value] += count * times
+    return IntegerMultiset(total)
+
+
+def _is_square(rows, n: int) -> bool:
+    return len(rows) == n and set(map(len, rows)) == {n}
 
 
 def _transposed(rows):
     return tuple(zip(*rows))
 
 
+def _equals_transposed(rows, other) -> bool:
+    """rows == _transposed(other) for n x n matrices: row i against column
+    i of other, each column made as it is compared."""
+    return all(map(eq, rows, zip(*other)))
+
+
 def _antitransposed(rows):
     """Entry (i, j) is rows[n-1-j][n-1-i]: the transpose with both axes reversed."""
     return tuple(zip(*rows[::-1]))[::-1]
+
+
+def _equals_antitransposed(rows, other) -> bool:
+    """rows == _antitransposed(other) for n x n matrices: row n-1-j against
+    column j of other read bottom to top, each made as it is compared."""
+    return all(map(eq, reversed(rows), zip(*reversed(other))))
 
 
 def _first_difference(rows, want):
@@ -180,16 +215,23 @@ def _first_difference(rows, want):
     return None
 
 
-def _verify_index_map(g: SeaweedSpec, h: SeaweedSpec, name: str, partner: str, flip) -> bool:
+def _verify_index_map(
+    g: SeaweedSpec, h: SeaweedSpec, name: str, partner: str, flip, equals_flip
+) -> bool:
     """g's masked and full matrices equal flip of h's, and their spectra agree.
 
-    Each matrix is one whole-matrix comparison; a failure names the first
-    differing entry in g's row-major order, or the shapes.
+    Each seaweed's two matrices come from one _matrices call. When both
+    matrices of a pair are n x n, equals_flip compares them without
+    building the flip; only on a mismatch (or a wrong shape) is the flip
+    built, and the failure names the first differing entry in g's
+    row-major order, or the shapes.
     """
-    matrices = (("entry", spectrum_matrix), ("extended entry", extended_spectrum_matrix))
-    for label, matrix in matrices:
-        rows = matrix(g)
-        want = flip(matrix(h))
+    n = g.n
+    labels = ("entry", "extended entry")
+    for label, rows, other in zip(labels, _matrices(g), _matrices(h)):
+        if _is_square(rows, n) and _is_square(other, n) and equals_flip(rows, other):
+            continue
+        want = flip(other)
         if rows != want:
             diff = _first_difference(rows, want)
             if diff is None:
@@ -199,9 +241,6 @@ def _verify_index_map(g: SeaweedSpec, h: SeaweedSpec, name: str, partner: str, f
                 f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is {got} "
                 f"but {partner} has {wanted}"
             )
-        # The flip shares no rows with h's matrix: free it before the next
-        # one is built.
-        del want
     if spectrum(g) != spectrum(h):
         raise EngineInvariantError(f"{name} failure at {g}: spectra differ")
     return True
@@ -213,7 +252,9 @@ def verify_swap_lemma(g: SeaweedSpec) -> bool:
     Checks the masks, the masked matrices, the full matrices, and (as a
     corollary) the spectra of g and its swap. Frobenius g only.
     """
-    return _verify_index_map(g, g.swapped(), "swap", "transposed swap", _transposed)
+    return _verify_index_map(
+        g, g.swapped(), "swap", "transposed swap", _transposed, _equals_transposed
+    )
 
 
 def verify_reverse_lemma(g: SeaweedSpec) -> bool:
@@ -222,12 +263,23 @@ def verify_reverse_lemma(g: SeaweedSpec) -> bool:
     Entry (i,j) of g matches entry (n+1-j, n+1-i) of the reversal, masked
     and full alike. Frobenius g only.
     """
-    return _verify_index_map(g, g.reversed(), "reverse", "the reversal", _antitransposed)
+    return _verify_index_map(
+        g, g.reversed(), "reverse", "the reversal", _antitransposed, _equals_antitransposed
+    )
 
 
 def verify_skew_symmetry(g: SeaweedSpec) -> bool:
-    """The full matrix equals its negated transpose. Frobenius g only."""
+    """The full matrix equals its negated transpose. Frobenius g only.
+
+    Column i is compared with row i negated, and each distinct row tuple is
+    negated once; the negated transpose is built only on a mismatch (or a
+    wrong shape), to name the first differing entry.
+    """
     rows = extended_spectrum_matrix(g)
+    distinct = {id(row): row for row in rows}
+    negated_row = {key: tuple(map(neg, row)) for key, row in distinct.items()}
+    if _is_square(rows, g.n) and all(map(eq, zip(*rows), [negated_row[id(r)] for r in rows])):
+        return True
     want = tuple([tuple(map(neg, col)) for col in zip(*rows)])
     if rows == want:
         return True

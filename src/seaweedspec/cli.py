@@ -113,6 +113,16 @@ def _json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _indexable_seaweed(text: str):
+    """parse_seaweed for a command that holds one item per vertex, so n must
+    fit an index (sys.maxsize); a larger n is refused before any kernel
+    call. index takes parts of any size and parses on its own."""
+    g = parse_seaweed(text)
+    if g.n > sys.maxsize:
+        raise ParseError(f"seaweed too large: n = {g.n} exceeds the largest index, {sys.maxsize}")
+    return g
+
+
 def cmd_index(args) -> int:
     g = parse_seaweed(args.seaweed)
     cycles, paths = component_counts(g.top.parts, g.bottom.parts)
@@ -142,17 +152,17 @@ def _emit_multiset(args, s) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    _emit_multiset(args, spectrum(parse_seaweed(args.seaweed)))
+    _emit_multiset(args, spectrum(_indexable_seaweed(args.seaweed)))
     return EXIT_OK
 
 
 def cmd_extended(args) -> int:
-    _emit_multiset(args, extended_spectrum(parse_seaweed(args.seaweed)))
+    _emit_multiset(args, extended_spectrum(_indexable_seaweed(args.seaweed)))
     return EXIT_OK
 
 
 def cmd_principal(args) -> int:
-    g = parse_seaweed(args.seaweed)
+    g = _indexable_seaweed(args.seaweed)
     diag = principal_element(g)
     if args.format == "plain":
         _emit(args, " ".join(str(f) for f in diag))
@@ -166,7 +176,7 @@ def cmd_principal(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    g = parse_seaweed(args.seaweed)
+    g = _indexable_seaweed(args.seaweed)
     rows = extended_spectrum_matrix(g) if args.extended else spectrum_matrix(g)
     if args.format == "plain":
         _emit(args, matrix_text(rows))
@@ -183,7 +193,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_render(args) -> int:
-    g = parse_seaweed(args.seaweed)
+    g = _indexable_seaweed(args.seaweed)
     _emit(args, render_svg(g))
     return EXIT_OK
 
@@ -255,7 +265,7 @@ def cmd_verify_lemmas(args) -> int:
             raise ParseError(f"{flag} must be at least 1, got {bound}")
     lines = []
     if args.seaweed:
-        g = parse_seaweed(args.seaweed)
+        g = _indexable_seaweed(args.seaweed)
         verify_swap_lemma(g)
         verify_reverse_lemma(g)
         verify_skew_symmetry(g)

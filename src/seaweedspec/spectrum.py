@@ -12,18 +12,19 @@ top blocks ascend and bottom blocks descend.
 Block indices never decrease along 1..n, so row i's admissible columns are
 one contiguous interval: from the first position of i's top block to the
 last position of i's bottom block, and `_row_spans` lists those
-intervals. Neither matrix does arithmetic per entry: each row of the full
-matrix is one itemgetter pass over a slice of a single table of all
-possible differences, vertices of equal potential share one row tuple, and
-the masked matrix slices each full row to its interval and pads it with
-slices of one tuple of Nones. Read by blocks instead, the same mask is
-the diagonal plus the upper triangle of each bottom block plus the lower
-triangle of each top block, which is how both kernels count it. Every arc
-joins potentials one apart, so a block's right half is its left half
-mirrored and lowered by one (raised, for a top block); the pure kernel
-reads each triangle off the differences within the left half alone. The
-spectrum is that multiset with one zero removed; the extended spectrum
-drops the mask and uses all n^2 positions instead.
+intervals. `_matrices` builds both matrices from one walk and one table,
+and neither does arithmetic per entry: each row of the full matrix is one
+itemgetter pass over a slice of a single table of all possible
+differences, vertices of equal potential share one row tuple, and the
+masked matrix slices each full row to its interval and pads it with
+slices of one tuple of Nones, cut once per block bound. Read by blocks
+instead, the same mask is the diagonal plus the upper triangle of each
+bottom block plus the lower triangle of each top block, which is how both
+kernels count it. Every arc joins potentials one apart, so a block's
+right half is its left half mirrored and lowered by one (raised, for a top
+block); the pure kernel reads each triangle off the differences within the
+left half alone. The spectrum is that multiset with one zero removed; the
+extended spectrum drops the mask and uses all n^2 positions instead.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -128,26 +129,40 @@ def _difference_rows(phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(rows.__getitem__, phi))
 
 
+def _matrices(g: SeaweedSpec):
+    """(masked, full): both eigenvalue matrices of g, from one walk and one
+    difference table.
+
+    full is _difference_rows of the potentials. Masked row i is None, then
+    full row i over its admissible interval (see _row_spans), then None
+    again; the pads are slices of one tuple of n Nones, cut once per
+    distinct block bound.
+    """
+    full = _difference_rows(vertex_potentials(g))
+    nones = (None,) * g.n
+    heads = {lo: nones[:lo] for lo in accumulate(g.top.parts, initial=0)}
+    tails = {hi: nones[hi:] for hi in accumulate(g.bottom.parts)}
+    masked = tuple(
+        heads[lo] + row[lo:hi] + tails[hi] for row, (lo, hi) in zip(full, _row_spans(g))
+    )
+    return masked, full
+
+
 def spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int | None, ...], ...]:
     """The eigenvalue at every admissible position, None elsewhere.
 
-    Row i, column j (1-based in math terms) sits at [i-1][j-1]. Each row is
-    None, then phi(i) - phi(j) over the row's admissible interval (see
-    _row_spans), then None again: the interval is sliced out of the
-    extended matrix's row, and the padding out of one tuple of n Nones.
+    Row i, column j (1-based in math terms) sits at [i-1][j-1]; see
+    _matrices.
     """
-    nones = (None,) * g.n
-    return tuple(
-        nones[:lo] + row[lo:hi] + nones[hi:]
-        for row, (lo, hi) in zip(_difference_rows(vertex_potentials(g)), _row_spans(g))
-    )
+    return _matrices(g)[0]
 
 
 def extended_spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int, ...], ...]:
     """All n^2 potential differences; skew-symmetric by construction.
 
     Rows of vertices with equal potential are the same tuple object, so
-    the matrix holds one row per distinct potential.
+    the matrix holds one row per distinct potential. This is _matrices's
+    full matrix, built without the masked one.
     """
     return _difference_rows(vertex_potentials(g))
 

@@ -1,4 +1,7 @@
+import importlib
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 import goldens
 from seaweedspec import (
     EngineInvariantError,
+    FamilyId,
     IntegerMultiset,
+    SeaweedSpec,
     analysis,
     enumerate_frobenius,
     family_spec,
@@ -24,6 +29,8 @@ from seaweedspec import (
 )
 from seaweedspec._engine import kernel
 from strategies import LARGE_POINTS, integer_multiset_counts, orientations
+
+spectrum_module = importlib.import_module("seaweedspec.spectrum")
 
 
 @st.composite
@@ -198,6 +205,14 @@ class TestBlockLemmas:
             verify_block_lemmas(2, 1, 0)
 
 
+def with_cells(rows, cells, value):
+    """rows with `value` at each 0-based (row, column) pair of cells."""
+    rows = [list(row) for row in rows]
+    for i, j in cells:
+        rows[i][j] = value
+    return tuple(tuple(row) for row in rows)
+
+
 def corrupting(monkeypatch, name, spec, cells, value=99):
     """Patch analysis.<name> so the matrix of `spec` carries `value` at `cells`.
 
@@ -205,17 +220,31 @@ def corrupting(monkeypatch, name, spec, cells, value=99):
     returned untouched.
     """
     build = getattr(analysis, name)
+    monkeypatch.setattr(
+        analysis, name, lambda g: with_cells(build(g), cells, value) if str(g) == spec else build(g)
+    )
+
+
+#: The place in analysis._matrices's (masked, full) pair of the matrix that
+#: each public matrix function returns.
+PAIR_SLOT = {"spectrum_matrix": 0, "extended_spectrum_matrix": 1}
+
+
+def changing_pair(monkeypatch, name, spec, change):
+    """Patch analysis._matrices so that, for `spec` alone, the matrix that
+    `name` returns (see PAIR_SLOT) is replaced by change(matrix)."""
+    build = analysis._matrices
+    slot = PAIR_SLOT[name]
 
     def patched(g):
-        rows = build(g)
+        pair = build(g)
         if str(g) != spec:
-            return rows
-        rows = [list(row) for row in rows]
-        for i, j in cells:
-            rows[i][j] = value
-        return tuple(tuple(row) for row in rows)
+            return pair
+        pair = list(pair)
+        pair[slot] = change(pair[slot])
+        return tuple(pair)
 
-    monkeypatch.setattr(analysis, name, patched)
+    monkeypatch.setattr(analysis, "_matrices", patched)
 
 
 class TestVerifierFailures:
@@ -225,7 +254,7 @@ class TestVerifierFailures:
     set two cells, chosen so that the first mismatch in the checked
     seaweed's row-major order is not the first corrupt cell in the
     partner's row-major order; the block tests corrupt a corner or its
-    reference; the last two give a matrix of the wrong shape.
+    reference; the last three give a matrix of the wrong shape.
     """
 
     G = "2|4 / 1|2|3"
@@ -236,7 +265,9 @@ class TestVerifierFailures:
     )
     def test_swap(self, monkeypatch, name, label, value):
         # partner cells (1,4) and (3,2) sit at (4,1) and (2,3) of the transpose
-        corrupting(monkeypatch, name, "1|2|3 / 2|4", [(0, 3), (2, 1)])
+        changing_pair(
+            monkeypatch, name, "1|2|3 / 2|4", lambda rows: with_cells(rows, [(0, 3), (2, 1)], 99)
+        )
         with pytest.raises(EngineInvariantError) as err:
             verify_swap_lemma(parse_seaweed(self.G))
         assert str(err.value) == (
@@ -250,7 +281,9 @@ class TestVerifierFailures:
     )
     def test_reverse(self, monkeypatch, name, label, value):
         # partner cells (1,5) and (3,6) sit at (2,6) and (1,4) of the flip
-        corrupting(monkeypatch, name, "4|2 / 3|2|1", [(0, 4), (2, 5)])
+        changing_pair(
+            monkeypatch, name, "4|2 / 3|2|1", lambda rows: with_cells(rows, [(0, 4), (2, 5)], 99)
+        )
         with pytest.raises(EngineInvariantError) as err:
             verify_reverse_lemma(parse_seaweed(self.G))
         assert str(err.value) == (
@@ -299,19 +332,31 @@ class TestVerifierFailures:
 
     @pytest.mark.parametrize(
         "reshape",
-        [lambda rows, n: rows + ((0,) * n,), lambda rows, n: rows[:-1]],
-        ids=["row_added", "row_dropped"],
+        [
+            lambda rows, n: rows + ((0,) * n,),
+            lambda rows, n: rows[:-1],
+            # the transpose's columns are as long as g's rows, and one too many
+            lambda rows, n: tuple(row + (0,) for row in rows),
+        ],
+        ids=["row_added", "row_dropped", "column_added"],
     )
     def test_swap_partner_of_another_shape(self, monkeypatch, reshape):
-        build = analysis.extended_spectrum_matrix
-        monkeypatch.setattr(
-            analysis,
-            "extended_spectrum_matrix",
-            lambda g: reshape(build(g), g.n) if str(g) == "1|2|3 / 2|4" else build(g),
+        changing_pair(
+            monkeypatch, "extended_spectrum_matrix", "1|2|3 / 2|4", lambda rows: reshape(rows, 6)
         )
         with pytest.raises(EngineInvariantError) as err:
             verify_swap_lemma(parse_seaweed(self.G))
         assert str(err.value) == f"swap failure at {self.G}: matrix shapes differ"
+
+    def test_skew_last_row_short(self, monkeypatch):
+        # every column is cut to the last row's length, so the last row is never a column
+        build = analysis.extended_spectrum_matrix
+        monkeypatch.setattr(
+            analysis, "extended_spectrum_matrix", lambda g: build(g)[:-1] + (build(g)[-1][:-1],)
+        )
+        with pytest.raises(EngineInvariantError) as err:
+            verify_skew_symmetry(parse_seaweed(self.G))
+        assert str(err.value) == f"skew failure at {self.G}: matrix is not square"
 
     @pytest.mark.parametrize(
         "reshape",
@@ -328,6 +373,188 @@ class TestVerifierFailures:
         with pytest.raises(EngineInvariantError) as err:
             verify_skew_symmetry(parse_seaweed(self.G))
         assert str(err.value) == f"skew failure at {self.G}: matrix is not square"
+
+
+def _last_cell(rows):
+    n = len(rows)
+    return with_cells(rows, [(n - 1, n - 1)], 99)
+
+
+def _none_to_int(rows):
+    """The last None cell in row-major order becomes 0."""
+    cell = max((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v is None)
+    return with_cells(rows, [cell], 0)
+
+
+def _int_to_none(rows):
+    """The last off-diagonal int cell in row-major order becomes None."""
+    cell = max(
+        (i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v is not None and i != j
+    )
+    return with_cells(rows, [cell], None)
+
+
+def _rows_swapped(rows):
+    """Row 0 trades places with the last row whose entries differ from it."""
+    last = max(i for i, row in enumerate(rows) if row != rows[0])
+    rows = list(rows)
+    rows[0], rows[last] = rows[last], rows[0]
+    return tuple(rows)
+
+
+CORRUPTIONS = {
+    "last_cell": _last_cell,
+    "none_to_int": _none_to_int,
+    "int_to_none": _int_to_none,
+    "rows_swapped": _rows_swapped,
+}
+
+
+def materialised_index_map(name, partner, at, g, pair, partner_pair):
+    """The failure of checking g's (masked, full) pair against the flip of
+    its partner's, cell by cell: at(other, n, i, j) is entry (i, j) of the
+    flip of other."""
+    n = g.n
+    for label, rows, other in zip(("entry", "extended entry"), pair, partner_pair):
+        for i in range(n):
+            for j in range(n):
+                if rows[i][j] != at(other, n, i, j):
+                    raise EngineInvariantError(
+                        f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is {rows[i][j]} "
+                        f"but {partner} has {at(other, n, i, j)}"
+                    )
+
+
+def materialised_skew(g, rows):
+    """The failure of checking rows against their negated transpose, which
+    is built whole first."""
+    n = len(rows)
+    want = [[-rows[j][i] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] != want[i][j]:
+                raise EngineInvariantError(
+                    f"skew failure at {g}: ({i + 1},{j + 1})={rows[i][j]} "
+                    f"vs ({j + 1},{i + 1})={rows[j][i]}"
+                )
+
+
+def outcome(check):
+    """(exception type, message) of what check() raises."""
+    try:
+        check()
+    except (EngineInvariantError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+#: Each index-map check: the verifier, its partner, the partner's name in
+#: the message, and entry (i, j) of the flip of an n x n matrix.
+INDEX_MAPS = {
+    "swap": (verify_swap_lemma, SeaweedSpec.swapped, "transposed swap",
+             lambda other, n, i, j: other[j][i]),
+    "reverse": (verify_reverse_lemma, SeaweedSpec.reversed, "the reversal",
+                lambda other, n, i, j: other[n - 1 - j][n - 1 - i]),
+}
+
+
+class TestLazyComparison:
+    """The swap, reverse and skew checks compare without building the flip,
+    and build it only on a mismatch: every corruption must raise what the
+    cell-by-cell comparison with the whole flip raises.
+
+    The seaweed has three or four blocks a side, and is neither its own
+    swap nor its own reversal. A full matrix has no None cell to corrupt.
+    """
+
+    G = "2|2|9 / 3|4|2|4"
+
+    @pytest.mark.parametrize("target", ["own", "partner"])
+    @pytest.mark.parametrize(
+        "name, corruption",
+        [(name, c) for name in PAIR_SLOT for c in CORRUPTIONS
+         if not (name == "extended_spectrum_matrix" and c == "none_to_int")],
+    )
+    @pytest.mark.parametrize("check", list(INDEX_MAPS))
+    def test_index_map(self, monkeypatch, each_kernel, check, name, corruption, target):
+        verify, partner_of, partner, at = INDEX_MAPS[check]
+        g = parse_seaweed(self.G)
+        h = partner_of(g)
+        pairs = {"own": list(analysis._matrices(g)), "partner": list(analysis._matrices(h))}
+        slot = PAIR_SLOT[name]
+        pairs[target][slot] = CORRUPTIONS[corruption](pairs[target][slot])
+        want = outcome(
+            lambda: materialised_index_map(check, partner, at, g, pairs["own"], pairs["partner"])
+        )
+        assert want is not None
+        changing_pair(monkeypatch, name, str(g if target == "own" else h), CORRUPTIONS[corruption])
+        assert outcome(lambda: verify(g)) == want
+
+    @pytest.mark.parametrize("corruption", ["last_cell", "int_to_none", "rows_swapped"])
+    def test_skew(self, monkeypatch, each_kernel, corruption):
+        g = parse_seaweed(self.G)
+        rows = CORRUPTIONS[corruption](analysis.extended_spectrum_matrix(g))
+        want = outcome(lambda: materialised_skew(g, rows))
+        assert want is not None
+        corrupt = CORRUPTIONS[corruption]
+        build = analysis.extended_spectrum_matrix
+        monkeypatch.setattr(analysis, "extended_spectrum_matrix", lambda g: corrupt(build(g)))
+        assert outcome(lambda: verify_skew_symmetry(g)) == want
+
+    @pytest.mark.parametrize("check", list(INDEX_MAPS))
+    def test_one_walk_and_one_table_per_seaweed(self, monkeypatch, each_kernel, check):
+        """A swap or reverse check walks each of its two seaweeds once and
+        builds each one's difference table once."""
+        calls = Counter()
+
+        def counting(owner, attr):
+            fn = getattr(owner, attr)
+
+            def counted(*args):
+                calls[attr] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        counting(spectrum_module.kernel, "potentials")
+        counting(spectrum_module, "_difference_rows")
+        assert INDEX_MAPS[check][0](parse_seaweed(self.G))
+        assert calls == {"potentials": 2, "_difference_rows": 2}
+
+
+#: One point per family at n = 250..255, and each check's tracemalloc peak
+#: in kB there when every check built its flip whole: swap, reverse, skew.
+MATERIALISED_PEAK_KB = [
+    (FamilyId.K1, 250, None, (1580, 1580, 2022)),
+    (FamilyId.K2, 253, None, (1362, 1362, 1778)),
+    (FamilyId.K1K, 127, None, (1622, 1622, 1778)),
+    (FamilyId.K2K, 125, None, (1328, 1328, 1525)),
+    (FamilyId.TWOK1_12K, 126, None, (1339, 1339, 1747)),
+    (FamilyId.TWOK11, 126, None, (1350, 1350, 1763)),
+    (FamilyId.K_2R, 130, 62, (1610, 1611, 1567)),
+    (FamilyId.K_2R_PLUS1, 145, 52, (1562, 1563, 1615)),
+    (FamilyId.TWOS_R1, None, 126, (1590, 1591, 551)),
+    (FamilyId.K4R, 139, 28, (1570, 1570, 1407)),
+    (FamilyId.K4R_PLUS2, 145, 27, (1619, 1621, 1470)),
+]
+
+
+@pytest.mark.parametrize(
+    "f, k, r, peaks_kb", MATERIALISED_PEAK_KB, ids=lambda v: getattr(v, "value", None)
+)
+def test_checks_stay_within_a_quarter_of_the_materialised_peak(f, k, r, peaks_kb):
+    g = family_spec(f, k, r)
+    assert 250 <= g.n <= 255
+    for verify, peak_kb in zip((verify_swap_lemma, verify_reverse_lemma, verify_skew_symmetry),
+                               peaks_kb):
+        verify(g)  # warm: the first call may allocate what later calls reuse
+        tracemalloc.start()
+        try:
+            verify(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * peak_kb * 1000, (verify.__name__, peak)
 
 
 def test_engine_invariant_error_is_runtime_error():

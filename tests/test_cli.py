@@ -38,6 +38,38 @@ def test_not_frobenius_exits_3_with_pinned_bytes(capsys, argv, err):
     assert run_cli(capsys, *argv) == (3, "", err)
 
 
+#: A seaweed whose n, 10^20, is beyond any index (sys.maxsize); its index is 0.
+BEYOND_AN_INDEX = "99999999999999999999|1 / 100000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", BEYOND_AN_INDEX),
+    ("extended", BEYOND_AN_INDEX),
+    ("principal", BEYOND_AN_INDEX),
+    ("matrix", BEYOND_AN_INDEX),
+    ("matrix", "--extended", BEYOND_AN_INDEX),
+    ("render", BEYOND_AN_INDEX),
+    ("verify-lemmas", "--spec", BEYOND_AN_INDEX),
+], ids=lambda v: " ".join(v[:-1]))
+def test_n_beyond_an_index_exits_64_before_any_kernel_call(capsys, monkeypatch, argv):
+    """A command that holds one item per vertex refuses such a seaweed with
+    one error line, where it used to end in an OverflowError traceback (or,
+    for render, run on); index still answers it."""
+    from seaweedspec._engine import kernel
+
+    def no_call(*args):
+        raise AssertionError("kernel called")
+
+    for name in ("potentials", "spectrum_counts", "difference_counts"):
+        monkeypatch.setattr(kernel, name, no_call)
+    assert run_cli(capsys, *argv) == (
+        64,
+        "",
+        f"error: seaweed too large: n = {10**20} exceeds the largest index, {sys.maxsize}\n",
+    )
+    assert run_cli(capsys, "index", BEYOND_AN_INDEX) == (0, "0\n", "")
+
+
 class TestIndex:
     def test_plain(self, capsys):
         code, out, err = run_cli(capsys, "index", "2|2 / 4")
