@@ -1,19 +1,39 @@
 """Time the compiled kernel (``_walk``) against the pure-Python ``_kernel``.
 
-Both kernels take every Frobenius pair up to --n-max (from
-``enumerate_frobenius``, which reads the index off the census and walks no
-meander), first computing the potentials, then the spectrum histogram.
-Run from the repository root, after building the extension in place:
+Two input sets, each timed under every kernel that imports:
+
+* every Frobenius pair up to --n-max (from ``enumerate_frobenius``, which
+  reads the index off the census and walks no meander): first the
+  potentials, then the spectrum histogram;
+* the seeded family points of perfbench's ``query_large`` workload at
+  n ~ 10^2, 10^3 and 4*10^3, drawn as ``perfbench/run.py --seed 7`` draws
+  them: ``potentials``, ``spectrum_counts`` and, in the pure kernel only,
+  ``difference_counts`` of the potentials with themselves (the extended
+  spectrum), summed over the points of each size and reported as the best
+  of REPEAT passes. These are the kernel layers under that workload's
+  end-to-end ``wall_s``.
+
+Run from the repository root; build the extension in place first to time
+the compiled kernel too:
 
     python setup.py build_ext --inplace
     PYTHONPATH=src python benchmarks/bench_kernel.py --n-max 10
 """
 
 import argparse
+import os
+import random
+import sys
 import time
 
-from seaweedspec import enumerate_frobenius
-from seaweedspec import _kernel
+from seaweedspec import _kernel, enumerate_frobenius
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+from workloads import QueryLarge  # noqa: E402
+
+#: perfbench's seed for query_large's points, and passes per timing.
+SEED = 7
+REPEAT = 5
 
 
 def frobenius_pairs(n_max):
@@ -31,13 +51,23 @@ def run(fn, pairs):
     return time.perf_counter() - t0
 
 
+def best(fn, pairs):
+    return min(run(fn, pairs) for _ in range(REPEAT))
+
+
+def query_points():
+    """query_large's seaweeds as part pairs, grouped by target size."""
+    groups = {}
+    for point in QueryLarge(random.Random(SEED), None, False).points:
+        size = min((100, 1000, 4000), key=lambda target: abs(point.spec.n - target))
+        groups.setdefault(size, []).append((point.spec.top.parts, point.spec.bottom.parts))
+    return sorted(groups.items())
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=10)
     args = parser.parse_args()
-
-    pairs = frobenius_pairs(args.n_max)
-    print(f"{len(pairs)} Frobenius pairs through n={args.n_max}")
 
     kernels = [("pure", _kernel)]
     try:
@@ -46,15 +76,30 @@ def main():
     except ImportError:
         print("compiled kernel not built; timing the pure kernel only")
 
+    pairs = frobenius_pairs(args.n_max)
+    print(f"{len(pairs)} Frobenius pairs through n={args.n_max}")
     times = {}
     for name, kernel in kernels:
         phi = run(kernel.potentials, pairs)
         hist = run(kernel.spectrum_counts, pairs)
         times[name] = phi + hist
         print(f"{name:>8}: potentials {phi * 1e3:8.1f} ms, spectrum_counts {hist * 1e3:8.1f} ms")
-
     if "compiled" in times:
         print(f"speedup: {times['pure'] / times['compiled']:.1f}x")
+
+    print(f"query_large points (seed {SEED}), best of {REPEAT}, ms per size group:")
+    for size, group in query_points():
+        print(f"  n ~ {size}: {len(group)} points, n = "
+              f"{min(sum(t) for t, _ in group)}..{max(sum(t) for t, _ in group)}")
+        for name, kernel in kernels:
+            phi = best(kernel.potentials, group)
+            hist = best(kernel.spectrum_counts, group)
+            line = f"{name:>10}: potentials {phi * 1e3:8.2f}, spectrum_counts {hist * 1e3:8.2f}"
+            if hasattr(kernel, "difference_counts"):
+                phis = [kernel.potentials(t, b) for t, b in group]
+                diff = best(kernel.difference_counts, [(phi, phi) for phi in phis])
+                line += f", difference_counts {diff * 1e3:8.2f}"
+            print(line)
 
 
 if __name__ == "__main__":

@@ -4,18 +4,32 @@ This module and the compiled extension ``_walk`` (built from ``_walk.c``)
 return the same results from potentials and spectrum_counts, and are
 interchangeable behind ``_engine``; both work on bare part tuples so the
 hot path never touches the higher-level classes. In each, both functions
-walk the path from the meander's lowest endpoint (``_walk`` here) and
-return None unless it covers all n vertices; spectrum_counts then sums the
-ordered differences within every block, the block triangles (see its
-docstring). The compiled kernel counts each triangle pair by pair. This
-module reads it off one big-int product of the block's left half: on a
-single path the right half of a block mirrors the left, one apart (see
-_add_block), so a block of p vertices costs one product of p // 2 values
-instead of p^2 / 2 pair steps. Neither kernel counts cycles and paths;
-``meander`` does, by the winding-down moves.
+walk the path from the meander's lowest endpoint and return None unless it
+covers all n vertices; spectrum_counts then sums the ordered differences
+within every block, the block triangles (see its docstring). The compiled
+kernel counts each triangle pair by pair. Neither kernel counts cycles and
+paths; ``meander`` does, by the winding-down moves.
 Nothing in either module calls the two public names, so wrapping one (as
 a per-layer tracer does) sees only outside calls. ``difference_counts``
 exists only here.
+
+Here the passes over whole vertex and count vectors run inside builtins
+(slices, map, compress, one big-int product). Python loops remain for the
+walk, whose every step needs the last, for the tally of a half's values,
+for the partner and pair loops of short blocks, and for one pass over each
+side's parts:
+  * the walk (``_walk``) takes a top arc and then a bottom arc per loop
+    pass, with a running potential and no side flag or arc counter (the
+    pass number gives the count), and long blocks fill their partner
+    arrays by slice assignment;
+  * on a single path the right half of a block mirrors the left, one
+    apart, so a block of p vertices costs one product of the count vector
+    of its p // 2 left-half values instead of p^2 / 2 pair steps (see
+    _add_block); blocks of 1 and 2 need no call at all (see
+    spectrum_counts);
+  * a product packs each count into the narrowest machine digit that
+    holds max(sum cx^2, sum cy^2), which by Cauchy-Schwarz bounds every
+    digit (see difference_counts).
 
 This module trusts its inputs: parts are positive ints and both tuples
 have the same sum. Every caller in the package passes the parts of a
@@ -40,53 +54,84 @@ Conventions baked in here (shared with the full matrix pipeline):
 from __future__ import annotations
 
 from array import array
-from operator import add
+from itertools import compress
+from operator import add, mul, neg
 from sys import byteorder
+
+#: Blocks whose left half holds at most this many vertices set their
+#: partners one by one and count their ordered differences pair by pair;
+#: longer halves take slice assignments and one product (see _add_block).
+#: Below about 8 the pair loop is the faster, so every block of an n <= 15
+#: seaweed takes it. The partner loop stays faster up to halves of about
+#: 20, but the two slice assignments cost only about 1 us more per block.
+_SHORT_HALF = 7
 
 
 def _neighbors(parts, n):
-    """Per-vertex partner array for one side, 0 meaning no edge."""
-    nbr = [0] * (n + 1)
+    """Per-vertex partner array for one side, 0 meaning no edge; slot n + 1
+    is a 0 that ends the search for an endpoint."""
+    nbr = [0] * (n + 2)
     s = 1
     for p in parts:
         e = s + p - 1
-        i, j = s, e
-        while i < j:
-            nbr[i] = j
-            nbr[j] = i
-            i += 1
-            j -= 1
+        h = p // 2
+        if h <= _SHORT_HALF:
+            i, j = s, e
+            while i < j:
+                nbr[i] = j
+                nbr[j] = i
+                i += 1
+                j -= 1
+        else:
+            nbr[s : s + h] = range(e, e - h, -1)
+            nbr[e - h + 1 : e + 1] = range(s + h - 1, s - 1, -1)
         s = e + 1
     return nbr
 
 
-def _walk(top, bottom, phi):
+def _walk(top, bottom):
     """The walk: from the lowest endpoint (a vertex with at most one arc),
-    follow the path it starts, alternating arc sides, and set phi[v] for
-    each vertex v on it, relative to that endpoint; phi is a list of n + 1
-    zeros. Returns whether the path covers all n vertices, that is whether
-    the meander is a single path.
+    follow the path it starts and return phi, where phi[v] is the potential
+    of vertex v relative to that endpoint (phi[0] = 0 is a placeholder), or
+    None unless the path covers all n vertices, that is unless the meander
+    is a single path.
+
+    Each pass of the loop takes a top arc and then a bottom arc, so the
+    side is the place in the loop; a top arc walked leftwards or a bottom
+    arc walked rightwards drops the running potential x by 1. The path
+    takes at most n - 1 arcs, and it covers every vertex when it takes that
+    many: steps counts them from the number of passes.
     """
-    n = len(phi) - 1
+    n = sum(top)
     tnbr = _neighbors(top, n)
     bnbr = _neighbors(bottom, n)
     v = 1
-    while v <= n and tnbr[v] and bnbr[v]:
+    while tnbr[v] and bnbr[v]:
         v += 1
     if v > n:
-        return False  # every vertex has two arcs: all cycles
-    on_top = bool(tnbr[v])
-    cur = v
-    covered = 1
-    while True:
-        nxt = tnbr[cur] if on_top else bnbr[cur]
-        if not nxt:
-            return covered == n
-        # a top arc walked leftwards or a bottom arc walked rightwards drops by 1
-        phi[nxt] = phi[cur] - 1 if on_top == (cur > nxt) else phi[cur] + 1
-        covered += 1
-        cur = nxt
-        on_top = not on_top
+        return None  # every vertex has two arcs: all cycles
+    phi = [0] * (n + 1)
+    a = v
+    x = steps = 0
+    if not tnbr[v] and bnbr[v]:  # the path leaves v by its bottom arc
+        a = bnbr[v]
+        x = -1 if a > v else 1
+        phi[a] = x
+        steps = 1
+    for passes in range(n):
+        b = tnbr[a]
+        if not b:
+            steps += 2 * passes
+            break
+        x = x - 1 if b < a else x + 1
+        phi[b] = x
+        a = bnbr[b]
+        if not a:
+            steps += 2 * passes + 1
+            break
+        x = x - 1 if a > b else x + 1
+        phi[a] = x
+    return phi if steps == n - 1 else None
 
 
 def potentials(top, bottom):
@@ -96,60 +141,81 @@ def potentials(top, bottom):
     Returns None unless the meander is a single path (no cycles), which is
     exactly when the potentials exist.
     """
-    phi = [0] * (sum(top) + 1)
-    if not _walk(top, bottom, phi):
+    phi = _walk(top, bottom)
+    if phi is None:
         return None
-    shift = phi[-1]
-    return tuple([p - shift for p in phi[1:]])
+    return tuple(map((-phi[-1]).__add__, phi[1:]))
 
-
-#: Blocks whose left half holds at most this many vertices count their
-#: ordered differences pair by pair; longer halves take one product (see
-#: _add_block). Below about 8 the loop is the faster of the two, so every
-#: block of an n <= 15 seaweed takes it.
-_SHORT_HALF = 7
 
 # array typecodes by item size, smallest first: a digit takes the first
-# that holds it (see _difference_digits).
+# that holds it (see _convolve).
 _DIGIT_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
 
 
-def _difference_digits(xs, ys):
-    """(d0, counts) where counts[k] is #{(x, y) : x - y = d0 + k}.
-
-    Exact through one big-int product (Kronecker substitution): the count
-    vector of xs (offset by min xs) and the reversed count vector of ys are
-    packed into two ints, one fixed-width digit per value, and digit k of
-    their product is the number of pairs whose difference is d0 + k. No
-    digit exceeds len(xs) * len(ys), so a digit as wide as the smallest
-    machine integer that holds that number never carries into the next,
-    and packing and unpacking go through an array of that type. Ints and
-    arrays both use the native byte order, which keeps the digits in the
-    same order on either endianness.
-    """
-    lo, hi = min(xs), max(ys)
-    most = (len(xs) * len(ys)).bit_length()
-    size, code = next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
-    cx = [0] * (max(xs) - lo + 1)
+def _tally(xs):
+    """(lo, c) where c[k] = #{x in xs : x = lo + k} and lo = min xs."""
+    lo = min(xs)
+    c = [0] * (max(xs) - lo + 1)
     for x in xs:
-        cx[x - lo] += 1
-    cy = [0] * (hi - min(ys) + 1)
-    for y in ys:
-        cy[hi - y] += 1
+        c[x - lo] += 1
+    return lo, c
+
+
+def _convolve(cx, cy, bound):
+    """Digits of cx * cy as polynomials: digit k is sum_i cx[i] * cy[k - i].
+
+    Exact through one big-int product (Kronecker substitution): each count
+    vector is packed into an int, one fixed-width digit per entry, and
+    digit k of their product is the sum above. bound is at least every such
+    sum, so a digit as wide as the smallest machine integer that holds it
+    never carries into the next, and packing and unpacking go through an
+    array of that type. Ints and arrays both use the native byte order,
+    which keeps the digits in the same order on either endianness.
+    """
+    most = bound.bit_length()
+    size, code = next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
     product = _pack(cx, code) * _pack(cy, code)
     raw = product.to_bytes((len(cx) + len(cy) - 1) * size, byteorder)
-    return lo - hi, array(code, raw).tolist()
+    return array(code, raw).tolist()
 
 
 def _pack(counts, code):
     return int.from_bytes(array(code, counts).tobytes(), byteorder)
 
 
+def _self_differences(xs):
+    """(lo, c, rev, counts) for D(xs) = {x - y : x, y in xs}: lo and c as
+    from _tally, rev = c reversed, and counts[k] the number of pairs whose
+    difference is 1 - len(c) + k. Its largest digit, the zeros, is sum c^2,
+    the bound _convolve is given."""
+    lo, c = _tally(xs)
+    rev = c[::-1]
+    return lo, c, rev, _convolve(c, rev, sum(map(mul, c, c)))
+
+
 def difference_counts(xs, ys):
     """The multiset {x - y : x in xs, y in ys} as an ascending value -> count
-    dict without zero counts; xs and ys are nonempty int sequences."""
-    d0, counts = _difference_digits(xs, ys)
-    return {d0 + k: c for k, c in enumerate(counts) if c}
+    dict without zero counts; xs and ys are nonempty int sequences.
+
+    The count vector cx of xs (offset by min xs) times the reversed count
+    vector cy of ys (offset by max ys), through _convolve: digit k counts
+    the pairs whose difference is min xs - max ys + k. By Cauchy-Schwarz
+    every digit, an inner product of cx with a shift of cy, is at most
+    |cx| |cy| <= max(sum cx^2, sum cy^2), the bound it is given. For the
+    left half of the long block of the k2 point at n = 4,043 that is 2,021,
+    two-byte digits, where len(xs) * len(ys) is over 4 million. When ys is
+    xs, cy is cx reversed, so one count pass serves both (_self_differences).
+    """
+    if ys is xs:
+        _, c, _, counts = _self_differences(xs)
+        start = 1 - len(c)
+    else:
+        lo, cx = _tally(xs)
+        ylo, cy = _tally(ys)
+        start = lo - ylo - len(cy) + 1  # min xs - max ys
+        cy.reverse()
+        counts = _convolve(cx, cy, max(sum(map(mul, cx, cx)), sum(map(mul, cy, cy))))
+    return dict(compress(zip(range(start, start + len(counts)), counts), counts))
 
 
 def _add_block(xs, hist, off):
@@ -167,9 +233,13 @@ def _add_block(xs, hist, off):
     where D(L) = {x - y : x, y in L}. The first two are D(L) without its h
     diagonal zeros, so
         U(xs) = D(L) + (D(L) + 1) - h * {0}
-                + {x - m : x in L} + {m + 1 - x : x in L},
-    one _difference_digits product and O(h) list work instead of p^2 / 2
-    pair steps. Halves of at most _SHORT_HALF count pair by pair instead.
+                + {x - m : x in L} + {m + 1 - x : x in L}.
+    With c the count vector of L from its least value lo to its greatest
+    hi, D(L) is c convolved with c reversed (see _self_differences), and
+    the last two are c added at x - m = lo - m onwards and c reversed added
+    at m + 1 - hi onwards: one product and four slice additions instead of
+    p^2 / 2 pair steps. Halves of at most _SHORT_HALF count pair by pair
+    instead.
     """
     p = len(xs)
     h = p // 2
@@ -179,19 +249,19 @@ def _add_block(xs, hist, off):
             for y in xs[a + 1 :]:
                 hist[xa - y] += 1
         return
-    left = xs[:h]
-    d0, counts = _difference_digits(left, left)
-    at = d0 + off
-    end = at + len(counts)
+    lo, c, rev, counts = _self_differences(xs[:h])
+    w = len(c)
+    at = off + 1 - w  # D(L) runs from lo - hi = 1 - w to w - 1
+    end = off + w
     hist[at:end] = map(add, hist[at:end], counts)
     hist[at + 1 : end + 1] = map(add, hist[at + 1 : end + 1], counts)
     hist[off] -= h
     if p % 2:
-        below = xs[h] - off  # x - m lands at x - below
-        above = xs[h] + 1 + off  # m + 1 - x lands at above - x
-        for x in left:
-            hist[x - below] += 1
-            hist[above - x] += 1
+        m = xs[h]
+        at = lo - m + off
+        hist[at : at + w] = map(add, hist[at : at + w], c)
+        at = m + 2 - w - lo + off  # m + 1 - hi, with hi = lo + w - 1
+        hist[at : at + w] = map(add, hist[at : at + w], rev)
 
 
 def spectrum_counts(top, bottom):
@@ -212,30 +282,33 @@ def spectrum_counts(top, bottom):
     with U(xs) = {xs[a] - xs[b] : a < b}; a top block's pairs i > j give
     phi(i) - phi(j) = (-phi)(j) - (-phi)(i), hence the negation.
 
-    Each triangle is read off its block's left half (see _add_block). On a
-    single path every arc joins potentials one apart: a bottom arc
+    On a single path every arc joins potentials one apart: a bottom arc
     {s+i, e-i} of a block [s..e] has phi(e-i) = phi(s+i) - 1 and a top arc
-    has phi(e-i) = phi(s+i) + 1, so on either side the values xs that
-    _add_block gets satisfy xs[p-1-i] = xs[i] - 1.
+    has phi(e-i) = phi(s+i) + 1, so on either side the values xs whose U
+    is wanted satisfy xs[p-1-i] = xs[i] - 1. So a block of 1 adds nothing
+    and a block of 2, (a, a - 1), adds one 1; those 1s come from one
+    count() of each side's parts. Every other block reads its triangle off
+    its left half (see _add_block).
     """
-    n = sum(top)
-    phi = [0] * (n + 1)
-    if not _walk(top, bottom, phi):
+    phi = _walk(top, bottom)
+    if phi is None:
         return None
 
     # Potentials span at most n - 1 (the path has n - 1 arcs), and so does
     # every difference; no difference depends on where phi is pinned to 0.
+    n = len(phi) - 1
     off = n - 1
     hist = [0] * (2 * n - 1)
     hist[off] = n
-    s = 1
-    for p in bottom:
-        _add_block(phi[s : s + p], hist, off)
-        s += p
-    neg = [-x for x in phi]
-    s = 1
-    for p in top:
-        _add_block(neg[s : s + p], hist, off)
-        s += p
+    ones = top.count(2) + bottom.count(2)
+    if ones:
+        hist[off + 1] += ones
+    for parts, negate in ((bottom, False), (top, True)):
+        s = 1
+        for p in parts:
+            if p > 2:
+                xs = phi[s : s + p]
+                _add_block(list(map(neg, xs)) if negate else xs, hist, off)
+            s += p
 
-    return {d - off: c for d, c in enumerate(hist) if c}
+    return dict(compress(zip(range(-off, n), hist), hist))

@@ -273,11 +273,21 @@ def verify_skew_symmetry(g: SeaweedSpec) -> bool:
 
     Column i is compared with row i negated, and each distinct row tuple is
     negated once; the negated transpose is built only on a mismatch (or a
-    wrong shape), to name the first differing entry.
+    wrong shape), to name the first differing entry. A cell that is no int
+    fails the check, named by its first occurrence in row-major order.
     """
     rows = extended_spectrum_matrix(g)
     distinct = {id(row): row for row in rows}
-    negated_row = {key: tuple(map(neg, row)) for key, row in distinct.items()}
+    try:
+        negated_row = {key: tuple(map(neg, row)) for key, row in distinct.items()}
+    except TypeError:
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                if not isinstance(cell, int):
+                    raise EngineInvariantError(
+                        f"skew failure at {g}: ({i + 1},{j + 1}) is {cell!r}, not an integer"
+                    ) from None
+        raise
     if _is_square(rows, g.n) and all(map(eq, zip(*rows), [negated_row[id(r)] for r in rows])):
         return True
     want = tuple([tuple(map(neg, col)) for col in zip(*rows)])

@@ -31,7 +31,7 @@ from .analysis import (
     verify_skew_symmetry,
     verify_swap_lemma,
 )
-from .core import ParseError, parse_seaweed
+from .core import ParseError, _check_indexable, parse_seaweed
 from .families import (
     FAMILIES,
     FamilyId,
@@ -115,11 +115,10 @@ def _json(obj) -> str:
 
 def _indexable_seaweed(text: str):
     """parse_seaweed for a command that holds one item per vertex, so n must
-    fit an index (sys.maxsize); a larger n is refused before any kernel
-    call. index takes parts of any size and parses on its own."""
+    fit a kernel array (core._check_indexable); a larger n is refused before
+    any kernel call. index takes parts of any size and parses on its own."""
     g = parse_seaweed(text)
-    if g.n > sys.maxsize:
-        raise ParseError(f"seaweed too large: n = {g.n} exceeds the largest index, {sys.maxsize}")
+    _check_indexable(g.n, "seaweed")
     return g
 
 

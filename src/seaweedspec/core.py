@@ -9,6 +9,7 @@ exact (arbitrary-precision) multiplicities.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -112,6 +113,21 @@ def parse_seaweed(text: str) -> SeaweedSpec:
             f"bottom sums to {bottom.n}"
         )
     return SeaweedSpec(top, bottom)
+
+
+#: The most vertices a kernel can index: the pure kernel's partner arrays
+#: hold n + 2 slots, and no list holds more than sys.maxsize.
+_MAX_INDEXABLE = sys.maxsize - 2
+
+
+def _check_indexable(n: int, what: str) -> None:
+    """Refuse more than _MAX_INDEXABLE vertices, which no kernel array can
+    index: for a command that holds one item per vertex, before any kernel
+    call."""
+    if n > _MAX_INDEXABLE:
+        raise ParseError(
+            f"{what} too large: n = {n} exceeds the most a kernel can index, {_MAX_INDEXABLE}"
+        )
 
 
 def compositions_of(n: int) -> Iterator[Composition]:

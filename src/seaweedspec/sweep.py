@@ -62,6 +62,7 @@ from .core import (
     IntegerMultiset,
     ParseError,
     SeaweedSpec,
+    _check_indexable,
     compositions_of,
     parse_seaweed,
 )
@@ -607,9 +608,15 @@ def _inheritance_checks(s_base: IntegerMultiset) -> Callable[[IntegerMultiset], 
 def _grid_4_16(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
     if job.base is not None:
         base = parse_seaweed(job.base)
+        _check_indexable(base.n, "seaweed")
         bases = [(base, base.top.parts[-1])]
     else:
         bases = [(default_extension_base(k), k) for k in range(1, job.k_max + 1)]
+    # The largest extension, r_blocks_plus_k at r = r_max from the last
+    # base, adds 2k r_max vertices; past what a kernel can index, it is
+    # refused before any kernel call.
+    base, k = bases[-1]
+    _check_indexable(base.n + 2 * k * job.r_max, f"extension at r = {job.r_max}")
     # Every base spectrum is taken now, before the sweep reads or opens its
     # output: a base that is not Frobenius leaves the file as it was.
     inherits = []

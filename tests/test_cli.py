@@ -41,6 +41,24 @@ def test_not_frobenius_exits_3_with_pinned_bytes(capsys, argv, err):
 #: A seaweed whose n, 10^20, is beyond any index (sys.maxsize); its index is 0.
 BEYOND_AN_INDEX = "99999999999999999999|1 / 100000000000000000000"
 
+#: The most vertices a kernel can index: its partner arrays hold n + 2 slots.
+MAX_INDEXABLE = sys.maxsize - 2
+
+
+def too_large(what, n):
+    return (f"error: {what} too large: n = {n} exceeds the most a kernel can index, "
+            f"{MAX_INDEXABLE}\n")
+
+
+def no_kernel_calls(monkeypatch):
+    from seaweedspec._engine import kernel
+
+    def no_call(*args):
+        raise AssertionError("kernel called")
+
+    for name in ("potentials", "spectrum_counts", "difference_counts"):
+        monkeypatch.setattr(kernel, name, no_call)
+
 
 @pytest.mark.parametrize("argv", [
     ("spectrum", BEYOND_AN_INDEX),
@@ -55,19 +73,60 @@ def test_n_beyond_an_index_exits_64_before_any_kernel_call(capsys, monkeypatch, 
     """A command that holds one item per vertex refuses such a seaweed with
     one error line, where it used to end in an OverflowError traceback (or,
     for render, run on); index still answers it."""
-    from seaweedspec._engine import kernel
-
-    def no_call(*args):
-        raise AssertionError("kernel called")
-
-    for name in ("potentials", "spectrum_counts", "difference_counts"):
-        monkeypatch.setattr(kernel, name, no_call)
-    assert run_cli(capsys, *argv) == (
-        64,
-        "",
-        f"error: seaweed too large: n = {10**20} exceeds the largest index, {sys.maxsize}\n",
-    )
+    no_kernel_calls(monkeypatch)
+    assert run_cli(capsys, *argv) == (64, "", too_large("seaweed", 10**20))
     assert run_cli(capsys, "index", BEYOND_AN_INDEX) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("n", [sys.maxsize, sys.maxsize - 1])
+def test_n_that_fits_an_index_but_not_a_kernel_array_exits_64(capsys, monkeypatch, n):
+    """sys.maxsize vertices fit an index, but the pure kernel's first array,
+    n + 2 slots, does not: that n used to end in an OverflowError traceback."""
+    no_kernel_calls(monkeypatch)
+    assert run_cli(capsys, "spectrum", f"{n} / {n}") == (64, "", too_large("seaweed", n))
+
+
+def test_the_most_a_kernel_can_index_reaches_the_kernel(monkeypatch):
+    no_kernel_calls(monkeypatch)
+    with pytest.raises(AssertionError, match="kernel called"):
+        cli.main(["spectrum", f"{MAX_INDEXABLE} / {MAX_INDEXABLE}"])
+
+
+def default_form_base(k):
+    """(k+1)|k / 2k+1, whose extension at r has 2k + 1 + 2kr vertices."""
+    return f"{k + 1}|{k} / {2 * k + 1}"
+
+
+#: Bases whose extension has exactly sys.maxsize vertices at r = 2, and
+#: exactly MAX_INDEXABLE at r = 1.
+K_AT_MAXSIZE = (sys.maxsize - 1) // 6
+K_AT_THE_EDGE = (sys.maxsize - 3) // 4
+
+
+@pytest.mark.parametrize("base, r_max, err", [
+    (BEYOND_AN_INDEX, "1", too_large("seaweed", 10**20)),
+    (default_form_base(K_AT_MAXSIZE), "2", too_large("extension at r = 2", sys.maxsize)),
+], ids=["base", "extension"])
+def test_sweep_base_beyond_an_index_exits_64_before_any_kernel_call(
+    capsys, monkeypatch, tmp_path, base, r_max, err
+):
+    """sweep --base refuses a base, or a largest extension, past any index
+    with one error line before any kernel call and before --out is opened,
+    where it used to end in an OverflowError traceback."""
+    assert 6 * K_AT_MAXSIZE + 1 == sys.maxsize
+    no_kernel_calls(monkeypatch)
+    out = tmp_path / "records.ndjson"
+    argv = ("sweep", "--conjecture", "stability_4_16", "--base", base, "--r-max", r_max)
+    assert run_cli(capsys, *argv, "--out", str(out)) == (64, "", err)
+    assert not out.exists()
+
+
+def test_sweep_extension_of_the_most_a_kernel_can_index_is_not_refused(monkeypatch):
+    assert 4 * K_AT_THE_EDGE + 1 == MAX_INDEXABLE
+    no_kernel_calls(monkeypatch)
+    with pytest.raises(AssertionError, match="kernel called"):
+        cli.main(["sweep", "--conjecture", "stability_4_16",
+                  "--base", default_form_base(K_AT_THE_EDGE), "--r-max", "1"])
 
 
 class TestIndex:

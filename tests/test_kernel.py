@@ -3,7 +3,8 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from oracles import graph_components, mask_histogram, oracle_potentials, oracle_spectrum
 from seaweedspec import (
@@ -226,19 +227,22 @@ def frobenius_pairs_through_10():
 def test_spectrum_counts_do_not_depend_on_the_short_half(
     monkeypatch, frobenius_pairs_through_10, short_half
 ):
-    """Every block with a pair takes the product at 0, and none does at 10**9."""
+    """At 0 every block of 3 or more vertices takes the product, and none
+    does at 10**9; blocks of 1 and 2 never reach one."""
     assert len(frobenius_pairs_through_10) == 2297
     monkeypatch.setattr(_kernel, "_SHORT_HALF", short_half)
     products = []
-    digits = _kernel._difference_digits
+    convolve = _kernel._convolve
     monkeypatch.setattr(
-        _kernel, "_difference_digits", lambda xs, ys: products.append(len(xs)) or digits(xs, ys)
+        _kernel,
+        "_convolve",
+        lambda cx, cy, bound: products.append(sum(cx)) or convolve(cx, cy, bound),
     )
     for top, bottom in frobenius_pairs_through_10:
         products.clear()
         got = _kernel.spectrum_counts(top, bottom)
         assert list(got.items()) == list(mask_histogram(top, bottom).items())
-        halves = [p // 2 for p in top + bottom if p > 1]
+        halves = [p // 2 for p in top + bottom if p > 2]
         assert sorted(products) == (sorted(halves) if short_half == 0 else [])
 
 
@@ -271,8 +275,8 @@ def assert_blocks_mirror(top, bottom):
 @pytest.mark.parametrize(
     "xs, ys",
     [
-        ([7] * 255, [7]),  # one digit of 255, the most one byte holds
-        ([7] * 16, [-3] * 16),  # one digit of 256, the least that needs two
+        ([7] * 255, [7]),  # one digit of 255, though its bound, 255^2, takes two bytes
+        ([7] * 16, [-3] * 16),  # a bound of 256, the least that needs two
         ([0] * 256, [0] * 256),  # 65536, the least that needs four
         ([5], [9]),
         ([-4], [-4]),
@@ -285,6 +289,51 @@ def test_difference_counts_match_brute_force(xs, ys):
     got = _kernel.difference_counts(xs, ys)
     want = Counter(x - y for x in xs for y in ys)
     assert list(got.items()) == sorted(want.items())
+
+
+values = st.lists(st.integers(-3, 3) | st.integers(-200, 200), min_size=1, max_size=300)
+
+
+@given(values, values, st.booleans())
+@example([7] * 15, [], True)  # sum of squared counts 225 and 256 either side
+@example([7] * 16, [], True)  # of the one-byte edge, 65536 at the two-byte one
+@example([0] * 256, [], True)
+@example([7] * 16, [7] * 15, False)  # unequal norms, the larger past the edge
+@example([2] * 15, [5] * 16 + [9], False)
+@example([3] * 300, [5], False)  # digit 300: the smaller norm, 1, would not hold it
+def test_difference_counts_fit_their_digits(xs, ys, same):
+    """No digit of the product exceeds max(sum cx^2, sum cy^2), so no digit
+    carries into the next at the width that bound picks; with same, ys is
+    xs itself and one count pass serves both."""
+    if same:
+        ys = xs
+    got = _kernel.difference_counts(xs, ys)
+    want = Counter(x - y for x in xs for y in ys)
+    assert list(got.items()) == sorted(want.items())
+
+
+@st.composite
+def long_block_parts(draw, n):
+    """A composition of n into at most four parts."""
+    cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=3))))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+
+
+@st.composite
+def long_block_pairs(draw):
+    n = draw(st.integers(2 * _kernel._SHORT_HALF + 2, 90))
+    return draw(long_block_parts(n)), draw(long_block_parts(n))
+
+
+@given(long_block_pairs())
+def test_spectrum_counts_match_oracle_past_the_short_half(pair):
+    """Single paths with a block past 2 * _SHORT_HALF vertices, so that its
+    half takes the product (and, when odd, the middle's slice additions)."""
+    top, bottom = pair
+    assume(max(top + bottom) > 2 * _kernel._SHORT_HALF)
+    assume(graph_components(top, bottom) == (0, 1))
+    got = _kernel.spectrum_counts(top, bottom)
+    assert list(got.items()) == list(mask_histogram(top, bottom).items())
 
 
 def test_difference_counts_widen_past_four_byte_digits():
