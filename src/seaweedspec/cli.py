@@ -8,9 +8,10 @@ bytes.
 
 Exit codes: 0 success, 1 engine invariant violated, 2 conjecture
 counterexample found, 3 spectrum requested for a non-Frobenius seaweed,
-64 usage or domain error, or an --out path the system refuses (a missing
-directory, a directory in place of a file), 141 (128 + SIGPIPE) stdout
-closed by its reader, as by `| head`.
+64 usage or domain error, an --out path the system refuses (a missing
+directory, a directory in place of a file), or a sweep records file that
+holds bytes without --resume or is not a prefix of the job's records with
+it, 141 (128 + SIGPIPE) stdout closed by its reader, as by `| head`.
 """
 
 from __future__ import annotations
@@ -370,9 +371,10 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=_int, default=8)
     p.add_argument("--r-max", type=_int, default=6)
     p.add_argument("--base", help="base seaweed for stability_4_16")
-    p.add_argument("--out", dest="records", help="append NDJSON records here")
+    p.add_argument("--out", dest="records",
+                   help="write NDJSON records to this missing or empty file")
     p.add_argument("--resume", action="store_true",
-                   help="skip pairs already present in the records file")
+                   help="continue a records file that holds a prefix of this job's records")
     p.set_defaults(func=cmd_sweep)
 
     return parser

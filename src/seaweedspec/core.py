@@ -150,8 +150,7 @@ def compositions_of(n: int) -> Iterator[Composition]:
         yield Composition(tuple(parts))
 
 
-# The integers that to_text and to_json_obj write: ASCII digits only.
-_INTEGER = re.compile(r"-?[0-9]+")
+# The entries that to_text writes: ASCII digits only.
 _TEXT_ENTRY = re.compile(r"(-?[0-9]+)(?:\^([0-9]+))?")
 
 
@@ -304,16 +303,3 @@ class IntegerMultiset:
     def to_json_obj(self) -> dict[str, int]:
         """Decimal string keys in ascending value order, e.g. {"-1": 2, "0": 5}."""
         return {str(v): c for v, c in self._counts.items()}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, int]) -> "IntegerMultiset":
-        """Parse the to_json_obj format back into a multiset."""
-
-        def value(key) -> int:
-            if not (isinstance(key, str) and _INTEGER.fullmatch(key)):
-                raise ParseError(f"bad multiset key {key!r}: expected a decimal integer")
-            return int(key)
-
-        multiset = cls.__new__(cls)
-        multiset._counts = _summed((value(key), count) for key, count in obj.items())
-        return multiset

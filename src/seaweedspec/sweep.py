@@ -9,23 +9,19 @@ conjectures instead: one table gives each conjecture's grid and check
 names, and one record builder makes every stability record from them.
 
 The unimodality sweep is one serial loop over rows, one row per top
-composition: it appends the row's NDJSON records, then checks the row's
+composition: it writes the row's NDJSON records, then checks the row's
 Frobenius records. A row's text is one string join of pieces laid out at C
 speed, so no Python code runs for a pair of nonzero index: only the
-Frobenius pairs of the row are visited (see _row_records). A record carries
-no timing, so a record file is a function of the job alone: every run
-writes the same bytes, and reruns with --resume skip finished keys.
+Frobenius pairs of the row are visited (see _row_records).
 
-The unimodality sweep resumes by replaying its writer (see _replay): a file
-this code wrote is a prefix of the records the job writes, so each row is
-made again and compared with the file's next bytes, and no line is
-parsed. A file that differs anywhere, and every stability sweep's file,
-goes through one loader, _load_completed. It reads the file once and marks
-each finished key as one byte at its slot in a flat bytearray: a pair's
-place in pair order (see _pair_slots), or a grid point's index in its grid.
-Either way a sweep keeps only the records it acts on, and checks those
-before it opens its output, so a resumed record that breaks a proven claim
-stops the run before anything is appended.
+A record carries no timing, so a record file is a function of its job:
+every run writes the same bytes. Both sweeps write through one sink,
+_RecordFile, and --resume only changes what it does with them: a file
+this code wrote for the job is a prefix of the records the job writes, so
+each piece is compared with the file's next bytes until the file ends, and
+the rest is appended. No line is parsed and no record is read back: every
+record, resumed or new, is made and checked by the run itself, and a file
+that is not such a prefix stops the run before anything is appended.
 
 The index of a pair is read off a census (see meander._census): one byte
 per pair holding 2C + P, each table copied by slices out of the tables of
@@ -43,15 +39,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import re
-from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Callable, Iterator
+from typing import Callable, Iterator
 
 from ._engine import kernel
 from .analysis import (
     SHAPE_FIELDS,
+    EngineInvariantError,
     check_proven_claims,
     is_log_concave,
     is_unimodal,
@@ -104,19 +99,9 @@ class SweepJob:
         if self.k_max < 1 or self.r_max < 1:
             raise ValueError("k_max and r_max must be at least 1")
         if self.resume and not self.out:
-            raise ValueError("resume needs an output path to read back")
+            raise ValueError("resume needs an output path to continue")
         if self.base is not None and self.conjecture != "stability_4_16":
             raise ValueError("--base is read only by stability_4_16")
-
-
-def _parse_record(line: str | bytes, path: str, lineno: int) -> dict:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError:
-        raise ParseError(f"corrupt sweep record at {path}:{lineno}") from None
-    if not isinstance(rec, dict) or "key" not in rec:
-        raise ParseError(f"corrupt sweep record at {path}:{lineno}")
-    return rec
 
 
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
@@ -134,9 +119,8 @@ def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
 @lru_cache(maxsize=16)
 def _compositions(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
     """The parts of each composition of n, and their texts, joined once per
-    n. The resume loader and the run loop both walk every n of a sweep, so
-    a sweep's n stay cached together: 16 n are more than any sweep of
-    4^(n-1) pairs per n can reach."""
+    n. 16 n are more than any sweep of 4^(n-1) pairs per n can reach, so a
+    run's n stay cached together."""
     parts = tuple(c.parts for c in compositions_of(n))
     return parts, tuple("|".join(map(str, p)) for p in parts)
 
@@ -151,8 +135,17 @@ def _reversed_ranks(n: int) -> tuple[int, ...]:
 
 def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: int) -> dict:
     """The record of one composition pair: its shape fields are those of
-    analysis.shape_fields, all null unless the pair is Frobenius."""
-    s = IntegerMultiset._from_histogram(kernel.spectrum_counts(top, bottom)) if index == 0 else None
+    analysis.shape_fields, all null unless the pair is Frobenius. index
+    is read off the census; the kernel must agree that a pair of index 0
+    has a spectrum."""
+    s = None
+    if index == 0:
+        counts = kernel.spectrum_counts(top, bottom)
+        if counts is None:
+            raise EngineInvariantError(
+                f"{key}: the census gives index 0, but the kernel finds no spectrum"
+            )
+        s = IntegerMultiset._from_histogram(counts)
     return {
         "conjecture": conjecture,
         "key": key,
@@ -166,8 +159,7 @@ def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: in
 
 # The fixed-shape record line: json.dumps(_pair_record(...)) + "\n" for a
 # pair of nonzero index, which is all but a few lines of a sweep. The writer
-# formats it from these pieces and the loader recognises it by them; the
-# writer formats a Frobenius line from the same pieces (_frobenius_tail). A
+# formats it, and a Frobenius line (_frobenius_tail), from these pieces. A
 # key holds only digits, "|", " " and "/", and the conjecture is one of
 # CONJECTURES, so nothing in the line needs escaping.
 _SPEC_SEP = '", "spec": "'
@@ -202,154 +194,18 @@ def _frobenius_tail(rec: dict) -> str:
     return f'{_INDEX_SEP}0, "frobenius": true{flags}, "spectrum": {{{values}}}}}\n'
 
 
-@lru_cache(maxsize=None)
-def _line_pattern(conjecture: str) -> re.Pattern:
-    """Matches one whole record line at a time, in file order.
-
-    A fixed-shape line of a unimodality conjecture whose spec equals its key
-    and whose index is digits without a leading zero gives its top and
-    bottom text as groups 1 and 2. Any other line, blank or not, gives
-    itself (newline included) as group 3. Stability records have no fixed
-    shape: for them the first branch never matches.
-    """
-    if conjecture in _PAIR_CONJECTURES:
-        fixed = "".join((
-            re.escape(_plain_head(conjecture)), r"([0-9|]+) / ([0-9|]+)",
-            re.escape(_SPEC_SEP), r"\1 / \2",
-            re.escape(_INDEX_SEP), "[1-9][0-9]*",
-            re.escape(_PLAIN_TAIL),
-        ))
-    else:
-        fixed = "(?!)()()"
-    return re.compile(f"^(?:{fixed}|(.*\n))".encode(), re.MULTILINE)
-
-
-# The fields each kind of sweep reads from a record it resumes over.
-_PAIR_READS = frozenset(("spec", "frobenius", *SHAPE_FIELDS, "spectrum"))
-_STABILITY_READS = frozenset(("spec", "passed"))
-
-# Bytes read per block. 64 KiB read back the n <= 10 file 11% faster than
-# 1 MiB, with 4.6 MB less peak memory.
-_BLOCK = 1 << 16
-
-
-def _load_completed(
-    job: SweepJob,
-    done: bytearray,
-    slot: Callable[[bytes, bytes], int | None],
-    acts: Callable[[dict], bool],
-    fh: BinaryIO | None = None,
-    kept: dict[int, dict] | None = None,
-    lineno: int = 0,
-) -> dict[int, dict]:
-    """Mark the keys already in job.out in done, and return the records
-    whose consume acts on them, keyed by slot; the last line of a key
-    decides whether its record is kept.
-
-    A stability sweep resumes through this loader alone. The unimodality
-    sweep falls back to it when its file is not a prefix of the records it
-    writes (see _replay), and passes its own handle on job.out as fh, so the
-    file is opened once; without fh, job.out is opened here. The file is
-    read from fh's position on: kept holds the records kept from the lineno
-    lines before it, and the lines read are numbered on from there.
-
-    slot(top, bottom) is the place in done of the key "top / bottom" (ASCII
-    bytes), or None for a key the job does not walk, which is ignored. A
-    fixed-shape line of job's conjecture (see _line_pattern) gives top and
-    bottom without being decoded, and its record is never kept. Every other
-    nonblank line is parsed with json.loads, so a key spelled another way
-    that decodes to the same text still counts. A record of job's
-    conjecture whose key is unhashable, or that lacks a field its sweep
-    reads back, is corrupt; records of other conjectures are ignored. So is
-    a record for which acts raises ValueError.
-    Every record the sweep writes ends in a newline, so a last line without
-    one is the torn tail of a killed run: once the rest has been read, the
-    file is truncated back to the last newline and that record is computed
-    again. A corrupt line before it is fatal and leaves the file as it was.
-    """
-    path = job.out
-    findall = _line_pattern(job.conjecture).findall
-    reads = _PAIR_READS if job.conjecture in _PAIR_CONJECTURES else _STABILITY_READS
-    kept = {} if kept is None else kept
-    rest = b""
-    with open(path, "rb") if fh is None else contextlib.nullcontext(fh) as fh:
-        # readline completes the block's last line, so only the block at
-        # the end of the file can end in a torn line.
-        while block := fh.read(_BLOCK) + fh.readline():
-            cut = block.rfind(b"\n") + 1
-            rest = block[cut:]
-            for lineno, (top, bottom, line) in enumerate(findall(block, 0, cut), lineno + 1):
-                if line:
-                    if not line.strip():
-                        continue
-                    rec = _parse_record(line, path, lineno)
-                    if rec.get("conjecture") != job.conjecture:
-                        continue
-                    if not (rec.keys() >= reads and isinstance(rec["key"], Hashable)):
-                        raise ParseError(f"corrupt sweep record at {path}:{lineno}")
-                    key = rec["key"]
-                    if not (isinstance(key, str) and key.isascii()):
-                        continue
-                    top, _, bottom = key.encode().partition(b" / ")
-                k = slot(top, bottom)
-                if k is not None:
-                    done[k] = 1
-                    try:
-                        acted = line and acts(rec)
-                    except ValueError:
-                        raise ParseError(f"corrupt sweep record at {path}:{lineno}") from None
-                    if acted:
-                        kept[k] = rec
-                    else:
-                        kept.pop(k, None)
-        end = fh.tell() - len(rest)
-    if rest:
-        os.truncate(path, end)
-    return kept
-
-
-def _pair_slots(job: SweepJob) -> tuple[dict[int, int], Callable[[bytes, bytes], int | None]]:
-    """The slots of a unimodality sweep's pairs, in pair order: the pair of
-    the i-th top and j-th bottom of the m compositions of n, in
-    _compositions(n) order, sits at start[n] + i * m + j. start[n_max + 1]
-    is the number of pairs. A key of two n, of n outside [n_min, n_max] or
-    not in canonical spelling has no slot."""
-    start: dict[int, int] = {}
-    where: dict[bytes, tuple[int, int, int]] = {}  # text -> (n, slot of its row, rank)
-    size = 0
-    for n in range(job.n_min, job.n_max + 1):
-        _, texts = _compositions(n)
-        m = len(texts)
-        start[n] = size
-        for rank, text in enumerate(texts):
-            where[text.encode()] = (n, size + rank * m, rank)
-        size += m * m
-    start[job.n_max + 1] = size
-
-    def slot(top: bytes, bottom: bytes) -> int | None:
-        t = where.get(top)
-        b = where.get(bottom)
-        if t is None or b is None or t[0] != b[0]:
-            return None
-        return t[1] + b[2]
-
-    return start, slot
-
-
 def _row_records(
     conjecture: str,
     n: int,
     i: int,
-    js: list[int] | None,
     write: bool,
     row: bytes,
     memos: dict[int, dict],
-) -> tuple[str, dict[int, dict]]:
-    """NDJSON text of the i-th top composition of n against the bottoms at
-    indices js (all of them when js is None), and the Frobenius records
-    among them by their place in js, with 2C + P read off row, the row's
-    bytes of the census. The text is empty unless write is set, since
-    without an output file nothing would read it.
+) -> tuple[str, list[dict]]:
+    """NDJSON text of the i-th top composition of n against every bottom,
+    and the Frobenius records among them in bottom order, with 2C + P read
+    off row, the row's bytes of the census. The text is empty unless write
+    is set, since without an output file nothing would read it.
 
     The text is one join of five pieces per pair, laid out by list repeat
     and slice assignment: the fixed-shape line's key head, bottom, spec
@@ -374,26 +230,22 @@ def _row_records(
         memos.clear()
         memo = memos[n] = {}
     top_text = texts[i]
-    if js is not None:
-        texts = list(map(texts.__getitem__, js))
-        row = bytes(map(row.__getitem__, js))
     if write:
         key_head = f"{_plain_head(conjecture)}{top_text} / "
         spec_head = f"{_SPEC_SEP}{top_text} / "
         # The tail of each 2C + P <= n a pair of n can have; that of
         # 2C + P = 1 is always replaced.
         ends = [f"{_INDEX_SEP}{gl - 1}{_PLAIN_TAIL}" for gl in range(n + 1)]
-        pieces = [key_head, None, spec_head, None, None] * len(row)
+        pieces = [key_head, None, spec_head, None, None] * m
         pieces[1::5] = pieces[3::5] = texts
         pieces[4::5] = map(ends.__getitem__, row)
-    frobenius = {}
+    frobenius = []
     ri = reverse[i]
     lo = 0
-    while (pos := row.find(1, lo)) >= 0:
-        j = pos if js is None else js[pos]
+    while (j := row.find(1, lo)) >= 0:
         rj = reverse[j]
         orbit = min(i * m + j, j * m + i, ri * m + rj, rj * m + ri)
-        key = f"{top_text} / {texts[pos]}"
+        key = f"{top_text} / {texts[j]}"
         if orbit in memo:
             rec, tail = memo[orbit]
             rec = {**rec, "key": key, "spec": key}
@@ -401,101 +253,76 @@ def _row_records(
             rec = _pair_record(conjecture, key, parts[i], parts[j], 0)
             tail = _frobenius_tail(rec) if write else None
             memo[orbit] = rec, tail
-        frobenius[pos] = rec
+        frobenius.append(rec)
         if write:
-            pieces[5 * pos + 4] = tail
-        lo = pos + 1
+            pieces[5 * j + 4] = tail
+        lo = j + 1
     return "".join(pieces) if write else "", frobenius
 
 
-def _pair_record_acts(rec: dict) -> bool:
-    """Whether the unimodality sweep's consume does anything with rec; the
-    rest need no keeping on resume. Raises ValueError when rec is acted on
-    and its shape fields are not those of its spectrum (null for a null
-    spectrum), since consume checks the proven claims on the fields."""
-    if not (rec["frobenius"] or rec["unimodal"] is False):
-        return False
-    spectrum = rec["spectrum"]
-    try:
-        fields = (
-            dict.fromkeys(SHAPE_FIELDS) if spectrum is None
-            else shape_fields(IntegerMultiset.from_json_obj(spectrum))
+class _RecordFile:
+    """The one writer of a sweep's record file, for fresh and resumed runs.
+
+    Without resume the file must be missing or empty, and every piece of
+    records is appended. With resume, each piece is first compared with the
+    file's next bytes, and its whole lines count as resumed when they
+    match; from the piece in which the file ends, the rest is appended. A
+    last line cut short by a killed run, its bytes matching, is truncated
+    and written again whole. At the first byte that differs, or at any byte
+    left over when the run closes the file, the file is not a prefix of the
+    job's records: ParseError, naming the line, and nothing appended.
+    """
+
+    def __init__(self, path: str, resume: bool) -> None:
+        self.path = path
+        self.resumed = 0  # whole lines matched
+        # "a" creates a missing file, and every write lands at the file's
+        # end, which a truncate moves back.
+        self._fh = open(path, "a+b" if resume else "ab")
+        self._comparing = resume
+        if resume:
+            self._fh.seek(0)
+        elif self._fh.tell():
+            self._fh.close()
+            raise ParseError(
+                f"record file {path} is not empty; pass --resume to continue it"
+            )
+
+    def __enter__(self) -> "_RecordFile":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        with self._fh:
+            if exc_type is None and self._comparing and self._fh.read(1):
+                raise self._not_a_prefix(self.resumed + 1)
+
+    def _not_a_prefix(self, line: int) -> ParseError:
+        return ParseError(
+            f"record file {self.path} is not a prefix of this job's records at line {line}"
         )
-    except (AttributeError, TypeError) as exc:
-        raise ValueError("the spectrum is no multiset") from exc
-    if any(rec[name] is not fields[name] for name in SHAPE_FIELDS):
-        raise ValueError("the shape fields are not those of the spectrum")
-    return True
 
-
-def _replay(
-    job: SweepJob, fh: BinaryIO, census: list[bytearray], memos: dict[int, dict]
-) -> tuple[int, dict[int, dict], int, bool] | None:
-    """Check fh, from its start, against the records job writes: each row,
-    in pair order, is made again as the writer makes it (memos is the
-    run's, see _row_records) and compared with the file's next bytes, so
-    no line is parsed and only one row is held.
-
-    Returns the number of whole lines matched, the Frobenius records among
-    them by slot (see _pair_slots; the regenerated records, which equal the
-    file's byte for byte), the offset where those lines end, and whether
-    the file is a prefix of job's records; any bytes after that offset of a
-    prefix are a torn last line. At the first byte that differs, and at any
-    byte past the end of job's records, the file is not a prefix, and only
-    the whole rows before that byte count as matched; None when there are
-    none.
-    """
-    lines = end = 0
-    frobenius: dict[int, dict] = {}
-    for n in range(job.n_min, job.n_max + 1):
-        m = len(_compositions(n)[0])
-        table = census[n]
-        for i in range(m):
-            row = table[i * m:(i + 1) * m]
-            text, recs = _row_records(job.conjecture, n, i, None, True, row, memos)
-            want = text.encode()
-            got = fh.read(len(want))
-            if got != want:
-                if not want.startswith(got):
-                    return (lines, frobenius, end, False) if lines else None
-                # The file ends inside this row.
-                whole = got.count(b"\n")
-                frobenius.update((lines + j, rec) for j, rec in recs.items() if j < whole)
-                return lines + whole, frobenius, end + got.rfind(b"\n") + 1, True
-            frobenius.update((lines + j, rec) for j, rec in recs.items())
-            lines += m
-            end += len(want)
-    return lines, frobenius, end, not fh.read(1)
-
-
-def _resume_pairs(
-    job: SweepJob,
-    census: list[bytearray],
-    memos: dict[int, dict],
-    done: bytearray,
-    slot: Callable[[bytes, bytes], int | None],
-) -> list[dict]:
-    """Mark the pairs already in job.out in done, and return the records
-    among them that the unimodality sweep's consume acts on, in pair order.
-
-    A file this code wrote is a prefix of the records job writes, and
-    _replay checks it as one; a matching torn last line is truncated as
-    _load_completed does. Any other file is read by _load_completed over
-    the same handle, from the end of the whole rows the replay matched,
-    whose flags and records it keeps.
-    """
-    with open(job.out, "rb") as fh:
-        replayed = _replay(job, fh, census, memos)
-        lines, frobenius, end, prefix = replayed or (0, {}, 0, False)
-        done[:lines] = b"\x01" * lines
-        if not prefix:
-            fh.seek(end)
-            kept = _load_completed(job, done, slot, _pair_record_acts, fh, frobenius, lines)
-            return [kept[k] for k in sorted(kept)]
-        torn = fh.tell() > end
-    if torn:
-        os.truncate(job.out, end)
-    return list(frobenius.values())
+    def write(self, text: str, lines: int) -> None:
+        """Write text, which holds lines whole records."""
+        data = text.encode()
+        if not self._comparing:
+            self._fh.write(data)
+            return
+        start = self._fh.tell()
+        got = self._fh.read(len(data))
+        if got == data:
+            self.resumed += lines
+            return
+        if not data.startswith(got):
+            same = len(os.path.commonprefix((got, data)))
+            raise self._not_a_prefix(self.resumed + got.count(b"\n", 0, same) + 1)
+        # The file ends inside text: after its last newline, any torn line
+        # is cut off, and the rest of text is appended.
+        whole = got.rfind(b"\n") + 1
+        self.resumed += got.count(b"\n")
+        self._fh.seek(start + whole)
+        self._fh.truncate()
+        self._fh.write(data[whole:])
+        self._comparing = False
 
 
 def run_unimodality_sweep(job: SweepJob) -> dict:
@@ -519,36 +346,22 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         if collect and rec["unimodal"] is False:
             counterexamples.append({"spec": rec["spec"], "spectrum": rec["spectrum"]})
 
-    census = _census(job.n_max)  # one per run
-    memos: dict[int, dict] = {}  # one per run, shared by the replay and the rows
-    done = None
-    if job.resume and os.path.exists(job.out):
-        start, slot = _pair_slots(job)
-        done = bytearray(start[job.n_max + 1])
-        for rec in _resume_pairs(job, census, memos, done, slot):
-            consume(rec)
-    with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
+    with _RecordFile(job.out, job.resume) if job.out else contextlib.nullcontext() as out:
+        census = _census(job.n_max)  # one per run
+        memos: dict[int, dict] = {}  # one per run
         for n in range(job.n_min, job.n_max + 1):
             m = len(_compositions(n)[0])
             pairs += m * m
             table = census[n]
             for i in range(m):
-                js = None
-                if done is not None:
-                    row = done[start[n] + i * m:start[n] + (i + 1) * m]
-                    resumed = row.count(1)
-                    if resumed == m:
-                        continue
-                    if resumed:
-                        js = [j for j in range(m) if not row[j]]
                 text, frobenius = _row_records(
-                    job.conjecture, n, i, js, out is not None, table[i * m:(i + 1) * m], memos
+                    job.conjecture, n, i, out is not None, table[i * m:(i + 1) * m], memos
                 )
                 # A row reaches the file before its records are checked,
                 # so a record that fails a proven claim is on disk.
                 if out:
-                    out.write(text)
-                for rec in frobenius.values():
+                    out.write(text, m)
+                for rec in frobenius:
                     consume(rec)
 
     counterexamples.sort(key=lambda c: c["spec"])
@@ -557,7 +370,7 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         "n_min": job.n_min,
         "n_max": job.n_max,
         "pairs": pairs,
-        "resumed": 0 if done is None else done.count(1),
+        "resumed": out.resumed if out else 0,
         "frobenius": frobenius_count,
         "engine_invariant_failures": 0,
         "counterexamples": counterexamples,
@@ -617,8 +430,7 @@ def _grid_4_16(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
     # refused before any kernel call.
     base, k = bases[-1]
     _check_indexable(base.n + 2 * k * job.r_max, f"extension at r = {job.r_max}")
-    # Every base spectrum is taken now, before the sweep reads or opens its
-    # output: a base that is not Frobenius leaves the file as it was.
+    # Every base spectrum is taken now, before the sweep opens its output.
     inherits = []
     for base, k in bases:
         s_base = spectrum_of(base.top.parts, base.bottom.parts)
@@ -709,26 +521,14 @@ def run_stability_sweep(job: SweepJob) -> dict:
 
     def consume(rec: dict) -> None:
         if not rec["passed"]:
-            failed = [name for name in ("frobenius",) + names if rec.get(name) is False]
+            failed = [name for name in ("frobenius",) + names if rec[name] is False]
             counterexamples.append({"spec": rec["spec"], "failed": failed})
 
-    points = list(grid(job, spectrum_of))  # first: 4_16 takes its base spectra here
-    done = None
-    if job.resume and os.path.exists(job.out):
-        where = {str(g).encode(): k for k, (g, *_) in enumerate(points)}
-        done = bytearray(len(points))
-        kept = _load_completed(
-            job,
-            done,
-            lambda top, bottom: where.get(top + b" / " + bottom),
-            lambda rec: not rec["passed"],
-        )
-        for k in sorted(kept):
-            consume(kept[k])
-    with open(job.out, "a", encoding="utf-8") if job.out else contextlib.nullcontext() as out:
-        for k, (g, params, fixed, checks) in enumerate(points):
-            if done is not None and done[k]:
-                continue
+    # The grid comes first: 4_16 takes its base spectra here, so a base
+    # that is not Frobenius leaves --out as it was.
+    points = list(grid(job, spectrum_of))
+    with _RecordFile(job.out, job.resume) if job.out else contextlib.nullcontext() as out:
+        for g, params, fixed, checks in points:
             key = str(g)
             s = spectrum_of(g.top.parts, g.bottom.parts)
             results = dict.fromkeys(names)
@@ -746,7 +546,7 @@ def run_stability_sweep(job: SweepJob) -> dict:
                 "passed": s is not None and all(v is not False for v in results.values()),
             }
             if out:
-                out.write(json.dumps(rec) + "\n")
+                out.write(json.dumps(rec) + "\n", 1)
             consume(rec)
 
     counterexamples.sort(key=lambda c: c["spec"])
@@ -755,7 +555,7 @@ def run_stability_sweep(job: SweepJob) -> dict:
         "k_max": job.k_max,
         "r_max": job.r_max,
         "checked": len(points),
-        "resumed": 0 if done is None else done.count(1),
+        "resumed": out.resumed if out else 0,
         "counterexamples": counterexamples,
     }
     if job.conjecture == "stability_4_16":

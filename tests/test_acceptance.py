@@ -29,6 +29,7 @@ from seaweedspec import (
     spectrum,
     spectrum_matrix,
     SweepJob,
+    cli,
     verify_block_lemmas,
     verify_reverse_lemma,
     verify_skew_symmetry,
@@ -154,3 +155,14 @@ def test_criterion_7_family_spectra_are_unimodal_and_mostly_log_concave():
             assert is_unimodal(s), (family.value, k, r)
             if family in ALWAYS_LOG_CONCAVE:
                 assert is_log_concave(s), (family.value, k, r)
+
+
+def test_criterion_8_resume_refuses_a_file_that_is_not_a_prefix(tmp_path):
+    """A record file is a function of its job: --resume continues only a
+    prefix of the job's records, and any other file exits 64 as it was."""
+    path = tmp_path / "records.ndjson"
+    assert cli.main(["sweep", "--n-max", "4", "--out", str(path)]) == 0
+    edited = path.read_bytes().replace(b'"index": 1', b'"index": 2', 1)
+    path.write_bytes(edited)
+    assert cli.main(["sweep", "--n-max", "4", "--out", str(path), "--resume"]) == 64
+    assert path.read_bytes() == edited

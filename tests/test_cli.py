@@ -9,7 +9,9 @@ import pytest
 
 import seaweedspec
 from oracles import graph_components, oracle_matrix
-from seaweedspec import EngineInvariantError, FamilyId, IntegerMultiset, cli, family_spec
+from seaweedspec import (
+    EngineInvariantError, FamilyId, IntegerMultiset, analysis, cli, family_spec, sweep,
+)
 from strategies import LARGE_POINTS, orientations
 
 
@@ -217,7 +219,7 @@ class TestSpectrum:
         _, plain, _ = run_cli(capsys, "spectrum", "5|2 / 7")
         _, as_json, _ = run_cli(capsys, "spectrum", "5|2 / 7", "--format", "json")
         from_text = IntegerMultiset.from_text(plain.strip())
-        from_json = IntegerMultiset.from_json_obj(json.loads(as_json))
+        from_json = IntegerMultiset({int(v): c for v, c in json.loads(as_json).items()})
         assert from_text == from_json
 
     def test_not_frobenius_exit_3(self, capsys):
@@ -573,54 +575,74 @@ class TestSweep:
         assert present.read_bytes() == torn
         assert present.stat().st_mtime_ns == 0
 
-    def test_counterexample_exit_2(self, capsys, tmp_path):
-        out_path = tmp_path / "records.ndjson"
-        fake = {
-            "conjecture": "unimodal_2_8",
-            "key": "1 / 1",
-            "spec": "1 / 1",
-            "index": 0,
-            "frobenius": True,
-            "unbroken": True,
-            "centered_half": True,
-            "unimodal": False,
-            "log_concave": False,
-            "symmetric_about_half": True,
-            "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2},
-            "elapsed": 0.0,
-        }
-        out_path.write_text(json.dumps(fake) + "\n")
-        code, out, _ = run_cli(
-            capsys, "sweep", "--n-max", "1", "--out", str(out_path), "--resume"
-        )
+    def test_counterexample_exit_2(self, capsys, tmp_path, monkeypatch):
+        """No pair in reach breaks unimodality, so the predicates are
+        patched to find counterexamples; one of them lies in the rows that
+        resume matches, and is reported as the rest are."""
+        monkeypatch.setattr(analysis, "is_unimodal", lambda s: False)
+        monkeypatch.setattr(analysis, "is_log_concave", lambda s: False)
+        path = tmp_path / "records.ndjson"
+        argv = ["sweep", "--n-max", "2", "--out", str(path)]
+        code, fresh, _ = run_cli(capsys, *argv)
         assert code == 2
-        summary = json.loads(out)
-        assert summary["counterexamples"] == [
-            {"spec": "1 / 1", "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2}}
-        ]
+        assert [c["spec"] for c in json.loads(fresh)["counterexamples"]] == ["1|1 / 2", "2 / 1|1"]
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:3]))  # n = 1, and the row of top 2
+        code, out, _ = run_cli(capsys, *argv, "--resume")
+        assert code == 2
+        assert json.loads(out) == {**json.loads(fresh), "resumed": 3}
+        assert path.read_bytes() == b"".join(lines)
 
-    def test_engine_failure_exit_1(self, capsys, tmp_path):
-        out_path = tmp_path / "records.ndjson"
-        fake = {
-            "conjecture": "unimodal_2_8",
-            "key": "1 / 1",
-            "spec": "1 / 1",
-            "index": 0,
-            "frobenius": True,
-            "unbroken": False,
-            "centered_half": False,
-            "unimodal": True,
-            "log_concave": True,
-            "symmetric_about_half": True,
-            "spectrum": {"-1": 1, "2": 1},
-            "elapsed": 0.0,
-        }
-        out_path.write_text(json.dumps(fake) + "\n")
-        code, _, err = run_cli(
-            capsys, "sweep", "--n-max", "1", "--out", str(out_path), "--resume"
+    def test_engine_failure_exit_1(self, capsys, tmp_path, monkeypatch):
+        """A record that breaks a proven claim stops the run after its row
+        is written; resuming over that file stops at the same record, with
+        nothing appended."""
+        monkeypatch.setattr(analysis, "is_unbroken_centered_half", lambda s: (False, False))
+        path = tmp_path / "records.ndjson"
+        argv = ["sweep", "--n-max", "2", "--out", str(path)]
+        err = "error: 2 / 1|1: spectrum support has gaps"
+        code, out, stderr = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert stderr.startswith(err) and stderr.count("\n") == 1
+        written = path.read_bytes()
+        assert written.count(b"\n") == 3
+        code, out, stderr = run_cli(capsys, *argv, "--resume")
+        assert (code, out) == (1, "")
+        assert stderr.startswith(err) and stderr.count("\n") == 1
+        assert path.read_bytes() == written
+
+    def test_census_kernel_disagreement_exit_1(self, capsys, monkeypatch):
+        """A pair the census calls Frobenius must have a spectrum."""
+        spectrum_counts = sweep.kernel.spectrum_counts
+
+        def disagreeing(top, bottom):
+            return None if (top, bottom) == ((2,), (1, 1)) else spectrum_counts(top, bottom)
+
+        monkeypatch.setattr(sweep.kernel, "spectrum_counts", disagreeing)
+        assert run_cli(capsys, "sweep", "--n-max", "3") == (
+            1, "", "error: 2 / 1|1: the census gives index 0, but the kernel finds no spectrum\n"
         )
-        assert code == 1
-        assert "support has gaps" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--n-max", "3"),
+        ("--conjecture", "stability_4_17", "--k-max", "1", "--r-max", "2"),
+    ], ids=["unimodal_2_8", "stability_4_17"])
+    def test_fresh_run_over_records_needs_resume(self, capsys, tmp_path, argv):
+        """--out without --resume starts a file; over one that holds bytes
+        it exits 64 before writing anything. A missing or empty file is a
+        fresh run, with or without --resume."""
+        path = tmp_path / "records.ndjson"
+        fresh = run_cli(capsys, "sweep", *argv, "--out", str(path))
+        assert fresh[0] == 0
+        written = path.read_bytes()
+        assert run_cli(capsys, "sweep", *argv, "--out", str(path)) == (
+            64, "", f"error: record file {path} is not empty; pass --resume to continue it\n"
+        )
+        assert path.read_bytes() == written
+        for resume in ((), ("--resume",)):
+            path.write_bytes(b"")
+            assert run_cli(capsys, "sweep", *argv, "--out", str(path), *resume) == fresh
+            assert path.read_bytes() == written
 
     def test_resume_over_torn_tail_and_corrupt_middle(self, capsys, tmp_path):
         path = tmp_path / "records.ndjson"
@@ -637,7 +659,7 @@ class TestSweep:
         path.write_bytes(damaged)
         code, out, err = run_cli(capsys, "sweep", "--n-max", "3", "--out", str(path), "--resume")
         assert (code, out) == (64, "")
-        assert f"corrupt sweep record at {path}:5" in err
+        assert err == f"error: record file {path} is not a prefix of this job's records at line 5\n"
         assert path.read_bytes() == damaged
 
     @pytest.mark.parametrize(
@@ -657,14 +679,14 @@ class TestSweep:
         ids=["no_frobenius", "no_spectrum", "no_symmetric_about_half", "unhashable_key",
              "no_passed", "no_spec"],
     )
-    def test_record_missing_what_resume_reads_is_corrupt(self, capsys, tmp_path, record, grid):
+    def test_hand_written_record_is_not_a_prefix(self, capsys, tmp_path, record, grid):
         path = tmp_path / "records.ndjson"
         damaged = (json.dumps(record) + "\n").encode()
         path.write_bytes(damaged)
         argv = ["sweep", "--conjecture", record["conjecture"], *grid, "--out", str(path)]
-        code, out, err = run_cli(capsys, *argv, "--resume")
-        assert (code, out) == (64, "")
-        assert f"corrupt sweep record at {path}:1" in err
+        assert run_cli(capsys, *argv, "--resume") == (
+            64, "", f"error: record file {path} is not a prefix of this job's records at line 1\n"
+        )
         assert path.read_bytes() == damaged
 
     @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])

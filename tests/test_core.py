@@ -203,11 +203,6 @@ class TestIntegerMultiset:
         s = IntegerMultiset({-1: 2, 0: 5})
         assert s.to_json_obj() == {"-1": 2, "0": 5}
         assert list(s.to_json_obj()) == ["-1", "0"]
-        assert IntegerMultiset.from_json_obj({"-1": 2, "0": 5}) == s
-
-    def test_from_json_obj_rejects_bad_keys(self):
-        with pytest.raises(ParseError):
-            IntegerMultiset.from_json_obj({"one": 1})
 
     @pytest.mark.parametrize(
         "parse, source, message",
@@ -216,24 +211,17 @@ class TestIntegerMultiset:
                 IntegerMultiset.from_text, "{١^٢}", "bad multiset entry", id="text-arabic-indic"
             ),
             pytest.param(
-                IntegerMultiset.from_json_obj, {"٣": 1}, "bad multiset key", id="json-arabic-indic"
-            ),
-            pytest.param(IntegerMultiset.from_json_obj, {"1_0": 1}, "bad multiset key", id="underscore"),
-            pytest.param(IntegerMultiset.from_json_obj, {" 3 ": 1}, "bad multiset key", id="spaces"),
-            pytest.param(IntegerMultiset.from_json_obj, {"+3": 1}, "bad multiset key", id="plus"),
-            pytest.param(
-                IntegerMultiset.from_json_obj, {"3": True},
+                IntegerMultiset, {3: True},
                 "^multiplicity of 3 must be a nonnegative integer, got True$", id="bool-count",
             ),
             pytest.param(
-                IntegerMultiset.from_json_obj, {"3": 2, "03": -1},
+                IntegerMultiset, {3: -1},
                 "^multiplicity of 3 must be a nonnegative integer, got -1$", id="negative-count",
             ),
         ],
     )
     def test_reads_only_what_it_writes(self, parse, source, message):
-        """ASCII digits with an optional minus sign, and int counts checked
-        before equal values are summed."""
+        """ASCII digits with an optional minus sign, and int counts."""
         with pytest.raises(ValueError, match=message):
             parse(source)
 
@@ -245,7 +233,7 @@ class TestIntegerMultiset:
     @given(integer_multiset_counts())
     def test_json_round_trip(self, counts):
         s = IntegerMultiset(counts)
-        assert IntegerMultiset.from_json_obj(s.to_json_obj()) == s
+        assert IntegerMultiset({int(v): c for v, c in s.to_json_obj().items()}) == s
 
     @given(integer_multiset_counts())
     def test_copy_is_equal_and_owns_its_counts(self, counts):

@@ -129,50 +129,32 @@ class TestUnimodalitySweep:
         assert keys[0] == "1 / 1"  # empty spectrum: no predicates, no failure
         assert "2 / 1|1" in keys
 
-    def test_fabricated_counterexample_surfaces_on_resume(self, tmp_path):
-        out = tmp_path / "records.ndjson"
-        fake = {
-            "conjecture": "unimodal_2_8",
-            "key": "1 / 1",
-            "spec": "1 / 1",
-            "index": 0,
-            "frobenius": True,
-            "unbroken": True,
-            "centered_half": True,
-            "unimodal": False,
-            "log_concave": False,
-            "symmetric_about_half": True,
-            "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2},
-            "elapsed": 0.0,
-        }
-        out.write_text(json.dumps(fake) + "\n")
-        summary = run_unimodality_sweep(
-            SweepJob(n_max=1, out=str(out), resume=True)
-        )
-        assert summary["resumed"] == 1
-        assert summary["counterexamples"] == [
-            {"spec": "1 / 1", "spectrum": {"-1": 2, "0": 1, "1": 1, "2": 2}}
-        ]
+    def test_counterexample_surfaces_on_resume(self, tmp_path, monkeypatch):
+        """No pair in reach breaks unimodality, so the predicates are patched
+        to find counterexamples. The records of the rows resume matches are
+        made by the run again, so theirs are reported as the rest are."""
+        monkeypatch.setattr(analysis, "is_unimodal", lambda s: False)
+        monkeypatch.setattr(analysis, "is_log_concave", lambda s: False)
+        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=3)
+        assert len(fresh["counterexamples"]) == fresh["frobenius"] - 1 == 8
+        path = tmp_path / "cut.ndjson"
+        path.write_bytes(b"".join(lines[:10]))
+        summary = run_unimodality_sweep(SweepJob(n_max=3, out=str(path), resume=True))
+        assert summary == {**fresh, "resumed": 10}
+        assert path.read_bytes() == b"".join(lines)
 
-    def test_fabricated_engine_failure_raises(self, tmp_path):
-        out = tmp_path / "records.ndjson"
-        fake = {
-            "conjecture": "unimodal_2_8",
-            "key": "1 / 1",
-            "spec": "1 / 1",
-            "index": 0,
-            "frobenius": True,
-            "unbroken": False,
-            "centered_half": False,
-            "unimodal": True,
-            "log_concave": True,
-            "symmetric_about_half": True,
-            "spectrum": {"-1": 1, "2": 1},
-            "elapsed": 0.0,
-        }
-        out.write_text(json.dumps(fake) + "\n")
-        with pytest.raises(EngineInvariantError, match="support has gaps"):
-            run_unimodality_sweep(SweepJob(n_max=1, out=str(out), resume=True))
+    def test_resumed_record_is_checked(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.ndjson"
+        _, lines = fresh_file(path, n_max=3)
+
+        def failing(spec, spectrum, fields):
+            if spec == "1|2 / 3":
+                raise EngineInvariantError(f"{spec}: patched")
+
+        monkeypatch.setattr(sweep, "check_proven_claims", failing)
+        with pytest.raises(EngineInvariantError, match=r"^1\|2 / 3: patched$"):
+            run_unimodality_sweep(SweepJob(n_max=3, out=str(path), resume=True))
+        assert path.read_bytes() == b"".join(lines)
 
     def test_conjecture_none_still_checks_invariants_only(self):
         summary = run_sweep(SweepJob(conjecture="none", n_max=3))
@@ -215,7 +197,7 @@ class TestResumeTornTail:
         damaged = b"".join(lines[:300]) + lines[300][:5]
         path = tmp_path / "damaged.ndjson"
         path.write_bytes(damaged)
-        with pytest.raises(ParseError, match=r"corrupt sweep record at .*damaged\.ndjson:101$"):
+        with pytest.raises(ParseError, match=r"damaged\.ndjson is not a prefix .* at line 101$"):
             self.resume(path)
         assert path.read_bytes() == damaged
 
@@ -252,16 +234,25 @@ class TestFilesAreClosed:
         fresh = path.read_bytes()
 
         run_unimodality_sweep(resume)
-        self.check_all_closed(opened, 2)
+        self.check_all_closed(opened, 1)
+
+        with pytest.raises(ParseError, match=r"records\.ndjson is not empty"):
+            run_unimodality_sweep(job)
+        self.check_all_closed(opened, 1)
 
         path.write_bytes(fresh[:-9])
         assert run_unimodality_sweep(resume)["resumed"] == 84
-        self.check_all_closed(opened, 2)
+        self.check_all_closed(opened, 1)
         assert path.read_bytes() == fresh
 
         lines = fresh.splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:10]) + b"garbage\n" + b"".join(lines[11:]))
-        with pytest.raises(ParseError, match=r"records\.ndjson:11$"):
+        with pytest.raises(ParseError, match=r"records\.ndjson is not a prefix .* at line 11$"):
+            run_unimodality_sweep(resume)
+        self.check_all_closed(opened, 1)
+
+        path.write_bytes(fresh + b"\n")
+        with pytest.raises(ParseError, match=r"records\.ndjson is not a prefix .* at line 86$"):
             run_unimodality_sweep(resume)
         self.check_all_closed(opened, 1)
 
@@ -343,32 +334,14 @@ class TestStabilitySweeps:
         assert second["resumed"] == 4
         assert len(read_ndjson(str(out))) == 4
 
-    def test_fabricated_failure_surfaces_on_resume(self, tmp_path):
-        out = tmp_path / "records.ndjson"
-        fake = {
-            "conjecture": "stability_4_17",
-            "key": "2|1 / 3",
-            "spec": "2|1 / 3",
-            "k": 1,
-            "r": 1,
-            "frobenius": True,
-            "expected_support": [-1, 0, 1, 2],
-            "support_matches": False,
-            "unimodal": True,
-            "spectrum": {"-1": 1, "0": 1, "1": 1},
-            "passed": False,
-            "elapsed": 0.0,
-        }
-        out.write_text(json.dumps(fake) + "\n")
-        summary = run_stability_sweep(
-            SweepJob(conjecture="stability_4_17", k_max=1, r_max=2, out=str(out), resume=True)
-        )
-        assert summary["checked"] == 2
-        assert summary["resumed"] == 1
+    def test_failure_surfaces_on_resume(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "is_unimodal", lambda s: False)
+        grid = dict(conjecture="stability_4_17", k_max=1, r_max=2)
+        summary = resumed_over_first_record(tmp_path, grid)
         assert summary["counterexamples"] == [
-            {"spec": "2|1 / 3", "failed": ["support_matches"]}
+            {"spec": "2|1 / 3", "failed": ["unimodal"]},
+            {"spec": "2|2|1 / 5", "failed": ["unimodal"]},
         ]
-        assert len(read_ndjson(str(out))) == 2
 
     def test_dispatch_rejects_non_stability(self):
         with pytest.raises(ValueError, match="not a stability conjecture"):
@@ -521,30 +494,35 @@ class TestRowWriter:
             assert path.read_bytes() == b"".join(lines), keep
 
     def test_resume_after_every_line_replays_under_each_kernel(
-        self, tmp_path, monkeypatch, each_kernel
+        self, tmp_path, unparsed, each_kernel
     ):
-        """The test above, under each kernel and with the loader out of
+        """The test above, under each kernel and with json.loads out of
         reach: every cut of a fresh file is a prefix of it."""
-        monkeypatch.setattr(sweep, "_load_completed", fallen_back)
         self.test_resume_after_every_line_gives_the_fresh_file(tmp_path)
 
 
-def fallen_back(*args, **kwargs):
-    raise AssertionError("resume fell back to _load_completed")
+@pytest.fixture
+def unparsed(monkeypatch):
+    """json.loads out of reach: a resume parses no line."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.loads was called")
+
+    monkeypatch.setattr(json, "loads", refused)
 
 
 class TestReplay:
     """A record file this code wrote is a prefix of the records its job
-    writes, and resume checks it as one, row by row, without the loader.
-    Any other file falls back to the loader and gives what the loader alone
-    gives."""
+    writes, and resume checks it as one, row by row, parsing no line. Any
+    other file stops the run at its first differing line, and is left as it
+    was."""
 
     # Pairs of n <= 5, then 2 rows and 7 pairs of n = 6: Frobenius pairs of
     # that row lie on both sides of the cut.
     MID_ROW = (4**5 - 1) // 3 + 2 * 32 + 7
 
     @pytest.mark.parametrize("cut", ["empty", "mid-row", "torn", "torn newline", "complete"])
-    def test_file_the_writer_made_is_replayed(self, tmp_path, monkeypatch, each_kernel, cut):
+    def test_file_the_writer_made_is_replayed(self, tmp_path, unparsed, each_kernel, cut):
         fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=6)
         row = lines[self.MID_ROW - 7:self.MID_ROW + 25]
         assert all(b'"frobenius": true' in b"".join(side) for side in (row[:7], row[7:]))
@@ -557,63 +535,37 @@ class TestReplay:
         }[cut]
         path = tmp_path / "cut.ndjson"
         path.write_bytes(data)
-        monkeypatch.setattr(sweep, "_load_completed", fallen_back)
         summary = run_unimodality_sweep(SweepJob(n_max=6, out=str(path), resume=True))
         assert summary == {**fresh, "resumed": keep}
         assert path.read_bytes() == b"".join(lines)
 
-    def test_smaller_run_file_is_replayed(self, tmp_path, monkeypatch, each_kernel):
+    def test_smaller_run_file_is_replayed(self, tmp_path, unparsed, each_kernel):
         fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=5)
         path = tmp_path / "small.ndjson"
         fresh_file(path, n_max=4)
-        monkeypatch.setattr(sweep, "_load_completed", fallen_back)
         summary = run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
         assert summary == {**fresh, "resumed": 85}
         assert path.read_bytes() == b"".join(lines)
 
-    def test_one_byte_edit_falls_back_with_the_loader_result(self, tmp_path, monkeypatch):
-        """Each line of the n <= 4 file edited in one byte: the first digit
-        of a plain line's index, the last byte inside a Frobenius line's
-        spectrum, or the newline turned into a space. Resuming over it gives
-        what the loader alone gives: summary, or error type and message, and
-        file bytes."""
-        _, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=4)
+    @pytest.mark.parametrize("k", range(85))
+    def test_one_byte_edit_is_not_a_prefix(self, tmp_path, capsys, fresh_lines, k):
+        """Line k + 1 of the n <= 4 file edited in its first byte, and in its
+        last byte before the newline: over the 85 lines, 170 files, each of
+        which exits 64, names the edited line and is left as it was."""
+        lines = fresh_lines["n4"]
         assert len(lines) == 85
         path = tmp_path / "edited.ndjson"
-        job = SweepJob(n_max=4, out=str(path), resume=True)
-        replay, load = sweep._replay, sweep._load_completed
-        loads = []
-
-        def counted_load(*args):
-            loads.append(args)
-            return load(*args)
-
-        monkeypatch.setattr(sweep, "_load_completed", counted_load)
-
-        def outcome(data, stub):
+        argv = ["sweep", "--n-max", "4", "--out", str(path), "--resume"]
+        for at in (0, len(lines[k]) - 2):
+            edited = bytearray(lines[k])
+            edited[at] += 1
+            data = b"".join(lines[:k]) + bytes(edited) + b"".join(lines[k + 1:])
             path.write_bytes(data)
-            monkeypatch.setattr(sweep, "_replay", (lambda *args: None) if stub else replay)
-            try:
-                result = run_unimodality_sweep(job)
-            except Exception as exc:
-                result = (type(exc), str(exc))
-            return result, path.read_bytes()
-
-        swap = {ord("9"): ord("0"), ord("{"): ord("[")}
-        for k, line in enumerate(lines):
-            if b'"frobenius": true' in line:
-                at = line.rindex(b"}}") - 1  # the last count, or "{" of an empty spectrum
-            else:
-                at = line.rindex(b'"index": ') + len(b'"index": ')
-            assert line[at:at + 1].isdigit() or line[at:at + 1] == b"{"
-            edits = {at: swap.get(line[at], line[at] + 1), len(line) - 1: ord(" ")}
-            for at, byte in edits.items():
-                edited = bytearray(line)
-                edited[at] = byte
-                data = b"".join(lines[:k]) + bytes(edited) + b"".join(lines[k + 1:])
-                loads.clear()
-                assert outcome(data, stub=False) == outcome(data, stub=True), (k, at)
-                assert len(loads) == 2, (k, at)
+            assert (cli.main(argv), *capsys.readouterr()) == (
+                64, "",
+                f"error: record file {path} is not a prefix of this job's records at line {k + 1}\n",
+            ), at
+            assert path.read_bytes() == data, at
 
     def test_resume_memory_stays_below_a_quarter_of_the_file(self, tmp_path):
         path = tmp_path / "records.ndjson"
@@ -679,67 +631,56 @@ class TestOrbitMemo:
         assert path.read_bytes() == b"".join(lines)
         assert len(spectra) == len(set(spectra)) == 307
 
-    def test_late_edit_loads_from_the_row_it_is_in(self, tmp_path, monkeypatch):
-        """An index digit edited in the last row of the n <= 6 file: the
-        loader reads on from the end of the rows before it, with their
-        lines counted, and the resume gives what the loader alone gives."""
-        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=6)
-        before = len(lines) - 32  # the lines before the last row
+    def test_late_edit_is_not_a_prefix_at_its_line(self, tmp_path, spectra):
+        """An index digit edited in the last row of the n <= 6 file: every
+        row before it is made again, with one spectrum per orbit, and the
+        run stops at the edited line with the file as it was."""
+        _, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=6)
+        spectra.clear()
         at = lines[-5].rindex(b'"index": ') + len(b'"index": ')
         edited = lines[-5][:at] + b"9" + lines[-5][at + 1:]
         data = b"".join(lines[:-5] + [edited] + lines[-4:])
         path = tmp_path / "edited.ndjson"
-        load = sweep._load_completed
-        starts = []
-
-        def recording(job, done, slot, acts, fh=None, *rest):
-            starts.append((fh.tell(), *rest[1:]))
-            return load(job, done, slot, acts, fh, *rest)
-
-        monkeypatch.setattr(sweep, "_load_completed", recording)
         path.write_bytes(data)
-        summary = run_unimodality_sweep(SweepJob(n_max=6, out=str(path), resume=True))
-        assert starts == [(len(b"".join(lines[:before])), before)]
-        assert summary == {**fresh, "resumed": len(lines)}
+        line = len(lines) - 4
+        with pytest.raises(ParseError, match=f"edited\\.ndjson is not a prefix .* at line {line}$"):
+            run_unimodality_sweep(SweepJob(n_max=6, out=str(path), resume=True))
         assert path.read_bytes() == data
-
-    def test_resumed_record_whose_flags_are_not_its_spectrum_is_corrupt(self, tmp_path, capsys):
-        path = tmp_path / "r.ndjson"
-        _, lines = fresh_file(path, n_max=2)
-        assert json.loads(lines[2])["key"] == "2 / 1|1"
-        lines[2] = json.dumps(
-            {**ASYMMETRIC_2_11, "symmetric_about_half": True}
-        ).encode() + b"\n"
-        damaged = b"".join(lines)
-        path.write_bytes(damaged)
-        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (64, "")
-        assert f"corrupt sweep record at {path}:3" in captured.err
-        assert path.read_bytes() == damaged
-
-    @pytest.mark.parametrize("spectrum", [None, [0, 1], {"0": "1", "1": 1}, {"x": 1}])
-    def test_resumed_record_whose_spectrum_is_no_multiset_is_corrupt(self, tmp_path, spectrum):
-        path = tmp_path / "r.ndjson"
-        _, lines = fresh_file(path, n_max=2)
-        lines[2] = json.dumps({**json.loads(lines[2]), "spectrum": spectrum}).encode() + b"\n"
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(ParseError, match=r"r\.ndjson:3$"):
-            run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
+        assert spectra and len(spectra) == len(set(spectra))
 
 
-def fabricated_resume(tmp_path, grid, **changes):
-    """Write only the first record of a fresh run over grid, with changes and
-    passed set to false, then resume over it; return the summary."""
+def resumed_over_first_record(tmp_path, grid):
+    """Write a fresh run over grid, cut its file after the first record and
+    resume over the cut: the summary is the fresh run's with one record
+    resumed, and the file is the fresh one again."""
     out = tmp_path / "records.ndjson"
-    run_stability_sweep(SweepJob(**grid, out=str(out)))
-    first = json.loads(out.read_bytes().splitlines()[0])
-    out.write_text(json.dumps({**first, **changes, "passed": False}) + "\n")
+    fresh = run_stability_sweep(SweepJob(**grid, out=str(out)))
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(lines[0])
     summary = run_stability_sweep(SweepJob(**grid, out=str(out), resume=True))
-    assert summary["checked"] == 2
-    assert summary["resumed"] == 1
-    assert len(read_ndjson(str(out))) == 2
-    return first["spec"], summary
+    assert summary == {**fresh, "resumed": 1}
+    assert out.read_bytes() == b"".join(lines)
+    return summary
+
+
+def failing_check(monkeypatch, conjecture, name):
+    """Patch conjecture's grid so that its check name reads false at every
+    point."""
+    grid, names = sweep._STABILITY[conjecture]
+
+    def patched(job, spectrum_of):
+        for g, params, fixed, checks in grid(job, spectrum_of):
+            yield g, params, fixed, lambda s, checks=checks: {**checks(s), name: False}
+
+    monkeypatch.setitem(sweep._STABILITY, conjecture, (patched, names))
+
+
+# The first point of each small grid below.
+FIRST_POINT = {
+    "stability_4_16": "2|2 / 3|1",
+    "stability_4_17": "2|1 / 3",
+    "stability_4_18": "2|1 / 1|2",
+}
 
 
 class TestStabilityRecords:
@@ -764,10 +705,14 @@ class TestStabilityRecords:
         assert summary == {**fresh_summary, "resumed": fresh_summary["checked"] - 1}
         assert path.read_bytes() == fresh
 
-    def test_4_16_failed_inheritance_surfaces_on_resume(self, tmp_path):
+    def test_4_16_failed_inheritance_surfaces_on_resume(self, tmp_path, monkeypatch):
+        failing_check(monkeypatch, "stability_4_16", "unimodal_inherited")
         grid = dict(conjecture="stability_4_16", k_max=1, r_max=1)
-        spec, summary = fabricated_resume(tmp_path, grid, unimodal_inherited=False)
-        assert summary["counterexamples"] == [{"spec": spec, "failed": ["unimodal_inherited"]}]
+        summary = resumed_over_first_record(tmp_path, grid)
+        assert summary["counterexamples"] == [
+            {"spec": spec, "failed": ["unimodal_inherited"]}
+            for spec in ("2|2 / 3|1", "2|2|1 / 3|2")
+        ]
 
     def test_4_16_null_inheritance_passes(self, tmp_path, monkeypatch):
         # No base in reach has a non-unimodal spectrum, so one is faked: the
@@ -782,21 +727,30 @@ class TestStabilityRecords:
         assert len(records) == 8
         assert all(r["unimodal_inherited"] is None and r["passed"] for r in records)
 
-    def test_4_18_failed_shift_surfaces_on_resume(self, tmp_path):
+    def test_4_18_failed_shift_surfaces_on_resume(self, tmp_path, monkeypatch):
+        failing_check(monkeypatch, "stability_4_18", "shift_matches")
         grid = dict(conjecture="stability_4_18", k_max=1, r_max=2)
-        spec, summary = fabricated_resume(tmp_path, grid, shift_matches=False)
-        assert summary["counterexamples"] == [{"spec": spec, "failed": ["shift_matches"]}]
+        summary = resumed_over_first_record(tmp_path, grid)
+        assert summary["counterexamples"] == [
+            {"spec": spec, "failed": ["shift_matches"]} for spec in ("2|1 / 1|2", "2|2|1 / 1|2|2")
+        ]
 
     @pytest.mark.parametrize("conjecture", sorted(STABILITY_CHECKS))
-    def test_non_frobenius_point_fails_on_frobenius_alone(self, tmp_path, conjecture):
-        # No grid point is non-Frobenius, so only a fabricated record
-        # reaches this branch.
+    def test_non_frobenius_point_fails_on_frobenius_alone(self, tmp_path, monkeypatch, conjecture):
+        # No grid point is non-Frobenius, so the kernel is patched to find
+        # no spectrum for the first one.
+        g = parse_seaweed(FIRST_POINT[conjecture])
+        spectrum_counts = sweep.kernel.spectrum_counts
+
+        def not_frobenius(top, bottom):
+            if (top, bottom) == (g.top.parts, g.bottom.parts):
+                return None
+            return spectrum_counts(top, bottom)
+
+        monkeypatch.setattr(sweep.kernel, "spectrum_counts", not_frobenius)
         grid = dict(conjecture=conjecture, k_max=1, r_max=1 if conjecture.endswith("16") else 2)
-        nulls = dict.fromkeys(STABILITY_CHECKS[conjecture])
-        spec, summary = fabricated_resume(
-            tmp_path, grid, frobenius=False, spectrum=None, **nulls
-        )
-        assert summary["counterexamples"] == [{"spec": spec, "failed": ["frobenius"]}]
+        summary = resumed_over_first_record(tmp_path, grid)
+        assert summary["counterexamples"] == [{"spec": str(g), "failed": ["frobenius"]}]
 
 
 def fresh_file(path, conjecture="unimodal_2_8", n_max=7):
@@ -805,116 +759,16 @@ def fresh_file(path, conjecture="unimodal_2_8", n_max=7):
     return summary, path.read_bytes().splitlines(keepends=True)
 
 
-def walked(job):
-    """The keys job walks, in slot order, the loader's slot of a key, and
-    whether the job's consume acts on a record."""
-    if job.conjecture in sweep._PAIR_CONJECTURES:
-        _, slot = sweep._pair_slots(job)
-        keys = [
-            f"{a} / {b}"
-            for n in range(job.n_min, job.n_max + 1)
-            for a in sweep._compositions(n)[1]
-            for b in sweep._compositions(n)[1]
-        ]
-        return keys, slot, sweep._pair_record_acts
-    grid, _ = sweep._STABILITY[job.conjecture]
-    keys = [str(g) for g, *_ in grid(job, None)]
-    where = {key.encode(): k for k, key in enumerate(keys)}
-    return keys, lambda top, bottom: where.get(top + b" / " + bottom), lambda rec: not rec["passed"]
-
-
-def json_path(path, job):
-    """What resuming job over path means, by json.loads on every line: the
-    keys done that job walks and the keys whose record is kept (last line
-    wins)."""
-    keys, _, acts = walked(job)
-    done, kept = set(), set()
-    with open(path, "rb") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec.get("conjecture") != job.conjecture:
-                continue
-            done.add(rec["key"])
-            if acts(rec):
-                kept.add(rec["key"])
-            else:
-                kept.discard(rec["key"])
-    return done & set(keys), kept & set(keys)
-
-
-def loaded(job):
-    """The same two key sets, from the loader's flags and kept slots."""
-    keys, slot, acts = walked(job)
-    done = bytearray(len(keys))
-    kept = sweep._load_completed(job, done, slot, acts)
-    return {keys[k] for k, flag in enumerate(done) if flag}, {keys[k] for k in kept}
-
-
-@pytest.fixture
-def parsed(monkeypatch):
-    """The lines that reach json.loads through the loader, in order."""
-    lines = []
-    parse = sweep._parse_record
-
-    def recording(line, path, lineno):
-        lines.append(line)
-        return parse(line, path, lineno)
-
-    monkeypatch.setattr(sweep, "_parse_record", recording)
-    return lines
-
-
-def plain_line(key, spec=None, index=b"1", conjecture="unimodal_2_8"):
-    """A line in the writer's fixed shape, with any of its parts replaced."""
-    head = sweep._plain_head(conjecture).encode()
-    spec = key if spec is None else spec
-    return (
-        head + key + sweep._SPEC_SEP.encode() + spec + sweep._INDEX_SEP.encode() + index
-        + sweep._PLAIN_TAIL.encode()
-    )
-
-
 class TestRecordCodec:
-    """The fixed-shape line is written and recognised by one codec; a line
-    that misses it in any part is decoded by json.loads instead, with the
-    same result that json.loads gives."""
+    """The fixed-shape line is written from one set of pieces, and a resume
+    over any cut of a file gives the fresh file and summary."""
 
     def test_writer_emits_the_codec_line(self, tmp_path):
         _, lines = fresh_file(tmp_path / "f.ndjson", n_max=2)
-        assert lines[1] == plain_line(b"2 / 2")
-
-    @pytest.mark.parametrize(
-        "conjecture, total, fixed_shape, acted_on",
-        [
-            pytest.param("unimodal_2_8", 5461, 5461 - 275, 275, id="unimodal_2_8"),
-            pytest.param("none", 5461, 5461 - 275, 275, id="none"),
-            pytest.param("stability_4_17", 48, 0, 0, id="stability_4_17"),
-        ],
-    )
-    def test_fast_path_agrees_with_json_on_every_fresh_line(
-        self, tmp_path, conjecture, total, fixed_shape, acted_on
-    ):
-        summary, lines = fresh_file(tmp_path / "f.ndjson", conjecture)
-        job = SweepJob(conjecture=conjecture, n_max=7, out=str(tmp_path / "f.ndjson"), resume=True)
-        _, _, acts = walked(job)
-        match = sweep._line_pattern(conjecture).fullmatch
-        fast = 0
-        for line in lines:
-            top, bottom, other = match(line).groups()
-            rec = json.loads(line)
-            if other is None:
-                fast += 1
-                assert (top + b" / " + bottom).decode() == rec["key"] == rec["spec"]
-                assert not acts(rec)
-            else:
-                assert other == line
-                assert rec["frobenius"] and acts(rec) == bool(acted_on)
-        assert fast == fixed_shape == len(lines) - summary.get("frobenius", len(lines))
-        done, kept = loaded(job)
-        assert (done, kept) == json_path(job.out, job)
-        assert len(done) == len(lines) == total and len(kept) == acted_on
+        assert lines[1] == (
+            sweep._plain_head("unimodal_2_8") + "2 / 2" + sweep._SPEC_SEP + "2 / 2"
+            + sweep._INDEX_SEP + "1" + sweep._PLAIN_TAIL
+        ).encode()
 
     @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
     @pytest.mark.parametrize("cut", ["empty", "row boundary", "mid-row", "complete"])
@@ -936,83 +790,9 @@ class TestRecordCodec:
         assert path.read_bytes() == b"".join(lines)
         assert out == json.dumps({**fresh, "resumed": keep}, indent=2) + "\n"
 
-    @pytest.mark.parametrize("block", [64, 4096])
-    def test_block_boundaries_change_nothing(self, tmp_path, monkeypatch, block):
-        """The file is read back in blocks, each completed to a line end;
-        64 bytes is less than one line."""
-        monkeypatch.setattr(sweep, "_BLOCK", block)
-        fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=5)
-        path = tmp_path / "cut.ndjson"
-        path.write_bytes(b"".join(lines[:300]) + lines[300][:40])
-        summary = run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
-        assert summary == {**fresh, "resumed": 300}
-        assert path.read_bytes() == b"".join(lines)
-        damaged = b"".join(lines[:290]) + b"garbage\n" + b"".join(lines[291:])
-        path.write_bytes(damaged)
-        with pytest.raises(ParseError, match=r"cut\.ndjson:291$"):
-            run_unimodality_sweep(SweepJob(n_max=5, out=str(path), resume=True))
-        assert path.read_bytes() == damaged
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            pytest.param(plain_line(b"1|1 / 2", spec=b"2 / 1|1"), id="key-not-spec"),
-            pytest.param(plain_line(b"1|1 / 2", index=b"-3"), id="non-digit-index"),
-            pytest.param(plain_line(b"1|1 / 2")[:-2] + b" }\n", id="tail-one-byte-off"),
-            pytest.param(plain_line(b"1|1 / 2")[:-2] + b"}\r\n", id="crlf"),
-            pytest.param(plain_line(b"1\\u007c1 / 2"), id="escaped-key"),
-            pytest.param(plain_line(b"1|1 / 2", index=b"0"), id="zero-index"),
-        ],
-    )
-    def test_near_miss_takes_the_json_path(self, tmp_path, parsed, line):
-        path = tmp_path / "r.ndjson"
-        path.write_bytes(plain_line(b"2 / 2") + line + plain_line(b"1 / 1"))
-        job = SweepJob(n_max=2, out=str(path), resume=True)
-        assert loaded(job) == json_path(path, job)
-        assert parsed == [line]
-        assert loaded(job)[0] == {"1 / 1", "1|1 / 2", "2 / 2"}
-        summary = run_unimodality_sweep(job)
-        assert summary["resumed"] == 3
-
-    @pytest.mark.parametrize("key", [b"1|1 / 1", b"2 / 2|1", b"3 / 3", b"01 / 1", b"1 / 1 / 1"])
-    def test_fixed_shape_line_of_no_pair_is_ignored(self, tmp_path, key):
-        """Of n out of range, of two n, or not in canonical spelling: json.loads
-        would give a key of no pair, so the line counts for nothing."""
-        path = tmp_path / "r.ndjson"
-        path.write_bytes(plain_line(b"2 / 2") + plain_line(key))
-        job = SweepJob(n_max=2, out=str(path), resume=True)
-        assert loaded(job) == json_path(path, job) == ({"2 / 2"}, set())
-        assert run_unimodality_sweep(job)["resumed"] == 1
-
-    @pytest.mark.parametrize(
-        "written, resumed", [("none", "unimodal_2_8"), ("unimodal_2_8", "none")]
-    )
-    def test_foreign_conjecture_takes_the_json_path(self, tmp_path, parsed, written, resumed):
-        path = tmp_path / "r.ndjson"
-        _, lines = fresh_file(path, written, n_max=3)
-        job = SweepJob(conjecture=resumed, n_max=3, out=str(path), resume=True)
-        assert loaded(job) == json_path(path, job) == (set(), set())
-        assert parsed == lines
-        assert run_sweep(job)["resumed"] == 0
-        assert path.read_bytes().count(b"\n") == 42
-
-    def test_leading_zero_index_stays_fatal(self, tmp_path, capsys, parsed):
-        path = tmp_path / "r.ndjson"
-        bad = plain_line(b"1|1 / 2", index=b"07")
-        damaged = plain_line(b"1 / 1") + bad + plain_line(b"2 / 2")[:9]
-        path.write_bytes(damaged)
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(bad)
-        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (64, "")
-        assert f"corrupt sweep record at {path}:2" in captured.err
-        assert parsed == [bad]
-        assert path.read_bytes() == damaged
-
-
-# A fabricated counterexample. Its shape fields are those of its spectrum, as
-# in every record that resume does not reject as corrupt.
+# A fabricated counterexample of 2 / 2. Its shape fields are those of its
+# spectrum.
 FAKE_COUNTEREXAMPLE = {
     "conjecture": "unimodal_2_8",
     "key": "2 / 2",
@@ -1028,162 +808,130 @@ FAKE_COUNTEREXAMPLE = {
 }
 
 
-# A fabricated Frobenius record of 2 / 1|1 whose support has gaps, which a
-# proven claim rules out.
-GAPS_2_11 = {
-    **FAKE_COUNTEREXAMPLE, "key": "2 / 1|1", "spec": "2 / 1|1", "unbroken": False,
-    "centered_half": False, "spectrum": {"-2": 2, "-1": 1, "2": 1, "3": 2},
-}
-
-
 # A fabricated Frobenius record of 2 / 1|1 whose spectrum is not symmetric
-# about 1/2, which a proven claim rules out; it breaks no other claim.
+# about 1/2, though its flags say it is.
 ASYMMETRIC_2_11 = {
     **FAKE_COUNTEREXAMPLE, "key": "2 / 1|1", "spec": "2 / 1|1", "unimodal": True,
-    "log_concave": True, "symmetric_about_half": False, "spectrum": {"0": 1, "1": 2},
+    "log_concave": True, "spectrum": {"0": 1, "1": 2},
 }
+
+
+@pytest.fixture(scope="module")
+def fresh_lines(tmp_path_factory):
+    """The lines of the fresh record files that NOT_A_PREFIX edits, by name."""
+    path = tmp_path_factory.mktemp("fresh") / "records.ndjson"
+    jobs = {
+        "n2": dict(n_max=2),
+        "n3": dict(n_max=3),
+        "n4": dict(n_max=4),
+        "n5": dict(n_max=5),
+        "none3": dict(conjecture="none", n_max=3),
+        "4_17": dict(conjecture="stability_4_17", k_max=2, r_max=2),
+    }
+    lines = {}
+    for name, job in jobs.items():
+        path.unlink(missing_ok=True)
+        run_sweep(SweepJob(**job, out=str(path)))
+        lines[name] = path.read_bytes().splitlines(keepends=True)
+    return lines
+
+
+def record_line(rec):
+    return json.dumps(rec).encode() + b"\n"
+
+
+STABILITY_4_17 = ["--conjecture", "stability_4_17", "--k-max", "2", "--r-max", "2"]
+
+# Files that are not a prefix of the records of the sweep with these
+# arguments: the pieces of each, made from fresh_lines, and the line at
+# which it first differs.
+NOT_A_PREFIX = [
+    pytest.param(["--n-max", "4"], lambda f: f["n4"] + [b" "], 86, id="extra-byte"),
+    pytest.param(["--n-max", "4"], lambda f: f["n5"], 86, id="larger-run"),
+    pytest.param(["--n-min", "2", "--n-max", "4"], lambda f: f["n4"], 1, id="n-min"),
+    pytest.param(
+        STABILITY_4_17,
+        lambda f: f["4_17"][:1] + [f["4_17"][1].replace(b'"passed": true', b'"passed": false')]
+        + f["4_17"][2:],
+        2, id="stability-flag",
+    ),
+    pytest.param(STABILITY_4_17[:3] + ["1"] + STABILITY_4_17[4:], lambda f: f["4_17"], 3,
+                 id="stability-larger-grid"),
+    pytest.param(STABILITY_4_17, lambda f: f["4_17"][:1] + f["4_17"], 2, id="stability-duplicated"),
+    pytest.param(["--n-max", "3"], lambda f: f["n3"][:10] + f["n3"][3:5] + f["n3"][10:], 11,
+                 id="duplicated"),
+    pytest.param(["--n-max", "3"], lambda f: f["n3"][:4] + f["n3"][5:3:-1] + f["n3"][6:], 5,
+                 id="reordered"),
+    pytest.param(["--n-max", "3"], lambda f: f["n3"][:10] + [b"\n"] + f["n3"][10:], 11,
+                 id="blank"),
+    pytest.param(["--n-max", "3"], lambda f: f["n3"][:10] + [b"42\n"] + f["n3"][10:], 11,
+                 id="non-object"),
+    pytest.param(["--n-max", "2"],
+                 lambda f: f["n2"][:3] + [f["n2"][3].replace(b"|", b"\\u007c")] + f["n2"][4:], 4,
+                 id="respelled"),
+    pytest.param(["--n-max", "2"], lambda f: f["n2"][:1] + [f["n2"][1][:-1] + b"\r\n"] + f["n2"][2:],
+                 2, id="crlf"),
+    pytest.param(["--n-max", "3"], lambda f: f["none3"], 1, id="other-conjecture"),
+    pytest.param(["--n-max", "3"], lambda f: f["n3"][:7] + f["4_17"][:1] + f["n3"][7:], 8,
+                 id="mixed"),
+    pytest.param(["--n-max", "3"], lambda f: f["n3"][:20] + [b'{"conjecture": "none"'], 21,
+                 id="torn-and-different"),
+    pytest.param(["--n-max", "2"],
+                 lambda f: f["n2"][:1] + [record_line(FAKE_COUNTEREXAMPLE)] + f["n2"][2:], 2,
+                 id="hand-written-counterexample"),
+    pytest.param(["--n-max", "2"],
+                 lambda f: f["n2"][:2] + [record_line(ASYMMETRIC_2_11)] + f["n2"][3:], 3,
+                 id="flags-not-spectrum"),
+]
 
 
 class TestResumeSemantics:
-    def test_last_line_of_a_key_wins(self, tmp_path):
-        fake = json.dumps(FAKE_COUNTEREXAMPLE).encode() + b"\n"
-        plain = plain_line(b"2 / 2")
-        path = tmp_path / "r.ndjson"
-        crlf = plain[:-1] + b"\r\n"
-        for lines, found in ((fake + plain, []), (fake + crlf, []), (plain + fake, ["2 / 2"])):
-            path.write_bytes(lines)
-            summary = run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
-            assert summary["resumed"] == 1
-            assert [c["spec"] for c in summary["counterexamples"]] == found
-            assert summary["frobenius"] == 3 + len(found)
+    """Every record, resumed or new, is made by the run and consumed as it
+    is made, in pair order. A file that is not a prefix of the job's records
+    stops the run at its first differing line, before anything is
+    appended."""
 
-    def test_kept_records_are_consumed_in_pair_order(self, tmp_path):
-        gaps = GAPS_2_11
-        off_center = {
-            **FAKE_COUNTEREXAMPLE, "centered_half": False, "symmetric_about_half": False,
-            "spectrum": {"0": 1, "1": 2, "2": 1, "3": 2},
-        }
+    def test_records_are_consumed_in_pair_order(self, tmp_path, monkeypatch):
+        _, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=4)
         path = tmp_path / "r.ndjson"
-        path.write_text(
-            json.dumps({**gaps, "key": "1|1 / 2", "spec": "1|1 / 2"}) + "\n"
-            + json.dumps({**off_center, "key": "2 / 1|1", "spec": "2 / 1|1"}) + "\n"
+        path.write_bytes(b"".join(lines[:30]))  # n <= 3, a row and a line of n = 4
+        checked = []
+        monkeypatch.setattr(
+            sweep, "check_proven_claims", lambda spec, spectrum, fields: checked.append(spec)
         )
-        # _compositions(2) lists 2 before 1|1, so 2 / 1|1 comes first.
-        with pytest.raises(EngineInvariantError, match="^2 / 1\\|1: spectrum endpoints"):
+        assert run_unimodality_sweep(SweepJob(n_max=4, out=str(path), resume=True))["resumed"] == 30
+        # 1 / 1 has an empty spectrum, so no claim to check.
+        assert checked == [str(g) for n in range(2, 5) for g in enumerate_frobenius(n)]
+
+    @pytest.mark.parametrize("predicate, result, message", [
+        ("is_unbroken_centered_half", (False, False), "spectrum support has gaps"),
+        ("is_symmetric_about_half", False, "spectrum is not symmetric about 1/2"),
+    ], ids=["gaps", "asymmetric"])
+    def test_resumed_record_that_breaks_a_claim_stops_before_appending(
+        self, tmp_path, monkeypatch, predicate, result, message
+    ):
+        """A predicate patched to break a proven claim: the fresh run writes
+        the row of 2 / 1|1 and stops there, and a resume over its file
+        stops at the same record with nothing appended."""
+        monkeypatch.setattr(analysis, predicate, lambda s: result)
+        path = tmp_path / "r.ndjson"
+        with pytest.raises(EngineInvariantError, match=f"^2 / 1\\|1: {message}"):
+            run_unimodality_sweep(SweepJob(n_max=2, out=str(path)))
+        data = path.read_bytes()
+        assert data.count(b"\n") == 3
+        with pytest.raises(EngineInvariantError, match=f"^2 / 1\\|1: {message}"):
             run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
+        assert path.read_bytes() == data
 
-    def test_resumed_record_is_checked_before_any_new_row(self, tmp_path):
+    @pytest.mark.parametrize("argv, build, line", NOT_A_PREFIX)
+    def test_file_that_is_not_a_prefix_exits_64(
+        self, tmp_path, capsys, fresh_lines, unparsed, argv, build, line
+    ):
         path = tmp_path / "r.ndjson"
-        path.write_text(json.dumps(GAPS_2_11) + "\n")
-        before = path.read_bytes()
-        with pytest.raises(EngineInvariantError, match="^2 / 1\\|1: spectrum support has gaps"):
-            run_unimodality_sweep(SweepJob(n_max=2, out=str(path), resume=True))
-        assert path.read_bytes() == before
-
-    def test_resumed_record_that_breaks_a_claim_exits_before_appending(self, tmp_path, capsys):
-        path = tmp_path / "r.ndjson"
-        path.write_text(json.dumps(GAPS_2_11) + "\n")
-        before = path.read_bytes()
-        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert captured.err.count("error:") == 1
-        assert captured.err.startswith("error: 2 / 1|1: spectrum support has gaps")
-        assert path.read_bytes() == before
-
-    def test_resumed_asymmetric_record_exits_before_appending(self, tmp_path, capsys):
-        path = tmp_path / "r.ndjson"
-        path.write_text(json.dumps(ASYMMETRIC_2_11) + "\n")
-        before = path.read_bytes()
-        code = cli.main(["sweep", "--n-max", "2", "--out", str(path), "--resume"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert captured.err.count("error:") == 1
-        assert captured.err.startswith("error: 2 / 1|1: spectrum is not symmetric about 1/2")
-        assert path.read_bytes() == before
-
-    @pytest.mark.parametrize("failing_last, found", [(False, []), (True, ["2|1 / 3"])])
-    def test_last_stability_line_of_a_key_wins(self, tmp_path, failing_last, found):
-        path = tmp_path / "r.ndjson"
-        job = dict(conjecture="stability_4_17", k_max=1, r_max=2)
-        fresh = run_stability_sweep(SweepJob(**job, out=str(path)))
-        passing = path.read_bytes().splitlines(keepends=True)[0]
-        rec = json.loads(passing)
-        assert rec["key"] == "2|1 / 3"
-        failing = json.dumps({**rec, "support_matches": False, "passed": False}).encode() + b"\n"
-        path.write_bytes(passing + failing if failing_last else failing + passing)
-        summary = run_stability_sweep(SweepJob(**job, out=str(path), resume=True))
-        assert summary["resumed"] == 1
-        assert [c["spec"] for c in summary["counterexamples"]] == found
-        assert summary["checked"] == fresh["checked"] == 2
-
-    def test_stability_key_of_no_grid_point_is_ignored(self, tmp_path):
-        path = tmp_path / "r.ndjson"
-        job = dict(conjecture="stability_4_17", k_max=1, r_max=2)
-        fresh = run_stability_sweep(SweepJob(**job, out=str(path)))
-        first = path.read_bytes().splitlines(keepends=True)[0]
-        # 4|1 / 5 is the point k = 2, r = 1: a point of 4_17, not of this grid.
-        outside = {**json.loads(first), "key": "4|1 / 5", "spec": "4|1 / 5", "k": 2}
-        path.write_bytes(first + json.dumps({**outside, "passed": False}).encode() + b"\n")
-        summary = run_stability_sweep(SweepJob(**job, out=str(path), resume=True))
-        assert summary == {**fresh, "resumed": 1}
-
-    def test_duplicated_key_counts_once(self, tmp_path):
-        path = tmp_path / "r.ndjson"
-        fresh, lines = fresh_file(path, n_max=3)
-        frobenius = next(line for line in lines if b'"frobenius": true' in line)
-        path.write_bytes(b"".join(lines[:10] + lines[3:5] + [frobenius] + lines[10:]))
-        summary = run_unimodality_sweep(SweepJob(n_max=3, out=str(path), resume=True))
-        assert summary == {**fresh, "resumed": 21}
-
-    def test_non_object_line_is_fatal_and_leaves_the_file(self, tmp_path, capsys):
-        path = tmp_path / "r.ndjson"
-        _, lines = fresh_file(path, n_max=4)
-        damaged = b"".join(lines[:10] + [b"42\n"] + lines[10:])
-        path.write_bytes(damaged)
-        json.loads(b"42")  # valid JSON, but not a record
-        code = cli.main(["sweep", "--n-max", "4", "--out", str(path), "--resume"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (64, "")
-        assert f"corrupt sweep record at {path}:11" in captured.err
-        assert path.read_bytes() == damaged
-
-    def test_blank_lines_between_records_are_skipped(self, tmp_path):
-        path = tmp_path / "r.ndjson"
-        fresh, lines = fresh_file(path, n_max=4)
-        gaps = (b"\n", b"   \n", b"\t \n")
-        spaced = b"".join(gaps[i % 3] + line for i, line in enumerate(lines[:20]))
-        path.write_bytes(spaced)
-        summary = run_unimodality_sweep(SweepJob(n_max=4, out=str(path), resume=True))
-        assert summary == {**fresh, "resumed": 20}
-        assert path.read_bytes() == spaced + b"".join(lines[20:])
-
-    def test_keys_outside_the_n_range_are_ignored(self, tmp_path):
-        path = tmp_path / "r.ndjson"
-        _, lines = fresh_file(path, n_max=4)
-        job = SweepJob(n_min=2, n_max=3, out=str(path), resume=True)
-        fresh = run_unimodality_sweep(SweepJob(n_min=2, n_max=3))
-        assert run_unimodality_sweep(job) == {**fresh, "resumed": 20}
-        assert path.read_bytes() == b"".join(lines)
-        done, kept = loaded(job)
-        assert len(done) == 20
-        assert {sum(map(int, key.split(" / ")[0].split("|"))) for key in kept} == {2, 3}
-
-    def test_mixed_file_resumes_under_each_conjecture(self, tmp_path):
-        uni, stab = tmp_path / "uni.ndjson", tmp_path / "stab.ndjson"
-        fresh_uni, uni_lines = fresh_file(uni, n_max=3)
-        stab_job = dict(conjecture="stability_4_17", k_max=2, r_max=2)
-        fresh_stab = run_sweep(SweepJob(**stab_job, out=str(stab)))
-        stab_lines = stab.read_bytes().splitlines(keepends=True)
-        path = tmp_path / "mixed.ndjson"
-        mixed = b"".join(uni_lines[:7] + stab_lines[:1] + uni_lines[7:12] + stab_lines[1:3])
-        path.write_bytes(mixed)
-        summary = run_sweep(SweepJob(n_max=3, out=str(path), resume=True))
-        assert summary == {**fresh_uni, "resumed": 12}
-        summary = run_sweep(SweepJob(**stab_job, out=str(path), resume=True))
-        assert summary == {**fresh_stab, "resumed": 3}
-        records = read_ndjson(str(path))
-        for conjecture, want in (("unimodal_2_8", uni_lines), ("stability_4_17", stab_lines)):
-            got = [json.dumps(r) + "\n" for r in records if r["conjecture"] == conjecture]
-            assert sorted(got) == sorted(line.decode() for line in want)
-        assert path.read_bytes().startswith(mixed)
+        data = b"".join(build(fresh_lines))
+        path.write_bytes(data)
+        code = cli.main(["sweep", *argv, "--out", str(path), "--resume"])
+        assert (code, *capsys.readouterr()) == (
+            64, "", f"error: record file {path} is not a prefix of this job's records at line {line}\n"
+        )
+        assert path.read_bytes() == data
