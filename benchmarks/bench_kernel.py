@@ -8,8 +8,7 @@ Two input sets, each timed under every kernel that imports:
 * the seeded family points of perfbench's ``query_large`` workload at
   n ~ 10^2, 10^3 and 4*10^3, drawn as ``perfbench/run.py --seed 7`` draws
   them: ``potentials``, ``spectrum_counts`` and, in the pure kernel only,
-  ``difference_counts`` of the potentials with themselves (the extended
-  spectrum), summed over the points of each size and reported as the best
+  ``difference_counts`` of the potentials (the extended spectrum), summed over the points of each size and reported as the best
   of REPEAT passes. These are the kernel layers under that workload's
   end-to-end ``wall_s``.
 
@@ -44,15 +43,16 @@ def frobenius_pairs(n_max):
     ]
 
 
-def run(fn, pairs):
+def run(fn, calls):
+    """Seconds to call fn on each argument tuple of calls."""
     t0 = time.perf_counter()
-    for top, bottom in pairs:
-        fn(top, bottom)
+    for args in calls:
+        fn(*args)
     return time.perf_counter() - t0
 
 
-def best(fn, pairs):
-    return min(run(fn, pairs) for _ in range(REPEAT))
+def best(fn, calls):
+    return min(run(fn, calls) for _ in range(REPEAT))
 
 
 def query_points():
@@ -97,7 +97,7 @@ def main():
             line = f"{name:>10}: potentials {phi * 1e3:8.2f}, spectrum_counts {hist * 1e3:8.2f}"
             if hasattr(kernel, "difference_counts"):
                 phis = [kernel.potentials(t, b) for t, b in group]
-                diff = best(kernel.difference_counts, [(phi, phi) for phi in phis])
+                diff = best(kernel.difference_counts, [(phi,) for phi in phis])
                 line += f", difference_counts {diff * 1e3:8.2f}"
             print(line)
 

@@ -10,7 +10,8 @@ within every block, the block triangles (see its docstring). The compiled
 kernel counts each triangle pair by pair. Neither kernel counts cycles and
 paths; ``meander`` does, by the winding-down moves.
 Nothing in either module calls the two public names, so wrapping one (as
-a per-layer tracer does) sees only outside calls. ``difference_counts``
+a per-layer tracer does) sees only outside calls. ``difference_counts``,
+all n^2 differences of one potential vector for the extended spectrum,
 exists only here.
 
 Here the passes over whole vertex and count vectors run inside builtins
@@ -28,8 +29,8 @@ side's parts:
     _add_block); blocks of 1 and 2 need no call at all (see
     spectrum_counts);
   * a product packs each count into the narrowest machine digit that
-    holds max(sum cx^2, sum cy^2), which by Cauchy-Schwarz bounds every
-    digit (see difference_counts).
+    holds sum c^2, the count of zero differences, which by Cauchy-Schwarz
+    bounds every digit (see difference_counts).
 
 This module trusts its inputs: parts are positive ints and both tuples
 have the same sum. Every caller in the package passes the parts of a
@@ -148,7 +149,7 @@ def potentials(top, bottom):
 
 
 # array typecodes by item size, smallest first: a digit takes the first
-# that holds it (see _convolve).
+# that holds it (see _self_differences).
 _DIGIT_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
 
 
@@ -161,24 +162,6 @@ def _tally(xs):
     return lo, c
 
 
-def _convolve(cx, cy, bound):
-    """Digits of cx * cy as polynomials: digit k is sum_i cx[i] * cy[k - i].
-
-    Exact through one big-int product (Kronecker substitution): each count
-    vector is packed into an int, one fixed-width digit per entry, and
-    digit k of their product is the sum above. bound is at least every such
-    sum, so a digit as wide as the smallest machine integer that holds it
-    never carries into the next, and packing and unpacking go through an
-    array of that type. Ints and arrays both use the native byte order,
-    which keeps the digits in the same order on either endianness.
-    """
-    most = bound.bit_length()
-    size, code = next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
-    product = _pack(cx, code) * _pack(cy, code)
-    raw = product.to_bytes((len(cx) + len(cy) - 1) * size, byteorder)
-    return array(code, raw).tolist()
-
-
 def _pack(counts, code):
     return int.from_bytes(array(code, counts).tobytes(), byteorder)
 
@@ -186,35 +169,39 @@ def _pack(counts, code):
 def _self_differences(xs):
     """(lo, c, rev, counts) for D(xs) = {x - y : x, y in xs}: lo and c as
     from _tally, rev = c reversed, and counts[k] the number of pairs whose
-    difference is 1 - len(c) + k. Its largest digit, the zeros, is sum c^2,
-    the bound _convolve is given."""
+    difference is 1 - len(c) + k, that is sum_i c[i] * rev[k - i].
+
+    counts is exact through one big-int product (Kronecker substitution):
+    c and rev are packed into ints, one fixed-width digit per entry, and
+    digit k of their product is the sum above. Its largest digit, the
+    zeros, is sum c^2 (see difference_counts), so a digit as wide as the
+    smallest machine integer that holds sum c^2 never carries into the
+    next, and packing and unpacking go through an array of that type. Ints
+    and arrays both use the native byte order, which keeps the digits in
+    the same order on either endianness.
+    """
     lo, c = _tally(xs)
     rev = c[::-1]
-    return lo, c, rev, _convolve(c, rev, sum(map(mul, c, c)))
+    most = sum(map(mul, c, c)).bit_length()
+    size, code = next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
+    product = _pack(c, code) * _pack(rev, code)
+    raw = product.to_bytes((2 * len(c) - 1) * size, byteorder)
+    return lo, c, rev, array(code, raw).tolist()
 
 
-def difference_counts(xs, ys):
-    """The multiset {x - y : x in xs, y in ys} as an ascending value -> count
-    dict without zero counts; xs and ys are nonempty int sequences.
+def difference_counts(xs):
+    """The multiset {x - y : x, y in xs} as an ascending value -> count dict
+    without zero counts; xs is a nonempty int sequence.
 
-    The count vector cx of xs (offset by min xs) times the reversed count
-    vector cy of ys (offset by max ys), through _convolve: digit k counts
-    the pairs whose difference is min xs - max ys + k. By Cauchy-Schwarz
-    every digit, an inner product of cx with a shift of cy, is at most
-    |cx| |cy| <= max(sum cx^2, sum cy^2), the bound it is given. For the
-    left half of the long block of the k2 point at n = 4,043 that is 2,021,
-    two-byte digits, where len(xs) * len(ys) is over 4 million. When ys is
-    xs, cy is cx reversed, so one count pass serves both (_self_differences).
+    The count vector c of xs times c reversed, through _self_differences:
+    digit k counts the pairs whose difference is 1 - len(c) + k. By
+    Cauchy-Schwarz every digit, an inner product of c with a shift of
+    itself, is at most sum c^2, the zeros' digit, which sets the digit
+    width. For the potentials of the k2 point at n = 4,043 that is 8,083,
+    two-byte digits, where len(xs)^2 is over 16 million.
     """
-    if ys is xs:
-        _, c, _, counts = _self_differences(xs)
-        start = 1 - len(c)
-    else:
-        lo, cx = _tally(xs)
-        ylo, cy = _tally(ys)
-        start = lo - ylo - len(cy) + 1  # min xs - max ys
-        cy.reverse()
-        counts = _convolve(cx, cy, max(sum(map(mul, cx, cx)), sum(map(mul, cy, cy))))
+    _, c, _, counts = _self_differences(xs)
+    start = 1 - len(c)
     return dict(compress(zip(range(start, start + len(counts)), counts), counts))
 
 

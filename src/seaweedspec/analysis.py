@@ -14,19 +14,24 @@ rather than returning False.
 The swap and reverse checks build each seaweed's masked and full matrices
 in one call, and compare g's rows with the partner's columns (read upward,
 for the reversal) as zip makes them; the skew check compares the columns
-with each distinct row negated once. The flipped matrix is built whole
-only on a mismatch, to name its first differing entry.
+with each distinct row negated once. A matrix that is not n x n fails
+first, on its shape, so each compare runs once, on square matrices. The
+flipped matrix is built whole only on a mismatch, to name its first
+differing entry. The corner-block lemmas compare multisets: a corner of
+a masked matrix against an extended spectrum with its zero put back.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import eq, neg
 
 from .core import Composition, IntegerMultiset, SeaweedSpec
-from .spectrum import _matrices, extended_spectrum_matrix, spectrum, spectrum_matrix
+from .spectrum import (
+    _matrices, extended_spectrum, extended_spectrum_matrix, spectrum, spectrum_matrix,
+)
 
 
 class EngineInvariantError(RuntimeError):
@@ -161,24 +166,6 @@ def spectrum_report(g: SeaweedSpec) -> SpectrumReport:
     return SpectrumReport(str(g), s, **fields)
 
 
-def _full_multiset(rows) -> IntegerMultiset:
-    """Every cell of rows, counted at C speed and validated once per value.
-
-    A row tuple that several rows share (rows of equal potential) is
-    counted once, and its counts are weighted by the number of rows that
-    share it.
-    """
-    distinct = {id(row): row for row in rows}
-    by_share = defaultdict(list)
-    for key, times in Counter(map(id, rows)).items():
-        by_share[times].append(distinct[key])
-    total = Counter(chain.from_iterable(by_share.pop(1, ())))
-    for times, group in by_share.items():
-        for value, count in Counter(chain.from_iterable(group)).items():
-            total[value] += count * times
-    return IntegerMultiset(total)
-
-
 def _is_square(rows, n: int) -> bool:
     return len(rows) == n and set(map(len, rows)) == {n}
 
@@ -205,14 +192,14 @@ def _equals_antitransposed(rows, other) -> bool:
 
 
 def _first_difference(rows, want):
-    """The first (i, j, got, wanted) in row-major order where rows and want
-    differ, or None when they agree wherever both have an entry (so only
-    their shapes differ)."""
-    for i, (row, wanted_row) in enumerate(zip(rows, want)):
-        for j, (got, wanted) in enumerate(zip(row, wanted_row)):
-            if got != wanted:
-                return i, j, got, wanted
-    return None
+    """The first (i, j, got, wanted) in row-major order where the n x n
+    matrices rows and want differ; they must differ somewhere."""
+    return next(
+        (i, j, got, wanted)
+        for i, (row, wanted_row) in enumerate(zip(rows, want))
+        for j, (got, wanted) in enumerate(zip(row, wanted_row))
+        if got != wanted
+    )
 
 
 def _verify_index_map(
@@ -220,23 +207,19 @@ def _verify_index_map(
 ) -> bool:
     """g's masked and full matrices equal flip of h's, and their spectra agree.
 
-    Each seaweed's two matrices come from one _matrices call. When both
-    matrices of a pair are n x n, equals_flip compares them without
-    building the flip; only on a mismatch (or a wrong shape) is the flip
+    Each seaweed's two matrices come from one _matrices call. A matrix
+    that is not n x n fails first, on its shape. Then equals_flip compares
+    a pair without building the flip; only on a mismatch is the flip
     built, and the failure names the first differing entry in g's
-    row-major order, or the shapes.
+    row-major order.
     """
     n = g.n
     labels = ("entry", "extended entry")
     for label, rows, other in zip(labels, _matrices(g), _matrices(h)):
-        if _is_square(rows, n) and _is_square(other, n) and equals_flip(rows, other):
-            continue
-        want = flip(other)
-        if rows != want:
-            diff = _first_difference(rows, want)
-            if diff is None:
-                raise EngineInvariantError(f"{name} failure at {g}: matrix shapes differ")
-            i, j, got, wanted = diff
+        if not (_is_square(rows, n) and _is_square(other, n)):
+            raise EngineInvariantError(f"{name} failure at {g}: matrix shapes differ")
+        if not equals_flip(rows, other):
+            i, j, got, wanted = _first_difference(rows, flip(other))
             raise EngineInvariantError(
                 f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is {got} "
                 f"but {partner} has {wanted}"
@@ -271,12 +254,15 @@ def verify_reverse_lemma(g: SeaweedSpec) -> bool:
 def verify_skew_symmetry(g: SeaweedSpec) -> bool:
     """The full matrix equals its negated transpose. Frobenius g only.
 
-    Column i is compared with row i negated, and each distinct row tuple is
-    negated once; the negated transpose is built only on a mismatch (or a
-    wrong shape), to name the first differing entry. A cell that is no int
-    fails the check, named by its first occurrence in row-major order.
+    A matrix that is not n x n fails first, on its shape. Column i is
+    compared with row i negated, and each distinct row tuple is negated
+    once; the negated transpose is built only on a mismatch, to name the
+    first differing entry. A cell that is no int fails the check, named by
+    its first occurrence in row-major order.
     """
     rows = extended_spectrum_matrix(g)
+    if not _is_square(rows, g.n):
+        raise EngineInvariantError(f"skew failure at {g}: matrix is not square")
     distinct = {id(row): row for row in rows}
     try:
         negated_row = {key: tuple(map(neg, row)) for key, row in distinct.items()}
@@ -288,15 +274,10 @@ def verify_skew_symmetry(g: SeaweedSpec) -> bool:
                         f"skew failure at {g}: ({i + 1},{j + 1}) is {cell!r}, not an integer"
                     ) from None
         raise
-    if _is_square(rows, g.n) and all(map(eq, zip(*rows), [negated_row[id(r)] for r in rows])):
+    if all(map(eq, zip(*rows), [negated_row[id(r)] for r in rows])):
         return True
-    want = tuple([tuple(map(neg, col)) for col in zip(*rows)])
-    if rows == want:
-        return True
-    diff = _first_difference(rows, want)
-    if diff is None:
-        raise EngineInvariantError(f"skew failure at {g}: matrix is not square")
-    i, j, got, negated = diff
+    want = [tuple(map(neg, col)) for col in zip(*rows)]
+    i, j, got, negated = _first_difference(rows, want)
     raise EngineInvariantError(
         f"skew failure at {g}: ({i + 1},{j + 1})={got} vs ({j + 1},{i + 1})={-negated}"
     )
@@ -353,14 +334,14 @@ def verify_block_lemmas(k1: int, k2: int, m: int) -> list[str]:
     check(
         "top_left",
         _submatrix_multiset(rows_g1, range(1, cut + 1), range(1, cut + 1)),
-        _full_multiset(extended_spectrum_matrix(g2)),
+        extended_spectrum(g2) + IntegerMultiset([0]),
     )
 
     if k1 > k2:
         check(
             "bottom_right",
             _submatrix_multiset(rows_g1, range(cut + 1, n1 + 1), range(cut + 1, n1 + 1)),
-            _full_multiset(extended_spectrum_matrix(_two_part(k1 - k2, k2, k1))),
+            extended_spectrum(_two_part(k1 - k2, k2, k1)) + IntegerMultiset([0]),
         )
 
         top_right = _submatrix_multiset(rows_g1, range(1, cut + 1), range(cut + 1, n1 + 1))

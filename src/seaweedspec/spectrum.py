@@ -25,6 +25,9 @@ right half is its left half mirrored and lowered by one (raised, for a top
 block); the pure kernel reads each triangle off the differences within the
 left half alone. The spectrum is that multiset with one zero removed; the
 extended spectrum drops the mask and uses all n^2 positions instead.
+_spectrum_of is the one reader of the kernel's histogram, for this module
+and the sweeps alike: None off a single path, and one of the kernel's
+diagonal zeros removed.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -174,21 +177,27 @@ def matrix_text(rows) -> str:
     )
 
 
+def _spectrum_of(top: tuple, bottom: tuple) -> IntegerMultiset | None:
+    """The spectrum of the seaweed with these parts, or None when its
+    meander is not a single path; see the module docstring."""
+    counts = kernel.spectrum_counts(top, bottom)
+    return None if counts is None else IntegerMultiset._from_histogram(counts)
+
+
 def spectrum(g: SeaweedSpec) -> IntegerMultiset:
     """Eigenvalue multiset of the Frobenius seaweed, one zero removed.
 
     Size is always one less than the number of admissible positions.
     """
-    counts = kernel.spectrum_counts(g.top.parts, g.bottom.parts)
-    if counts is None:
+    s = _spectrum_of(g.top.parts, g.bottom.parts)
+    if s is None:
         raise SpectrumUndefinedError(NOT_SINGLE_PATH)
-    return IntegerMultiset._from_histogram(counts)
+    return s
 
 
 def extended_spectrum(g: SeaweedSpec) -> IntegerMultiset:
     """All n^2 potential differences, one zero removed (size n^2 - 1)."""
-    phi = vertex_potentials(g)
-    return IntegerMultiset._from_histogram(_kernel.difference_counts(phi, phi))
+    return IntegerMultiset._from_histogram(_kernel.difference_counts(vertex_potentials(g)))
 
 
 def principal_element(g: SeaweedSpec) -> tuple[Fraction, ...]:

@@ -32,6 +32,9 @@ the swap (t, b) -> (b, t) and the reversal (t, b) -> (t reversed, b
 reversed): they transpose and antitranspose the eigenvalue matrix, so every
 pair of an orbit has the same spectrum, shape fields and line tail (see
 _row_records).
+
+Both sweeps take every spectrum from spectrum._spectrum_of, on bare part
+tuples; no module but spectrum reads the kernel's histograms.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from ._engine import kernel
 from .analysis import (
     SHAPE_FIELDS,
     EngineInvariantError,
@@ -62,7 +64,7 @@ from .core import (
     parse_seaweed,
 )
 from .meander import _census
-from .spectrum import SpectrumUndefinedError
+from .spectrum import SpectrumUndefinedError, _spectrum_of
 
 CONJECTURES = (
     "unimodal_2_8",
@@ -140,12 +142,11 @@ def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: in
     has a spectrum."""
     s = None
     if index == 0:
-        counts = kernel.spectrum_counts(top, bottom)
-        if counts is None:
+        s = _spectrum_of(top, bottom)
+        if s is None:
             raise EngineInvariantError(
                 f"{key}: the census gives index 0, but the kernel finds no spectrum"
             )
-        s = IntegerMultiset._from_histogram(counts)
     return {
         "conjecture": conjecture,
         "key": key,
@@ -201,11 +202,12 @@ def _row_records(
     write: bool,
     row: bytes,
     memos: dict[int, dict],
-) -> tuple[str, list[dict]]:
+) -> tuple[str, list[tuple[str, dict]]]:
     """NDJSON text of the i-th top composition of n against every bottom,
-    and the Frobenius records among them in bottom order, with 2C + P read
-    off row, the row's bytes of the census. The text is empty unless write
-    is set, since without an output file nothing would read it.
+    and a (spec, orbit record) pair for each Frobenius pair among them in
+    bottom order, with 2C + P read off row, the row's bytes of the census.
+    The text is empty unless write is set, since without an output file
+    nothing would read it.
 
     The text is one join of five pieces per pair, laid out by list repeat
     and slice assignment: the fixed-shape line's key head, bottom, spec
@@ -216,11 +218,12 @@ def _row_records(
     Swapping a pair's compositions, and reversing both, keeps its spectrum,
     so a Frobenius pair's orbit under the two is keyed by its least member
     in pair order. The first member a run visits takes the spectrum from the
-    kernel and leaves its record and line tail in n's orbit memo. Every
-    other member copies that record with its own key and spec, and reuses
-    the tail. memos is the run's, and holds the memo of one n at a time: a
-    row of another n drops it. write is the same for every row of a run, so
-    a memo's tails are there when they are needed.
+    kernel and leaves its record and line tail in n's orbit memo, and every
+    member reuses both. The orbit record keeps the key and spec of its first
+    member; only its shape fields and spectrum are read, so each pair's own
+    spec goes beside it. memos is the run's, and holds the memo of one n at
+    a time: a row of another n drops it. write is the same for every row of
+    a run, so a memo's tails are there when they are needed.
     """
     parts, texts = _compositions(n)
     m = len(parts)
@@ -248,12 +251,11 @@ def _row_records(
         key = f"{top_text} / {texts[j]}"
         if orbit in memo:
             rec, tail = memo[orbit]
-            rec = {**rec, "key": key, "spec": key}
         else:
             rec = _pair_record(conjecture, key, parts[i], parts[j], 0)
             tail = _frobenius_tail(rec) if write else None
             memo[orbit] = rec, tail
-        frobenius.append(rec)
+        frobenius.append((key, rec))
         if write:
             pieces[5 * j + 4] = tail
         lo = j + 1
@@ -337,15 +339,6 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
     counterexamples = []
     collect = job.conjecture == "unimodal_2_8"
 
-    def consume(rec: dict) -> None:
-        nonlocal frobenius_count
-        if rec["frobenius"] and rec["spectrum"]:
-            check_proven_claims(rec["spec"], rec["spectrum"], rec)
-        if rec["frobenius"]:
-            frobenius_count += 1
-        if collect and rec["unimodal"] is False:
-            counterexamples.append({"spec": rec["spec"], "spectrum": rec["spectrum"]})
-
     with _RecordFile(job.out, job.resume) if job.out else contextlib.nullcontext() as out:
         census = _census(job.n_max)  # one per run
         memos: dict[int, dict] = {}  # one per run
@@ -361,8 +354,12 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
                 # so a record that fails a proven claim is on disk.
                 if out:
                     out.write(text, m)
-                for rec in frobenius:
-                    consume(rec)
+                frobenius_count += len(frobenius)
+                for spec, rec in frobenius:
+                    if rec["spectrum"]:
+                        check_proven_claims(spec, rec["spectrum"], rec)
+                    if collect and rec["unimodal"] is False:
+                        counterexamples.append({"spec": spec, "spectrum": rec["spectrum"]})
 
     counterexamples.sort(key=lambda c: c["spec"])
     return {
@@ -511,13 +508,8 @@ def run_stability_sweep(job: SweepJob) -> dict:
         raise ValueError(f"not a stability conjecture: {job.conjecture!r}")
     grid, names = _STABILITY[job.conjecture]
     counterexamples = []
-
-    @lru_cache(maxsize=None)
-    def spectrum_of(top: tuple, bottom: tuple) -> IntegerMultiset | None:
-        """The spectrum, or None when the seaweed is not Frobenius: one
-        kernel walk per seaweed and run."""
-        counts = kernel.spectrum_counts(top, bottom)
-        return None if counts is None else IntegerMultiset._from_histogram(counts)
+    # One kernel walk per seaweed and run.
+    spectrum_of = lru_cache(maxsize=None)(_spectrum_of)
 
     def consume(rec: dict) -> None:
         if not rec["passed"]:

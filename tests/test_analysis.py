@@ -225,6 +225,24 @@ def corrupting(monkeypatch, name, spec, cells, value=99):
     )
 
 
+def corrupting_extended(monkeypatch, spec, value):
+    """Patch analysis.extended_spectrum so that one zero of `spec`'s, the
+    diagonal cell (1,1) of its full matrix, is `value` instead; every other
+    seaweed's extended spectrum is returned untouched."""
+    build = analysis.extended_spectrum
+    swap = IntegerMultiset([0]), IntegerMultiset([value])
+    monkeypatch.setattr(
+        analysis,
+        "extended_spectrum",
+        lambda g: build(g) - swap[0] + swap[1] if str(g) == spec else build(g),
+    )
+
+
+def cut(rows):
+    """The n x n matrix rows without its last row and column."""
+    return tuple(row[:-1] for row in rows[:-1])
+
+
 #: The place in analysis._matrices's (masked, full) pair of the matrix that
 #: each public matrix function returns.
 PAIR_SLOT = {"spectrum_matrix": 0, "extended_spectrum_matrix": 1}
@@ -254,7 +272,7 @@ class TestVerifierFailures:
     set two cells, chosen so that the first mismatch in the checked
     seaweed's row-major order is not the first corrupt cell in the
     partner's row-major order; the block tests corrupt a corner or its
-    reference; the last three give a matrix of the wrong shape.
+    reference; the last ones give a matrix of the wrong shape.
     """
 
     G = "2|4 / 1|2|3"
@@ -312,10 +330,10 @@ class TestVerifierFailures:
     @pytest.mark.parametrize(
         "name, spec, triple, message",
         [
-            ("extended_spectrum_matrix", "3|2 / 5", (2, 1, 2),
+            ("extended_spectrum", "3|2 / 5", (2, 1, 2),
              "top-left block failure at k1=2, k2=1, m=2: {-3, -2^3, -1^5, 0^7, 1^5, 2^3, 3} "
              "vs {-3, -2^3, -1^5, 0^6, 1^5, 2^3, 3, 7}"),
-            ("extended_spectrum_matrix", "1|1 / 2", (2, 1, 1),
+            ("extended_spectrum", "1|1 / 2", (2, 1, 1),
              "bottom-right block failure at k1=2, k2=1, m=1: {-1, 0^2, 1} vs {-1, 0, 1, 7}"),
             ("spectrum_matrix", "2|1 / 3", (2, 1, 1),
              "top-right block failure at k1=2, k2=1, m=1: {0, 1^2, 2^2, 3} "
@@ -325,7 +343,10 @@ class TestVerifierFailures:
     )
     def test_block_lemma_corner_mismatch(self, monkeypatch, name, spec, triple, message):
         # cell (1,1) of each corner's reference matrix becomes 7
-        corrupting(monkeypatch, name, spec, [(0, 0)], value=7)
+        if name == "extended_spectrum":
+            corrupting_extended(monkeypatch, spec, 7)
+        else:
+            corrupting(monkeypatch, name, spec, [(0, 0)], value=7)
         with pytest.raises(EngineInvariantError) as err:
             verify_block_lemmas(*triple)
         assert str(err.value) == message
@@ -359,17 +380,31 @@ class TestVerifierFailures:
         assert str(err.value) == f"skew failure at {self.G}: matrix is not square"
 
     @pytest.mark.parametrize(
+        "verify, name",
+        [(verify_swap_lemma, "swap"), (verify_reverse_lemma, "reverse")],
+        ids=["swap", "reverse"],
+    )
+    def test_cut_matrices_fail_on_their_shape(self, monkeypatch, verify, name):
+        """Every matrix of both seaweeds cut to (n-1) x (n-1): the cut
+        matrices are each other's flips, but their shape fails first."""
+        build = analysis._matrices
+        monkeypatch.setattr(analysis, "_matrices", lambda g: tuple(map(cut, build(g))))
+        with pytest.raises(EngineInvariantError) as err:
+            verify(parse_seaweed(self.G))
+        assert str(err.value) == f"{name} failure at {self.G}: matrix shapes differ"
+
+    @pytest.mark.parametrize(
         "reshape",
-        [lambda row: row + (0,), lambda row: row[:-1]],
-        ids=["column_added", "column_dropped"],
+        [
+            lambda rows: tuple(row + (0,) for row in rows),
+            lambda rows: tuple(row[:-1] for row in rows),
+            cut,  # square, but (n-1) x (n-1)
+        ],
+        ids=["column_added", "column_dropped", "cut"],
     )
     def test_skew_matrix_not_square(self, monkeypatch, reshape):
         build = analysis.extended_spectrum_matrix
-        monkeypatch.setattr(
-            analysis,
-            "extended_spectrum_matrix",
-            lambda g: tuple(reshape(row) for row in build(g)),
-        )
+        monkeypatch.setattr(analysis, "extended_spectrum_matrix", lambda g: reshape(build(g)))
         with pytest.raises(EngineInvariantError) as err:
             verify_skew_symmetry(parse_seaweed(self.G))
         assert str(err.value) == f"skew failure at {self.G}: matrix is not square"

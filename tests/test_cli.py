@@ -1,6 +1,8 @@
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -10,9 +12,11 @@ import pytest
 import seaweedspec
 from oracles import graph_components, oracle_matrix
 from seaweedspec import (
-    EngineInvariantError, FamilyId, IntegerMultiset, analysis, cli, family_spec, sweep,
+    EngineInvariantError, FamilyId, IntegerMultiset, _kernel, analysis, cli, family_spec,
 )
 from strategies import LARGE_POINTS, orientations
+
+spectrum_module = importlib.import_module("seaweedspec.spectrum")
 
 
 def run_cli(capsys, *argv):
@@ -53,13 +57,15 @@ def too_large(what, n):
 
 
 def no_kernel_calls(monkeypatch):
-    from seaweedspec._engine import kernel
-
+    """Make every kernel function raise: the two of the active kernel, and
+    the pure kernel's difference_counts, which the extended spectrum calls
+    whichever kernel is active."""
     def no_call(*args):
         raise AssertionError("kernel called")
 
-    for name in ("potentials", "spectrum_counts", "difference_counts"):
-        monkeypatch.setattr(kernel, name, no_call)
+    for name in ("potentials", "spectrum_counts"):
+        monkeypatch.setattr(spectrum_module.kernel, name, no_call)
+    monkeypatch.setattr(_kernel, "difference_counts", no_call)
 
 
 @pytest.mark.parametrize("argv", [
@@ -129,6 +135,19 @@ def test_sweep_extension_of_the_most_a_kernel_can_index_is_not_refused(monkeypat
     with pytest.raises(AssertionError, match="kernel called"):
         cli.main(["sweep", "--conjecture", "stability_4_16",
                   "--base", default_form_base(K_AT_THE_EDGE), "--r-max", "1"])
+
+
+def test_only_spectrum_and_engine_bind_the_kernel():
+    """_engine picks the kernel and spectrum is its one client: the index,
+    the verifiers and every sweep reach it through spectrum alone, so each
+    reads a kernel histogram the same way."""
+    binders = {
+        info.name
+        for info in pkgutil.iter_modules(seaweedspec.__path__)
+        if hasattr(importlib.import_module(f"seaweedspec.{info.name}"), "kernel")
+    }
+    assert binders == {"_engine", "spectrum"}
+    assert not hasattr(seaweedspec, "kernel")
 
 
 class TestIndex:
@@ -613,12 +632,12 @@ class TestSweep:
 
     def test_census_kernel_disagreement_exit_1(self, capsys, monkeypatch):
         """A pair the census calls Frobenius must have a spectrum."""
-        spectrum_counts = sweep.kernel.spectrum_counts
+        spectrum_counts = spectrum_module.kernel.spectrum_counts
 
         def disagreeing(top, bottom):
             return None if (top, bottom) == ((2,), (1, 1)) else spectrum_counts(top, bottom)
 
-        monkeypatch.setattr(sweep.kernel, "spectrum_counts", disagreeing)
+        monkeypatch.setattr(spectrum_module.kernel, "spectrum_counts", disagreeing)
         assert run_cli(capsys, "sweep", "--n-max", "3") == (
             1, "", "error: 2 / 1|1: the census gives index 0, but the kernel finds no spectrum\n"
         )

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -193,6 +194,23 @@ def test_pure_fallback_env_override(child_env):
     assert out.stdout.splitlines() == ["pure", "{-2, -1^2, 0^5, 1^5, 2^2, 3}"]
 
 
+BENCH_KERNEL = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernel.py"
+
+
+def test_kernel_benchmark_runs(child_env):
+    """The kernel benchmark still calls every kernel function as it is
+    defined: a small run under the pure kernel exits 0."""
+    env = dict(child_env, SEAWEEDSPEC_PURE="1")
+    out = subprocess.run(
+        [sys.executable, str(BENCH_KERNEL), "--n-max", "4"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "23 Frobenius pairs through n=4" in out.stdout.splitlines()
+
+
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
 def test_spectrum_counts_match_mask_histogram_at_large_n(f, k, r):
     for g in orientations(family_spec(f, k, r)):
@@ -232,11 +250,11 @@ def test_spectrum_counts_do_not_depend_on_the_short_half(
     assert len(frobenius_pairs_through_10) == 2297
     monkeypatch.setattr(_kernel, "_SHORT_HALF", short_half)
     products = []
-    convolve = _kernel._convolve
+    self_differences = _kernel._self_differences
     monkeypatch.setattr(
         _kernel,
-        "_convolve",
-        lambda cx, cy, bound: products.append(sum(cx)) or convolve(cx, cy, bound),
+        "_self_differences",
+        lambda xs: products.append(len(xs)) or self_differences(xs),
     )
     for top, bottom in frobenius_pairs_through_10:
         products.clear()
@@ -273,42 +291,38 @@ def assert_blocks_mirror(top, bottom):
 
 
 @pytest.mark.parametrize(
-    "xs, ys",
+    "xs",
     [
-        ([7] * 255, [7]),  # one digit of 255, though its bound, 255^2, takes two bytes
-        ([7] * 16, [-3] * 16),  # a bound of 256, the least that needs two
-        ([0] * 256, [0] * 256),  # 65536, the least that needs four
-        ([5], [9]),
-        ([-4], [-4]),
-        ([-9, -1, -1, 3], [-2, 0, 0, 0, 7]),
-        (list(range(-20, 30, 3)), [1, 1, 2]),
-        ([4, 4, 4], list(range(40))),
+        [7] * 15,  # one digit of 225, its bound, which one byte holds
+        [7] * 16,  # a bound of 256, the least that needs two
+        [0] * 256,  # 65536, the least that needs four
+        [5],
+        [-4],
+        [-9, -1, -1, 3],
+        [-2, 0, 0, 0, 7],
+        list(range(-20, 30, 3)),
+        list(range(40)),
     ],
 )
-def test_difference_counts_match_brute_force(xs, ys):
-    got = _kernel.difference_counts(xs, ys)
-    want = Counter(x - y for x in xs for y in ys)
+def test_difference_counts_match_brute_force(xs):
+    got = _kernel.difference_counts(xs)
+    want = Counter(x - y for x in xs for y in xs)
     assert list(got.items()) == sorted(want.items())
 
 
 values = st.lists(st.integers(-3, 3) | st.integers(-200, 200), min_size=1, max_size=300)
 
 
-@given(values, values, st.booleans())
-@example([7] * 15, [], True)  # sum of squared counts 225 and 256 either side
-@example([7] * 16, [], True)  # of the one-byte edge, 65536 at the two-byte one
-@example([0] * 256, [], True)
-@example([7] * 16, [7] * 15, False)  # unequal norms, the larger past the edge
-@example([2] * 15, [5] * 16 + [9], False)
-@example([3] * 300, [5], False)  # digit 300: the smaller norm, 1, would not hold it
-def test_difference_counts_fit_their_digits(xs, ys, same):
-    """No digit of the product exceeds max(sum cx^2, sum cy^2), so no digit
-    carries into the next at the width that bound picks; with same, ys is
-    xs itself and one count pass serves both."""
-    if same:
-        ys = xs
-    got = _kernel.difference_counts(xs, ys)
-    want = Counter(x - y for x in xs for y in ys)
+@given(values)
+@example([7] * 15)  # sum of squared counts 225 and 256 either side
+@example([7] * 16)  # of the one-byte edge, 65536 at the two-byte one
+@example([0] * 256)
+def test_difference_counts_fit_their_digits(xs):
+    """No digit of the product exceeds sum c^2, the count of zero
+    differences, so no digit carries into the next at the width that bound
+    picks."""
+    got = _kernel.difference_counts(xs)
+    want = Counter(x - y for x in xs for y in xs)
     assert list(got.items()) == sorted(want.items())
 
 
@@ -338,5 +352,4 @@ def test_spectrum_counts_match_oracle_past_the_short_half(pair):
 
 def test_difference_counts_widen_past_four_byte_digits():
     # 2^32 pairs share one difference: too many to count by brute force
-    assert _kernel.difference_counts([0] * 2**16, [0] * 2**16) == {0: 2**32}
-    assert _kernel.difference_counts([3] * 2**16, [1] * 2**16 + [2]) == {1: 2**16, 2: 2**32}
+    assert _kernel.difference_counts([0] * 2**16) == {0: 2**32}

@@ -335,7 +335,7 @@ def test_kernel_histograms_give_the_validated_multisets():
         want = IntegerMultiset(kernel.spectrum_counts(g.top.parts, g.bottom.parts))
         assert spectrum(g).items() == without_one(want, 0).items()
         phi = vertex_potentials(g)
-        want = IntegerMultiset(_kernel.difference_counts(phi, phi))
+        want = IntegerMultiset(_kernel.difference_counts(phi))
         assert extended_spectrum(g).items() == without_one(want, 0).items()
 
 

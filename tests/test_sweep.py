@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import tracemalloc
 
@@ -22,6 +23,8 @@ from seaweedspec import analysis, cli, meander, sweep
 from seaweedspec.sweep import _pair_record
 from seaweedspec.analysis import EngineInvariantError
 from seaweedspec.spectrum import SpectrumUndefinedError
+
+spectrum_module = importlib.import_module("seaweedspec.spectrum")
 
 
 class TestEnumerateFrobenius:
@@ -419,7 +422,7 @@ class TestOrbitCensus:
             )
             assert census[n] == walked, n
             one_path = bytes(
-                int(sweep.kernel.potentials(top, bottom) is not None) for top, bottom in pairs
+                int(spectrum_module.kernel.potentials(top, bottom) is not None) for top, bottom in pairs
             )
             assert bytes(byte == 1 for byte in census[n]) == one_path, n
 
@@ -592,7 +595,7 @@ class TestOrbitMemo:
     MID_ROW_9 = (4**8 - 1) // 3 + 65 * 256 + 20
 
     def test_orbit_members_have_one_spectrum_through_n9(self, each_kernel):
-        spectrum_counts = sweep.kernel.spectrum_counts
+        spectrum_counts = spectrum_module.kernel.spectrum_counts
         frobenius = 0
         for n in range(1, 10):
             for g in enumerate_frobenius(n):
@@ -607,13 +610,13 @@ class TestOrbitMemo:
     def spectra(self, monkeypatch):
         """The pairs whose spectrum the kernel is asked for, in order."""
         asked = []
-        spectrum_counts = sweep.kernel.spectrum_counts
+        spectrum_counts = spectrum_module.kernel.spectrum_counts
 
         def counting(top, bottom):
             asked.append((top, bottom))
             return spectrum_counts(top, bottom)
 
-        monkeypatch.setattr(sweep.kernel, "spectrum_counts", counting)
+        monkeypatch.setattr(spectrum_module.kernel, "spectrum_counts", counting)
         return asked
 
     def test_fresh_n9_sweep_takes_one_spectrum_per_orbit(self, spectra):
@@ -740,14 +743,14 @@ class TestStabilityRecords:
         # No grid point is non-Frobenius, so the kernel is patched to find
         # no spectrum for the first one.
         g = parse_seaweed(FIRST_POINT[conjecture])
-        spectrum_counts = sweep.kernel.spectrum_counts
+        spectrum_counts = spectrum_module.kernel.spectrum_counts
 
         def not_frobenius(top, bottom):
             if (top, bottom) == (g.top.parts, g.bottom.parts):
                 return None
             return spectrum_counts(top, bottom)
 
-        monkeypatch.setattr(sweep.kernel, "spectrum_counts", not_frobenius)
+        monkeypatch.setattr(spectrum_module.kernel, "spectrum_counts", not_frobenius)
         grid = dict(conjecture=conjecture, k_max=1, r_max=1 if conjecture.endswith("16") else 2)
         summary = resumed_over_first_record(tmp_path, grid)
         assert summary["counterexamples"] == [{"spec": str(g), "failed": ["frobenius"]}]
