@@ -8,9 +8,15 @@ Two input sets, each timed under every kernel that imports:
 * the seeded family points of perfbench's ``query_large`` workload at
   n ~ 10^2, 10^3 and 4*10^3, drawn as ``perfbench/run.py --seed 7`` draws
   them: ``potentials``, ``spectrum_counts`` and, in the pure kernel only,
-  ``difference_counts`` of the potentials (the extended spectrum), summed over the points of each size and reported as the best
-  of REPEAT passes. These are the kernel layers under that workload's
-  end-to-end ``wall_s``.
+  ``difference_counts`` of the potentials (the extended spectrum), summed
+  over the points of each size and reported as the best of REPEAT passes.
+  These are the kernel layers under that workload's end-to-end ``wall_s``;
+* the crossover points: family seaweeds either side of
+  ``spectrum.PAIR_WORK_PER_VERTEX`` squared parts per vertex, where the
+  kernels' histograms trade places. Each row gives the largest part, the
+  squared parts per vertex, ``spectrum_counts`` under every kernel and
+  ``spectrum._spectrum_of``, which picks the kernel from the parts, best
+  of REPEAT calls each. Re-measure here before moving the constant.
 
 Run from the repository root; build the extension in place first to time
 the compiled kernel too:
@@ -25,7 +31,8 @@ import random
 import sys
 import time
 
-from seaweedspec import _kernel, enumerate_frobenius
+from seaweedspec import FamilyId, _kernel, enumerate_frobenius, family_spec
+from seaweedspec.spectrum import PAIR_WORK_PER_VERTEX, _spectrum_of
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 from workloads import QueryLarge  # noqa: E402
@@ -33,6 +40,20 @@ from workloads import QueryLarge  # noqa: E402
 #: perfbench's seed for query_large's points, and passes per timing.
 SEED = 7
 REPEAT = 5
+
+#: Family points either side of the crossover: k2 at n = 1,025 to 4,097,
+#: k1k at n = 1,603 and 3,203, and three r-block points.
+CROSSOVER = [
+    (FamilyId.K2, 1023, None),
+    (FamilyId.K2, 1279, None),
+    (FamilyId.K2, 1535, None),
+    (FamilyId.K2, 4095, None),
+    (FamilyId.K1K, 801, None),
+    (FamilyId.K1K, 1601, None),
+    (FamilyId.K_2R, 3001, 3000),
+    (FamilyId.K4R, 999, 2000),
+    (FamilyId.K_2R, 2, 8000),
+]
 
 
 def frobenius_pairs(n_max):
@@ -100,6 +121,20 @@ def main():
                 diff = best(kernel.difference_counts, [(phi,) for phi in phis])
                 line += f", difference_counts {diff * 1e3:8.2f}"
             print(line)
+
+    print(f"crossover points, best of {REPEAT}, ms; pure above "
+          f"{PAIR_WORK_PER_VERTEX} squared parts per vertex:")
+    print(f"  {'seaweed':>22} {'n':>6} {'max part':>8} {'sq/n':>6} "
+          + " ".join(f"{name:>8}" for name, _ in kernels) + f" {'_spectrum_of':>12}")
+    for f, k, r in CROSSOVER:
+        g = family_spec(f, k, r)
+        parts = g.top.parts + g.bottom.parts
+        pair = [(g.top.parts, g.bottom.parts)]
+        times = [best(kernel.spectrum_counts, pair) for _, kernel in kernels]
+        times.append(best(_spectrum_of, pair))
+        point = f"{f.value} k={k}" + ("" if r is None else f" r={r}")
+        print(f"  {point:>22} {g.n:6} {max(parts):8} {sum(p * p for p in parts) / g.n:6.0f} "
+              + " ".join(f"{t * 1e3:8.2f}" for t in times[:-1]) + f" {times[-1] * 1e3:12.2f}")
 
 
 if __name__ == "__main__":

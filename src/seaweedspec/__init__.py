@@ -32,8 +32,10 @@ from .core import (
 )
 from .families import (
     FamilyId,
+    default_extension_base,
     extend_with_2s,
     extend_with_4s,
+    extension_variant_spec,
     family_extended_spectrum,
     family_spec,
     family_spectrum,
@@ -61,9 +63,7 @@ from .spectrum import (
 )
 from .sweep import (
     SweepJob,
-    default_extension_base,
     enumerate_frobenius,
-    extension_variant_spec,
     run_stability_sweep,
     run_sweep,
     run_unimodality_sweep,

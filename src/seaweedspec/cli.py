@@ -9,9 +9,10 @@ bytes.
 Exit codes: 0 success, 1 engine invariant violated, 2 conjecture
 counterexample found, 3 spectrum requested for a non-Frobenius seaweed,
 64 usage or domain error, an --out path the system refuses (a missing
-directory, a directory in place of a file), or a sweep records file that
-holds bytes without --resume or is not a prefix of the job's records with
-it, 141 (128 + SIGPIPE) stdout closed by its reader, as by `| head`.
+directory, a directory in place of a file), a request that does not fit in
+memory, or a sweep records file that holds bytes without --resume or is
+not a prefix of the job's records with it, 141 (128 + SIGPIPE) stdout
+closed by its reader, as by `| head`.
 """
 
 from __future__ import annotations
@@ -398,6 +399,9 @@ def main(argv=None) -> int:
         # An --out path the system refuses: the command's arguments are at
         # fault, not the engine.
         _err(exc)
+        return EXIT_USAGE
+    except MemoryError:  # the request is at fault, not the engine
+        _err("out of memory: the request is too large for the memory available")
         return EXIT_USAGE
     except EngineInvariantError as exc:
         _err(exc)

@@ -17,11 +17,11 @@ form pairs the eigenspace of a with that of 1 - a (Gerstenhaber-Giaquinto,
 1 - v with the count of v. The extended spectra are symmetric about 0 and
 are written out whole.
 
-The two extension transforms describe how appending blocks of 2s (to a top
-ending in 1) or blocks of 4s (to a top ending in 2) enlarges a spectrum
-without adding new eigenvalues. The r-block families are those transforms
-applied to a base: k-2r and k-2r+1 extend k1, and k-4r and k-4r+2 extend
-k2, whose closed form also tabulates 1|2 / 3 for k = 1.
+_extended appends r blocks of 2k to a seaweed whose top ends in k, for
+extension_variant_spec (and so the stability_4_16 sweep) and for the
+r-block families: k-2r and k-2r+1 extend k1, k-4r and k-4r+2 extend k2
+(whose closed form also tabulates 1|2 / 3 for k = 1), each with the
+spectral transform that adds blocks of 2s or 4s without new eigenvalues.
 """
 
 from __future__ import annotations
@@ -119,8 +119,19 @@ def _k2_extended(k: int) -> IntegerMultiset:
     return IntegerMultiset(counts)
 
 
+EXTENSION_VARIANTS = ("r_blocks", "r_blocks_plus_k")
 TWOS_VARIANTS = ("r_twos", "r_twos_plus_one")
 FOURS_VARIANTS = ("r_fours", "r_fours_plus_two")
+
+
+def _multiplicity(r: int, variant: str, variants: tuple[str, str]) -> int:
+    """2r - 1 for the first of variants, which moves the trailing part to
+    the bottom, and 2r for the second, which keeps it on top."""
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    if variant not in variants:
+        raise ValueError(f"variant must be one of {variants}, got {variant!r}")
+    return 2 * r - (variant == variants[0])
 
 
 def extend_with_2s(s: IntegerMultiset, r: int, variant: str) -> IntegerMultiset:
@@ -130,14 +141,7 @@ def extend_with_2s(s: IntegerMultiset, r: int, variant: str) -> IntegerMultiset:
     multiplicity 2r-1); "r_twos_plus_one" keeps it on the top (multiplicity
     2r). No new eigenvalues appear.
     """
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
-    if variant == "r_twos":
-        add = 2 * r - 1
-    elif variant == "r_twos_plus_one":
-        add = 2 * r
-    else:
-        raise ValueError(f"variant must be one of {TWOS_VARIANTS}, got {variant!r}")
+    add = _multiplicity(r, variant, TWOS_VARIANTS)
     return s + IntegerMultiset({0: add, 1: add})
 
 
@@ -147,15 +151,18 @@ def extend_with_4s(s: IntegerMultiset, r: int, variant: str) -> IntegerMultiset:
     With c = 2r-1 ("r_fours") or c = 2r ("r_fours_plus_two"), the additions
     are -1 and 2 with multiplicity c and 0 and 1 with multiplicity 3c.
     """
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
-    if variant == "r_fours":
-        c = 2 * r - 1
-    elif variant == "r_fours_plus_two":
-        c = 2 * r
-    else:
-        raise ValueError(f"variant must be one of {FOURS_VARIANTS}, got {variant!r}")
+    c = _multiplicity(r, variant, FOURS_VARIANTS)
     return s + IntegerMultiset({-1: c, 0: 3 * c, 1: 3 * c, 2: c})
+
+
+def _extended(top: tuple, bottom: tuple, r: int, variant: str) -> tuple[tuple, tuple]:
+    """The parts after r blocks of 2k are appended to a top ending in k:
+    "r_blocks" moves the trailing k to the bottom, after r - 1 new blocks
+    there, and "r_blocks_plus_k" keeps it on top after the new blocks."""
+    k = top[-1]
+    if variant == "r_blocks":
+        return top[:-1] + (2 * k,) * r, bottom + (2 * k,) * (r - 1) + (k,)
+    return top[:-1] + (2 * k,) * r + (k,), bottom + (2 * k,) * r
 
 
 class Family(NamedTuple):
@@ -185,18 +192,18 @@ FAMILIES: dict[FamilyId, Family] = {
     FamilyId.TWOK11: Family(
         "k", lambda k, r: ((2 * k, 1, 1), (2 * k + 2,)), lambda k, r: _twok11(k)),
     FamilyId.K_2R: Family(
-        "kr", lambda k, r: ((k,) + (2,) * r, (k + 1,) + (2,) * (r - 1) + (1,)),
+        "kr", lambda k, r: _extended((k, 1), (k + 1,), r, "r_blocks"),
         lambda k, r: extend_with_2s(_k1(k), r, "r_twos")),
     FamilyId.K_2R_PLUS1: Family(
-        "kr", lambda k, r: ((k,) + (2,) * r + (1,), (k + 1,) + (2,) * r),
+        "kr", lambda k, r: _extended((k, 1), (k + 1,), r, "r_blocks_plus_k"),
         lambda k, r: extend_with_2s(_k1(k), r, "r_twos_plus_one")),
     FamilyId.TWOS_R1: Family(
         "r", lambda k, r: ((2,) * r + (1,), (2 * r + 1,)), lambda k, r: _twos_r1(r)),
     FamilyId.K4R: Family(
-        "kr", lambda k, r: ((k,) + (4,) * r, (k + 2,) + (4,) * (r - 1) + (2,)),
+        "kr", lambda k, r: _extended((k, 2), (k + 2,), r, "r_blocks"),
         lambda k, r: extend_with_4s(_k2(k), r, "r_fours"), odd_k=True),
     FamilyId.K4R_PLUS2: Family(
-        "kr", lambda k, r: ((k,) + (4,) * r + (2,), (k + 2,) + (4,) * r),
+        "kr", lambda k, r: _extended((k, 2), (k + 2,), r, "r_blocks_plus_k"),
         lambda k, r: extend_with_4s(_k2(k), r, "r_fours_plus_two"), odd_k=True),
 }
 
@@ -238,3 +245,18 @@ def family_extended_spectrum(f: FamilyId, k: int | None = None, r: int | None = 
         have = " and ".join(g.value for g, row in FAMILIES.items() if row.extended)
         raise ValueError(f"extended spectrum closed form is only available for {have}, not {f.value}")
     return _row(f, k, r).extended(k, r)
+
+
+def default_extension_base(k: int) -> SeaweedSpec:
+    """The stock base with trailing top part k: k1k's (k+1)|k over 2k+1."""
+    return family_spec(FamilyId.K1K, k)
+
+
+def extension_variant_spec(base: SeaweedSpec, k: int, r: int, variant: str) -> SeaweedSpec:
+    """The base ending in k with r blocks of 2k appended (see _extended)."""
+    if variant not in EXTENSION_VARIANTS:
+        raise ValueError(f"variant must be one of {EXTENSION_VARIANTS}, got {variant!r}")
+    if base.top.parts[-1] != k:
+        raise ValueError(f"base top must end in k={k}, got {base.top}")
+    top, bottom = _extended(base.top.parts, base.bottom.parts, r, variant)
+    return SeaweedSpec(Composition(top), Composition(bottom))

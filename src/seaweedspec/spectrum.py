@@ -27,7 +27,9 @@ left half alone. The spectrum is that multiset with one zero removed; the
 extended spectrum drops the mask and uses all n^2 positions instead.
 _spectrum_of is the one reader of the kernel's histogram, for this module
 and the sweeps alike: None off a single path, and one of the kernel's
-diagonal zeros removed.
+diagonal zeros removed. The compiled kernel's pair loop costs about the
+sum of the squared parts, so past PAIR_WORK_PER_VERTEX * n _spectrum_of
+takes the pure kernel's histogram whichever kernel is active.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import _kernel
 from ._engine import kernel
@@ -46,6 +48,11 @@ from .core import IntegerMultiset, SeaweedSpec
 from .meander import is_frobenius
 
 NOT_SINGLE_PATH = "spectrum undefined: meander is not a single path"
+
+#: Past this sum of squared parts per vertex the pure kernel's histogram is
+#: the faster: 2,500-2,700 on k2, 2,300-2,900 on k-2r and 3,200 on k1k (see
+#: README "Install"; benchmarks/bench_kernel.py re-measures them).
+PAIR_WORK_PER_VERTEX = 3000
 
 
 class SpectrumUndefinedError(ValueError):
@@ -180,7 +187,12 @@ def matrix_text(rows) -> str:
 def _spectrum_of(top: tuple, bottom: tuple) -> IntegerMultiset | None:
     """The spectrum of the seaweed with these parts, or None when its
     meander is not a single path; see the module docstring."""
-    counts = kernel.spectrum_counts(top, bottom)
+    histogram = kernel.spectrum_counts
+    if kernel is not _kernel and (
+        sum(map(mul, top, top)) + sum(map(mul, bottom, bottom)) > PAIR_WORK_PER_VERTEX * sum(top)
+    ):
+        histogram = _kernel.spectrum_counts
+    counts = histogram(top, bottom)
     return None if counts is None else IntegerMultiset._from_histogram(counts)
 
 

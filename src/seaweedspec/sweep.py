@@ -63,6 +63,7 @@ from .core import (
     compositions_of,
     parse_seaweed,
 )
+from .families import EXTENSION_VARIANTS, default_extension_base, extension_variant_spec
 from .meander import _census
 from .spectrum import SpectrumUndefinedError, _spectrum_of
 
@@ -76,8 +77,6 @@ CONJECTURES = (
 
 # The conjectures of the exhaustive sweep over composition pairs.
 _PAIR_CONJECTURES = ("unimodal_2_8", "none")
-
-EXTENSION_VARIANTS = ("r_blocks", "r_blocks_plus_k")
 
 
 @dataclass
@@ -201,7 +200,7 @@ def _row_records(
     i: int,
     write: bool,
     row: bytes,
-    memos: dict[int, dict],
+    memo: dict,
 ) -> tuple[str, list[tuple[str, dict]]]:
     """NDJSON text of the i-th top composition of n against every bottom,
     and a (spec, orbit record) pair for each Frobenius pair among them in
@@ -221,17 +220,13 @@ def _row_records(
     kernel and leaves its record and line tail in n's orbit memo, and every
     member reuses both. The orbit record keeps the key and spec of its first
     member; only its shape fields and spectrum are read, so each pair's own
-    spec goes beside it. memos is the run's, and holds the memo of one n at
-    a time: a row of another n drops it. write is the same for every row of
-    a run, so a memo's tails are there when they are needed.
+    spec goes beside it. memo belongs to n, and every row of n in a run
+    shares it; write is the same for every row of a run, so a memo's tails
+    are there when they are needed.
     """
     parts, texts = _compositions(n)
     m = len(parts)
     reverse = _reversed_ranks(n)
-    memo = memos.get(n)
-    if memo is None:
-        memos.clear()
-        memo = memos[n] = {}
     top_text = texts[i]
     if write:
         key_head = f"{_plain_head(conjecture)}{top_text} / "
@@ -341,14 +336,14 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
 
     with _RecordFile(job.out, job.resume) if job.out else contextlib.nullcontext() as out:
         census = _census(job.n_max)  # one per run
-        memos: dict[int, dict] = {}  # one per run
         for n in range(job.n_min, job.n_max + 1):
             m = len(_compositions(n)[0])
             pairs += m * m
             table = census[n]
+            memo = {}  # the orbits of n
             for i in range(m):
                 text, frobenius = _row_records(
-                    job.conjecture, n, i, out is not None, table[i * m:(i + 1) * m], memos
+                    job.conjecture, n, i, out is not None, table[i * m:(i + 1) * m], memo
                 )
                 # A row reaches the file before its records are checked,
                 # so a record that fails a proven claim is on disk.
@@ -372,31 +367,6 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
         "engine_invariant_failures": 0,
         "counterexamples": counterexamples,
     }
-
-
-def default_extension_base(k: int) -> SeaweedSpec:
-    """The stock Frobenius base with trailing top part k: (k+1)|k over 2k+1."""
-    return SeaweedSpec(Composition((k + 1, k)), Composition((2 * k + 1,)))
-
-
-def extension_variant_spec(base: SeaweedSpec, k: int, r: int, variant: str) -> SeaweedSpec:
-    """The enlarged seaweed: r blocks of 2k appended to a base ending in k.
-
-    "r_blocks" moves the trailing k to the bottom; "r_blocks_plus_k" keeps
-    it on top after the new blocks.
-    """
-    if variant not in EXTENSION_VARIANTS:
-        raise ValueError(f"variant must be one of {EXTENSION_VARIANTS}, got {variant!r}")
-    a = base.top.parts
-    if a[-1] != k:
-        raise ValueError(f"base top must end in k={k}, got {base.top}")
-    if variant == "r_blocks":
-        top = a[:-1] + (2 * k,) * r
-        bottom = base.bottom.parts + (2 * k,) * (r - 1) + (k,)
-    else:
-        top = a[:-1] + (2 * k,) * r + (k,)
-        bottom = base.bottom.parts + (2 * k,) * r
-    return SeaweedSpec(Composition(top), Composition(bottom))
 
 
 def _inheritance_checks(s_base: IntegerMultiset) -> Callable[[IntegerMultiset], dict]:
@@ -510,12 +480,6 @@ def run_stability_sweep(job: SweepJob) -> dict:
     counterexamples = []
     # One kernel walk per seaweed and run.
     spectrum_of = lru_cache(maxsize=None)(_spectrum_of)
-
-    def consume(rec: dict) -> None:
-        if not rec["passed"]:
-            failed = [name for name in ("frobenius",) + names if rec[name] is False]
-            counterexamples.append({"spec": rec["spec"], "failed": failed})
-
     # The grid comes first: 4_16 takes its base spectra here, so a base
     # that is not Frobenius leaves --out as it was.
     points = list(grid(job, spectrum_of))
@@ -539,7 +503,9 @@ def run_stability_sweep(job: SweepJob) -> dict:
             }
             if out:
                 out.write(json.dumps(rec) + "\n", 1)
-            consume(rec)
+            if not rec["passed"]:
+                failed = [name for name in ("frobenius",) + names if rec[name] is False]
+                counterexamples.append({"spec": key, "failed": failed})
 
     counterexamples.sort(key=lambda c: c["spec"])
     summary = {

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import resource
 import shutil
 import subprocess
 import sys
@@ -58,14 +59,16 @@ def too_large(what, n):
 
 def no_kernel_calls(monkeypatch):
     """Make every kernel function raise: the two of the active kernel, and
-    the pure kernel's difference_counts, which the extended spectrum calls
-    whichever kernel is active."""
+    the pure kernel's spectrum_counts and difference_counts, which the
+    spectrum of long blocks and the extended spectrum call whichever kernel
+    is active."""
     def no_call(*args):
         raise AssertionError("kernel called")
 
     for name in ("potentials", "spectrum_counts"):
         monkeypatch.setattr(spectrum_module.kernel, name, no_call)
-    monkeypatch.setattr(_kernel, "difference_counts", no_call)
+    for name in ("spectrum_counts", "difference_counts"):
+        monkeypatch.setattr(_kernel, name, no_call)
 
 
 @pytest.mark.parametrize("argv", [
@@ -835,3 +838,33 @@ def test_closed_stdout_exits_141_without_traceback(child_env, argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+def limit_address_space():
+    """Cap the address space of the child it runs in at 1.5 GB, so that an
+    oversized request fails to allocate whatever the host's memory."""
+    cap = 1536 * 2**20
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "99999999999|1 / 100000000000"],
+    ["verify-family", "k1", "--k", "1..10000000000"],
+], ids=["spectrum", "verify-family"])
+def test_request_beyond_memory_exits_64_with_one_line(child_env, argv):
+    """A seaweed a kernel can index but whose arrays do not fit, or a range
+    too long to list, is the request's fault: one error line and exit 64,
+    where it used to end in a MemoryError traceback and exit 1."""
+    done = subprocess.run(
+        console_command() + argv,
+        capture_output=True,
+        text=True,
+        env=child_env,
+        preexec_fn=limit_address_space,
+    )
+    assert (done.returncode, done.stdout) == (64, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")

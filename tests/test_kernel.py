@@ -104,16 +104,10 @@ def test_active_kernel_is_reported(walk, child_env):
         "import seaweedspec\n"
         "print(seaweedspec.kernel_implementation())\n"
     )
-    env = {k: v for k, v in child_env.items() if k != "SEAWEEDSPEC_PURE"}
-    for override, expected in ({}, "compiled"), ({"SEAWEEDSPEC_PURE": "1"}, "pure"):
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(env, **override),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout == expected + "\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "compiled\n"
 
 
 @pytest.mark.parametrize(
@@ -181,29 +175,15 @@ def test_kernels_agree_past_the_stack_buffer(walk):
         assert results(walk, top, bottom) == results(_kernel, top, bottom)
 
 
-def test_pure_fallback_env_override(child_env):
-    code = (
-        "import seaweedspec\n"
-        "print(seaweedspec.kernel_implementation())\n"
-        "print(seaweedspec.spectrum(seaweedspec.parse_seaweed('2|4 / 1|2|3')).to_text())\n"
-    )
-    env = dict(child_env, SEAWEEDSPEC_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.splitlines() == ["pure", "{-2, -1^2, 0^5, 1^5, 2^2, 3}"]
-
-
 BENCH_KERNEL = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernel.py"
 
 
 def test_kernel_benchmark_runs(child_env):
     """The kernel benchmark still calls every kernel function as it is
-    defined: a small run under the pure kernel exits 0."""
-    env = dict(child_env, SEAWEEDSPEC_PURE="1")
+    defined: a small run exits 0."""
     out = subprocess.run(
         [sys.executable, str(BENCH_KERNEL), "--n-max", "4"],
-        env=env,
+        env=child_env,
         capture_output=True,
         text=True,
     )
