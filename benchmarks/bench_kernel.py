@@ -1,6 +1,6 @@
 """Time the compiled kernel (``_walk``) against the pure-Python ``_kernel``.
 
-Two input sets, each timed under every kernel that imports:
+Three input sets, each timed under every kernel that imports:
 
 * every Frobenius pair up to --n-max (from ``enumerate_frobenius``, which
   reads the index off the census and walks no meander): first the

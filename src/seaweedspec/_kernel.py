@@ -4,9 +4,13 @@ This module and the compiled extension ``_walk`` (built from ``_walk.c``)
 return the same results from potentials and spectrum_counts, and are
 interchangeable behind ``_engine``; both work on bare part tuples so the
 hot path never touches the higher-level classes. In each, both functions
-walk the path from the meander's lowest endpoint and return None unless it
-covers all n vertices; spectrum_counts then sums the ordered differences
-within every block, the block triangles (see its docstring). The compiled
+walk one path and return None unless it covers all n vertices, and
+spectrum_counts then sums the ordered differences within every block, the
+block triangles (see its docstring). The kernels share their results, not
+their walks: this one walks the path through vertex n from n, both ways,
+so phi(n) = 0 holds with no further pass, while the compiled one walks
+from the lowest endpoint (a vertex with at most one arc) and subtracts
+phi(n) as it builds its result. The compiled
 kernel counts each triangle pair by pair. Neither kernel counts cycles and
 paths; ``meander`` does, by the winding-down moves.
 Nothing in either module calls the two public names, so wrapping one (as
@@ -19,10 +23,10 @@ Here the passes over whole vertex and count vectors run inside builtins
 walk, whose every step needs the last, for the tally of a half's values,
 for the partner and pair loops of short blocks, and for one pass over each
 side's parts:
-  * the walk (``_walk``) takes a top arc and then a bottom arc per loop
-    pass, with a running potential and no side flag or arc counter (the
-    pass number gives the count), and long blocks fill their partner
-    arrays by slice assignment;
+  * each half of the walk (``_half_walk``) takes an arc of one side and
+    then one of the other per loop pass, with a running potential and no
+    side flag or arc counter (the pass number gives the count), and long
+    blocks fill their partner arrays by slice assignment;
   * on a single path the right half of a block mirrors the left, one
     apart, so a block of p vertices costs one product of the count vector
     of its p // 2 left-half values instead of p^2 / 2 pair steps (see
@@ -47,7 +51,7 @@ Conventions baked in here (shared with the full matrix pipeline):
     {s,e}, {s+1,e-1}, ... and bottom blocks do the same below the line;
   * walking a top edge from u to v changes the potential by -1 when u > v
     (with the arc) and +1 otherwise; bottom edges are the mirror image;
-  * potentials are normalized so vertex n sits at 0;
+  * potentials are pinned so vertex n sits at 0;
   * the position (i,j) is admissible when i's top block is at most j's and
     i's bottom block is at least j's.
 """
@@ -69,9 +73,9 @@ _SHORT_HALF = 7
 
 
 def _neighbors(parts, n):
-    """Per-vertex partner array for one side, 0 meaning no edge; slot n + 1
-    is a 0 that ends the search for an endpoint."""
-    nbr = [0] * (n + 2)
+    """Per-vertex partner array for one side, 0 meaning no edge; slot 0 is
+    unused."""
+    nbr = [0] * (n + 1)
     s = 1
     for p in parts:
         e = s + p - 1
@@ -90,62 +94,67 @@ def _neighbors(parts, n):
     return nbr
 
 
-def _walk(top, bottom):
-    """The walk: from the lowest endpoint (a vertex with at most one arc),
-    follow the path it starts and return phi, where phi[v] is the potential
-    of vertex v relative to that endpoint (phi[0] = 0 is a placeholder), or
-    None unless the path covers all n vertices, that is unless the meander
-    is a single path.
+def _half_walk(phi, first, second, d, n):
+    """Follow the path from vertex n by an arc of side first, then one of
+    side second, and so on, setting phi[v] for each vertex v it reaches
+    relative to phi(n) = 0. Returns the number of arcs taken, or None when
+    the walk comes back round (n lies on a cycle).
 
-    Each pass of the loop takes a top arc and then a bottom arc, so the
-    side is the place in the loop; a top arc walked leftwards or a bottom
-    arc walked rightwards drops the running potential x by 1. The path
-    takes at most n - 1 arcs, and it covers every vertex when it takes that
-    many: steps counts them from the number of passes.
+    A top arc walked leftwards or a bottom arc walked rightwards drops the
+    running potential x by 1. So with first the top side (d = 1) an arc of
+    first to a lower vertex, or one of second to a higher vertex, drops x
+    by 1, and with first the bottom side (d = -1) the same moves raise it.
+    The pass number gives the arc count, so the loop keeps no counter. A
+    path from n takes at most n - 1 arcs, so n passes (2n arcs) go round
+    any cycle through n.
+    """
+    a = n
+    x = 0
+    for passes in range(n):
+        b = first[a]
+        if not b:
+            return 2 * passes
+        x = x - d if b < a else x + d
+        phi[b] = x
+        a = second[b]
+        if not a:
+            return 2 * passes + 1
+        x = x - d if a > b else x + d
+        phi[a] = x
+    return None
+
+
+def _walk(top, bottom):
+    """The walk: follow the path through vertex n from n, first leaving by
+    its top arc and then by its bottom arc, and return phi, where phi[v] is
+    the potential of vertex v with phi(n) = 0 by construction (phi[0] = 0
+    is a placeholder), or None unless the path covers all n vertices, that
+    is unless the meander is a single path.
+
+    Vertex n lies on a path or on a cycle. On a path the two half-walks end
+    at its two endpoints (a half-walk from an endpoint takes no arc), and
+    they cover all n vertices exactly when they take n - 1 arcs between
+    them. On a cycle the first half-walk comes back round and gives None.
     """
     n = sum(top)
     tnbr = _neighbors(top, n)
     bnbr = _neighbors(bottom, n)
-    v = 1
-    while tnbr[v] and bnbr[v]:
-        v += 1
-    if v > n:
-        return None  # every vertex has two arcs: all cycles
     phi = [0] * (n + 1)
-    a = v
-    x = steps = 0
-    if not tnbr[v] and bnbr[v]:  # the path leaves v by its bottom arc
-        a = bnbr[v]
-        x = -1 if a > v else 1
-        phi[a] = x
-        steps = 1
-    for passes in range(n):
-        b = tnbr[a]
-        if not b:
-            steps += 2 * passes
-            break
-        x = x - 1 if b < a else x + 1
-        phi[b] = x
-        a = bnbr[b]
-        if not a:
-            steps += 2 * passes + 1
-            break
-        x = x - 1 if a > b else x + 1
-        phi[a] = x
-    return phi if steps == n - 1 else None
+    up = _half_walk(phi, tnbr, bnbr, 1, n)
+    if up is None:
+        return None  # n lies on a cycle
+    return phi if up + _half_walk(phi, bnbr, tnbr, -1, n) == n - 1 else None
 
 
 def potentials(top, bottom):
     """Vertex potentials of a single-path meander, or None.
 
-    Returns a tuple whose index v-1 holds phi(v), normalized so phi(n) = 0.
-    Returns None unless the meander is a single path (no cycles), which is
-    exactly when the potentials exist.
+    Returns a tuple whose index v-1 holds phi(v), with phi(n) = 0. Returns
+    None unless the meander is a single path (no cycles), which is exactly
+    when the potentials exist.
     """
     phi = _walk(top, bottom)
-    if phi is None:
-        return None
-    return tuple(map((-phi[-1]).__add__, phi[1:]))
+    return None if phi is None else tuple(phi[1:])
 
 
 # array typecodes by item size, smallest first: a digit takes the first

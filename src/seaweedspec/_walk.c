@@ -104,8 +104,11 @@ static void release(Meander *m)
 
 /* The walk: from the lowest endpoint (a vertex with at most one arc), follow
    the path it starts, alternating arc sides, and set m->phi[v] for each vertex
-   v on it, relative to that endpoint. Returns whether the path covers all n
-   vertices, that is whether the meander is a single path. */
+   v on it, relative to that endpoint; potentials subtracts phi(n) from each,
+   and spectrum_counts needs only differences. Returns whether the path covers
+   all n vertices, that is whether the meander is a single path. The pure
+   kernel walks from vertex n instead (see _kernel._walk): the two kernels
+   share their outputs, not their walks. */
 static int walk(Meander *m)
 {
     const Py_ssize_t *tnbr = m->tnbr, *bnbr = m->bnbr;

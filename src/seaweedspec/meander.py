@@ -113,13 +113,17 @@ def _census(n_max: int) -> list[bytearray]:
     bottoms of first part b1 are every 2^b1-th column from 2^(b1-1) (column
     0 for b1 = n). So each such column group of a row is one slice of a
     row of a smaller table, or, when a1 < b1, of a column of this one.
+
+    Every table is needed to the end, so all are allocated, largest first,
+    before any is filled: a census too large for memory raises MemoryError
+    at once, at no cost in peak memory.
     """
-    census = [bytearray(1)]
-    width = [1]  # m of each n
+    width = [1] + [1 << (n - 1) for n in range(1, n_max + 1)]  # m of each n
+    census = [bytearray(m * m) for m in reversed(width)][::-1]
     adds = [bytes(range(a, 256)) + bytes(range(a)) for a in range(n_max + 1)]
     for n in range(1, n_max + 1):
-        m = 1 << (n - 1)
-        table = bytearray(m * m)
+        m = width[n]
+        table = census[n]
         for A in range(m):
             a = (A & -A).bit_length() or n  # the top's first part
             row = A * m
@@ -143,6 +147,4 @@ def _census(n_max: int) -> list[bytearray]:
             for b in range(a + 1, n + 1):
                 start = (1 << (b - 1)) % m
                 table[A * m + start:(A + 1) * m:1 << b] = table[start * m + A::m << b]
-        census.append(table)
-        width.append(m)
     return census

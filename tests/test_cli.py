@@ -7,6 +7,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -868,3 +869,22 @@ def test_request_beyond_memory_exits_64_with_one_line(child_env, argv):
     assert (done.returncode, done.stdout) == (64, "")
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error: ")
+
+
+def test_census_beyond_memory_is_refused_at_once(child_env):
+    """The n <= 17 census needs over 5 GB. Its tables are all allocated
+    before any is filled, so the sweep stops in well under a second, where
+    it used to fill the smaller tables for about 15 s first."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        console_command() + ["sweep", "--n-max", "17"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        preexec_fn=limit_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (64, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    assert elapsed < 3

@@ -76,9 +76,12 @@ def test_component_counts_match_bfs_oracle():
 
 
 def test_potentials_exist_exactly_on_frobenius_seaweeds(each_kernel):
-    """The walk's single-path test agrees with the moves on every pair."""
+    """The walk's single-path test agrees with the moves on every pair, and
+    on two at n = 2,000: vertex n on a cycle, and vertex n with no arc while
+    every other vertex lies on a cycle."""
     potentials = _engine.kernel.potentials  # the kernel each_kernel swapped in
-    for top, bottom in all_pairs(8):
+    large = [((2000,), (1000, 1000)), ((1000, 1000, 1), (2000, 1))]
+    for top, bottom in [*all_pairs(8), *large]:
         g = SeaweedSpec(Composition(top), Composition(bottom))
         assert (potentials(top, bottom) is None) == (not is_frobenius(g)), g
 

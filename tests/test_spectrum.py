@@ -261,9 +261,11 @@ def test_mask_and_matrix_match_flag_oracle_at_large_n(f, k, r):
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
 def test_matrices_are_oracle_differences_at_large_n(each_kernel, f, k, r):
-    """The masked matrix holds the same differences on flag_mask's cells."""
+    """The potentials are the oracle's, pinned at phi(n) = 0, and the masked
+    matrix holds the same differences on flag_mask's cells."""
     for g in orientations(family_spec(f, k, r)):
         phi = oracle_potentials(g.top.parts, g.bottom.parts)
+        assert vertex_potentials(g) == phi
         want = tuple(tuple(p - x for x in phi) for p in phi)
         assert extended_spectrum_matrix(g) == want
         mask = flag_mask(g.top.parts, g.bottom.parts)
