@@ -1,22 +1,28 @@
-"""Time the compiled kernel (``_walk``) against the pure-Python ``_kernel``.
+"""Time the compiled kernel (``_walk``) against the pure-Python ``_kernel``,
+and optionally against a second built ``_walk``.
 
-Three input sets, each timed under every kernel that imports:
+Three input sets, each timed under every kernel. Each timing is the best of
+REPEAT passes, and within a pass the kernels take turns, so that a change
+in the host's speed reaches all of them alike:
 
 * every Frobenius pair up to --n-max (from ``enumerate_frobenius``, which
-  reads the index off the census and walks no meander): first the
-  potentials, then the spectrum histogram;
+  reads the index off the census and walks no meander): the potentials,
+  then the spectrum histogram;
 * the seeded family points of perfbench's ``query_large`` workload at
   n ~ 10^2, 10^3 and 4*10^3, drawn as ``perfbench/run.py --seed 7`` draws
   them: ``potentials``, ``spectrum_counts`` and, in the pure kernel only,
   ``difference_counts`` of the potentials (the extended spectrum), summed
-  over the points of each size and reported as the best of REPEAT passes.
-  These are the kernel layers under that workload's end-to-end ``wall_s``;
-* the crossover points: family seaweeds either side of
-  ``spectrum.PAIR_WORK_PER_VERTEX`` squared parts per vertex, where the
-  kernels' histograms trade places. Each row gives the largest part, the
-  squared parts per vertex, ``spectrum_counts`` under every kernel and
-  ``spectrum._spectrum_of``, which picks the kernel from the parts, best
-  of REPEAT calls each. Re-measure here before moving the constant.
+  over the points of each size. These are the kernel layers under that
+  workload's end-to-end ``wall_s``;
+* the crossover points: family seaweeds with blocks of about a thousand
+  vertices and more, around where the pure kernel's products overtake a
+  pair loop, and one r-block point of short blocks only. Each row gives the
+  largest part and ``spectrum_counts`` under every kernel.
+
+--baseline PATH loads the ``_walk`` extension file at PATH, for example one
+built from an earlier commit, without registering it in ``sys.modules``,
+so the package keeps the kernel it picked at import; it is timed as
+"baseline" next to the others.
 
 Run from the repository root; build the extension in place first to time
 the compiled kernel too:
@@ -26,13 +32,13 @@ the compiled kernel too:
 """
 
 import argparse
+import importlib.util
 import os
 import random
 import sys
 import time
 
 from seaweedspec import FamilyId, _kernel, enumerate_frobenius, family_spec
-from seaweedspec.spectrum import PAIR_WORK_PER_VERTEX, _spectrum_of
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 from workloads import QueryLarge  # noqa: E402
@@ -41,8 +47,9 @@ from workloads import QueryLarge  # noqa: E402
 SEED = 7
 REPEAT = 5
 
-#: Family points either side of the crossover: k2 at n = 1,025 to 4,097,
-#: k1k at n = 1,603 and 3,203, and three r-block points.
+#: k2 at n = 1,025 to 4,097, k1k at n = 1,603 and 3,203, and three r-block
+#: points: two blocks of about 3,000 among 6,000 blocks of 2, two of about
+#: 1,000 among 4,000 blocks of 4, and 16,002 vertices in blocks of at most 3.
 CROSSOVER = [
     (FamilyId.K2, 1023, None),
     (FamilyId.K2, 1279, None),
@@ -72,8 +79,11 @@ def run(fn, calls):
     return time.perf_counter() - t0
 
 
-def best(fn, calls):
-    return min(run(fn, calls) for _ in range(REPEAT))
+def best(kernels, name, calls):
+    """Best of REPEAT passes of each kernel's function name over calls, in
+    ms by kernel, the kernels taking turns within each pass."""
+    passes = [[run(getattr(kernel, name), calls) for _, kernel in kernels] for _ in range(REPEAT)]
+    return [min(times) * 1e3 for times in zip(*passes)]
 
 
 def query_points():
@@ -85,9 +95,18 @@ def query_points():
     return sorted(groups.items())
 
 
+def load_walk(path):
+    """The _walk extension at path, loaded but not registered."""
+    spec = importlib.util.spec_from_file_location("seaweedspec._walk", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=10)
+    parser.add_argument("--baseline", metavar="PATH", help="a built _walk to time as well")
     args = parser.parse_args()
 
     kernels = [("pure", _kernel)]
@@ -96,45 +115,38 @@ def main():
         kernels.append(("compiled", _walk))
     except ImportError:
         print("compiled kernel not built; timing the pure kernel only")
+    if args.baseline:
+        kernels.append(("baseline", load_walk(args.baseline)))
+    names = [name for name, _ in kernels]
 
     pairs = frobenius_pairs(args.n_max)
     print(f"{len(pairs)} Frobenius pairs through n={args.n_max}")
-    times = {}
-    for name, kernel in kernels:
-        phi = run(kernel.potentials, pairs)
-        hist = run(kernel.spectrum_counts, pairs)
-        times[name] = phi + hist
-        print(f"{name:>8}: potentials {phi * 1e3:8.1f} ms, spectrum_counts {hist * 1e3:8.1f} ms")
-    if "compiled" in times:
-        print(f"speedup: {times['pure'] / times['compiled']:.1f}x")
+    print(f"best of {REPEAT}, ms:")
+    phi = best(kernels, "potentials", pairs)
+    hist = best(kernels, "spectrum_counts", pairs)
+    for name, p, h in zip(names, phi, hist):
+        print(f"  {name:>10}: potentials {p:8.2f}, spectrum_counts {h:8.2f}")
 
     print(f"query_large points (seed {SEED}), best of {REPEAT}, ms per size group:")
     for size, group in query_points():
         print(f"  n ~ {size}: {len(group)} points, n = "
               f"{min(sum(t) for t, _ in group)}..{max(sum(t) for t, _ in group)}")
-        for name, kernel in kernels:
-            phi = best(kernel.potentials, group)
-            hist = best(kernel.spectrum_counts, group)
-            line = f"{name:>10}: potentials {phi * 1e3:8.2f}, spectrum_counts {hist * 1e3:8.2f}"
-            if hasattr(kernel, "difference_counts"):
-                phis = [kernel.potentials(t, b) for t, b in group]
-                diff = best(kernel.difference_counts, [(phi,) for phi in phis])
-                line += f", difference_counts {diff * 1e3:8.2f}"
-            print(line)
+        phi = best(kernels, "potentials", group)
+        hist = best(kernels, "spectrum_counts", group)
+        for name, p, h in zip(names, phi, hist):
+            print(f"  {name:>10}: potentials {p:8.2f}, spectrum_counts {h:8.2f}")
+        phis = [(_kernel.potentials(t, b),) for t, b in group]
+        diff = best([("pure", _kernel)], "difference_counts", phis)[0]
+        print(f"  {'pure':>10}: difference_counts {diff:8.2f}")
 
-    print(f"crossover points, best of {REPEAT}, ms; pure above "
-          f"{PAIR_WORK_PER_VERTEX} squared parts per vertex:")
-    print(f"  {'seaweed':>22} {'n':>6} {'max part':>8} {'sq/n':>6} "
-          + " ".join(f"{name:>8}" for name, _ in kernels) + f" {'_spectrum_of':>12}")
+    print(f"crossover points, spectrum_counts, best of {REPEAT}, ms:")
+    print(f"  {'seaweed':>22} {'n':>6} {'max part':>8} " + " ".join(f"{n:>8}" for n in names))
     for f, k, r in CROSSOVER:
         g = family_spec(f, k, r)
-        parts = g.top.parts + g.bottom.parts
-        pair = [(g.top.parts, g.bottom.parts)]
-        times = [best(kernel.spectrum_counts, pair) for _, kernel in kernels]
-        times.append(best(_spectrum_of, pair))
+        times = best(kernels, "spectrum_counts", [(g.top.parts, g.bottom.parts)])
         point = f"{f.value} k={k}" + ("" if r is None else f" r={r}")
-        print(f"  {point:>22} {g.n:6} {max(parts):8} {sum(p * p for p in parts) / g.n:6.0f} "
-              + " ".join(f"{t * 1e3:8.2f}" for t in times[:-1]) + f" {times[-1] * 1e3:12.2f}")
+        print(f"  {point:>22} {g.n:6} {max(g.top.parts + g.bottom.parts):8} "
+              + " ".join(f"{t:8.2f}" for t in times))
 
 
 if __name__ == "__main__":

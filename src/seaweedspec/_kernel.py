@@ -6,13 +6,12 @@ interchangeable behind ``_engine``; both work on bare part tuples so the
 hot path never touches the higher-level classes. In each, both functions
 walk one path and return None unless it covers all n vertices, and
 spectrum_counts then sums the ordered differences within every block, the
-block triangles (see its docstring). The kernels share their results, not
-their walks: this one walks the path through vertex n from n, both ways,
-so phi(n) = 0 holds with no further pass, while the compiled one walks
-from the lowest endpoint (a vertex with at most one arc) and subtracts
-phi(n) as it builds its result. The compiled
-kernel counts each triangle pair by pair. Neither kernel counts cycles and
-paths; ``meander`` does, by the winding-down moves.
+block triangles (see its docstring). Both walk the path through vertex n
+from n, both ways, so phi(n) = 0 holds with no further pass. The compiled
+kernel counts a triangle pair by pair up to its own half length and hands
+every longer block to ``_add_block`` here, so the block algebra below is
+written once. Neither kernel counts cycles and paths; ``meander`` does, by
+the winding-down moves.
 Nothing in either module calls the two public names, so wrapping one (as
 a per-layer tracer does) sees only outside calls. ``difference_counts``,
 all n^2 differences of one potential vector for the extended spectrum,
@@ -235,7 +234,9 @@ def _add_block(xs, hist, off):
     the last two are c added at x - m = lo - m onwards and c reversed added
     at m + 1 - hi onwards: one product and four slice additions instead of
     p^2 / 2 pair steps. Halves of at most _SHORT_HALF count pair by pair
-    instead.
+    instead. The compiled kernel calls this too, for each block past its own
+    SHORT_HALF, with hist a zeroed list of 2 * off + 1 counts and off the
+    span max(xs) - min(xs), which bounds every difference.
     """
     p = len(xs)
     h = p // 2

@@ -1,6 +1,7 @@
 /* Compiled kernel: potentials and spectrum_counts with the contract of the
    functions of the same names in _kernel.py, whose docstrings give the
-   conventions. Both run the one walk below.
+   conventions. Both run the one walk below, and spectrum_counts hands each
+   long block to _kernel._add_block, so that the block algebra is written once.
 
    Every part must be an int >= 1 that fits in Py_ssize_t, and both sides must
    have the same sum n; this is checked before any array is touched. The
@@ -11,7 +12,7 @@
 #include <string.h>
 
 typedef struct {
-    PyObject *top, *bottom; /* PySequence_Fast of the two part sequences */
+    PyObject *top, *bottom; /* tuples of the parts, which no callback can change */
     Py_ssize_t n;
     Py_ssize_t *tnbr, *bnbr, *phi; /* n + 1 slots each, vertex v at [v] */
 } Meander;
@@ -75,8 +76,7 @@ static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, const char
         PyErr_Format(PyExc_TypeError, "%s() takes 2 arguments (%zd given)", name, nargs);
         return -1;
     }
-    if (!(m->top = PySequence_Fast(args[0], "top must be a sequence of parts")) ||
-        !(m->bottom = PySequence_Fast(args[1], "bottom must be a sequence of parts")) ||
+    if (!(m->top = PySequence_Tuple(args[0])) || !(m->bottom = PySequence_Tuple(args[1])) ||
         parts_sum(m->top, &m->n) < 0 || parts_sum(m->bottom, &bottom_sum) < 0)
         return -1;
     if (m->n != bottom_sum) {
@@ -102,47 +102,108 @@ static void release(Meander *m)
     PyMem_Free(m->tnbr);
 }
 
-/* The walk: from the lowest endpoint (a vertex with at most one arc), follow
-   the path it starts, alternating arc sides, and set m->phi[v] for each vertex
-   v on it, relative to that endpoint; potentials subtracts phi(n) from each,
-   and spectrum_counts needs only differences. Returns whether the path covers
-   all n vertices, that is whether the meander is a single path. The pure
-   kernel walks from vertex n instead (see _kernel._walk): the two kernels
-   share their outputs, not their walks. */
+/* The walk of _kernel._walk: from vertex n both ways, first leaving by its
+   top arc and then by its bottom arc, setting m->phi[v] for each vertex v
+   with phi(n) = 0. Returns whether the path through n covers all n vertices,
+   that is whether the meander is a single path. A path has n - 1 arcs at
+   most, so a walk that takes n has come back round: n lies on a cycle. */
 static int walk(Meander *m)
 {
     const Py_ssize_t *tnbr = m->tnbr, *bnbr = m->bnbr;
-    Py_ssize_t *phi = m->phi, v = 1, cur, nxt, covered = 1;
-    int on_top;
+    Py_ssize_t *phi = m->phi, cur, nxt, arcs = 0;
+    int first, on_top;
 
-    while (v <= m->n && tnbr[v] && bnbr[v])
-        v++;
-    if (v > m->n)
-        return 0; /* every vertex has two arcs: all cycles */
-    phi[v] = 0;
-    for (cur = v, on_top = tnbr[v] != 0; (nxt = on_top ? tnbr[cur] : bnbr[cur]);
-         cur = nxt, on_top = !on_top, covered++)
-        /* a top arc walked leftwards or a bottom arc walked rightwards drops by 1 */
-        phi[nxt] = phi[cur] + (on_top == (cur > nxt) ? -1 : 1);
-    return covered == m->n;
+    if (m->n == 0)
+        return 0; /* no vertex, no path; slot 0 of the partner arrays is unset */
+    phi[m->n] = 0;
+    for (first = 1; first >= 0; first--)
+        for (cur = m->n, on_top = first; (nxt = on_top ? tnbr[cur] : bnbr[cur]);
+             cur = nxt, on_top = !on_top) {
+            if (++arcs == m->n)
+                return 0;
+            /* a top arc walked leftwards or a bottom arc walked rightwards drops by 1 */
+            phi[nxt] = phi[cur] + (on_top == (cur > nxt) ? -1 : 1);
+        }
+    return arcs == m->n - 1;
+}
+
+/* The longest left half that counts pair by pair here, not by the product in
+   _kernel._add_block. On a 2-vCPU x86-64 host (Python 3.11.7, gcc 12) the two
+   are level at halves of about 430-530 on k2, k1k, k-4r, 2k|1 / 1|2k and
+   2k|1|1 / 2k+2, below 352 on k2k, and of 1,000-1,100 on k-2r and k-2r+1,
+   whose halves take values two apart, so their count vectors are twice as long. */
+#ifndef SHORT_HALF
+#define SHORT_HALF 512
+#endif
+
+/* _kernel._add_block(xs, counts, w) on the block of p vertices from s, with
+   xs its values sign * phi and counts a zeroed list of 2w + 1, w = max - min
+   of xs, which spans every difference; then counts go into hist[-w..w]. */
+static int add_long_block(PyObject *add_block, const Py_ssize_t *phi, Py_ssize_t s, Py_ssize_t p,
+                          Py_ssize_t sign, Py_ssize_t *hist)
+{
+    PyObject *xs = PyList_New(p), *counts = NULL, *zero = NULL, *done = NULL, *item;
+    Py_ssize_t i, x, lo = sign * phi[s], hi = lo, c;
+    int failed = -1;
+
+    for (i = 0; xs && i < p; i++) {
+        x = sign * phi[s + i];
+        lo = x < lo ? x : lo;
+        hi = x > hi ? x : hi;
+        if (!(item = PyLong_FromSsize_t(x)))
+            goto done;
+        PyList_SET_ITEM(xs, i, item);
+    }
+    if (!xs || !(zero = PyLong_FromLong(0)) || !(counts = PyList_New(2 * (hi - lo) + 1)))
+        goto done;
+    for (i = 0; i <= 2 * (hi - lo); i++)
+        PyList_SET_ITEM(counts, i, Py_NewRef(zero));
+    if (!(done = PyObject_CallFunction(add_block, "OOn", xs, counts, hi - lo)))
+        goto done;
+    for (i = 0; i <= 2 * (hi - lo); i++) {
+        /* the checked getter: add_block may have resized the list */
+        if (!(item = PyList_GetItem(counts, i)) ||
+            ((c = PyLong_AsSsize_t(item)) == -1 && PyErr_Occurred()))
+            goto done;
+        hist[i - (hi - lo)] += c;
+    }
+    failed = 0;
+done:
+    Py_XDECREF(xs);
+    Py_XDECREF(zero);
+    Py_XDECREF(counts);
+    Py_XDECREF(done);
+    return failed;
 }
 
 /* Add {sign * (phi(a) - phi(b)) : a < b} over every block of seq into hist,
-   pair by pair: the block triangles of _kernel.spectrum_counts. */
-static void add_block_differences(PyObject *seq, const Py_ssize_t *phi, Py_ssize_t *hist,
-                                  Py_ssize_t sign)
+   the block triangles of _kernel.spectrum_counts: pair by pair, or through
+   _kernel._add_block, looked up at call time, past SHORT_HALF. */
+static int add_block_differences(PyObject *seq, const Py_ssize_t *phi, Py_ssize_t *hist,
+                                 Py_ssize_t sign)
 {
-    PyObject **items = PySequence_Fast_ITEMS(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq), *kernel, *add_block = NULL;
     Py_ssize_t k, a, b, e, s = 1, *row;
+    int failed = 0;
 
-    for (k = 0; k < PySequence_Fast_GET_SIZE(seq); k++, s = e) {
+    for (k = 0; !failed && k < PySequence_Fast_GET_SIZE(seq); k++, s = e) {
         e = s + PyLong_AsSsize_t(items[k]);
+        if (e - s > 2 && (e - s) / 2 > SHORT_HALF) {
+            if (!add_block && (kernel = PyImport_ImportModule("seaweedspec._kernel"))) {
+                add_block = PyObject_GetAttrString(kernel, "_add_block");
+                Py_DECREF(kernel);
+            }
+            failed = !add_block || add_long_block(add_block, phi, s, e - s, sign, hist) < 0;
+            continue;
+        }
         for (a = s; a < e; a++) {
             row = hist + sign * phi[a];
             for (b = a + 1; b < e; b++)
                 row[-sign * phi[b]]++;
         }
     }
+    Py_XDECREF(add_block);
+    return -failed;
 }
 
 static PyObject *potentials(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
@@ -159,7 +220,7 @@ static PyObject *potentials(PyObject *Py_UNUSED(self), PyObject *const *args, Py
     }
     result = PyTuple_New(m.n);
     for (v = 1; result != NULL && v <= m.n; v++) {
-        if ((item = PyLong_FromSsize_t(m.phi[v] - m.phi[m.n])))
+        if ((item = PyLong_FromSsize_t(m.phi[v])))
             PyTuple_SET_ITEM(result, v - 1, item);
         else
             Py_CLEAR(result);
@@ -189,8 +250,9 @@ static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *arg
     off = m.n - 1;
     memset(hist, 0, (size_t)(2 * off + 1) * sizeof(Py_ssize_t));
     hist[off] = m.n;
-    add_block_differences(m.bottom, m.phi, hist + off, 1);
-    add_block_differences(m.top, m.phi, hist + off, -1);
+    if (add_block_differences(m.bottom, m.phi, hist + off, 1) < 0 ||
+        add_block_differences(m.top, m.phi, hist + off, -1) < 0)
+        goto done;
     result = PyDict_New();
     for (d = 0; result != NULL && d <= 2 * off; d++) {
         if (hist[d] == 0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import eq, neg
 
-from .core import Composition, IntegerMultiset, SeaweedSpec
+from .core import Composition, IntegerMultiset, SeaweedSpec, _check_indexable
 from .spectrum import (
     _matrices, extended_spectrum, extended_spectrum_matrix, spectrum, spectrum_matrix,
 )
@@ -319,6 +319,7 @@ def verify_block_lemmas(k1: int, k2: int, m: int) -> list[str]:
 
     cut = m * k1 + k2
     n1 = (m + 1) * k1 + k2
+    _check_indexable(n1, "seaweed")
     rows_g1 = spectrum_matrix(_two_part(cut, k1, n1))
     performed = []
 

@@ -218,8 +218,9 @@ def cmd_verify_family(args) -> int:
     # are ever printed.
     points = list(product(k_values, r_values))
     for k, r in points:
-        closed = [("spectrum", family_spectrum(fam, k, r), spectrum)]
         g = family_spec(fam, k, r)
+        _check_indexable(g.n, "seaweed")
+        closed = [("spectrum", family_spectrum(fam, k, r), spectrum)]
         if row.extended:
             closed.append(
                 ("extended spectrum", family_extended_spectrum(fam, k, r), extended_spectrum)

@@ -116,7 +116,8 @@ def parse_seaweed(text: str) -> SeaweedSpec:
 
 
 #: The most vertices a kernel can index: the pure kernel's partner arrays
-#: hold n + 2 slots, and no list holds more than sys.maxsize.
+#: hold n + 1 slots and no list holds more than sys.maxsize, so n + 1 must
+#: fit; the bound keeps one slot more in hand, and refusals print it.
 _MAX_INDEXABLE = sys.maxsize - 2
 
 

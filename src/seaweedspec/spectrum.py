@@ -23,13 +23,11 @@ bottom block plus the lower triangle of each top block, which is how both
 kernels count it. Every arc joins potentials one apart, so a block's
 right half is its left half mirrored and lowered by one (raised, for a top
 block); the pure kernel reads each triangle off the differences within the
-left half alone. The spectrum is that multiset with one zero removed; the
-extended spectrum drops the mask and uses all n^2 positions instead.
-_spectrum_of is the one reader of the kernel's histogram, for this module
-and the sweeps alike: None off a single path, and one of the kernel's
-diagonal zeros removed. The compiled kernel's pair loop costs about the
-sum of the squared parts, so past PAIR_WORK_PER_VERTEX * n _spectrum_of
-takes the pure kernel's histogram whichever kernel is active.
+left half alone, and the compiled kernel hands it every long block. The
+spectrum is that multiset with one zero removed; the extended spectrum drops
+the mask and uses all n^2 positions instead. _spectrum_of is the one reader
+of the kernel's histogram, for this module and the sweeps alike: None off a
+single path, and one of the kernel's diagonal zeros removed.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -40,19 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from . import _kernel
 from ._engine import kernel
+from ._kernel import difference_counts
 from .core import IntegerMultiset, SeaweedSpec
 from .meander import is_frobenius
 
 NOT_SINGLE_PATH = "spectrum undefined: meander is not a single path"
-
-#: Past this sum of squared parts per vertex the pure kernel's histogram is
-#: the faster: 2,500-2,700 on k2, 2,300-2,900 on k-2r and 3,200 on k1k (see
-#: README "Install"; benchmarks/bench_kernel.py re-measures them).
-PAIR_WORK_PER_VERTEX = 3000
 
 
 class SpectrumUndefinedError(ValueError):
@@ -187,12 +180,7 @@ def matrix_text(rows) -> str:
 def _spectrum_of(top: tuple, bottom: tuple) -> IntegerMultiset | None:
     """The spectrum of the seaweed with these parts, or None when its
     meander is not a single path; see the module docstring."""
-    histogram = kernel.spectrum_counts
-    if kernel is not _kernel and (
-        sum(map(mul, top, top)) + sum(map(mul, bottom, bottom)) > PAIR_WORK_PER_VERTEX * sum(top)
-    ):
-        histogram = _kernel.spectrum_counts
-    counts = histogram(top, bottom)
+    counts = kernel.spectrum_counts(top, bottom)
     return None if counts is None else IntegerMultiset._from_histogram(counts)
 
 
@@ -209,7 +197,7 @@ def spectrum(g: SeaweedSpec) -> IntegerMultiset:
 
 def extended_spectrum(g: SeaweedSpec) -> IntegerMultiset:
     """All n^2 potential differences, one zero removed (size n^2 - 1)."""
-    return IntegerMultiset._from_histogram(_kernel.difference_counts(vertex_potentials(g)))
+    return IntegerMultiset._from_histogram(difference_counts(vertex_potentials(g)))
 
 
 def principal_element(g: SeaweedSpec) -> tuple[Fraction, ...]:

@@ -418,6 +418,9 @@ def _grid_4_16(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
 
 
 def _grid_4_17(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
+    # The largest seaweed, at (k_max, r_max), has 2 k_max r_max + 1 vertices.
+    k, r = job.k_max, job.r_max
+    _check_indexable(2 * k * r + 1, f"seaweed at k = {k}, r = {r}")
     for k in range(1, job.k_max + 1):
         for r in range(1, job.r_max + 1):
             g = SeaweedSpec(Composition((2 * k,) * r + (1,)), Composition((2 * k * r + 1,)))
@@ -434,6 +437,9 @@ def _parts_4_18(k: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _grid_4_18(job: SweepJob, spectrum_of: Callable) -> Iterator[tuple]:
+    # The largest seaweed is the shift's neighbour at (k_max + 1, r_max).
+    k, r = job.k_max + 1, job.r_max
+    _check_indexable(2 * k * r + 1, f"neighbour at k = {k}, r = {r}")
     for k in range(1, job.k_max + 1):
         expected = tuple(range(-k + 1, k + 1))
         for r in range(1, job.r_max + 1):

@@ -36,16 +36,12 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
 
 
-@pytest.fixture(scope="session")
-def walk(tmp_path_factory):
-    """The compiled kernel, built from _walk.c into a temporary directory
-    (never into src/) with the interpreter's compiler and flags plus
-    -Wextra -Werror.
-
-    The module is loaded but not registered in sys.modules, so the package
-    under test keeps the kernel it picked at import. A compile error fails
-    the tests that use this fixture; only a missing compiler skips them.
-    """
+def build_walk(tmp_path_factory, *defines):
+    """_walk.c built into a temporary directory (never into src/) with the
+    interpreter's compiler and flags plus -Wextra -Werror and the given -D
+    macros, loaded but not registered in sys.modules, so the package under
+    test keeps the kernel it picked at import. A compile error fails the
+    tests that use it; only a missing compiler skips them."""
     var = sysconfig.get_config_var
     cc = shlex.split(var("CC") or "cc")
     if shutil.which(cc[0]) is None:
@@ -55,6 +51,7 @@ def walk(tmp_path_factory):
     lib = out / f"_walk{var('EXT_SUFFIX')}"
     compile_ = cc + shlex.split(var("CFLAGS") or "") + shlex.split(var("CCSHARED") or "")
     compile_ += ["-Wextra", "-Werror", "-I", sysconfig.get_path("include")]
+    compile_ += [f"-D{define}" for define in defines]
     compile_ += ["-c", str(WALK_C), "-o", str(obj)]
     link = shlex.split(var("LDSHARED")) + [str(obj), "-o", str(lib)]
     for argv in (compile_, link):
@@ -65,6 +62,19 @@ def walk(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def walk(tmp_path_factory):
+    """The compiled kernel as shipped (see build_walk)."""
+    return build_walk(tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def walk_delegating(tmp_path_factory):
+    """The compiled kernel built with SHORT_HALF at 0, so that every block
+    of 3 or more vertices goes to _kernel._add_block."""
+    return build_walk(tmp_path_factory, "SHORT_HALF=0")
 
 
 @pytest.fixture(params=["pure", "compiled"])

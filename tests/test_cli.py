@@ -14,7 +14,7 @@ import pytest
 import seaweedspec
 from oracles import graph_components, oracle_matrix
 from seaweedspec import (
-    EngineInvariantError, FamilyId, IntegerMultiset, _kernel, analysis, cli, family_spec,
+    EngineInvariantError, FamilyId, IntegerMultiset, analysis, cli, family_spec,
 )
 from strategies import LARGE_POINTS, orientations
 
@@ -49,7 +49,8 @@ def test_not_frobenius_exits_3_with_pinned_bytes(capsys, argv, err):
 #: A seaweed whose n, 10^20, is beyond any index (sys.maxsize); its index is 0.
 BEYOND_AN_INDEX = "99999999999999999999|1 / 100000000000000000000"
 
-#: The most vertices a kernel can index: its partner arrays hold n + 2 slots.
+#: The most vertices a kernel can index: the pure kernel's partner arrays
+#: hold n + 1 slots, and the bound keeps one more in hand.
 MAX_INDEXABLE = sys.maxsize - 2
 
 
@@ -60,16 +61,14 @@ def too_large(what, n):
 
 def no_kernel_calls(monkeypatch):
     """Make every kernel function raise: the two of the active kernel, and
-    the pure kernel's spectrum_counts and difference_counts, which the
-    spectrum of long blocks and the extended spectrum call whichever kernel
-    is active."""
+    the pure kernel's difference_counts, which the extended spectrum calls
+    whichever kernel is active."""
     def no_call(*args):
         raise AssertionError("kernel called")
 
     for name in ("potentials", "spectrum_counts"):
         monkeypatch.setattr(spectrum_module.kernel, name, no_call)
-    for name in ("spectrum_counts", "difference_counts"):
-        monkeypatch.setattr(_kernel, name, no_call)
+    monkeypatch.setattr(spectrum_module, "difference_counts", no_call)
 
 
 @pytest.mark.parametrize("argv", [
@@ -93,7 +92,9 @@ def test_n_beyond_an_index_exits_64_before_any_kernel_call(capsys, monkeypatch, 
 @pytest.mark.parametrize("n", [sys.maxsize, sys.maxsize - 1])
 def test_n_that_fits_an_index_but_not_a_kernel_array_exits_64(capsys, monkeypatch, n):
     """sys.maxsize vertices fit an index, but the pure kernel's first array,
-    n + 2 slots, does not: that n used to end in an OverflowError traceback."""
+    n + 1 slots, does not: that n used to end in an OverflowError traceback.
+    The bound keeps one vertex more in hand, so sys.maxsize - 1 is refused
+    too."""
     no_kernel_calls(monkeypatch)
     assert run_cli(capsys, "spectrum", f"{n} / {n}") == (64, "", too_large("seaweed", n))
 
@@ -888,3 +889,35 @@ def test_census_beyond_memory_is_refused_at_once(child_env):
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error: ")
     assert elapsed < 3
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, what, n", [
+    (["verify-lemmas", "--k1", HUGE, "--k2", "1", "--m", "1"], "seaweed", 2 * 10**20 - 1),
+    (["sweep", "--conjecture", "stability_4_17", "--k-max", HUGE],
+     f"seaweed at k = {HUGE}, r = 6", 12 * 10**20 - 11),
+    (["sweep", "--conjecture", "stability_4_18", "--k-max", HUGE],
+     f"neighbour at k = {10**20}, r = 6", 12 * 10**20 + 1),
+    (["verify-family", "k1", "--k", HUGE], "seaweed", 10**20),
+], ids=["verify-lemmas", "stability_4_17", "stability_4_18", "verify-family"])
+def test_largest_seaweed_beyond_an_index_is_refused_up_front(
+    child_env, tmp_path, argv, what, n
+):
+    """The largest seaweed of a corner-block triple, a stability grid (for
+    4_18, the shift's neighbour at k_max + 1) or a verify-family point is
+    refused before any matrix, grid or closed form is built, and before
+    --out is opened. These used to end in an OverflowError traceback
+    (verify-lemmas) or fill memory until an allocation failed, so the child
+    runs under the address-space cap."""
+    out = tmp_path / "out"
+    done = subprocess.run(
+        console_command() + argv + ["--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        preexec_fn=limit_address_space,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (64, "", too_large(what, n))
+    assert not out.exists()

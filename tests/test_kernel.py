@@ -46,8 +46,80 @@ def results(kernel, top, bottom):
 
 
 def test_kernels_agree_exhaustively(walk):
-    for top, bottom in all_pairs(8):
+    # n = 0 too: no vertex, so no path, and no partner slot to read
+    for top, bottom in [((), ()), *all_pairs(8)]:
         assert results(walk, top, bottom) == results(_kernel, top, bottom)
+
+
+@pytest.fixture
+def delegated(monkeypatch):
+    """The length of each block that reaches _kernel._add_block, in call
+    order; _add_block still counts it."""
+    lengths = []
+    add_block = _kernel._add_block
+
+    def counting(xs, hist, off):
+        lengths.append(len(xs))
+        add_block(xs, hist, off)
+
+    monkeypatch.setattr(_kernel, "_add_block", counting)
+    return lengths
+
+
+def test_kernels_agree_exhaustively_with_every_block_delegated(walk_delegating, delegated):
+    """Built with SHORT_HALF at 0, the compiled kernel hands every block of
+    3 or more vertices to _kernel._add_block, whose pair loop or product
+    then counts it, and blocks of 1 and 2 never reach it."""
+    for top, bottom in all_pairs(8):
+        want = results(_kernel, top, bottom)
+        delegated.clear()
+        assert results(walk_delegating, top, bottom) == want
+        blocks = [p for p in bottom + top if p > 2] if want[2] is not None else []
+        assert delegated == blocks
+
+
+@pytest.mark.parametrize("f, k, r, blocks", [
+    (FamilyId.K_2R, 2, 8000, []),  # 16,002 vertices in blocks of at most 3
+    (FamilyId.K4R, 999, 2000, []),  # halves of 499 and 500
+    (FamilyId.K1K, 801, None, [1603]),  # halves of 400, 401 and 801
+    (FamilyId.K2, 4095, None, [4097, 4095]),
+], ids=lambda v: getattr(v, "value", None))
+def test_compiled_kernel_delegates_only_long_blocks(walk, delegated, f, k, r, blocks):
+    """The shipped build counts halves of up to 500 pair by pair and hands
+    halves of 801 and more to _kernel._add_block, bottom blocks first."""
+    g = family_spec(f, k, r)
+    assert results(walk, g.top.parts, g.bottom.parts)[2] is not None
+    assert delegated == blocks
+
+
+@pytest.mark.parametrize("fault, error", [
+    (lambda xs, hist, off: 1 / 0, ZeroDivisionError),
+    (lambda xs, hist, off: hist.clear(), IndexError),
+    (lambda xs, hist, off: hist.__setitem__(off, "x"), TypeError),
+], ids=["raises", "shrinks", "non-int"])
+def test_compiled_kernel_raises_what_add_block_raises(walk, monkeypatch, fault, error):
+    monkeypatch.setattr(_kernel, "_add_block", fault)
+    g = family_spec(FamilyId.K2, 4095)
+    with pytest.raises(error):
+        walk.spectrum_counts(g.top.parts, g.bottom.parts)
+
+
+def test_add_block_that_changes_the_callers_parts_moves_no_block(walk, monkeypatch):
+    """The compiled kernel reads its own tuples of the parts, so an
+    _add_block that grows and replaces the caller's lists mid-call changes
+    nothing; reading the lists again would index past the kernel's arrays."""
+    g = family_spec(FamilyId.K2, 4095)
+    want = _kernel.spectrum_counts(g.top.parts, g.bottom.parts)
+    top, bottom = list(g.top.parts), list(g.bottom.parts)
+    add_block = _kernel._add_block
+
+    def changing(xs, hist, off):
+        top.extend([1] * 100_000)
+        bottom[:] = [10**6]
+        add_block(xs, hist, off)
+
+    monkeypatch.setattr(_kernel, "_add_block", changing)
+    assert walk.spectrum_counts(top, bottom) == want
 
 
 @given(seaweeds(max_n=16))
@@ -181,17 +253,22 @@ def test_kernels_agree_past_the_stack_buffer(walk):
 BENCH_KERNEL = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernel.py"
 
 
-def test_kernel_benchmark_runs(child_env):
+def test_kernel_benchmark_runs(child_env, walk):
     """The kernel benchmark still calls every kernel function as it is
-    defined: a small run exits 0."""
+    defined: a small run, with the compiled kernel as its baseline, exits 0
+    and times the baseline on every crossover point."""
     out = subprocess.run(
-        [sys.executable, str(BENCH_KERNEL), "--n-max", "4"],
+        [sys.executable, str(BENCH_KERNEL), "--n-max", "4", "--baseline", walk.__file__],
         env=child_env,
         capture_output=True,
         text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert "23 Frobenius pairs through n=4" in out.stdout.splitlines()
+    lines = out.stdout.splitlines()
+    assert "23 Frobenius pairs through n=4" in lines
+    header = lines.index("crossover points, spectrum_counts, best of 5, ms:") + 1
+    assert lines[header].split()[-1] == "baseline"
+    assert len(lines[header + 1 :]) == 9
 
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))

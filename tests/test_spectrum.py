@@ -1,7 +1,5 @@
 import hashlib
-import importlib
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,11 +15,9 @@ from oracles import (
     without_one,
 )
 from seaweedspec import (
-    Composition,
     FamilyId,
     IntegerMultiset,
     OrientedMeander,
-    SeaweedSpec,
     _kernel,
     compositions_of,
     enumerate_frobenius,
@@ -42,13 +38,10 @@ from seaweedspec import (
 from seaweedspec._engine import kernel
 from seaweedspec.spectrum import (
     NOT_SINGLE_PATH,
-    PAIR_WORK_PER_VERTEX,
     SpectrumUndefinedError,
     _row_spans,
 )
 from strategies import LARGE_POINTS, orientations, seaweeds
-
-spectrum_module = importlib.import_module("seaweedspec.spectrum")
 
 
 def all_pairs(max_n):
@@ -353,10 +346,11 @@ def test_kernel_histograms_give_the_validated_multisets():
         assert extended_spectrum(g).items() == without_one(want, 0).items()
 
 
-#: Family points either side of the kernels' measured crossover, with their
-#: squared parts per vertex: k2 at n = 1,025, 1,281, 1,537 and 4,097, k1k
-#: at n = 1,603 and 3,203, and three r-block points, one with its blocks
-#: all short.
+#: Family points either side of where the pure kernel's products overtook
+#: the compiled kernel's pair loop before that kernel handed its long blocks
+#: to _kernel._add_block, with their squared parts per vertex: k2 at
+#: n = 1,025, 1,281, 1,537 and 4,097, k1k at n = 1,603 and 3,203, and three
+#: r-block points, one with its blocks all short.
 CROSSOVER_POINTS = [
     (FamilyId.K2, 1023, None),  # 2,046
     (FamilyId.K2, 1279, None),  # 2,558
@@ -370,12 +364,6 @@ CROSSOVER_POINTS = [
 ]
 
 
-def long_blocks(g):
-    """Whether g's squared parts sum past PAIR_WORK_PER_VERTEX per vertex."""
-    squares = sum(p * p for p in g.top.parts + g.bottom.parts)
-    return squares > PAIR_WORK_PER_VERTEX * g.n
-
-
 def kernel_spectrum(module, g):
     counts = module.spectrum_counts(g.top.parts, g.bottom.parts)
     return without_one(IntegerMultiset(counts), 0)
@@ -386,11 +374,7 @@ def assert_spectrum_is_each_kernels(walk, g):
     assert got == kernel_spectrum(_kernel, g).items() == kernel_spectrum(walk, g).items()
 
 
-class TestKernelDispatch:
-    def test_points_lie_either_side_of_the_crossover(self):
-        sides = [long_blocks(family_spec(f, k, r)) for f, k, r in CROSSOVER_POINTS]
-        assert sides == [False, False, True, True, False, True, False, False, False]
-
+class TestLongBlocks:
     @pytest.mark.parametrize(
         "f, k, r", CROSSOVER_POINTS, ids=lambda v: getattr(v, "value", v)
     )
@@ -413,26 +397,6 @@ class TestKernelDispatch:
         """Long-block seaweeds of about 1,250 to 4,000 squared parts per
         vertex, in each orientation."""
         assert_spectrum_is_each_kernels(walk, g)
-
-    def test_long_blocks_never_reach_the_compiled_kernel(self, monkeypatch):
-        """A stand-in compiled kernel that refuses long blocks: spectrum
-        gives it every other seaweed, and the pure kernel the rest."""
-        took = []
-
-        def spectrum_counts(top, bottom):
-            g = SeaweedSpec(Composition(top), Composition(bottom))
-            if long_blocks(g):
-                raise AssertionError(f"long blocks reached the compiled kernel: {g}")
-            took.append(g)
-            return _kernel.spectrum_counts(top, bottom)
-
-        stub = SimpleNamespace(potentials=_kernel.potentials, spectrum_counts=spectrum_counts)
-        monkeypatch.setattr(spectrum_module, "kernel", stub)
-        points = [family_spec(f, k, r) for f, k, r in CROSSOVER_POINTS]
-        points.append(parse_seaweed("2|4 / 1|2|3"))
-        for g in points:
-            assert spectrum(g).items() == kernel_spectrum(_kernel, g).items()
-        assert took == [g for g in points if not long_blocks(g)]
 
 
 class TestPrincipalElement:
