@@ -3,7 +3,11 @@ and optionally against a second built ``_walk``.
 
 Three input sets, each timed under every kernel. Each timing is the best of
 REPEAT passes, and within a pass the kernels take turns, so that a change
-in the host's speed reaches all of them alike:
+in the host's speed reaches all of them alike. Every pass starts with the
+pure kernel's walk memo cleared: the one-point rows (the k2 group at
+n = 4,043 and every crossover point) repeat one seaweed in each pass, so
+from the second pass on the pure kernel would read its walk from the memo,
+and its best pass would time no walk:
 
 * every Frobenius pair up to --n-max (from ``enumerate_frobenius``, which
   reads the index off the census and walks no meander): the potentials,
@@ -72,7 +76,9 @@ def frobenius_pairs(n_max):
 
 
 def run(fn, calls):
-    """Seconds to call fn on each argument tuple of calls."""
+    """Seconds to call fn on each argument tuple of calls, from a cold pure
+    walk memo."""
+    _kernel._path.cache_clear()
     t0 = time.perf_counter()
     for args in calls:
         fn(*args)

@@ -17,6 +17,16 @@ a per-layer tracer does) sees only outside calls. ``difference_counts``,
 all n^2 differences of one potential vector for the extended spectrum,
 exists only here.
 
+Here both public names read one walk, ``_path``, memoized for the last two
+part pairs. A seaweed's spectrum, extended spectrum and principal element
+then take one walk between them, and so do a seaweed and its swap or
+reversal partner, which the lemma checks ask for in turn; with one entry
+the partner would evict the seaweed before its second use. The memo holds
+at most two walks, each one tuple of n ints. Nothing mutates a walk:
+potentials returns the memo's tuple itself, and spectrum_counts slices
+its blocks from it and negates copies. A test that patches a walk
+internal clears the memo first (``_path.cache_clear()``).
+
 Here the passes over whole vertex and count vectors run inside builtins
 (slices, map, compress, one big-int product). Python loops remain for the
 walk, whose every step needs the last, for the tally of a half's values,
@@ -35,15 +45,15 @@ side's parts:
     holds sum c^2, the count of zero differences, which by Cauchy-Schwarz
     bounds every digit (see difference_counts).
 
-This module trusts its inputs: parts are positive ints and both tuples
-have the same sum. Every caller in the package passes the parts of a
-``SeaweedSpec``, which checks both, and the sweep passes compositions it
-enumerated. Off valid input the result is unspecified: ``((5,), (1,))``
-gives None and ``((3, -1), (2,))`` raises IndexError, where the compiled
-kernel raises ValueError. Checking here would cost the hot path: a part
->= 1 and an equal-sum check in ``_walk`` made potentials over every pair
-of n = 10 (262,144 calls) 33-34% slower, median ratio of 16 alternating
-runs, twice.
+This module trusts its inputs: parts are positive ints in tuples, which
+the memo hashes, and both tuples have the same sum. Every caller in the
+package passes the parts of a ``SeaweedSpec``, which checks both, and the
+sweep passes compositions it enumerated. Off valid input the result is
+unspecified: ``((5,), (1,))`` gives None and ``((3, -1), (2,))`` raises
+IndexError, where the compiled kernel raises ValueError. Checking here
+would cost the hot path: a part >= 1 and an equal-sum check in the walk
+made potentials over every pair of n = 10 (262,144 calls) 33-34% slower,
+median ratio of 16 alternating runs, twice.
 
 Conventions baked in here (shared with the full matrix pipeline):
   * vertices are 1..n; each top block [s..e] contributes the nested pairs
@@ -58,6 +68,7 @@ Conventions baked in here (shared with the full matrix pipeline):
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from itertools import compress
 from operator import add, mul, neg
 from sys import byteorder
@@ -123,12 +134,13 @@ def _half_walk(phi, first, second, d, n):
     return None
 
 
-def _walk(top, bottom):
-    """The walk: follow the path through vertex n from n, first leaving by
-    its top arc and then by its bottom arc, and return phi, where phi[v] is
-    the potential of vertex v with phi(n) = 0 by construction (phi[0] = 0
-    is a placeholder), or None unless the path covers all n vertices, that
-    is unless the meander is a single path.
+@lru_cache(maxsize=2)
+def _path(top, bottom):
+    """The walk, memoized for the last two part pairs: follow the path
+    through vertex n from n, first leaving by its top arc and then by its
+    bottom arc, and return the potentials as a tuple whose index v-1 holds
+    phi(v), with phi(n) = 0 by construction, or None unless the path covers
+    all n vertices, that is unless the meander is a single path.
 
     Vertex n lies on a path or on a cycle. On a path the two half-walks end
     at its two endpoints (a half-walk from an endpoint takes no arc), and
@@ -138,11 +150,11 @@ def _walk(top, bottom):
     n = sum(top)
     tnbr = _neighbors(top, n)
     bnbr = _neighbors(bottom, n)
-    phi = [0] * (n + 1)
+    phi = [0] * (n + 1)  # phi[0] is a placeholder
     up = _half_walk(phi, tnbr, bnbr, 1, n)
     if up is None:
         return None  # n lies on a cycle
-    return phi if up + _half_walk(phi, bnbr, tnbr, -1, n) == n - 1 else None
+    return tuple(phi[1:]) if up + _half_walk(phi, bnbr, tnbr, -1, n) == n - 1 else None
 
 
 def potentials(top, bottom):
@@ -150,10 +162,9 @@ def potentials(top, bottom):
 
     Returns a tuple whose index v-1 holds phi(v), with phi(n) = 0. Returns
     None unless the meander is a single path (no cycles), which is exactly
-    when the potentials exist.
+    when the potentials exist. The tuple is _path's own, not a copy.
     """
-    phi = _walk(top, bottom)
-    return None if phi is None else tuple(phi[1:])
+    return _path(top, bottom)
 
 
 # array typecodes by item size, smallest first: a digit takes the first
@@ -287,13 +298,13 @@ def spectrum_counts(top, bottom):
     count() of each side's parts. Every other block reads its triangle off
     its left half (see _add_block).
     """
-    phi = _walk(top, bottom)
+    phi = _path(top, bottom)
     if phi is None:
         return None
 
     # Potentials span at most n - 1 (the path has n - 1 arcs), and so does
     # every difference; no difference depends on where phi is pinned to 0.
-    n = len(phi) - 1
+    n = len(phi)
     off = n - 1
     hist = [0] * (2 * n - 1)
     hist[off] = n
@@ -301,7 +312,7 @@ def spectrum_counts(top, bottom):
     if ones:
         hist[off + 1] += ones
     for parts, negate in ((bottom, False), (top, True)):
-        s = 1
+        s = 0
         for p in parts:
             if p > 2:
                 xs = phi[s : s + p]

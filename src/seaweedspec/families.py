@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .core import Composition, IntegerMultiset, SeaweedSpec
+from .core import _MAX_INDEXABLE, Composition, IntegerMultiset, SeaweedSpec
 
 
 class FamilyId(str, Enum):
@@ -209,7 +209,8 @@ FAMILIES: dict[FamilyId, Family] = {
 
 
 def _row(f: FamilyId, k, r) -> Family:
-    """f's row, once (k, r) is known to lie in its domain."""
+    """f's row, once (k, r) is known to lie in its domain and r in what a
+    kernel can index, before any part is built."""
     row = FAMILIES[f]
     if "k" in row.params:
         if k is None:
@@ -225,6 +226,11 @@ def _row(f: FamilyId, k, r) -> Family:
             raise ValueError(f"family {f.value} needs r")
         if r < 1:
             raise ValueError(f"family {f.value}: r must be at least 1, got {r}")
+        if r > _MAX_INDEXABLE:  # every block holds a vertex, so n >= r
+            raise ValueError(
+                f"family {f.value} too large: r = {r} blocks exceed the most vertices "
+                f"a kernel can index, {_MAX_INDEXABLE}"
+            )
     return row
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: the compiled kernel, built from source for the tests, and
-a parametrisation that runs a test under each kernel."""
+"""Shared fixtures: the compiled kernel, built from source for the tests, a
+parametrisation that runs a test under each kernel, and the pure kernel's
+walk memo, cleared before each test and watched by pure_walks."""
 
 import importlib
 import importlib.util
@@ -77,13 +78,44 @@ def walk_delegating(tmp_path_factory):
     return build_walk(tmp_path_factory, "SHORT_HALF=0")
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def each_kernel(request, monkeypatch):
-    """Run the test under each kernel, swapped into every module of the
-    package whose `kernel` is the one the package picked at import."""
-    chosen = _kernel if request.param == "pure" else request.getfixturevalue("walk")
+def use_kernel(monkeypatch, chosen):
+    """Swap chosen into every module of the package whose `kernel` is the
+    one the package picked at import."""
     picked = _engine.kernel
     for name, module in list(sys.modules.items()):
         if name.startswith("seaweedspec.") and getattr(module, "kernel", None) is picked:
             monkeypatch.setattr(module, "kernel", chosen)
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def each_kernel(request, monkeypatch):
+    """Run the test under each kernel (see use_kernel)."""
+    use_kernel(monkeypatch, _kernel if request.param == "pure" else request.getfixturevalue("walk"))
     return request.param
+
+
+@pytest.fixture(autouse=True)
+def fresh_walk_memo():
+    """Clear the pure kernel's memo of its last walks before each test, so
+    that a test that patches a walk internal reads its own walk."""
+    _kernel._path.cache_clear()
+
+
+@pytest.fixture
+def pure_walks(monkeypatch):
+    """The part pairs that the pure kernel, swapped in (see use_kernel),
+    walks, in order: each walk builds the partner array of its top and
+    then of its bottom, and a memo hit builds none."""
+    use_kernel(monkeypatch, _kernel)
+    walked, pending = [], []
+    neighbors = _kernel._neighbors
+
+    def recording(parts, n):
+        pending.append(parts)
+        if len(pending) == 2:
+            walked.append(tuple(pending))
+            pending.clear()
+        return neighbors(parts, n)
+
+    monkeypatch.setattr(_kernel, "_neighbors", recording)
+    return walked

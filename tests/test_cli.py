@@ -921,3 +921,19 @@ def test_largest_seaweed_beyond_an_index_is_refused_up_front(
     )
     assert (done.returncode, done.stdout, done.stderr) == (64, "", too_large(what, n))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family, k", [
+    ("k-2r", "1"), ("k-2r+1", "1"), ("k-4r", "1"), ("k-4r+2", "1"), ("2s-r1", None),
+])
+def test_family_r_beyond_an_index_exits_64_before_any_part_is_built(
+    capsys, monkeypatch, family, k
+):
+    """Every one of r's blocks holds a vertex, so an r past the most a
+    kernel can index is refused before the parts, r blocks long, are built,
+    where building them used to end in an OverflowError traceback."""
+    no_kernel_calls(monkeypatch)
+    argv = ["verify-family", family, "--r", HUGE] + ([] if k is None else ["--k", k])
+    err = (f"error: family {family} too large: r = {HUGE} blocks exceed the most "
+           f"vertices a kernel can index, {MAX_INDEXABLE}\n")
+    assert run_cli(capsys, *argv) == (64, "", err)

@@ -19,9 +19,15 @@ from seaweedspec import (
     compositions_of,
     extended_spectrum,
     family_spec,
+    index_sl,
     is_frobenius,
     meander,
     parse_seaweed,
+    principal_element,
+    spectrum,
+    verify_reverse_lemma,
+    verify_skew_symmetry,
+    verify_swap_lemma,
 )
 from seaweedspec._engine import kernel
 from seaweedspec.meander import component_counts
@@ -413,3 +419,41 @@ def test_spectrum_counts_match_oracle_past_the_short_half(pair):
 def test_difference_counts_widen_past_four_byte_digits():
     # 2^32 pairs share one difference: too many to count by brute force
     assert _kernel.difference_counts([0] * 2**16) == {0: 2**32}
+
+
+class TestWalkMemo:
+    """The pure kernel keeps its last two walks, so the queries on one
+    seaweed, and a lemma check's seaweed and its partner, walk each once."""
+
+    def test_four_queries_take_one_walk(self, pure_walks, monkeypatch):
+        halves = []
+        half_walk = _kernel._half_walk
+
+        def counting(phi, first, second, d, n):
+            halves.append(d)
+            return half_walk(phi, first, second, d, n)
+
+        monkeypatch.setattr(_kernel, "_half_walk", counting)
+        g = family_spec(FamilyId.K2, 101)
+        assert index_sl(g) == 0
+        spectrum(g), extended_spectrum(g), principal_element(g)
+        assert halves == [1, -1]
+        assert pure_walks == [(g.top.parts, g.bottom.parts)]
+
+    def test_a_hit_returns_the_walk_itself(self, pure_walks):
+        g = parse_seaweed("2|4 / 1|2|3")
+        phi = _kernel.potentials(g.top.parts, g.bottom.parts)
+        _kernel.spectrum_counts(g.top.parts, g.bottom.parts)
+        assert _kernel.potentials(g.top.parts, g.bottom.parts) is phi
+        assert phi == oracle_potentials(g.top.parts, g.bottom.parts)
+        assert len(pure_walks) == 1
+
+    def test_lemma_checks_walk_the_seaweed_and_each_partner_once(self, pure_walks):
+        """Two entries hold a seaweed and its partner, which the checks ask
+        for in turn: with one, every call would walk again."""
+        g = parse_seaweed("2|4 / 1|2|3")
+        pair = (g.top.parts, g.bottom.parts)
+        assert verify_swap_lemma(g)
+        assert pure_walks == [pair, pair[::-1]]
+        assert verify_reverse_lemma(g) and verify_skew_symmetry(g)
+        assert pure_walks == [pair, pair[::-1], (pair[0][::-1], pair[1][::-1])]

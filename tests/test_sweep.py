@@ -624,6 +624,19 @@ class TestOrbitMemo:
         assert summary["frobenius"] == 1157
         assert len(spectra) == len(set(spectra)) == 307
 
+    def test_fresh_n9_sweep_walks_once_per_orbit_under_the_pure_kernel(
+        self, tmp_path, pure_walks
+    ):
+        """The pure kernel's memo of its last two walks neither adds a walk
+        nor changes a byte: the sweep never asks twice for one pair."""
+        out = tmp_path / "records.ndjson"
+        run_sweep(SweepJob(n_max=9, out=str(out)))
+        assert len(pure_walks) == len(set(pure_walks)) == 307
+        data = out.read_bytes()
+        assert (data.count(b"\n"), len(data), hashlib.sha256(data).hexdigest()) == (
+            UNIMODAL_N9_RECORDS
+        )
+
     def test_resume_over_a_mid_row_cut_takes_one_spectrum_per_orbit(self, tmp_path, spectra):
         fresh, lines = fresh_file(tmp_path / "fresh.ndjson", n_max=9)
         spectra.clear()
