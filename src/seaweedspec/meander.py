@@ -26,6 +26,7 @@ path; in Python the arcs are built once, by `spectrum.orient`.
 
 from __future__ import annotations
 
+import sys
 from math import gcd
 
 from .core import SeaweedSpec
@@ -97,6 +98,17 @@ def index_gcd_three_part(a: int, b: int, c: int) -> int:
     return gcd(a + b, b + c) - 1
 
 
+def _check_census(n_max: int) -> None:
+    """Refuse an n_max whose census table, 4^(n_max - 1) bytes, is past
+    what a bytearray can index (sys.maxsize): n_max >= 33 on a 64-bit
+    build. The power itself is never formed, so any n_max is refused at
+    once."""
+    if 2 * (n_max - 1) >= sys.maxsize.bit_length():
+        raise ValueError(
+            f"n = {n_max} has 4^{n_max - 1} composition pairs, more than a census can index"
+        )
+
+
 def _census(n_max: int) -> list[bytearray]:
     """The gl index 2C + P (index + 1) of every composition pair of each
     n <= n_max, with no meander walked.
@@ -116,8 +128,10 @@ def _census(n_max: int) -> list[bytearray]:
 
     Every table is needed to the end, so all are allocated, largest first,
     before any is filled: a census too large for memory raises MemoryError
-    at once, at no cost in peak memory.
+    at once, at no cost in peak memory, and one too large to index is
+    refused before that.
     """
+    _check_census(n_max)
     width = [1] + [1 << (n - 1) for n in range(1, n_max + 1)]  # m of each n
     census = [bytearray(m * m) for m in reversed(width)][::-1]
     adds = [bytes(range(a, 256)) + bytes(range(a)) for a in range(n_max + 1)]

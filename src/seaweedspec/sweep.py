@@ -12,7 +12,10 @@ The unimodality sweep is one serial loop over rows, one row per top
 composition: it writes the row's NDJSON records, then checks the row's
 Frobenius records. A row's text is one string join of pieces laid out at C
 speed, so no Python code runs for a pair of nonzero index: only the
-Frobenius pairs of the row are visited (see _row_records).
+Frobenius pairs of the row are visited (see _row_records). _pair_record
+alone states a record's fields and their order: every fixed piece of a
+line is cut from json.dumps of a record it made (see _line_pieces), and
+only the composition texts, which need no escaping, go between them.
 
 A record carries no timing, so a record file is a function of its job:
 every run writes the same bytes. Both sweeps write through one sink,
@@ -64,7 +67,7 @@ from .core import (
     parse_seaweed,
 )
 from .families import EXTENSION_VARIANTS, default_extension_base, extension_variant_spec
-from .meander import _census
+from .meander import _census, _check_census
 from .spectrum import SpectrumUndefinedError, _spectrum_of
 
 CONJECTURES = (
@@ -97,6 +100,7 @@ class SweepJob:
             )
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
+        _check_census(self.n_max)
         if self.k_max < 1 or self.r_max < 1:
             raise ValueError("k_max and r_max must be at least 1")
         if self.resume and not self.out:
@@ -106,10 +110,12 @@ class SweepJob:
 
 
 def enumerate_frobenius(n: int) -> Iterator[SeaweedSpec]:
-    """All Frobenius seaweeds on n vertices, in composition-pair order."""
+    """All Frobenius seaweeds on n vertices, in composition-pair order. The
+    census comes first: it refuses or fails to allocate a too-large n at
+    once, before the 2^(n-1) compositions are built."""
+    table = _census(n)[n]
     parts, _ = _compositions(n)
     m = len(parts)
-    table = _census(n)[n]
     pos = table.find(1)  # 2C + P = 1: index 0
     while pos >= 0:
         i, j = divmod(pos, m)
@@ -157,41 +163,29 @@ def _pair_record(conjecture: str, key: str, top: tuple, bottom: tuple, index: in
     }
 
 
-# The fixed-shape record line: json.dumps(_pair_record(...)) + "\n" for a
-# pair of nonzero index, which is all but a few lines of a sweep. The writer
-# formats it, and a Frobenius line (_frobenius_tail), from these pieces. A
-# key holds only digits, "|", " " and "/", and the conjecture is one of
-# CONJECTURES, so nothing in the line needs escaping.
-_SPEC_SEP = '", "spec": "'
-_INDEX_SEP = '", "index": '
-_PLAIN_TAIL = (
-    ', "frobenius": false'
-    + "".join(f', "{name}": null' for name in SHAPE_FIELDS)
-    + ', "spectrum": null}\n'
-)
+def _cut(rec: dict, key: str) -> tuple[str, str, str]:
+    """json.dumps(rec) + "\n" for the pair record rec of the given key, cut
+    at its key and at its spec, which is the same text: the head before the
+    key, the text between the two, and the tail. Every key holds " / ",
+    which no other text of a record does, so the key is there twice."""
+    head, spec_sep, tail = (json.dumps(rec) + "\n").split(key)
+    return head, spec_sep, tail
 
 
-def _plain_head(conjecture: str) -> str:
-    return f'{{"conjecture": "{conjecture}", "key": "'
+@lru_cache(maxsize=None)
+def _line_pieces(conjecture: str, n: int) -> tuple[str, str, list]:
+    """The head and spec separator of every line of conjecture's pair
+    records, and the tail of each 2C + P <= n a pair of n can have, each cut
+    from the record _pair_record makes. A pair of index 1 or more has a
+    tail set by its index alone, so its record is made with " / " for key.
+    No pair of n >= 1 has 2C + P = 0, and that of 2C + P = 1, a Frobenius
+    pair, is always replaced by its orbit's tail, so both are None."""
 
+    def plain(index: int) -> tuple[str, str, str]:
+        return _cut(_pair_record(conjecture, " / ", (), (), index), " / ")
 
-# The shape fields of a Frobenius line, to be formatted with their JSON
-# literals in SHAPE_FIELDS order.
-_FROBENIUS_FLAGS = "".join(f', "{name}": {{}}' for name in SHAPE_FIELDS)
-_JSON_LITERAL = {True: "true", False: "false", None: "null"}
-
-
-def _frobenius_tail(rec: dict) -> str:
-    """The end of json.dumps(rec) + "\n" for the Frobenius record rec, from
-    its index on: the line is the fixed-shape line's key head, bottom, spec
-    head and bottom followed by this. The spectrum's keys are decimal
-    integers, so they need no escaping either."""
-    # A list, not a map: unpacking a map builds a tuple of guessed size and
-    # resizes it, which runs the cycle collector more often over a sweep.
-    flags = _FROBENIUS_FLAGS.format(*[_JSON_LITERAL[rec[name]] for name in SHAPE_FIELDS])
-    spectrum = rec["spectrum"]
-    values = ", ".join(map('"{}": {}'.format, spectrum, spectrum.values()))
-    return f'{_INDEX_SEP}0, "frobenius": true{flags}, "spectrum": {{{values}}}}}\n'
+    head, spec_sep, _ = plain(1)
+    return head, spec_sep, [None, None] + [plain(gl - 1)[2] for gl in range(2, n + 1)]
 
 
 def _row_records(
@@ -209,10 +203,11 @@ def _row_records(
     nothing would read it.
 
     The text is one join of five pieces per pair, laid out by list repeat
-    and slice assignment: the fixed-shape line's key head, bottom, spec
-    head, bottom, and the tail of the pair's 2C + P. Only the Frobenius
-    bottoms (2C + P = 1) are visited, each found by row.find, and each has
-    its tail replaced by that of its record's line.
+    and slice assignment: the line's head and top, bottom, spec separator
+    and top, bottom, and the tail of the pair's 2C + P, all cut from
+    _pair_record's records by _line_pieces. Only the Frobenius bottoms
+    (2C + P = 1) are visited, each found by row.find, and each has its
+    tail replaced by that cut from its orbit record.
 
     Swapping a pair's compositions, and reversing both, keeps its spectrum,
     so a Frobenius pair's orbit under the two is keyed by its least member
@@ -229,14 +224,10 @@ def _row_records(
     reverse = _reversed_ranks(n)
     top_text = texts[i]
     if write:
-        key_head = f"{_plain_head(conjecture)}{top_text} / "
-        spec_head = f"{_SPEC_SEP}{top_text} / "
-        # The tail of each 2C + P <= n a pair of n can have; that of
-        # 2C + P = 1 is always replaced.
-        ends = [f"{_INDEX_SEP}{gl - 1}{_PLAIN_TAIL}" for gl in range(n + 1)]
-        pieces = [key_head, None, spec_head, None, None] * m
+        head, spec_sep, tails = _line_pieces(conjecture, n)
+        pieces = [f"{head}{top_text} / ", None, f"{spec_sep}{top_text} / ", None, None] * m
         pieces[1::5] = pieces[3::5] = texts
-        pieces[4::5] = map(ends.__getitem__, row)
+        pieces[4::5] = map(tails.__getitem__, row)
     frobenius = []
     ri = reverse[i]
     lo = 0
@@ -248,7 +239,7 @@ def _row_records(
             rec, tail = memo[orbit]
         else:
             rec = _pair_record(conjecture, key, parts[i], parts[j], 0)
-            tail = _frobenius_tail(rec) if write else None
+            tail = _cut(rec, key)[2] if write else None
             memo[orbit] = rec, tail
         frobenius.append((key, rec))
         if write:

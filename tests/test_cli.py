@@ -559,6 +559,21 @@ class TestSweep:
         assert code == 3
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("n", [33, 40, 10**20])
+    def test_n_past_what_a_census_can_index_is_usage_error(self, capsys, tmp_path, n):
+        """The census table of such an n, 4^(n-1) bytes, is past sys.maxsize:
+        the sweep used to end in an OverflowError traceback and exit 1, and
+        leave an empty --out, or, at n = 10^20, grow until memory ran out.
+        It is refused before --out is created."""
+        absent = tmp_path / "absent.ndjson"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--n-max", str(n), "--out", str(absent))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (64, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert not absent.exists()
+
     def test_non_frobenius_base_keeps_resumed_file_bytes(self, capsys, tmp_path):
         # A torn last line would be truncated by the read-back; the base's
         # spectrum is taken first, so even that does not happen.

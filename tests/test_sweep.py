@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -36,6 +37,14 @@ class TestEnumerateFrobenius:
             1, 2, 6, 14, 34, 68, 150, 296, 586, 1140, 2182, 4130,
         ]
 
+    def test_n_past_what_a_census_can_index_is_refused_at_once(self):
+        """The census comes before the 2^(n-1) compositions, which n = 40
+        used to build for minutes, growing to gigabytes, before failing."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than a census can index"):
+            next(enumerate_frobenius(40))
+        assert time.perf_counter() - start < 1
+
     def test_equals_the_frobenius_keys_of_the_sweep_file(self, tmp_path):
         out = tmp_path / "records.ndjson"
         run_sweep(SweepJob(n_max=8, out=str(out)))
@@ -61,6 +70,8 @@ class TestSweepJob:
             SweepJob(resume=True)
         with pytest.raises(ValueError, match="k_max and r_max"):
             SweepJob(k_max=0)
+        with pytest.raises(ValueError, match="4\\^32 composition pairs"):
+            SweepJob(n_max=33)
 
 
 class TestUnimodalitySweep:
@@ -459,9 +470,9 @@ class TestOrbitCensus:
 
 
 class TestRowWriter:
-    """Each row is one join of the fixed-shape pieces of its pairs, with each
-    Frobenius pair's pieces replaced by its line, formatted from the same
-    pieces. A resumed partial row takes the same path."""
+    """Each row is one join of the pieces of its pairs' lines, with each
+    Frobenius pair's tail cut from its orbit record. A resumed partial row
+    takes the same path."""
 
     def test_n9_file_is_pinned(self, tmp_path, each_kernel):
         out = tmp_path / "records.ndjson"
@@ -776,15 +787,41 @@ def fresh_file(path, conjecture="unimodal_2_8", n_max=7):
 
 
 class TestRecordCodec:
-    """The fixed-shape line is written from one set of pieces, and a resume
-    over any cut of a file gives the fresh file and summary."""
+    """Every piece of a line is cut from a record _pair_record makes, and a
+    resume over any cut of a file gives the fresh file and summary."""
 
-    def test_writer_emits_the_codec_line(self, tmp_path):
-        _, lines = fresh_file(tmp_path / "f.ndjson", n_max=2)
-        assert lines[1] == (
-            sweep._plain_head("unimodal_2_8") + "2 / 2" + sweep._SPEC_SEP + "2 / 2"
-            + sweep._INDEX_SEP + "1" + sweep._PLAIN_TAIL
-        ).encode()
+    @pytest.fixture
+    def patched_pair_record(self, monkeypatch):
+        """_pair_record with a field added at each end, and the line pieces
+        cut afresh from it, then again from the real one."""
+        real = sweep._pair_record
+
+        def patched(*args):
+            return {"schema": 2, **real(*args), "source": "patched"}
+
+        monkeypatch.setattr(sweep, "_pair_record", patched)
+        sweep._line_pieces.cache_clear()
+        yield patched
+        sweep._line_pieces.cache_clear()
+
+    @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
+    def test_lines_follow_a_changed_pair_record(
+        self, tmp_path, each_kernel, patched_pair_record, conjecture
+    ):
+        """The record's fields and their order are stated once: a field added
+        to _pair_record reaches every line, plain and Frobenius."""
+        _, lines = fresh_file(tmp_path / "f.ndjson", conjecture, n_max=5)
+        expected = []
+        for n in range(1, 6):
+            tops = [c.parts for c in compositions_of(n)]
+            for top in tops:
+                for bottom in tops:
+                    cycles, paths = meander.component_counts(top, bottom)
+                    key = f"{Composition(top)} / {Composition(bottom)}"
+                    rec = patched_pair_record(conjecture, key, top, bottom, 2 * cycles + paths - 1)
+                    expected.append(json.dumps(rec) + "\n")
+        assert len(lines) == len(expected) == 341
+        assert [line.decode() for line in lines] == expected
 
     @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
     @pytest.mark.parametrize("cut", ["empty", "row boundary", "mid-row", "complete"])
