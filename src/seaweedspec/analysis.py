@@ -11,8 +11,10 @@ recompute both sides of identities that are theorems. A failure of either
 kind can only mean a bug in the engine, so they raise EngineInvariantError
 rather than returning False.
 
-The swap and reverse checks build each seaweed's masked and full matrices
-in one call, and compare g's rows with the partner's columns (read upward,
+The swap and reverse checks read each seaweed's masked and full matrices
+from one _matrices call, whose memo keeps the last two seaweeds' matrices,
+so the swap, reverse and skew checks of one seaweed build its matrices
+once. They compare g's rows with the partner's columns (read upward,
 for the reversal) as zip makes them; the skew check compares the columns
 with each distinct row negated once. A matrix that is not n x n fails
 first, on its shape, so each compare runs once, on square matrices. The
@@ -211,9 +213,13 @@ def _verify_index_map(
     that is not n x n fails first, on its shape. Then equals_flip compares
     a pair without building the flip; only on a mismatch is the flip
     built, and the failure names the first differing entry in g's
-    row-major order.
+    row-major order. The spectra are compared last but computed first: a
+    hit in the matrix memo asks the kernel nothing, so asking for g's
+    spectrum first is what keeps g's walk in the pure kernel's memo when
+    h is walked.
     """
     n = g.n
+    spectra = spectrum(g), spectrum(h)
     labels = ("entry", "extended entry")
     for label, rows, other in zip(labels, _matrices(g), _matrices(h)):
         if not (_is_square(rows, n) and _is_square(other, n)):
@@ -224,7 +230,7 @@ def _verify_index_map(
                 f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is {got} "
                 f"but {partner} has {wanted}"
             )
-    if spectrum(g) != spectrum(h):
+    if spectra[0] != spectra[1]:
         raise EngineInvariantError(f"{name} failure at {g}: spectra differ")
     return True
 

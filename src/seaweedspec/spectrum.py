@@ -17,7 +17,11 @@ and neither does arithmetic per entry: each row of the full matrix is one
 itemgetter pass over a slice of a single table of all possible
 differences, vertices of equal potential share one row tuple, and the
 masked matrix slices each full row to its interval and pads it with
-slices of one tuple of Nones, cut once per block bound. Read by blocks
+slices of one tuple of Nones, cut once per block bound. `_full` and
+`_masked` memoize them by part pair, each holding the last two seaweeds'
+matrices until a third evicts one, so the swap, reverse and skew checks
+of one seaweed build its matrices once under either kernel, and an
+extended matrix is built without a masked one. Read by blocks
 instead, the same mask is the diagonal plus the upper triangle of each
 bottom block plus the lower triangle of each top block, which is how both
 kernels count it. Every arc joins potentials one apart, so a block's
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
@@ -88,14 +93,20 @@ def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:
     normalization pins phi(n) = 0, so phi(i) is the signed arc count of the
     meander path from i to n.
     """
-    phi = kernel.potentials(g.top.parts, g.bottom.parts)
+    return _potentials(g.top.parts, g.bottom.parts)
+
+
+def _potentials(top: tuple, bottom: tuple) -> tuple[int, ...]:
+    """vertex_potentials of the seaweed with these parts."""
+    phi = kernel.potentials(top, bottom)
     if phi is None:
         raise SpectrumUndefinedError(NOT_SINGLE_PATH)
     return phi
 
 
-def _row_spans(g: SeaweedSpec) -> list[tuple[int, int]]:
-    """Half-open 0-based column interval [lo, hi) of each row's admissible cells.
+def _row_spans(top: tuple, bottom: tuple) -> list[tuple[int, int]]:
+    """Half-open 0-based column interval [lo, hi) of each row's admissible
+    cells, for the seaweed with these parts.
 
     (i, j) is admissible when i's top block index is at most j's and i's
     bottom block index is at least j's. Since block indices never decrease,
@@ -104,10 +115,10 @@ def _row_spans(g: SeaweedSpec) -> list[tuple[int, int]]:
     diagonal.
     """
     starts = []
-    for lo, p in zip(accumulate(g.top.parts, initial=0), g.top.parts):
+    for lo, p in zip(accumulate(top, initial=0), top):
         starts += [lo] * p
     ends = []
-    for hi, p in zip(accumulate(g.bottom.parts), g.bottom.parts):
+    for hi, p in zip(accumulate(bottom), bottom):
         ends += [hi] * p
     return list(zip(starts, ends))
 
@@ -132,23 +143,43 @@ def _difference_rows(phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(rows.__getitem__, phi))
 
 
+# The swap and reverse checks ask for a seaweed and then its partner, so one
+# entry would never hit; a non-Frobenius seaweed raises and leaves no entry.
+@lru_cache(maxsize=2)
+def _full(top: tuple, bottom: tuple) -> tuple[tuple[int, ...], ...]:
+    """The full matrix of the seaweed with these parts: _difference_rows of
+    its potentials."""
+    return _difference_rows(_potentials(top, bottom))
+
+
+@lru_cache(maxsize=2)
+def _masked(top: tuple, bottom: tuple) -> tuple[tuple[int | None, ...], ...]:
+    """The masked matrix of the seaweed with these parts, cut from _full's
+    rows.
+
+    Row i is None, then full row i over its admissible interval (see
+    _row_spans), then None again; the pads are slices of one tuple of n
+    Nones, cut once per distinct block bound.
+    """
+    full = _full(top, bottom)
+    nones = (None,) * len(full)
+    heads = {lo: nones[:lo] for lo in accumulate(top, initial=0)}
+    tails = {hi: nones[hi:] for hi in accumulate(bottom)}
+    return tuple(
+        heads[lo] + row[lo:hi] + tails[hi] for row, (lo, hi) in zip(full, _row_spans(top, bottom))
+    )
+
+
 def _matrices(g: SeaweedSpec):
     """(masked, full): both eigenvalue matrices of g, from one walk and one
     difference table.
 
-    full is _difference_rows of the potentials. Masked row i is None, then
-    full row i over its admissible interval (see _row_spans), then None
-    again; the pads are slices of one tuple of n Nones, cut once per
-    distinct block bound.
+    Both are memo entries (see _masked and _full), so a repeat call returns
+    the same tuples: the memos hold at most two seaweeds' n x n masked
+    matrices and two full tables, each kept until a third seaweed evicts it.
     """
-    full = _difference_rows(vertex_potentials(g))
-    nones = (None,) * g.n
-    heads = {lo: nones[:lo] for lo in accumulate(g.top.parts, initial=0)}
-    tails = {hi: nones[hi:] for hi in accumulate(g.bottom.parts)}
-    masked = tuple(
-        heads[lo] + row[lo:hi] + tails[hi] for row, (lo, hi) in zip(full, _row_spans(g))
-    )
-    return masked, full
+    parts = g.top.parts, g.bottom.parts
+    return _masked(*parts), _full(*parts)
 
 
 def spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int | None, ...], ...]:
@@ -157,7 +188,7 @@ def spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int | None, ...], ...]:
     Row i, column j (1-based in math terms) sits at [i-1][j-1]; see
     _matrices.
     """
-    return _matrices(g)[0]
+    return _masked(g.top.parts, g.bottom.parts)
 
 
 def extended_spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int, ...], ...]:
@@ -165,9 +196,10 @@ def extended_spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int, ...], ...]:
 
     Rows of vertices with equal potential are the same tuple object, so
     the matrix holds one row per distinct potential. This is _matrices's
-    full matrix, built without the masked one.
+    full matrix, read from its memo (kept for the last two seaweeds) and
+    built, on a miss, without the masked one.
     """
-    return _difference_rows(vertex_potentials(g))
+    return _full(g.top.parts, g.bottom.parts)
 
 
 def matrix_text(rows) -> str:

@@ -325,8 +325,10 @@ def run_unimodality_sweep(job: SweepJob) -> dict:
     counterexamples = []
     collect = job.conjecture == "unimodal_2_8"
 
+    # One census per run, built before --out is opened, so that a census
+    # that fails to allocate leaves no file behind and a resumed one as it was.
+    census = _census(job.n_max)
     with _RecordFile(job.out, job.resume) if job.out else contextlib.nullcontext() as out:
-        census = _census(job.n_max)  # one per run
         for n in range(job.n_min, job.n_max + 1):
             m = len(_compositions(n)[0])
             pairs += m * m

@@ -1,6 +1,7 @@
 """Shared fixtures: the compiled kernel, built from source for the tests, a
 parametrisation that runs a test under each kernel, and the pure kernel's
-walk memo, cleared before each test and watched by pure_walks."""
+walk memo and spectrum's matrix memos, cleared before each test, the walks
+watched by pure_walks."""
 
 import importlib
 import importlib.util
@@ -22,6 +23,8 @@ from seaweedspec import _engine, _kernel
 # module that binds the kernel and no module binds a swapped-in one later.
 for _info in pkgutil.iter_modules(seaweedspec.__path__):
     importlib.import_module(f"seaweedspec.{_info.name}")
+# The package binds the name spectrum to the function, so fetch the module.
+spectrum_module = importlib.import_module("seaweedspec.spectrum")
 
 WALK_C = Path(__file__).resolve().parent.parent / "src" / "seaweedspec" / "_walk.c"
 
@@ -96,9 +99,13 @@ def each_kernel(request, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_walk_memo():
-    """Clear the pure kernel's memo of its last walks before each test, so
-    that a test that patches a walk internal reads its own walk."""
+    """Clear the pure kernel's memo of its last walks, and spectrum's memos
+    of its last matrices, before each test, so that a test that patches a
+    walk internal reads its own walk and no matrix built under one kernel
+    is read under the other."""
     _kernel._path.cache_clear()
+    spectrum_module._full.cache_clear()
+    spectrum_module._masked.cache_clear()
 
 
 @pytest.fixture

@@ -906,6 +906,33 @@ def test_census_beyond_memory_is_refused_at_once(child_env):
     assert elapsed < 3
 
 
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_census_beyond_memory_leaves_the_record_file_as_it_was(child_env, tmp_path, resume):
+    """The census is built before --out is opened: a fresh run that fails
+    to allocate it leaves no file, and a resumed one leaves its file,
+    torn last line and all, byte for byte as it was."""
+    out = tmp_path / "records.ndjson"
+    argv = ["sweep", "--n-max", "17", "--out", str(out)]
+    if resume:
+        before = b'{"conjecture": "unimodal_2_8", "key": "1 / 1", "spec": "1 / 1", "index": 0'
+        out.write_bytes(before)
+        argv.append("--resume")
+    done = subprocess.run(
+        console_command() + argv,
+        capture_output=True,
+        text=True,
+        env=child_env,
+        preexec_fn=limit_address_space,
+    )
+    assert (done.returncode, done.stdout) == (64, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    if resume:
+        assert out.read_bytes() == before
+    else:
+        assert not out.exists()
+
+
 HUGE = "99999999999999999999"
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,9 @@ from seaweedspec import (
     render_svg,
     spectrum,
     spectrum_matrix,
+    verify_reverse_lemma,
+    verify_skew_symmetry,
+    verify_swap_lemma,
     vertex_potentials,
 )
 from seaweedspec._engine import kernel
@@ -42,6 +47,9 @@ from seaweedspec.spectrum import (
     _row_spans,
 )
 from strategies import LARGE_POINTS, orientations, seaweeds
+
+# The package binds the name spectrum to the function, so fetch the module.
+spectrum_module = importlib.import_module("seaweedspec.spectrum")
 
 
 def all_pairs(max_n):
@@ -138,9 +146,8 @@ class TestVertexPotentials:
 
 def span_cells(g):
     """The 1-based cells (i, j) that _row_spans admits in each row i."""
-    return {
-        (i, j) for i, (lo, hi) in enumerate(_row_spans(g), start=1) for j in range(lo + 1, hi + 1)
-    }
+    spans = _row_spans(g.top.parts, g.bottom.parts)
+    return {(i, j) for i, (lo, hi) in enumerate(spans, start=1) for j in range(lo + 1, hi + 1)}
 
 
 class TestShapeMask:
@@ -236,6 +243,64 @@ class TestMatrices:
                     assert masked[i - 1][j - 1] == full[i - 1][j - 1]
                 else:
                     assert masked[i - 1][j - 1] is None
+
+
+class TestMatrixMemo:
+    """spectrum keeps the masked and full matrices of the last two part
+    pairs, so the swap, reverse and skew checks of one seaweed build its
+    matrices, and those of its swap and its reversal, once each."""
+
+    G = "2|2|9 / 3|4|2|4"
+
+    def counting(self, monkeypatch, names):
+        calls = Counter()
+        for owner, attr in names:
+            fn = getattr(owner, attr)
+
+            def counted(*args, fn=fn, attr=attr):
+                calls[attr] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    def test_three_checks_build_three_of_each_matrix(self, monkeypatch, each_kernel):
+        calls = self.counting(monkeypatch, [
+            (spectrum_module.kernel, "potentials"),
+            (spectrum_module, "_difference_rows"),
+            (spectrum_module, "_row_spans"),
+        ])
+        g = parse_seaweed(self.G)
+        assert verify_swap_lemma(g) and verify_reverse_lemma(g) and verify_skew_symmetry(g)
+        assert calls == {"potentials": 3, "_difference_rows": 3, "_row_spans": 3}
+
+    def test_a_hit_returns_the_matrices_themselves(self, each_kernel):
+        g = parse_seaweed(self.G)
+        masked, full = spectrum_module._matrices(g)
+        extended_spectrum_matrix(g.swapped())  # the other entry
+        assert spectrum_matrix(g) is masked
+        assert extended_spectrum_matrix(g) is full
+        again = spectrum_module._matrices(g)
+        assert again[0] is masked and again[1] is full
+
+    def test_the_extended_matrix_builds_no_masked_one(self, monkeypatch):
+        calls = self.counting(monkeypatch, [(spectrum_module, "_row_spans")])
+        g = parse_seaweed(self.G)
+        phi = oracle_potentials(g.top.parts, g.bottom.parts)
+        assert extended_spectrum_matrix(g) == tuple(tuple(p - x for x in phi) for p in phi)
+        assert spectrum_module._masked.cache_info().currsize == 0
+        assert calls == {}
+
+    @pytest.mark.parametrize("matrix", [spectrum_matrix, extended_spectrum_matrix])
+    def test_a_seaweed_off_a_single_path_raises_each_time_and_leaves_no_entry(
+        self, each_kernel, matrix
+    ):
+        g = parse_seaweed("2|2 / 4")
+        for _ in range(2):
+            with pytest.raises(SpectrumUndefinedError, match=NOT_SINGLE_PATH):
+                matrix(g)
+        assert spectrum_module._full.cache_info().currsize == 0
+        assert spectrum_module._masked.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
