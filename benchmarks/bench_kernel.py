@@ -1,12 +1,13 @@
 """Time the compiled kernel (``_walk``) against the pure-Python ``_kernel``,
-and optionally against a second built ``_walk``.
+and optionally against a baseline: a second built ``_walk`` or a second
+pure ``_kernel.py``.
 
 Three input sets, each timed under every kernel. Each timing is the best of
 REPEAT passes, and within a pass the kernels take turns, so that a change
-in the host's speed reaches all of them alike. Every pass starts with the
+in the host's speed reaches all of them alike. Every pass starts with each
 pure kernel's walk memo cleared: the one-point rows (the k2 group at
 n = 4,043 and every crossover point) repeat one seaweed in each pass, so
-from the second pass on the pure kernel would read its walk from the memo,
+from the second pass on a pure kernel would read its walk from the memo,
 and its best pass would time no walk:
 
 * every Frobenius pair up to --n-max (from ``enumerate_frobenius``, which
@@ -14,7 +15,7 @@ and its best pass would time no walk:
   then the spectrum histogram;
 * the seeded family points of perfbench's ``query_large`` workload at
   n ~ 10^2, 10^3 and 4*10^3, drawn as ``perfbench/run.py --seed 7`` draws
-  them: ``potentials``, ``spectrum_counts`` and, in the pure kernel only,
+  them: ``potentials``, ``spectrum_counts`` and, in each pure kernel,
   ``difference_counts`` of the potentials (the extended spectrum), summed
   over the points of each size. These are the kernel layers under that
   workload's end-to-end ``wall_s``;
@@ -23,10 +24,15 @@ and its best pass would time no walk:
   pair loop, and one r-block point of short blocks only. Each row gives the
   largest part and ``spectrum_counts`` under every kernel.
 
---baseline PATH loads the ``_walk`` extension file at PATH, for example one
-built from an earlier commit, without registering it in ``sys.modules``,
-so the package keeps the kernel it picked at import; it is timed as
-"baseline" next to the others.
+--baseline PATH loads the kernel at PATH, the ``_walk`` extension file built
+from an earlier commit or that commit's pure ``_kernel.py`` (a path ending
+in ``.py``), without registering it in ``sys.modules``, so the package
+keeps the kernel it picked at import; it is timed as "baseline" next to the
+others, ``difference_counts`` too when it is pure. A pure-kernel change is
+timed against its parent in one process with
+
+    git show HEAD~1:src/seaweedspec/_kernel.py > ../parent_kernel.py
+    PYTHONPATH=src python benchmarks/bench_kernel.py --baseline ../parent_kernel.py
 
 Run from the repository root; build the extension in place first to time
 the compiled kernel too:
@@ -75,10 +81,12 @@ def frobenius_pairs(n_max):
     ]
 
 
-def run(fn, calls):
-    """Seconds to call fn on each argument tuple of calls, from a cold pure
-    walk memo."""
-    _kernel._path.cache_clear()
+def run(kernel, name, calls):
+    """Seconds to call kernel's function name on each argument tuple of
+    calls, from a cold walk memo if the kernel keeps one."""
+    if hasattr(kernel, "_path"):
+        kernel._path.cache_clear()
+    fn = getattr(kernel, name)
     t0 = time.perf_counter()
     for args in calls:
         fn(*args)
@@ -88,7 +96,7 @@ def run(fn, calls):
 def best(kernels, name, calls):
     """Best of REPEAT passes of each kernel's function name over calls, in
     ms by kernel, the kernels taking turns within each pass."""
-    passes = [[run(getattr(kernel, name), calls) for _, kernel in kernels] for _ in range(REPEAT)]
+    passes = [[run(kernel, name, calls) for _, kernel in kernels] for _ in range(REPEAT)]
     return [min(times) * 1e3 for times in zip(*passes)]
 
 
@@ -101,9 +109,11 @@ def query_points():
     return sorted(groups.items())
 
 
-def load_walk(path):
-    """The _walk extension at path, loaded but not registered."""
-    spec = importlib.util.spec_from_file_location("seaweedspec._walk", path)
+def load_kernel(path):
+    """The kernel at path, a _walk extension or a pure _kernel.py, loaded
+    but not registered."""
+    name = "baseline_kernel" if path.endswith(".py") else "seaweedspec._walk"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -112,7 +122,9 @@ def load_walk(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=10)
-    parser.add_argument("--baseline", metavar="PATH", help="a built _walk to time as well")
+    parser.add_argument(
+        "--baseline", metavar="PATH", help="a built _walk or a pure _kernel.py to time as well"
+    )
     args = parser.parse_args()
 
     kernels = [("pure", _kernel)]
@@ -122,7 +134,7 @@ def main():
     except ImportError:
         print("compiled kernel not built; timing the pure kernel only")
     if args.baseline:
-        kernels.append(("baseline", load_walk(args.baseline)))
+        kernels.append(("baseline", load_kernel(args.baseline)))
     names = [name for name, _ in kernels]
 
     pairs = frobenius_pairs(args.n_max)
@@ -142,8 +154,9 @@ def main():
         for name, p, h in zip(names, phi, hist):
             print(f"  {name:>10}: potentials {p:8.2f}, spectrum_counts {h:8.2f}")
         phis = [(_kernel.potentials(t, b),) for t, b in group]
-        diff = best([("pure", _kernel)], "difference_counts", phis)[0]
-        print(f"  {'pure':>10}: difference_counts {diff:8.2f}")
+        pure = [(name, k) for name, k in kernels if hasattr(k, "difference_counts")]
+        for (name, _), diff in zip(pure, best(pure, "difference_counts", phis)):
+            print(f"  {name:>10}: difference_counts {diff:8.2f}")
 
     print(f"crossover points, spectrum_counts, best of {REPEAT}, ms:")
     print(f"  {'seaweed':>22} {'n':>6} {'max part':>8} " + " ".join(f"{n:>8}" for n in names))

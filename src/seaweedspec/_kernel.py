@@ -24,7 +24,7 @@ reversal partner, which the lemma checks ask for in turn; with one entry
 the partner would evict the seaweed before its second use. The memo holds
 at most two walks, each one tuple of n ints. Nothing mutates a walk:
 potentials returns the memo's tuple itself, and spectrum_counts slices
-its blocks from it and negates copies. A test that patches a walk
+its blocks from it, reversing a top block's. A test that patches a walk
 internal clears the memo first (``_path.cache_clear()``).
 
 Here the passes over whole vertex and count vectors run inside builtins
@@ -37,13 +37,17 @@ side's parts:
     side flag or arc counter (the pass number gives the count), and long
     blocks fill their partner arrays by slice assignment;
   * on a single path the right half of a block mirrors the left, one
-    apart, so a block of p vertices costs one product of the count vector
-    of its p // 2 left-half values instead of p^2 / 2 pair steps (see
-    _add_block); blocks of 1 and 2 need no call at all (see
-    spectrum_counts);
+    apart, so a long block of p vertices costs one product of the count
+    vector of its p // 2 left-half values instead of p^2 / 2 pair steps,
+    and its four terms (the left half's differences, those raised by 1,
+    and an odd block's two middle terms) are summed inside that packed
+    product and reach the histogram in one slice pass (see _add_block and
+    _fold); a top block is read reversed, not negated, and blocks of 1 to
+    4 have closed forms and need no call at all (see spectrum_counts);
+    the histogram spans only the potentials' range;
   * a product packs each count into the narrowest machine digit that
-    holds sum c^2, the count of zero differences, which by Cauchy-Schwarz
-    bounds every digit (see difference_counts).
+    holds its largest sum, which Cauchy-Schwarz bounds by sum c^2, the
+    count of zero differences (see difference_counts and _fold).
 
 This module trusts its inputs: parts are positive ints in tuples, which
 the memo hashes, and both tuples have the same sum. Every caller in the
@@ -70,7 +74,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import compress
-from operator import add, mul, neg
+from operator import add, mul
 from sys import byteorder
 
 #: Blocks whose left half holds at most this many vertices set their
@@ -168,7 +172,7 @@ def potentials(top, bottom):
 
 
 # array typecodes by item size, smallest first: a digit takes the first
-# that holds it (see _self_differences).
+# that holds it (see _digits).
 _DIGIT_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
 
 
@@ -181,53 +185,92 @@ def _tally(xs):
     return lo, c
 
 
-def _pack(counts, code):
-    return int.from_bytes(array(code, counts).tobytes(), byteorder)
+def _digits(bound):
+    """(size, code): the narrowest array item, its size in bytes and its
+    typecode, that holds every count up to bound."""
+    most = bound.bit_length()
+    return next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
 
 
-def _self_differences(xs):
-    """(lo, c, rev, counts) for D(xs) = {x - y : x, y in xs}: lo and c as
-    from _tally, rev = c reversed, and counts[k] the number of pairs whose
-    difference is 1 - len(c) + k, that is sum_i c[i] * rev[k - i].
-
-    counts is exact through one big-int product (Kronecker substitution):
-    c and rev are packed into ints, one fixed-width digit per entry, and
-    digit k of their product is the sum above. Its largest digit, the
-    zeros, is sum c^2 (see difference_counts), so a digit as wide as the
-    smallest machine integer that holds sum c^2 never carries into the
-    next, and packing and unpacking go through an array of that type. Ints
-    and arrays both use the native byte order, which keeps the digits in
-    the same order on either endianness.
-    """
-    lo, c = _tally(xs)
-    rev = c[::-1]
-    most = sum(map(mul, c, c)).bit_length()
-    size, code = next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
-    product = _pack(c, code) * _pack(rev, code)
-    raw = product.to_bytes((2 * len(c) - 1) * size, byteorder)
-    return lo, c, rev, array(code, raw).tolist()
+def _pack(c, code):
+    """c and c reversed, each packed into an int, one digit of typecode
+    code per entry, the first entry in the lowest digit."""
+    digits = array(code, c)
+    packed = int.from_bytes(digits, byteorder)
+    digits.reverse()
+    return packed, int.from_bytes(digits, byteorder)
 
 
 def difference_counts(xs):
     """The multiset {x - y : x, y in xs} as an ascending value -> count dict
     without zero counts; xs is a nonempty int sequence.
 
-    The count vector c of xs times c reversed, through _self_differences:
-    digit k counts the pairs whose difference is 1 - len(c) + k. By
-    Cauchy-Schwarz every digit, an inner product of c with a shift of
-    itself, is at most sum c^2, the zeros' digit, which sets the digit
-    width. For the potentials of the k2 point at n = 4,043 that is 8,083,
-    two-byte digits, where len(xs)^2 is over 16 million.
+    With c the count vector of xs from _tally, the count of difference
+    1 - len(c) + k is sum_i c[i] * rev[k - i], rev = c reversed, and one
+    big-int product gets them all (Kronecker substitution): c and rev are
+    packed into ints, one fixed-width digit per entry, and digit k of their
+    product is that sum. By Cauchy-Schwarz every digit, an inner product of
+    c with a shift of itself, is at most sum c^2, the zeros' digit, so a
+    digit as wide as the smallest machine integer that holds sum c^2 never
+    carries into the next, and packing and unpacking go through an array of
+    that type. Ints and arrays both use the native byte order, which keeps
+    the digits in the same order on either endianness. For the potentials
+    of the k2 point at n = 4,043 sum c^2 is 8,083, two-byte digits, where
+    len(xs)^2 is over 16 million.
     """
-    _, c, _, counts = _self_differences(xs)
+    _, c = _tally(xs)
+    size, code = _digits(sum(map(mul, c, c)))
+    packed, reverse = _pack(c, code)
+    product = packed * reverse
+    counts = array(code, product.to_bytes((2 * len(c) - 1) * size, byteorder))
     start = 1 - len(c)
     return dict(compress(zip(range(start, start + len(counts)), counts), counts))
 
 
+def _fold(half, m):
+    """(start, counts) where counts[k] counts the difference start + k in
+        D(L) + (D(L) + 1) + {x - m : x in L} + {m + 1 - x : x in L},
+    the four terms of a long block's triangle (see _add_block), with L
+    the values half and D(L) = {x - y : x, y in L}; the last two only for
+    an odd block, m its middle value, and not when m is None.
+
+    All four are summed inside one packed int, one fixed-width digit per
+    difference, as in difference_counts. With c the count vector of L from
+    lo to hi = lo + w - 1, c packed times c reversed packed is D(L), over
+    1 - w to w - 1; that product shifted one digit up and added to itself
+    is D(L) + (D(L) + 1), over 1 - w to w; and c packed, shifted to start
+    at lo - m, and c reversed packed, shifted to start at m + 1 - hi, add
+    the last two. The map v -> 1 - v takes D(L) to D(L) + 1 and x - m to
+    m + 1 - x, so the sum runs from 1 - r to r, with r = w or, for an odd
+    block, the largest of w, hi - m and m + 1 - lo; digit k holds the
+    difference 1 - r + k. One digit of the sum is at most two digits of
+    D(L), each at most sum c^2 (see difference_counts), plus one entry
+    each of c and c reversed, so a digit that holds 2 sum c^2 + 2 max c
+    never carries.
+    """
+    lo, c = _tally(half)
+    w = len(c)
+    size, code = _digits(2 * (sum(map(mul, c, c)) + max(c)))
+    bits = 8 * size
+    packed, reverse = _pack(c, code)
+    folded = packed * reverse
+    folded += folded << bits
+    r = w
+    if m is not None:
+        r = max(w, lo + w - 1 - m, m + 1 - lo)
+        folded = (
+            (folded << (r - w) * bits)
+            + (packed << (lo - m + r - 1) * bits)
+            + (reverse << (m + r + 1 - lo - w) * bits)
+        )
+    return 1 - r, array(code, folded.to_bytes(2 * r * size, byteorder))
+
+
 def _add_block(xs, hist, off):
     """Add U(xs) = {xs[a] - xs[b] : a < b} into hist, where hist[d + off]
-    counts the difference d; xs are the potentials of one block, negated
-    for a top block, so xs[p-1-i] = xs[i] - 1 for every i < h = p // 2.
+    counts the difference d; xs are the potentials of one block, lowered by
+    one to the right of their middle: xs[p-1-i] = xs[i] - 1 for every
+    i < h = p // 2.
 
     Splitting xs into its left half L = xs[:h], the middle m = xs[h] (odd p
     only) and the right half, which is L reversed and lowered by 1:
@@ -240,14 +283,13 @@ def _add_block(xs, hist, off):
     diagonal zeros, so
         U(xs) = D(L) + (D(L) + 1) - h * {0}
                 + {x - m : x in L} + {m + 1 - x : x in L}.
-    With c the count vector of L from its least value lo to its greatest
-    hi, D(L) is c convolved with c reversed (see _self_differences), and
-    the last two are c added at x - m = lo - m onwards and c reversed added
-    at m + 1 - hi onwards: one product and four slice additions instead of
-    p^2 / 2 pair steps. Halves of at most _SHORT_HALF count pair by pair
-    instead. The compiled kernel calls this too, for each block past its own
-    SHORT_HALF, with hist a zeroed list of 2 * off + 1 counts and off the
-    span max(xs) - min(xs), which bounds every difference.
+    _fold sums the four terms inside one packed product of the count
+    vector of L, and they reach hist in one slice pass: p^2 / 2 pair steps
+    become one product and one pass. Halves of at most _SHORT_HALF count
+    pair by pair instead. The compiled kernel calls this too, for each
+    block past its own SHORT_HALF, with hist a zeroed list of 2 * off + 1
+    counts and off the span max(xs) - min(xs), which bounds every
+    difference.
     """
     p = len(xs)
     h = p // 2
@@ -257,19 +299,11 @@ def _add_block(xs, hist, off):
             for y in xs[a + 1 :]:
                 hist[xa - y] += 1
         return
-    lo, c, rev, counts = _self_differences(xs[:h])
-    w = len(c)
-    at = off + 1 - w  # D(L) runs from lo - hi = 1 - w to w - 1
-    end = off + w
+    start, counts = _fold(xs[:h], xs[h] if p % 2 else None)
+    at = off + start
+    end = at + len(counts)
     hist[at:end] = map(add, hist[at:end], counts)
-    hist[at + 1 : end + 1] = map(add, hist[at + 1 : end + 1], counts)
     hist[off] -= h
-    if p % 2:
-        m = xs[h]
-        at = lo - m + off
-        hist[at : at + w] = map(add, hist[at : at + w], c)
-        at = m + 2 - w - lo + off  # m + 1 - hi, with hi = lo + w - 1
-        hist[at : at + w] = map(add, hist[at : at + w], rev)
 
 
 def spectrum_counts(top, bottom):
@@ -292,31 +326,42 @@ def spectrum_counts(top, bottom):
 
     On a single path every arc joins potentials one apart: a bottom arc
     {s+i, e-i} of a block [s..e] has phi(e-i) = phi(s+i) - 1 and a top arc
-    has phi(e-i) = phi(s+i) + 1, so on either side the values xs whose U
-    is wanted satisfy xs[p-1-i] = xs[i] - 1. So a block of 1 adds nothing
-    and a block of 2, (a, a - 1), adds one 1; those 1s come from one
-    count() of each side's parts. Every other block reads its triangle off
-    its left half (see _add_block).
+    has phi(e-i) = phi(s+i) + 1. A top block needs no negated copy:
+    U(-xs) = {xs[b] - xs[a] : a < b} is U of xs reversed, and on a top
+    block xs reversed drops by one to the right of its middle, as a bottom
+    block's xs does. So a block of 1 adds nothing and a block of 2 adds one
+    1; those 1s come from one count() of each side's parts. With
+    d = xs[0] - xs[1], xs phi on a bottom block and -phi on a top one, a
+    block of 3, (a, b, a - 1), adds {1, d, 1 - d}, and a block of 4,
+    (a, b, b - 1, a - 1), adds {1, 1, d, d + 1, -d, 1 - d}. Every longer
+    block, top blocks reversed, reads its triangle off its left half (see
+    _add_block). No difference exceeds the span of the potentials, which
+    sizes the histogram.
     """
     phi = _path(top, bottom)
     if phi is None:
         return None
 
-    # Potentials span at most n - 1 (the path has n - 1 arcs), and so does
-    # every difference; no difference depends on where phi is pinned to 0.
-    n = len(phi)
-    off = n - 1
-    hist = [0] * (2 * n - 1)
-    hist[off] = n
+    off = max(phi) - min(phi)
+    hist = [0] * (2 * off + 1)
+    hist[off] = len(phi)
     ones = top.count(2) + bottom.count(2)
-    if ones:
-        hist[off + 1] += ones
-    for parts, negate in ((bottom, False), (top, True)):
+    for parts, sign in ((bottom, 1), (top, -1)):
         s = 0
         for p in parts:
-            if p > 2:
+            if p > 4:
                 xs = phi[s : s + p]
-                _add_block(list(map(neg, xs)) if negate else xs, hist, off)
+                _add_block(xs if sign > 0 else xs[::-1], hist, off)
+            elif p > 2:
+                d = sign * (phi[s] - phi[s + 1])
+                if p == 4:
+                    hist[off - d] += 1
+                    hist[off + 1 + d] += 1
+                hist[off + d] += 1
+                hist[off + 1 - d] += 1
+                ones += p - 2
             s += p
+    if ones:
+        hist[off + 1] += ones
 
-    return dict(compress(zip(range(-off, n), hist), hist))
+    return dict(compress(zip(range(-off, off + 1), hist), hist))

@@ -127,11 +127,16 @@ static int walk(Meander *m)
     return arcs == m->n - 1;
 }
 
-/* The longest left half that counts pair by pair here, not by the product in
-   _kernel._add_block. On a 2-vCPU x86-64 host (Python 3.11.7, gcc 12) the two
-   are level at halves of about 430-530 on k2, k1k, k-4r, 2k|1 / 1|2k and
-   2k|1|1 / 2k+2, below 352 on k2k, and of 1,000-1,100 on k-2r and k-2r+1,
-   whose halves take values two apart, so their count vectors are twice as long. */
+/* The longest left half that counts pair by pair here, not by the folded
+   product of _kernel._add_block. Timing a whole seaweed built with SHORT_HALF
+   at 0 (every block delegated) against one at 10^9 (none), on a 2-vCPU x86-64
+   host (Python 3.11.7, gcc 12), the two are level at halves of about 350-400
+   on k2, k2k, k-4r, 2k|1 / 1|2k and 2k|1|1 / 2k+2, and of about 700-900 on
+   k1k, whose two shorter blocks have half its longest half, and on k-2r and
+   k-2r+1, whose halves take values two apart, so their count vectors are
+   twice as long. At 512, delegating takes about 0.6-0.8x the pair loop's time
+   on the first five and 1.1-1.4x on the last three; a lower constant would
+   slow the last three further and a higher one the first five, so it stays. */
 #ifndef SHORT_HALF
 #define SHORT_HALF 512
 #endif

@@ -26,8 +26,10 @@ instead, the same mask is the diagonal plus the upper triangle of each
 bottom block plus the lower triangle of each top block, which is how both
 kernels count it. Every arc joins potentials one apart, so a block's
 right half is its left half mirrored and lowered by one (raised, for a top
-block); the pure kernel reads each triangle off the differences within the
-left half alone, and the compiled kernel hands it every long block. The
+block); the pure kernel reads a long block's triangle off one packed
+product over the left half alone, which sums all of its terms, and a block
+of at most 4 vertices off a closed form, and the compiled kernel hands it
+every long block. The
 spectrum is that multiset with one zero removed; the extended spectrum drops
 the mask and uses all n^2 positions instead. _spectrum_of is the one reader
 of the kernel's histogram, for this module and the sweeps alike: None off a

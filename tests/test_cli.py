@@ -906,6 +906,25 @@ def test_census_beyond_memory_is_refused_at_once(child_env):
     assert elapsed < 3
 
 
+def test_odd_range_beyond_memory_is_refused_at_once(child_env):
+    """An :odd range is listed from a stepped range, so one too long to
+    list fails to allocate at once, as the same range without :odd does,
+    where testing each value first took over 4 s."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        console_command() + ["verify-family", "k1", "--k", "1..10000000000:odd"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        preexec_fn=limit_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (64, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    assert elapsed < 3
+
+
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
 def test_census_beyond_memory_leaves_the_record_file_as_it_was(child_env, tmp_path, resume):
     """The census is built before --out is opened: a fresh run that fails

@@ -4,7 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import graph_components, mask_histogram, oracle_potentials, oracle_spectrum
@@ -16,6 +16,7 @@ from seaweedspec import (
     _engine,
     _kernel,
     cli,
+    families,
     compositions_of,
     extended_spectrum,
     family_spec,
@@ -311,22 +312,20 @@ def frobenius_pairs_through_10():
 def test_spectrum_counts_do_not_depend_on_the_short_half(
     monkeypatch, frobenius_pairs_through_10, short_half
 ):
-    """At 0 every block of 3 or more vertices takes the product, and none
-    does at 10**9; blocks of 1 and 2 never reach one."""
+    """At 0 every block of 5 or more vertices takes the product, and none
+    does at 10**9; blocks of 1 to 4 never reach one."""
     assert len(frobenius_pairs_through_10) == 2297
     monkeypatch.setattr(_kernel, "_SHORT_HALF", short_half)
     products = []
-    self_differences = _kernel._self_differences
+    fold = _kernel._fold
     monkeypatch.setattr(
-        _kernel,
-        "_self_differences",
-        lambda xs: products.append(len(xs)) or self_differences(xs),
+        _kernel, "_fold", lambda half, m: products.append(len(half)) or fold(half, m)
     )
     for top, bottom in frobenius_pairs_through_10:
         products.clear()
         got = _kernel.spectrum_counts(top, bottom)
         assert list(got.items()) == list(mask_histogram(top, bottom).items())
-        halves = [p // 2 for p in top + bottom if p > 2]
+        halves = [p // 2 for p in top + bottom if p > 4]
         assert sorted(products) == (sorted(halves) if short_half == 0 else [])
 
 
@@ -412,6 +411,36 @@ def test_spectrum_counts_match_oracle_past_the_short_half(pair):
     top, bottom = pair
     assume(max(top + bottom) > 2 * _kernel._SHORT_HALF)
     assume(graph_components(top, bottom) == (0, 1))
+    got = _kernel.spectrum_counts(top, bottom)
+    assert list(got.items()) == list(mask_histogram(top, bottom).items())
+
+
+@st.composite
+def family_points(draw):
+    """A family point at n of 40 to 200 in any orientation: across draws
+    its blocks take in long halves of either parity on either side, blocks
+    of 4 (k-4r, k-4r+2) and, at k = 1, a block of 3 (k-4r, k-4r+2)."""
+    f = draw(st.sampled_from(list(FamilyId)))
+    row = families.FAMILIES[f]
+    k = draw(st.integers(row.k_min, 99)) | row.odd_k
+    r = draw(st.integers(1, 49)) if "r" in row.params else None
+    g = family_spec(f, k, r)
+    assume(40 <= g.n <= 200)
+    return draw(st.sampled_from(orientations(g)))
+
+
+@settings(max_examples=60)
+@given(family_points())
+@example(family_spec(FamilyId.K4R, 1, 12))  # a bottom block of 3 among 4s
+@example(family_spec(FamilyId.K4R_PLUS2, 1, 12).swapped())  # a top block of 3 among 4s
+@example(family_spec(FamilyId.K4R, 17, 10).swapped())  # long odd blocks on both sides
+@example(family_spec(FamilyId.K_2R, 20, 10).reversed())  # long even top, long odd bottom
+@example(family_spec(FamilyId.K1K, 40))  # long odd and even top, long odd bottom
+@example(family_spec(FamilyId.TWOK1_12K, 30))  # long even blocks on both sides
+def test_spectrum_counts_match_oracle_on_family_points(g):
+    """The pure histogram, folded long blocks, top blocks read off phi
+    itself and the closed forms of blocks of 3 and 4, against the mask."""
+    top, bottom = g.top.parts, g.bottom.parts
     got = _kernel.spectrum_counts(top, bottom)
     assert list(got.items()) == list(mask_histogram(top, bottom).items())
 
