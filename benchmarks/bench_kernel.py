@@ -4,11 +4,10 @@ pure ``_kernel.py``.
 
 Three input sets, each timed under every kernel. Each timing is the best of
 REPEAT passes, and within a pass the kernels take turns, so that a change
-in the host's speed reaches all of them alike. Every pass starts with each
-pure kernel's walk memo cleared: the one-point rows (the k2 group at
-n = 4,043 and every crossover point) repeat one seaweed in each pass, so
-from the second pass on a pure kernel would read its walk from the memo,
-and its best pass would time no walk:
+in the host's speed reaches all of them alike. Every ``spectrum_counts``
+row times the histogram alone: its potentials are taken once, before any
+timing, and each kernel is handed the same ones. The kernels keep no state
+between calls, so a pass that repeats a seaweed times what the first did:
 
 * every Frobenius pair up to --n-max (from ``enumerate_frobenius``, which
   reads the index off the census and walks no meander): the potentials,
@@ -28,7 +27,11 @@ and its best pass would time no walk:
 from an earlier commit or that commit's pure ``_kernel.py`` (a path ending
 in ``.py``), without registering it in ``sys.modules``, so the package
 keeps the kernel it picked at import; it is timed as "baseline" next to the
-others, ``difference_counts`` too when it is pure. A pure-kernel change is
+others, ``difference_counts`` too when it is pure. Only a kernel whose
+``spectrum_counts`` takes the potentials as a third argument can be a
+baseline: one from the commit that made both kernels stateless or later.
+An earlier kernel walks inside ``spectrum_counts``, on two arguments. A
+pure-kernel change is
 timed against its parent in one process with
 
     git show HEAD~1:src/seaweedspec/_kernel.py > ../parent_kernel.py
@@ -83,9 +86,7 @@ def frobenius_pairs(n_max):
 
 def run(kernel, name, calls):
     """Seconds to call kernel's function name on each argument tuple of
-    calls, from a cold walk memo if the kernel keeps one."""
-    if hasattr(kernel, "_path"):
-        kernel._path.cache_clear()
+    calls."""
     fn = getattr(kernel, name)
     t0 = time.perf_counter()
     for args in calls:
@@ -98,6 +99,12 @@ def best(kernels, name, calls):
     ms by kernel, the kernels taking turns within each pass."""
     passes = [[run(kernel, name, calls) for _, kernel in kernels] for _ in range(REPEAT)]
     return [min(times) * 1e3 for times in zip(*passes)]
+
+
+def with_potentials(pairs):
+    """(top, bottom, phi) for each Frobenius part pair: spectrum_counts's
+    arguments, taken outside any timing."""
+    return [(top, bottom, _kernel.potentials(top, bottom)) for top, bottom in pairs]
 
 
 def query_points():
@@ -141,7 +148,7 @@ def main():
     print(f"{len(pairs)} Frobenius pairs through n={args.n_max}")
     print(f"best of {REPEAT}, ms:")
     phi = best(kernels, "potentials", pairs)
-    hist = best(kernels, "spectrum_counts", pairs)
+    hist = best(kernels, "spectrum_counts", with_potentials(pairs))
     for name, p, h in zip(names, phi, hist):
         print(f"  {name:>10}: potentials {p:8.2f}, spectrum_counts {h:8.2f}")
 
@@ -150,10 +157,11 @@ def main():
         print(f"  n ~ {size}: {len(group)} points, n = "
               f"{min(sum(t) for t, _ in group)}..{max(sum(t) for t, _ in group)}")
         phi = best(kernels, "potentials", group)
-        hist = best(kernels, "spectrum_counts", group)
+        calls = with_potentials(group)
+        hist = best(kernels, "spectrum_counts", calls)
         for name, p, h in zip(names, phi, hist):
             print(f"  {name:>10}: potentials {p:8.2f}, spectrum_counts {h:8.2f}")
-        phis = [(_kernel.potentials(t, b),) for t, b in group]
+        phis = [(phi,) for _, _, phi in calls]
         pure = [(name, k) for name, k in kernels if hasattr(k, "difference_counts")]
         for (name, _), diff in zip(pure, best(pure, "difference_counts", phis)):
             print(f"  {name:>10}: difference_counts {diff:8.2f}")
@@ -162,7 +170,7 @@ def main():
     print(f"  {'seaweed':>22} {'n':>6} {'max part':>8} " + " ".join(f"{n:>8}" for n in names))
     for f, k, r in CROSSOVER:
         g = family_spec(f, k, r)
-        times = best(kernels, "spectrum_counts", [(g.top.parts, g.bottom.parts)])
+        times = best(kernels, "spectrum_counts", with_potentials([(g.top.parts, g.bottom.parts)]))
         point = f"{f.value} k={k}" + ("" if r is None else f" r={r}")
         print(f"  {point:>22} {g.n:6} {max(g.top.parts + g.bottom.parts):8} "
               + " ".join(f"{t:8.2f}" for t in times))

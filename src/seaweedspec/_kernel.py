@@ -3,29 +3,20 @@
 This module and the compiled extension ``_walk`` (built from ``_walk.c``)
 return the same results from potentials and spectrum_counts, and are
 interchangeable behind ``_engine``; both work on bare part tuples so the
-hot path never touches the higher-level classes. In each, both functions
-walk one path and return None unless it covers all n vertices, and
-spectrum_counts then sums the ordered differences within every block, the
-block triangles (see its docstring). Both walk the path through vertex n
-from n, both ways, so phi(n) = 0 holds with no further pass. The compiled
-kernel counts a triangle pair by pair up to its own half length and hands
-every longer block to ``_add_block`` here, so the block algebra below is
-written once. Neither kernel counts cycles and paths; ``meander`` does, by
-the winding-down moves.
+hot path never touches the higher-level classes. In each, only potentials
+walks: one path, from vertex n both ways, so phi(n) = 0 holds with no
+further pass, and None unless it covers all n vertices. spectrum_counts
+takes those potentials and sums the ordered differences within every
+block, the block triangles (see its docstring). The compiled kernel counts
+a triangle pair by pair up to its own half length and hands every longer
+block to ``_add_block`` here, so the block algebra below is written once.
+Neither kernel counts cycles and paths; ``meander`` does, by the
+winding-down moves. Neither keeps any state between calls; ``spectrum``
+keeps a seaweed's potentials.
 Nothing in either module calls the two public names, so wrapping one (as
 a per-layer tracer does) sees only outside calls. ``difference_counts``,
 all n^2 differences of one potential vector for the extended spectrum,
 exists only here.
-
-Here both public names read one walk, ``_path``, memoized for the last two
-part pairs. A seaweed's spectrum, extended spectrum and principal element
-then take one walk between them, and so do a seaweed and its swap or
-reversal partner, which the lemma checks ask for in turn; with one entry
-the partner would evict the seaweed before its second use. The memo holds
-at most two walks, each one tuple of n ints. Nothing mutates a walk:
-potentials returns the memo's tuple itself, and spectrum_counts slices
-its blocks from it, reversing a top block's. A test that patches a walk
-internal clears the memo first (``_path.cache_clear()``).
 
 Here the passes over whole vertex and count vectors run inside builtins
 (slices, map, compress, one big-int product). Python loops remain for the
@@ -49,15 +40,16 @@ side's parts:
     holds its largest sum, which Cauchy-Schwarz bounds by sum c^2, the
     count of zero differences (see difference_counts and _fold).
 
-This module trusts its inputs: parts are positive ints in tuples, which
-the memo hashes, and both tuples have the same sum. Every caller in the
-package passes the parts of a ``SeaweedSpec``, which checks both, and the
-sweep passes compositions it enumerated. Off valid input the result is
-unspecified: ``((5,), (1,))`` gives None and ``((3, -1), (2,))`` raises
-IndexError, where the compiled kernel raises ValueError. Checking here
-would cost the hot path: a part >= 1 and an equal-sum check in the walk
-made potentials over every pair of n = 10 (262,144 calls) 33-34% slower,
-median ratio of 16 alternating runs, twice.
+This module trusts its inputs: parts are positive ints in tuples, both
+tuples have the same sum, and spectrum_counts's phi is what potentials
+returned for them. Every caller in the package passes the parts of a
+``SeaweedSpec``, which checks both, and the sweep passes compositions it
+enumerated. Off valid input the result is unspecified: ``((5,), (1,))``
+gives None and ``((3, -1), (2,))`` raises IndexError, where the compiled
+kernel raises ValueError. Checking here would cost the hot path: a part
+>= 1 and an equal-sum check in the walk made potentials over every pair of
+n = 10 (262,144 calls) 33-34% slower, median ratio of 16 alternating runs,
+twice.
 
 Conventions baked in here (shared with the full matrix pipeline):
   * vertices are 1..n; each top block [s..e] contributes the nested pairs
@@ -72,7 +64,6 @@ Conventions baked in here (shared with the full matrix pipeline):
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from itertools import compress
 from operator import add, mul
 from sys import byteorder
@@ -138,18 +129,17 @@ def _half_walk(phi, first, second, d, n):
     return None
 
 
-@lru_cache(maxsize=2)
-def _path(top, bottom):
-    """The walk, memoized for the last two part pairs: follow the path
-    through vertex n from n, first leaving by its top arc and then by its
-    bottom arc, and return the potentials as a tuple whose index v-1 holds
-    phi(v), with phi(n) = 0 by construction, or None unless the path covers
-    all n vertices, that is unless the meander is a single path.
+def potentials(top, bottom):
+    """Vertex potentials as a tuple whose index v-1 holds phi(v), with
+    phi(n) = 0, or None unless the meander is a single path (no cycles),
+    which is exactly when they exist.
 
-    Vertex n lies on a path or on a cycle. On a path the two half-walks end
-    at its two endpoints (a half-walk from an endpoint takes no arc), and
-    they cover all n vertices exactly when they take n - 1 arcs between
-    them. On a cycle the first half-walk comes back round and gives None.
+    The walk follows the path through vertex n from n, first leaving by its
+    top arc and then by its bottom arc. Vertex n lies on a path or on a
+    cycle. On a path the two half-walks end at its two endpoints (a
+    half-walk from an endpoint takes no arc), and they cover all n vertices
+    exactly when they take n - 1 arcs between them. On a cycle the first
+    half-walk comes back round and gives None.
     """
     n = sum(top)
     tnbr = _neighbors(top, n)
@@ -159,16 +149,6 @@ def _path(top, bottom):
     if up is None:
         return None  # n lies on a cycle
     return tuple(phi[1:]) if up + _half_walk(phi, bnbr, tnbr, -1, n) == n - 1 else None
-
-
-def potentials(top, bottom):
-    """Vertex potentials of a single-path meander, or None.
-
-    Returns a tuple whose index v-1 holds phi(v), with phi(n) = 0. Returns
-    None unless the meander is a single path (no cycles), which is exactly
-    when the potentials exist. The tuple is _path's own, not a copy.
-    """
-    return _path(top, bottom)
 
 
 # array typecodes by item size, smallest first: a digit takes the first
@@ -306,13 +286,12 @@ def _add_block(xs, hist, off):
     hist[off] -= h
 
 
-def spectrum_counts(top, bottom):
-    """Full admissible-position difference counts, or None.
+def spectrum_counts(top, bottom, phi):
+    """Full admissible-position difference counts from the potentials phi
+    of a single path, potentials(top, bottom).
 
     Returns the multiset {phi(i) - phi(j) : (i,j) admissible} as a plain
     value -> count dict with ascending keys, diagonal zeros included.
-    Returns None unless the meander is a single path (no cycles), which is
-    exactly when the potentials exist.
 
     Block indices never decrease along 1..n, so for i < j the top condition
     tb(i) <= tb(j) always holds and the bottom one bb(i) >= bb(j) forces
@@ -338,10 +317,6 @@ def spectrum_counts(top, bottom):
     _add_block). No difference exceeds the span of the potentials, which
     sizes the histogram.
     """
-    phi = _path(top, bottom)
-    if phi is None:
-        return None
-
     off = max(phi) - min(phi)
     hist = [0] * (2 * off + 1)
     hist[off] = len(phi)

@@ -1,11 +1,13 @@
 /* Compiled kernel: potentials and spectrum_counts with the contract of the
    functions of the same names in _kernel.py, whose docstrings give the
-   conventions. Both run the one walk below, and spectrum_counts hands each
-   long block to _kernel._add_block, so that the block algebra is written once.
+   conventions. Only potentials walks; spectrum_counts reads the potentials it
+   is given and hands each long block to _kernel._add_block, so that the block
+   algebra is written once. Neither keeps any state between calls.
 
-   Every part must be an int >= 1 that fits in Py_ssize_t, and both sides must
-   have the same sum n; this is checked before any array is touched. The
-   working arrays take one heap block per call. */
+   Parts must be ints >= 1 that fit in Py_ssize_t, both sides must sum to n,
+   and spectrum_counts's phi must be n ints that fit and span less than n, all
+   checked before any partner or count is written. The working arrays take one
+   heap block per call. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -64,16 +66,16 @@ static void fill_neighbors(PyObject *seq, Py_ssize_t *nbr)
     }
 }
 
-/* Check the arguments and fill both partner arrays. On failure an exception
-   is set; release(m) is due either way. */
-static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, const char *name)
+/* Check the parts, the first two of want arguments, and take the heap block.
+   On failure an exception is set; release(m) is due either way. */
+static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, int want, const char *name)
 {
     Py_ssize_t bottom_sum;
 
     m->top = m->bottom = NULL;
     m->tnbr = NULL;
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 2 arguments (%zd given)", name, nargs);
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %d arguments (%zd given)", name, want, nargs);
         return -1;
     }
     if (!(m->top = PySequence_Tuple(args[0])) || !(m->bottom = PySequence_Tuple(args[1])) ||
@@ -90,8 +92,6 @@ static int build(Meander *m, PyObject *const *args, Py_ssize_t nargs, const char
     }
     m->bnbr = m->tnbr + (m->n + 1);
     m->phi = m->tnbr + 2 * (m->n + 1);
-    fill_neighbors(m->top, m->tnbr);
-    fill_neighbors(m->bottom, m->bnbr);
     return 0;
 }
 
@@ -102,8 +102,8 @@ static void release(Meander *m)
     PyMem_Free(m->tnbr);
 }
 
-/* The walk of _kernel._walk: from vertex n both ways, first leaving by its
-   top arc and then by its bottom arc, setting m->phi[v] for each vertex v
+/* The walk of _kernel.potentials: from vertex n both ways, first leaving by
+   its top arc and then by its bottom arc, setting m->phi[v] for each vertex v
    with phi(n) = 0. Returns whether the path through n covers all n vertices,
    that is whether the meander is a single path. A path has n - 1 arcs at
    most, so a walk that takes n has come back round: n lies on a cycle. */
@@ -217,8 +217,10 @@ static PyObject *potentials(PyObject *Py_UNUSED(self), PyObject *const *args, Py
     PyObject *result = NULL, *item;
     Py_ssize_t v;
 
-    if (build(&m, args, nargs, "potentials") < 0)
+    if (build(&m, args, nargs, 2, "potentials") < 0)
         goto done;
+    fill_neighbors(m.top, m.tnbr);
+    fill_neighbors(m.bottom, m.bnbr);
     if (!walk(&m)) {
         result = Py_NewRef(Py_None);
         goto done;
@@ -235,6 +237,32 @@ done:
     return result;
 }
 
+/* Copy phi into m->phi[1..n] less its least value and return its span, which
+   bounds every difference; -1 with an exception set unless phi holds n ints
+   that fit in Py_ssize_t and span less than n, as a single path's do. */
+static Py_ssize_t read_phi(Meander *m, PyObject *arg)
+{
+    PyObject *seq = PySequence_Fast(arg, "phi must be a sequence");
+    Py_ssize_t v, lo = PY_SSIZE_T_MAX, hi = PY_SSIZE_T_MIN, *phi = m->phi;
+    int failed = !seq;
+
+    if (!failed && (failed = PySequence_Fast_GET_SIZE(seq) != m->n))
+        PyErr_SetString(PyExc_ValueError, "phi must hold n items");
+    for (v = 1; !failed && v <= m->n; v++) {
+        phi[v] = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, v - 1)); /* ints only */
+        failed = phi[v] == -1 && PyErr_Occurred();
+        lo = phi[v] < lo ? phi[v] : lo;
+        hi = phi[v] > hi ? phi[v] : hi;
+    }
+    /* unsigned, so that no span overflows; at n = 0, hi - lo wraps round to 1 */
+    if (!failed && (failed = (size_t)hi - (size_t)lo >= (size_t)m->n))
+        PyErr_SetString(PyExc_ValueError, "phi must span less than n");
+    for (v = 1; !failed && v <= m->n; v++)
+        phi[v] -= lo;
+    Py_XDECREF(seq);
+    return failed ? -1 : hi - lo;
+}
+
 static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *args,
                                  Py_ssize_t nargs)
 {
@@ -243,16 +271,11 @@ static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *arg
     Py_ssize_t *hist, d, off;
     int failed;
 
-    if (build(&m, args, nargs, "spectrum_counts") < 0)
+    if (build(&m, args, nargs, 3, "spectrum_counts") < 0 || (off = read_phi(&m, args[2])) < 0)
         goto done;
-    if (!walk(&m)) {
-        result = Py_NewRef(Py_None);
-        goto done;
-    }
-    /* Every difference lies in [1 - n, n - 1]. Its 2n - 1 counts reuse the
-       partner arrays, which the walk no longer needs. */
+    /* Every difference lies in [-off, off]. Its 2 off + 1 <= 2n - 1 counts
+       take the partner arrays, which no walk uses here. */
     hist = m.tnbr;
-    off = m.n - 1;
     memset(hist, 0, (size_t)(2 * off + 1) * sizeof(Py_ssize_t));
     hist[off] = m.n;
     if (add_block_differences(m.bottom, m.phi, hist + off, 1) < 0 ||
@@ -275,12 +298,12 @@ done:
     return result;
 }
 
-#define KERNEL_FUNCTION(name, doc) \
-    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, #name "(top, bottom)\n--\n\n" doc}
+#define KERNEL_FUNCTION(name, args, doc) \
+    {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, #name args "\n--\n\n" doc}
 
 static PyMethodDef methods[] = {
-    KERNEL_FUNCTION(potentials, "Potentials with phi(n) = 0, or None off a single path."),
-    KERNEL_FUNCTION(spectrum_counts, "Admissible-position difference counts, or None."),
+    KERNEL_FUNCTION(potentials, "(top, bottom)", "phi with phi(n) = 0, or None off a path."),
+    KERNEL_FUNCTION(spectrum_counts, "(top, bottom, phi)", "Admissible differences of phi."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -12,15 +12,16 @@ kind can only mean a bug in the engine, so they raise EngineInvariantError
 rather than returning False.
 
 The swap and reverse checks read each seaweed's masked and full matrices
-from one _matrices call, whose memo keeps the last two seaweeds' matrices,
-so the swap, reverse and skew checks of one seaweed build its matrices
-once. They compare g's rows with the partner's columns (read upward,
-for the reversal) as zip makes them; the skew check compares the columns
-with each distinct row negated once. A matrix that is not n x n fails
-first, on its shape, so each compare runs once, on square matrices. The
-flipped matrix is built whole only on a mismatch, to name its first
-differing entry. The corner-block lemmas compare multisets: a corner of
-a masked matrix against an extended spectrum with its zero put back.
+from one _matrices call, and spectrum's memo keeps the last two
+seaweeds' potentials, spectra and matrices, so the swap, reverse and
+skew checks of one seaweed walk it and build its matrices once. They
+compare g's rows with the partner's columns (read upward, for the
+reversal) as zip makes them; the skew check compares the columns with
+each distinct row negated once. A matrix that is not n x n fails first,
+on its shape, so each compare runs once, on square matrices. The flipped
+matrix is built whole only on a mismatch, to name its first differing
+entry. The corner-block lemmas compare multisets: a corner of a masked
+matrix against an extended spectrum with its zero put back.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from itertools import chain
 from operator import eq, neg
 
 from .core import Composition, IntegerMultiset, SeaweedSpec, _check_indexable
-from .spectrum import (
-    _matrices, extended_spectrum, extended_spectrum_matrix, spectrum, spectrum_matrix,
-)
+from .spectrum import extended_spectrum, extended_spectrum_matrix, spectrum, spectrum_matrix
 
 
 class EngineInvariantError(RuntimeError):
@@ -204,6 +203,11 @@ def _first_difference(rows, want):
     )
 
 
+def _matrices(g: SeaweedSpec):
+    """(masked, full): g's two eigenvalue matrices, from spectrum's memo."""
+    return spectrum_matrix(g), extended_spectrum_matrix(g)
+
+
 def _verify_index_map(
     g: SeaweedSpec, h: SeaweedSpec, name: str, partner: str, flip, equals_flip
 ) -> bool:
@@ -213,13 +217,9 @@ def _verify_index_map(
     that is not n x n fails first, on its shape. Then equals_flip compares
     a pair without building the flip; only on a mismatch is the flip
     built, and the failure names the first differing entry in g's
-    row-major order. The spectra are compared last but computed first: a
-    hit in the matrix memo asks the kernel nothing, so asking for g's
-    spectrum first is what keeps g's walk in the pure kernel's memo when
-    h is walked.
+    row-major order. The spectra are compared last.
     """
     n = g.n
-    spectra = spectrum(g), spectrum(h)
     labels = ("entry", "extended entry")
     for label, rows, other in zip(labels, _matrices(g), _matrices(h)):
         if not (_is_square(rows, n) and _is_square(other, n)):
@@ -230,7 +230,7 @@ def _verify_index_map(
                 f"{name} failure at {g}: {label} ({i + 1},{j + 1}) is {got} "
                 f"but {partner} has {wanted}"
             )
-    if spectra[0] != spectra[1]:
+    if spectrum(g) != spectrum(h):
         raise EngineInvariantError(f"{name} failure at {g}: spectra differ")
     return True
 

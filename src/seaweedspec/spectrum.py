@@ -9,19 +9,19 @@ The eigenvalue attached to an admissible position (i,j) is then just
 phi(i) - phi(j), the mask of admissible positions being the pairs whose
 top blocks ascend and bottom blocks descend.
 
+One memo, `_memo`, keeps the last two seaweeds' potentials, each from one
+walk of the stateless kernel, and what `_built` makes from them: so a
+seaweed's queries share one walk, the lemma checks of one seaweed build
+its matrices once, and an extended matrix needs no masked one.
+
 Block indices never decrease along 1..n, so row i's admissible columns are
 one contiguous interval: from the first position of i's top block to the
 last position of i's bottom block, and `_row_spans` lists those
-intervals. `_matrices` builds both matrices from one walk and one table,
-and neither does arithmetic per entry: each row of the full matrix is one
-itemgetter pass over a slice of a single table of all possible
-differences, vertices of equal potential share one row tuple, and the
-masked matrix slices each full row to its interval and pads it with
-slices of one tuple of Nones, cut once per block bound. `_full` and
-`_masked` memoize them by part pair, each holding the last two seaweeds'
-matrices until a third evicts one, so the swap, reverse and skew checks
-of one seaweed build its matrices once under either kernel, and an
-extended matrix is built without a masked one. Read by blocks
+intervals. Neither matrix takes arithmetic per entry: each row of the
+full matrix is one itemgetter pass over a slice of a single table of all
+possible differences, vertices of equal potential share one row tuple,
+and the masked matrix slices each full row to its interval and pads it
+with slices of one tuple of Nones, cut once per block bound. Read by blocks
 instead, the same mask is the diagonal plus the upper triangle of each
 bottom block plus the lower triangle of each top block, which is how both
 kernels count it. Every arc joins potentials one apart, so a block's
@@ -29,11 +29,11 @@ right half is its left half mirrored and lowered by one (raised, for a top
 block); the pure kernel reads a long block's triangle off one packed
 product over the left half alone, which sums all of its terms, and a block
 of at most 4 vertices off a closed form, and the compiled kernel hands it
-every long block. The
-spectrum is that multiset with one zero removed; the extended spectrum drops
-the mask and uses all n^2 positions instead. _spectrum_of is the one reader
-of the kernel's histogram, for this module and the sweeps alike: None off a
-single path, and one of the kernel's diagonal zeros removed.
+every long block. The spectrum is that multiset with one zero removed; the
+extended spectrum drops the mask and uses all n^2 positions instead.
+_spectrum_from reads the kernel's histogram, less one diagonal zero, for
+the memo and for the sweeps' _spectrum_of, which skips the memo: a sweep
+never repeats a seaweed.
 
 All arithmetic is exact: potentials are ints, the principal element is a
 tuple of Fractions.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
@@ -95,15 +94,38 @@ def vertex_potentials(g: SeaweedSpec) -> tuple[int, ...]:
     normalization pins phi(n) = 0, so phi(i) is the signed arc count of the
     meander path from i to n.
     """
-    return _potentials(g.top.parts, g.bottom.parts)
+    return _built(None, g.top.parts, g.bottom.parts)
 
 
-def _potentials(top: tuple, bottom: tuple) -> tuple[int, ...]:
-    """vertex_potentials of the seaweed with these parts."""
-    phi = kernel.potentials(top, bottom)
-    if phi is None:
-        raise SpectrumUndefinedError(NOT_SINGLE_PATH)
-    return phi
+_memo: dict[tuple, dict] = {}  # part pair -> entry, least recently used first
+
+
+def _built(build, top: tuple, bottom: tuple):
+    """build(top, bottom, phi) of the seaweed with these parts and its
+    potentials phi, kept in its memo entry from the first call; the entry
+    keeps phi itself under None, so build None reads it back.
+
+    A new entry walks once; off a single path it raises and is not kept.
+    Two entries, since the swap and reverse checks ask for a seaweed and
+    then its partner. A new entry makes a third until the build is done,
+    and then the least recently used goes: freed first, its rows would drop
+    the collector's count of new objects to zero, where it stops, and the
+    new rows would leave it near a young collection, which more than
+    doubled those of a verify_grid job.
+    """
+    entry = _memo.pop((top, bottom), None)
+    if entry is None:
+        phi = kernel.potentials(top, bottom)
+        if phi is None:
+            raise SpectrumUndefinedError(NOT_SINGLE_PATH)
+        entry = {None: phi}
+    _memo[top, bottom] = entry
+    made = entry.get(build)
+    if made is None:
+        made = entry[build] = build(top, bottom, entry[None])
+    while len(_memo) > 2:
+        del _memo[next(iter(_memo))]
+    return made
 
 
 def _row_spans(top: tuple, bottom: tuple) -> list[tuple[int, int]]:
@@ -125,9 +147,10 @@ def _row_spans(top: tuple, bottom: tuple) -> list[tuple[int, int]]:
     return list(zip(starts, ends))
 
 
-def _difference_rows(phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Row i holds phi(i) - phi(j) for every j; rows of equal potential are
-    one tuple.
+def _full(top: tuple, bottom: tuple, phi) -> tuple[tuple[int, ...], ...]:
+    """The full matrix of the seaweed with these parts and potentials phi:
+    row i holds phi(i) - phi(j) for every j; rows of equal potential are one
+    tuple.
 
     With lo and hi the least and greatest potential, the differences all lie
     in table = (lo-hi, ..., hi-lo). Row p's differences p - x are the entries
@@ -145,25 +168,14 @@ def _difference_rows(phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(rows.__getitem__, phi))
 
 
-# The swap and reverse checks ask for a seaweed and then its partner, so one
-# entry would never hit; a non-Frobenius seaweed raises and leaves no entry.
-@lru_cache(maxsize=2)
-def _full(top: tuple, bottom: tuple) -> tuple[tuple[int, ...], ...]:
-    """The full matrix of the seaweed with these parts: _difference_rows of
-    its potentials."""
-    return _difference_rows(_potentials(top, bottom))
-
-
-@lru_cache(maxsize=2)
-def _masked(top: tuple, bottom: tuple) -> tuple[tuple[int | None, ...], ...]:
-    """The masked matrix of the seaweed with these parts, cut from _full's
-    rows.
+def _masked(top: tuple, bottom: tuple, phi) -> tuple[tuple[int | None, ...], ...]:
+    """The masked matrix of the seaweed with these parts, cut from _full's rows.
 
     Row i is None, then full row i over its admissible interval (see
     _row_spans), then None again; the pads are slices of one tuple of n
     Nones, cut once per distinct block bound.
     """
-    full = _full(top, bottom)
+    full = _built(_full, top, bottom)
     nones = (None,) * len(full)
     heads = {lo: nones[:lo] for lo in accumulate(top, initial=0)}
     tails = {hi: nones[hi:] for hi in accumulate(bottom)}
@@ -172,36 +184,23 @@ def _masked(top: tuple, bottom: tuple) -> tuple[tuple[int | None, ...], ...]:
     )
 
 
-def _matrices(g: SeaweedSpec):
-    """(masked, full): both eigenvalue matrices of g, from one walk and one
-    difference table.
-
-    Both are memo entries (see _masked and _full), so a repeat call returns
-    the same tuples: the memos hold at most two seaweeds' n x n masked
-    matrices and two full tables, each kept until a third seaweed evicts it.
-    """
-    parts = g.top.parts, g.bottom.parts
-    return _masked(*parts), _full(*parts)
-
-
 def spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int | None, ...], ...]:
     """The eigenvalue at every admissible position, None elsewhere.
 
-    Row i, column j (1-based in math terms) sits at [i-1][j-1]; see
-    _matrices.
+    Row i, column j (1-based in math terms) sits at [i-1][j-1]. It is kept
+    in g's memo entry, cut from the full matrix's rows (see _masked).
     """
-    return _masked(g.top.parts, g.bottom.parts)
+    return _built(_masked, g.top.parts, g.bottom.parts)
 
 
 def extended_spectrum_matrix(g: SeaweedSpec) -> tuple[tuple[int, ...], ...]:
     """All n^2 potential differences; skew-symmetric by construction.
 
     Rows of vertices with equal potential are the same tuple object, so
-    the matrix holds one row per distinct potential. This is _matrices's
-    full matrix, read from its memo (kept for the last two seaweeds) and
-    built, on a miss, without the masked one.
+    the matrix holds one row per distinct potential. It is kept in g's memo
+    entry and built without the masked one.
     """
-    return _full(g.top.parts, g.bottom.parts)
+    return _built(_full, g.top.parts, g.bottom.parts)
 
 
 def matrix_text(rows) -> str:
@@ -211,11 +210,16 @@ def matrix_text(rows) -> str:
     )
 
 
+def _spectrum_from(top: tuple, bottom: tuple, phi) -> IntegerMultiset:
+    """The spectrum of the seaweed with these parts and potentials phi."""
+    return IntegerMultiset._from_histogram(kernel.spectrum_counts(top, bottom, phi))
+
+
 def _spectrum_of(top: tuple, bottom: tuple) -> IntegerMultiset | None:
     """The spectrum of the seaweed with these parts, or None when its
-    meander is not a single path; see the module docstring."""
-    counts = kernel.spectrum_counts(top, bottom)
-    return None if counts is None else IntegerMultiset._from_histogram(counts)
+    meander is not a single path: two kernel calls and no memo entry."""
+    phi = kernel.potentials(top, bottom)
+    return None if phi is None else _spectrum_from(top, bottom, phi)
 
 
 def spectrum(g: SeaweedSpec) -> IntegerMultiset:
@@ -223,10 +227,7 @@ def spectrum(g: SeaweedSpec) -> IntegerMultiset:
 
     Size is always one less than the number of admissible positions.
     """
-    s = _spectrum_of(g.top.parts, g.bottom.parts)
-    if s is None:
-        raise SpectrumUndefinedError(NOT_SINGLE_PATH)
-    return s
+    return _built(_spectrum_from, g.top.parts, g.bottom.parts)
 
 
 def extended_spectrum(g: SeaweedSpec) -> IntegerMultiset:

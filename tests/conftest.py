@@ -1,6 +1,6 @@
 """Shared fixtures: the compiled kernel, built from source for the tests, a
-parametrisation that runs a test under each kernel, and the pure kernel's
-walk memo and spectrum's matrix memos, cleared before each test, the walks
+parametrisation that runs a test under each kernel, spectrum's memo of its
+last seaweeds, cleared before each test, and the pure kernel's walks,
 watched by pure_walks."""
 
 import importlib
@@ -98,21 +98,18 @@ def each_kernel(request, monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def fresh_walk_memo():
-    """Clear the pure kernel's memo of its last walks, and spectrum's memos
-    of its last matrices, before each test, so that a test that patches a
-    walk internal reads its own walk and no matrix built under one kernel
-    is read under the other."""
-    _kernel._path.cache_clear()
-    spectrum_module._full.cache_clear()
-    spectrum_module._masked.cache_clear()
+def fresh_seaweed_memo():
+    """Clear spectrum's memo of its last seaweeds before each test, so that
+    a test that patches a kernel reads its own walk and nothing built
+    under one kernel is read under the other."""
+    spectrum_module._memo.clear()
 
 
 @pytest.fixture
 def pure_walks(monkeypatch):
     """The part pairs that the pure kernel, swapped in (see use_kernel),
     walks, in order: each walk builds the partner array of its top and
-    then of its bottom, and a memo hit builds none."""
+    then of its bottom."""
     use_kernel(monkeypatch, _kernel)
     walked, pending = [], []
     neighbors = _kernel._neighbors

@@ -133,7 +133,7 @@ class TestSpectrumReport:
     def test_asymmetric_spectrum_raises(self, monkeypatch):
         """A kernel histogram that leaves 0 once and 1 twice: unbroken and
         centered, but not symmetric about 1/2 as every Frobenius spectrum is."""
-        monkeypatch.setattr(kernel, "spectrum_counts", lambda top, bottom: {0: 2, 1: 2})
+        monkeypatch.setattr(kernel, "spectrum_counts", lambda top, bottom, phi: {0: 2, 1: 2})
         with pytest.raises(
             EngineInvariantError, match="^2\\|1 / 3: spectrum is not symmetric about 1/2"
         ):
@@ -558,9 +558,9 @@ class TestLazyComparison:
             monkeypatch.setattr(owner, attr, counted)
 
         counting(spectrum_module.kernel, "potentials")
-        counting(spectrum_module, "_difference_rows")
+        counting(spectrum_module, "_full")
         assert INDEX_MAPS[check][0](parse_seaweed(self.G))
-        assert calls == {"potentials": 2, "_difference_rows": 2}
+        assert calls == {"potentials": 2, "_full": 2}
 
 
 #: One point per family at n = 250..255, and each check's tracemalloc peak

@@ -652,12 +652,12 @@ class TestSweep:
 
     def test_census_kernel_disagreement_exit_1(self, capsys, monkeypatch):
         """A pair the census calls Frobenius must have a spectrum."""
-        spectrum_counts = spectrum_module.kernel.spectrum_counts
+        potentials = spectrum_module.kernel.potentials
 
         def disagreeing(top, bottom):
-            return None if (top, bottom) == ((2,), (1, 1)) else spectrum_counts(top, bottom)
+            return None if (top, bottom) == ((2,), (1, 1)) else potentials(top, bottom)
 
-        monkeypatch.setattr(spectrum_module.kernel, "spectrum_counts", disagreeing)
+        monkeypatch.setattr(spectrum_module.kernel, "potentials", disagreeing)
         assert run_cli(capsys, "sweep", "--n-max", "3") == (
             1, "", "error: 2 / 1|1: the census gives index 0, but the kernel finds no spectrum\n"
         )

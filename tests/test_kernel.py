@@ -20,15 +20,9 @@ from seaweedspec import (
     compositions_of,
     extended_spectrum,
     family_spec,
-    index_sl,
     is_frobenius,
     meander,
     parse_seaweed,
-    principal_element,
-    spectrum,
-    verify_reverse_lemma,
-    verify_skew_symmetry,
-    verify_swap_lemma,
 )
 from seaweedspec._engine import kernel
 from seaweedspec.meander import component_counts
@@ -42,9 +36,16 @@ def all_pairs(max_n):
                 yield top.parts, bottom.parts
 
 
+def histogram(kernel, top, bottom):
+    """The kernel's spectrum_counts on its own potentials, or None off a
+    single path."""
+    phi = kernel.potentials(top, bottom)
+    return None if phi is None else kernel.spectrum_counts(top, bottom, phi)
+
+
 def results(kernel, top, bottom):
     """Everything the kernel returns for one pair, histogram key order included."""
-    counts = kernel.spectrum_counts(top, bottom)
+    counts = histogram(kernel, top, bottom)
     return (
         component_counts(top, bottom),
         kernel.potentials(top, bottom),
@@ -105,28 +106,32 @@ def test_compiled_kernel_delegates_only_long_blocks(walk, delegated, f, k, r, bl
     (lambda xs, hist, off: hist.__setitem__(off, "x"), TypeError),
 ], ids=["raises", "shrinks", "non-int"])
 def test_compiled_kernel_raises_what_add_block_raises(walk, monkeypatch, fault, error):
-    monkeypatch.setattr(_kernel, "_add_block", fault)
     g = family_spec(FamilyId.K2, 4095)
+    phi = _kernel.potentials(g.top.parts, g.bottom.parts)
+    monkeypatch.setattr(_kernel, "_add_block", fault)
     with pytest.raises(error):
-        walk.spectrum_counts(g.top.parts, g.bottom.parts)
+        walk.spectrum_counts(g.top.parts, g.bottom.parts, phi)
 
 
 def test_add_block_that_changes_the_callers_parts_moves_no_block(walk, monkeypatch):
-    """The compiled kernel reads its own tuples of the parts, so an
-    _add_block that grows and replaces the caller's lists mid-call changes
-    nothing; reading the lists again would index past the kernel's arrays."""
+    """The compiled kernel reads its own tuples of the parts and its own
+    copy of phi, so an _add_block that grows and replaces the caller's lists
+    mid-call changes nothing; reading the lists again would index past the
+    kernel's arrays."""
     g = family_spec(FamilyId.K2, 4095)
-    want = _kernel.spectrum_counts(g.top.parts, g.bottom.parts)
+    want = histogram(_kernel, g.top.parts, g.bottom.parts)
     top, bottom = list(g.top.parts), list(g.bottom.parts)
+    phi = list(_kernel.potentials(g.top.parts, g.bottom.parts))
     add_block = _kernel._add_block
 
     def changing(xs, hist, off):
         top.extend([1] * 100_000)
         bottom[:] = [10**6]
+        phi[:] = [-(10**6)] * 3
         add_block(xs, hist, off)
 
     monkeypatch.setattr(_kernel, "_add_block", changing)
-    assert walk.spectrum_counts(top, bottom) == want
+    assert walk.spectrum_counts(top, bottom, phi) == want
 
 
 @given(seaweeds(max_n=16))
@@ -139,7 +144,7 @@ def test_kernels_agree(walk, g):
 def test_spectrum_counts_defined_exactly_on_single_paths(g):
     top, bottom = g.top.parts, g.bottom.parts
     cycles, paths = component_counts(top, bottom)
-    counts = _kernel.spectrum_counts(top, bottom)
+    counts = histogram(_kernel, top, bottom)
     if cycles == 0 and paths == 1:
         assert counts is not None
         # full mask histogram, including every diagonal zero
@@ -167,7 +172,7 @@ def test_potentials_exist_exactly_on_frobenius_seaweeds(each_kernel):
 
 def test_spectrum_counts_match_oracle_up_to_removed_zero():
     for top, bottom in all_pairs(6):
-        counts = _kernel.spectrum_counts(top, bottom)
+        counts = histogram(_kernel, top, bottom)
         if counts is None:
             continue
         counts = dict(counts)
@@ -192,23 +197,45 @@ def test_active_kernel_is_reported(walk, child_env):
     assert out.stdout == "compiled\n"
 
 
-@pytest.mark.parametrize(
-    "top, bottom, error",
-    [
-        ((1,), (5,), ValueError),  # unequal sums
-        ((3, -1), (2,), ValueError),
-        ((2, 0), (2,), ValueError),
-        ((1.5,), (1.5,), TypeError),
-        ((2**70,), (2**70,), OverflowError),
-        ((sys.maxsize, 1), (1,), OverflowError),  # the sum overflows
-        ((sys.maxsize // 4,), (sys.maxsize // 4,), MemoryError),  # refused before allocating
-        (7, (7,), TypeError),
-    ],
-)
-@pytest.mark.parametrize("name", ["potentials", "spectrum_counts"])
-def test_compiled_kernel_checks_its_inputs(walk, name, top, bottom, error):
+#: Parts that either function refuses before it reads spectrum_counts's phi.
+BAD_PARTS = [
+    ((1,), (5,), ValueError),  # unequal sums
+    ((3, -1), (2,), ValueError),
+    ((2, 0), (2,), ValueError),
+    ((1.5,), (1.5,), TypeError),
+    ((2**70,), (2**70,), OverflowError),
+    ((sys.maxsize, 1), (1,), OverflowError),  # the sum overflows
+    ((sys.maxsize // 4,), (sys.maxsize // 4,), MemoryError),  # refused before allocating
+    (7, (7,), TypeError),
+]
+
+#: Potentials that spectrum_counts refuses for the single path 2 / 1|1.
+BAD_PHI = [
+    ((0,), ValueError),  # too short
+    ((1, 0, 0), ValueError),  # too long
+    ((1, 0.5), TypeError),
+    ((1, 2**70), OverflowError),
+    ((-sys.maxsize - 1, sys.maxsize), ValueError),  # a span past Py_ssize_t
+    (7, TypeError),
+]
+
+
+@pytest.mark.parametrize("name, args, error", [
+    *((name, (top, bottom, (0,))[: 2 + (name == "spectrum_counts")], error)
+      for name in ("potentials", "spectrum_counts") for top, bottom, error in BAD_PARTS),
+    *(("spectrum_counts", ((2,), (1, 1), phi), error) for phi, error in BAD_PHI),
+    ("spectrum_counts", ((2,), (2,), (0, 2)), ValueError),  # a span of n
+    ("spectrum_counts", ((), (), ()), ValueError),  # at n = 0, a span of 0 is n
+    ("spectrum_counts", ((1,), (1,)), TypeError),  # no phi
+    ("spectrum_counts", ((1,), (1,), (0,), (0,)), TypeError),
+])
+def test_compiled_kernel_checks_its_inputs(walk, name, args, error):
+    """Bad parts raise before phi is read. Then phi is checked in full
+    before any histogram write: n items, each an int that fits in
+    Py_ssize_t, spanning less than n as a single path's potentials do, so
+    that every difference indexes the histogram."""
     with pytest.raises(error):
-        getattr(walk, name)(top, bottom)
+        getattr(walk, name)(*args)
 
 
 @pytest.mark.parametrize(
@@ -282,7 +309,7 @@ def test_kernel_benchmark_runs(child_env, walk):
 def test_spectrum_counts_match_mask_histogram_at_large_n(f, k, r):
     for g in orientations(family_spec(f, k, r)):
         top, bottom = g.top.parts, g.bottom.parts
-        counts = _kernel.spectrum_counts(top, bottom)
+        counts = histogram(_kernel, top, bottom)
         assert counts is not None
         # at least one block's half is past the loop, so the product runs
         assert max(max(top), max(bottom)) // 2 > _kernel._SHORT_HALF
@@ -323,7 +350,7 @@ def test_spectrum_counts_do_not_depend_on_the_short_half(
     )
     for top, bottom in frobenius_pairs_through_10:
         products.clear()
-        got = _kernel.spectrum_counts(top, bottom)
+        got = histogram(_kernel, top, bottom)
         assert list(got.items()) == list(mask_histogram(top, bottom).items())
         halves = [p // 2 for p in top + bottom if p > 4]
         assert sorted(products) == (sorted(halves) if short_half == 0 else [])
@@ -411,7 +438,7 @@ def test_spectrum_counts_match_oracle_past_the_short_half(pair):
     top, bottom = pair
     assume(max(top + bottom) > 2 * _kernel._SHORT_HALF)
     assume(graph_components(top, bottom) == (0, 1))
-    got = _kernel.spectrum_counts(top, bottom)
+    got = histogram(_kernel, top, bottom)
     assert list(got.items()) == list(mask_histogram(top, bottom).items())
 
 
@@ -441,48 +468,10 @@ def test_spectrum_counts_match_oracle_on_family_points(g):
     """The pure histogram, folded long blocks, top blocks read off phi
     itself and the closed forms of blocks of 3 and 4, against the mask."""
     top, bottom = g.top.parts, g.bottom.parts
-    got = _kernel.spectrum_counts(top, bottom)
+    got = histogram(_kernel, top, bottom)
     assert list(got.items()) == list(mask_histogram(top, bottom).items())
 
 
 def test_difference_counts_widen_past_four_byte_digits():
     # 2^32 pairs share one difference: too many to count by brute force
     assert _kernel.difference_counts([0] * 2**16) == {0: 2**32}
-
-
-class TestWalkMemo:
-    """The pure kernel keeps its last two walks, so the queries on one
-    seaweed, and a lemma check's seaweed and its partner, walk each once."""
-
-    def test_four_queries_take_one_walk(self, pure_walks, monkeypatch):
-        halves = []
-        half_walk = _kernel._half_walk
-
-        def counting(phi, first, second, d, n):
-            halves.append(d)
-            return half_walk(phi, first, second, d, n)
-
-        monkeypatch.setattr(_kernel, "_half_walk", counting)
-        g = family_spec(FamilyId.K2, 101)
-        assert index_sl(g) == 0
-        spectrum(g), extended_spectrum(g), principal_element(g)
-        assert halves == [1, -1]
-        assert pure_walks == [(g.top.parts, g.bottom.parts)]
-
-    def test_a_hit_returns_the_walk_itself(self, pure_walks):
-        g = parse_seaweed("2|4 / 1|2|3")
-        phi = _kernel.potentials(g.top.parts, g.bottom.parts)
-        _kernel.spectrum_counts(g.top.parts, g.bottom.parts)
-        assert _kernel.potentials(g.top.parts, g.bottom.parts) is phi
-        assert phi == oracle_potentials(g.top.parts, g.bottom.parts)
-        assert len(pure_walks) == 1
-
-    def test_lemma_checks_walk_the_seaweed_and_each_partner_once(self, pure_walks):
-        """Two entries hold a seaweed and its partner, which the checks ask
-        for in turn: with one, every call would walk again."""
-        g = parse_seaweed("2|4 / 1|2|3")
-        pair = (g.top.parts, g.bottom.parts)
-        assert verify_swap_lemma(g)
-        assert pure_walks == [pair, pair[::-1]]
-        assert verify_reverse_lemma(g) and verify_skew_symmetry(g)
-        assert pure_walks == [pair, pair[::-1], (pair[0][::-1], pair[1][::-1])]

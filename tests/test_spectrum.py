@@ -1,6 +1,7 @@
 import hashlib
 import importlib
-from collections import Counter
+import weakref
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from seaweedspec import (
     extended_spectrum_matrix,
     family_spec,
     frobenius_form_support,
+    index_sl,
     is_frobenius,
     matrix_text,
     orient,
@@ -245,62 +247,101 @@ class TestMatrices:
                     assert masked[i - 1][j - 1] is None
 
 
-class TestMatrixMemo:
-    """spectrum keeps the masked and full matrices of the last two part
-    pairs, so the swap, reverse and skew checks of one seaweed build its
-    matrices, and those of its swap and its reversal, once each."""
+@pytest.mark.usefixtures("each_kernel")
+class TestSeaweedMemo:
+    """spectrum keeps one entry per part pair for the last two seaweeds: the
+    potentials from one walk, and the spectrum and matrices built from them.
+    So a seaweed's queries walk it and count its histogram once, and the
+    swap, reverse and skew checks of one seaweed walk it, its swap and its
+    reversal once each, and build each one's matrices once."""
 
     G = "2|2|9 / 3|4|2|4"
 
-    def counting(self, monkeypatch, names):
-        calls = Counter()
+    def recording(self, monkeypatch, names):
+        """Patch each (owner, attr) of names to record the first two
+        arguments of each call under attr."""
+        calls = defaultdict(list)
         for owner, attr in names:
             fn = getattr(owner, attr)
 
-            def counted(*args, fn=fn, attr=attr):
-                calls[attr] += 1
+            def recorded(*args, fn=fn, attr=attr):
+                calls[attr].append(args[:2])
                 return fn(*args)
 
-            monkeypatch.setattr(owner, attr, counted)
+            monkeypatch.setattr(owner, attr, recorded)
         return calls
 
-    def test_three_checks_build_three_of_each_matrix(self, monkeypatch, each_kernel):
-        calls = self.counting(monkeypatch, [
+    def test_four_queries_take_one_walk_and_one_histogram(self, monkeypatch):
+        calls = self.recording(monkeypatch, [
             (spectrum_module.kernel, "potentials"),
-            (spectrum_module, "_difference_rows"),
+            (spectrum_module.kernel, "spectrum_counts"),
+        ])
+        g = family_spec(FamilyId.K2, 101)
+        assert index_sl(g) == 0
+        spectrum(g), extended_spectrum(g), principal_element(g)
+        pair = g.top.parts, g.bottom.parts
+        assert calls == {"potentials": [pair], "spectrum_counts": [pair]}
+
+    def test_three_checks_walk_and_build_three_of_each(self, monkeypatch):
+        """Two entries hold a seaweed and its partner, which the checks ask
+        for in turn: with one, every call would walk again."""
+        calls = self.recording(monkeypatch, [
+            (spectrum_module.kernel, "potentials"),
+            (spectrum_module, "_full"),
             (spectrum_module, "_row_spans"),
         ])
         g = parse_seaweed(self.G)
+        pair = g.top.parts, g.bottom.parts
         assert verify_swap_lemma(g) and verify_reverse_lemma(g) and verify_skew_symmetry(g)
-        assert calls == {"potentials": 3, "_difference_rows": 3, "_row_spans": 3}
+        assert calls["potentials"] == [pair, pair[::-1], (pair[0][::-1], pair[1][::-1])]
+        assert len(calls["_full"]) == len(calls["_row_spans"]) == 3
 
-    def test_a_hit_returns_the_matrices_themselves(self, each_kernel):
+    def test_a_hit_returns_what_the_entry_holds(self):
         g = parse_seaweed(self.G)
-        masked, full = spectrum_module._matrices(g)
+        phi, s = vertex_potentials(g), spectrum(g)
+        masked, full = spectrum_matrix(g), extended_spectrum_matrix(g)
         extended_spectrum_matrix(g.swapped())  # the other entry
+        assert vertex_potentials(g) is phi and spectrum(g) is s
         assert spectrum_matrix(g) is masked
         assert extended_spectrum_matrix(g) is full
-        again = spectrum_module._matrices(g)
-        assert again[0] is masked and again[1] is full
 
     def test_the_extended_matrix_builds_no_masked_one(self, monkeypatch):
-        calls = self.counting(monkeypatch, [(spectrum_module, "_row_spans")])
+        calls = self.recording(monkeypatch, [(spectrum_module, "_row_spans")])
         g = parse_seaweed(self.G)
         phi = oracle_potentials(g.top.parts, g.bottom.parts)
         assert extended_spectrum_matrix(g) == tuple(tuple(p - x for x in phi) for p in phi)
-        assert spectrum_module._masked.cache_info().currsize == 0
+        assert spectrum_module._masked not in spectrum_module._memo[g.top.parts, g.bottom.parts]
         assert calls == {}
 
-    @pytest.mark.parametrize("matrix", [spectrum_matrix, extended_spectrum_matrix])
-    def test_a_seaweed_off_a_single_path_raises_each_time_and_leaves_no_entry(
-        self, each_kernel, matrix
-    ):
+    @pytest.mark.parametrize("query", [
+        vertex_potentials, spectrum, extended_spectrum, principal_element,
+        spectrum_matrix, extended_spectrum_matrix,
+    ], ids=lambda query: query.__name__)
+    def test_a_seaweed_off_a_single_path_raises_each_time_and_leaves_no_entry(self, query):
         g = parse_seaweed("2|2 / 4")
         for _ in range(2):
             with pytest.raises(SpectrumUndefinedError, match=NOT_SINGLE_PATH):
-                matrix(g)
-        assert spectrum_module._full.cache_info().currsize == 0
-        assert spectrum_module._masked.cache_info().currsize == 0
+                query(g)
+        assert spectrum_module._memo == {}
+
+    def test_a_displaced_entry_is_freed_after_the_build_that_displaces_it(self):
+        """So that its rows are freed after the new rows are made, not
+        before, as the young-generation collections of the lemma checks
+        need (see spectrum._built)."""
+
+        class Made:
+            pass
+
+        first, second, third = (
+            (g.top.parts, g.bottom.parts)
+            for g in map(parse_seaweed, ("2|1 / 3", "1|2 / 3", "2|4 / 1|2|3"))
+        )
+        made = weakref.ref(spectrum_module._built(lambda top, bottom, phi: Made(), *first))
+        spectrum_module._built(lambda top, bottom, phi: Made(), *second)
+        alive = []
+        spectrum_module._built(lambda top, bottom, phi: alive.append(made() is not None), *third)
+        assert alive == [True] and made() is None
+        assert list(spectrum_module._memo) == [second, third]
 
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
@@ -404,9 +445,9 @@ def test_kernel_histograms_give_the_validated_multisets():
     cases = [g for n in range(1, 11) for g in enumerate_frobenius(n)]
     assert len(cases) == 2297
     for g in cases + large_point_cases():
-        want = IntegerMultiset(kernel.spectrum_counts(g.top.parts, g.bottom.parts))
-        assert spectrum(g).items() == without_one(want, 0).items()
         phi = vertex_potentials(g)
+        want = IntegerMultiset(kernel.spectrum_counts(g.top.parts, g.bottom.parts, phi))
+        assert spectrum(g).items() == without_one(want, 0).items()
         want = IntegerMultiset(_kernel.difference_counts(phi))
         assert extended_spectrum(g).items() == without_one(want, 0).items()
 
@@ -430,7 +471,9 @@ CROSSOVER_POINTS = [
 
 
 def kernel_spectrum(module, g):
-    counts = module.spectrum_counts(g.top.parts, g.bottom.parts)
+    counts = module.spectrum_counts(
+        g.top.parts, g.bottom.parts, module.potentials(g.top.parts, g.bottom.parts)
+    )
     return without_one(IntegerMultiset(counts), 0)
 
 

@@ -606,14 +606,19 @@ class TestOrbitMemo:
     MID_ROW_9 = (4**8 - 1) // 3 + 65 * 256 + 20
 
     def test_orbit_members_have_one_spectrum_through_n9(self, each_kernel):
+        potentials = spectrum_module.kernel.potentials
         spectrum_counts = spectrum_module.kernel.spectrum_counts
+
+        def counts_of(t, b):
+            return spectrum_counts(t, b, potentials(t, b))
+
         frobenius = 0
         for n in range(1, 10):
             for g in enumerate_frobenius(n):
                 t, b = g.top.parts, g.bottom.parts
-                counts = spectrum_counts(t, b)
+                counts = counts_of(t, b)
                 members = [(b, t), (t[::-1], b[::-1]), (b[::-1], t[::-1])]
-                assert all(spectrum_counts(*pair) == counts for pair in members), g
+                assert all(counts_of(*pair) == counts for pair in members), g
                 frobenius += 1
         assert frobenius == 1157
 
@@ -623,9 +628,9 @@ class TestOrbitMemo:
         asked = []
         spectrum_counts = spectrum_module.kernel.spectrum_counts
 
-        def counting(top, bottom):
+        def counting(top, bottom, phi):
             asked.append((top, bottom))
-            return spectrum_counts(top, bottom)
+            return spectrum_counts(top, bottom, phi)
 
         monkeypatch.setattr(spectrum_module.kernel, "spectrum_counts", counting)
         return asked
@@ -638,8 +643,8 @@ class TestOrbitMemo:
     def test_fresh_n9_sweep_walks_once_per_orbit_under_the_pure_kernel(
         self, tmp_path, pure_walks
     ):
-        """The pure kernel's memo of its last two walks neither adds a walk
-        nor changes a byte: the sweep never asks twice for one pair."""
+        """The sweep walks each pair it takes a spectrum of once, and never
+        asks twice for one pair."""
         out = tmp_path / "records.ndjson"
         run_sweep(SweepJob(n_max=9, out=str(out)))
         assert len(pure_walks) == len(set(pure_walks)) == 307
@@ -767,14 +772,14 @@ class TestStabilityRecords:
         # No grid point is non-Frobenius, so the kernel is patched to find
         # no spectrum for the first one.
         g = parse_seaweed(FIRST_POINT[conjecture])
-        spectrum_counts = spectrum_module.kernel.spectrum_counts
+        potentials = spectrum_module.kernel.potentials
 
         def not_frobenius(top, bottom):
             if (top, bottom) == (g.top.parts, g.bottom.parts):
                 return None
-            return spectrum_counts(top, bottom)
+            return potentials(top, bottom)
 
-        monkeypatch.setattr(spectrum_module.kernel, "spectrum_counts", not_frobenius)
+        monkeypatch.setattr(spectrum_module.kernel, "potentials", not_frobenius)
         grid = dict(conjecture=conjecture, k_max=1, r_max=1 if conjecture.endswith("16") else 2)
         summary = resumed_over_first_record(tmp_path, grid)
         assert summary["counterexamples"] == [{"spec": str(g), "failed": ["frobenius"]}]
