@@ -36,14 +36,16 @@ the memo and for the sweeps' _spectrum_of, which skips the memo: a sweep
 never repeats a seaweed.
 
 All arithmetic is exact: potentials are ints, the principal element is a
-tuple of Fractions.
+tuple of Fractions, each built in lowest terms by setting its two slots,
+since gcd(p * n - total, n) = gcd(total, n) for every potential p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import gcd
 from operator import itemgetter
 
 from ._engine import kernel
@@ -239,14 +241,26 @@ def principal_element(g: SeaweedSpec) -> tuple[Fraction, ...]:
     """Diagonal of the principal element: potentials recentred to trace zero.
 
     Entries are exact rationals whose common denominator divides n; the
-    difference across every oriented arc is exactly 1.
+    difference across every oriented arc is exactly 1. Entry p is
+    (p * n - total) / n, and gcd(p * n - total, n) = gcd(total, n) = d, so
+    it is (p * n - total) / d over n / d in lowest terms: built so by setting
+    Fraction's two slots, as Python 3.12's Fraction._from_coprime_ints does
+    (renamed slots would raise: Fraction has no __dict__). The potentials
+    fill lo..hi with lo <= 0 <= hi (arcs step by 1, phi(n) = 0), so the
+    entries, laid out 0..hi and then lo..-1, are indexed by the potential.
     """
     phi = vertex_potentials(g)
-    n = g.n
-    total = sum(phi)
-    # p - total / n, as one Fraction per distinct potential
-    recentred = {p: Fraction(p * n - total, n) for p in set(phi)}
-    return tuple(map(recentred.__getitem__, phi))
+    total, lo = sum(phi), min(phi)
+    d = gcd(total, g.n)
+    den, shift = g.n // d, total // d
+    nums = range(lo * den - shift, (max(phi) + 1) * den - shift, den)  # p = lo..hi
+    made, new = [], object.__new__
+    for num in chain(nums[-lo:], nums[:-lo]):
+        x = new(Fraction)
+        x._numerator = num
+        x._denominator = den
+        made.append(x)
+    return tuple(map(made.__getitem__, phi))
 
 
 def frobenius_form_support(g: SeaweedSpec) -> tuple[tuple[int, int], ...]:

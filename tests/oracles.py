@@ -7,7 +7,11 @@ per-pair path walks. None of them share code with the package.
 mask_histogram scans all n^2 positions with the block-index rule, the
 reference for the kernel's block-by-block histogram; oracle_matrix lays the
 oracle potentials over the flag mask, the reference for the row-interval
-matrix. read_ndjson and without_one are plain test helpers, not oracles.
+matrix. arc_functional, seaweed_basis, bracket and kirillov_rank restate
+the Lie algebra (the Frobenius functional, the seaweed in sl(n) and its
+bracket) that defines the principal element, the reference for
+principal_element. read_ndjson and without_one are plain test helpers, not
+oracles.
 """
 
 import json
@@ -171,6 +175,57 @@ def mask_histogram(top, bottom):
                 d = phi[i] - phi[j]
                 counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def arc_functional(top, bottom):
+    """The Frobenius functional F, as a function of an element given as a
+    dict from matrix unit to coefficient: F(e_ij) is 1 at every arc, top
+    arcs at (high, low) and bottom arcs at (low, high), and 0 elsewhere."""
+    support = {(j, i) for i, j in _side_edges(top)} | set(_side_edges(bottom))
+    return lambda z: sum(c for u, c in z.items() if u in support)
+
+
+def seaweed_basis(top, bottom):
+    """A basis of the seaweed in sl(n), each element a dict from matrix unit
+    (i, j) to its coefficient: e_ij at every admissible (i, j) of flag_mask
+    off the diagonal, and e_kk - e_(k+1)(k+1) for k = 1..n-1."""
+    n = sum(top)
+    basis = [{u: 1} for u in sorted(flag_mask(top, bottom)) if u[0] != u[1]]
+    return basis + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(1, n)]
+
+
+def bracket(x, y):
+    """[x, y] = xy - yx of two elements given as dicts from matrix unit to
+    coefficient, by [e_ij, e_kl] = [j == k] e_il - [l == i] e_kj."""
+    out = {}
+    for (i, j), a in x.items():
+        for (k, l), b in y.items():
+            if j == k:
+                out[i, l] = out.get((i, l), 0) + a * b
+            if l == i:
+                out[k, j] = out.get((k, j), 0) - a * b
+    return {u: c for u, c in out.items() if c}
+
+
+def kirillov_rank(top, bottom, modulus=2**31 - 1):
+    """Rank mod a prime of the Kirillov form (x, y) -> F([x, y]) on
+    seaweed_basis, F the arc functional, by Gaussian elimination."""
+    F = arc_functional(top, bottom)
+    basis = seaweed_basis(top, bottom)
+    rows = [[F(bracket(x, y)) % modulus for y in basis] for x in basis]
+    rank = 0
+    for col in range(len(basis)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, modulus)
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] * inverse % modulus
+            if factor:
+                rows[r] = [(a - factor * b) % modulus for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def read_ndjson(path):

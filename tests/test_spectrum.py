@@ -1,8 +1,10 @@
 import hashlib
 import importlib
+import pickle
 import weakref
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,10 +13,14 @@ from hypothesis import strategies as st
 import goldens
 from oracles import (
     _side_edges,
+    arc_functional,
+    bracket,
     flag_mask,
+    kirillov_rank,
     oracle_matrix,
     oracle_potentials,
     oracle_spectrum,
+    seaweed_basis,
     without_one,
 )
 from seaweedspec import (
@@ -534,11 +540,38 @@ class TestPrincipalElement:
             assert diag[u - 1] - diag[v - 1] == 1
 
     def test_equals_potentials_less_their_mean(self):
-        cases = [g for n in range(1, 9) for g in enumerate_frobenius(n)]
+        """Each entry is what Fraction(p * n - total, n) makes, field for
+        field, not only equal to it: principal_element sets the slots of
+        reduced fractions itself. 1 / 1 and 2|1 / 3 (n divides the total,
+        so every entry is an integer) are among the cases."""
+        cases = [g for n in range(1, 10) for g in enumerate_frobenius(n)]
+        assert {"1 / 1", "2|1 / 3"} <= {str(g) for g in cases}
         for g in cases + large_point_cases():
             phi = vertex_potentials(g)
-            mean = Fraction(sum(phi), g.n)
-            assert principal_element(g) == tuple(Fraction(p) - mean for p in phi)
+            total = sum(phi)
+            for p, x in zip(phi, principal_element(g)):
+                want = Fraction(p * g.n - total, g.n)
+                assert type(x) is Fraction
+                assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+                assert x.denominator == g.n // gcd(total, g.n)
+                assert (hash(x), str(x)) == (hash(want), str(want))
+                back = pickle.loads(pickle.dumps(x))
+                assert type(back) is Fraction
+                assert (back.numerator, back.denominator) == (want.numerator, want.denominator)
+        assert all(x.denominator == 1 for x in principal_element(parse_seaweed("2|1 / 3")))
+
+    def test_is_the_principal_element_of_the_arc_functional(self):
+        """With h the diagonal matrix of principal_element and F the arc
+        functional, F([h, y]) = F(y) for every basis element y of the
+        seaweed, and the Kirillov form (x, y) -> F([x, y]) has full rank, so
+        F is Frobenius and h is the one element with F o ad h = F."""
+        for g in frobenius_cases(6):
+            top, bottom = g.top.parts, g.bottom.parts
+            F = arc_functional(top, bottom)
+            h = {(i, i): x for i, x in enumerate(principal_element(g), start=1)}
+            basis = seaweed_basis(top, bottom)
+            assert [F(bracket(h, y)) for y in basis] == [F(y) for y in basis], str(g)
+            assert kirillov_rank(top, bottom) == len(basis), str(g)
 
 
 class TestFrobeniusFormSupport:
