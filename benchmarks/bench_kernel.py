@@ -60,9 +60,11 @@ from workloads import QueryLarge  # noqa: E402
 SEED = 7
 REPEAT = 5
 
-#: k2 at n = 1,025 to 4,097, k1k at n = 1,603 and 3,203, and three r-block
-#: points: two blocks of about 3,000 among 6,000 blocks of 2, two of about
-#: 1,000 among 4,000 blocks of 4, and 16,002 vertices in blocks of at most 3.
+#: k2 at n = 1,025 to 4,097, k1k at n = 1,603, 3,203 and 40,003, and three
+#: r-block points: two blocks of about 3,000 among 6,000 blocks of 2, two of
+#: about 1,000 among 4,000 blocks of 4, and 16,002 vertices in blocks of at
+#: most 3. At n = 40,003 the summed digit bounds of k1k's three long blocks
+#: pass two bytes, so the pure kernel unpacks its packed sum mid-seaweed.
 CROSSOVER = [
     (FamilyId.K2, 1023, None),
     (FamilyId.K2, 1279, None),
@@ -70,6 +72,7 @@ CROSSOVER = [
     (FamilyId.K2, 4095, None),
     (FamilyId.K1K, 801, None),
     (FamilyId.K1K, 1601, None),
+    (FamilyId.K1K, 20001, None),
     (FamilyId.K_2R, 3001, 3000),
     (FamilyId.K4R, 999, 2000),
     (FamilyId.K_2R, 2, 8000),

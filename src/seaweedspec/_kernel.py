@@ -21,8 +21,8 @@ exists only here.
 Here the passes over whole vertex and count vectors run inside builtins
 (slices, map, compress, one big-int product). Python loops remain for the
 walk, whose every step needs the last, for the tally of a half's values,
-for the partner and pair loops of short blocks, and for one pass over each
-side's parts:
+for the partner and pair loops of short blocks, for one pass over each
+side's parts and for one over the blocks of 5 or more vertices:
   * each half of the walk (``_half_walk``) takes an arc of one side and
     then one of the other per loop pass, with a running potential and no
     side flag or arc counter (the pass number gives the count), and long
@@ -32,13 +32,16 @@ side's parts:
     vector of its p // 2 left-half values instead of p^2 / 2 pair steps,
     and its four terms (the left half's differences, those raised by 1,
     and an odd block's two middle terms) are summed inside that packed
-    product and reach the histogram in one slice pass (see _add_block and
-    _fold); a top block is read reversed, not negated, and blocks of 1 to
-    4 have closed forms and need no call at all (see spectrum_counts);
-    the histogram spans only the potentials' range;
+    product (see _fold); spectrum_counts adds the products of a seaweed's
+    long blocks, each shifted to its place, into one packed int and
+    unpacks that into the histogram in one slice pass; a top block is read
+    reversed, not negated, and blocks of 1 to 4 have closed forms and need
+    no call at all (see spectrum_counts); the histogram spans only the
+    potentials' range;
   * a product packs each count into the narrowest machine digit that
-    holds its largest sum, which Cauchy-Schwarz bounds by sum c^2, the
-    count of zero differences (see difference_counts and _fold).
+    holds a bound on its largest sum, max(c) times the number of values
+    counted, which needs no pass over the count vector c (see
+    difference_counts and _fold).
 
 This module trusts its inputs: parts are positive ints in tuples, both
 tuples have the same sum, and spectrum_counts's phi is what potentials
@@ -65,15 +68,20 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from operator import add, mul
+from operator import add
 from sys import byteorder
 
 #: Blocks whose left half holds at most this many vertices set their
 #: partners one by one and count their ordered differences pair by pair;
-#: longer halves take slice assignments and one product (see _add_block).
-#: Below about 8 the pair loop is the faster, so every block of an n <= 15
-#: seaweed takes it. The partner loop stays faster up to halves of about
-#: 20, but the two slice assignments cost only about 1 us more per block.
+#: longer halves take slice assignments and one product (see _fold).
+#: Timed on blocks of Frobenius seaweeds at n <= 60, a half of 6 takes
+#: about 4.3 us by the pair loop and 4.8 us by a fold unpacked alone, and
+#: one of 7 takes 5.6 and 5.1 us; a fold that joins a seaweed's packed sum
+#: skips its own unpack, about 1.5 us, and so wins from halves of about 5
+#: or 6. Over all 30,655 Frobenius pairs through n = 14, short halves of 5
+#: and 7 take 243 and 241 ms, and 4 and 3 take 264 and 288 ms. The
+#: partner loop stays faster up to halves of about 20, but the two slice
+#: assignments cost only about 1 us more per block.
 _SHORT_HALF = 7
 
 
@@ -189,17 +197,19 @@ def difference_counts(xs):
     1 - len(c) + k is sum_i c[i] * rev[k - i], rev = c reversed, and one
     big-int product gets them all (Kronecker substitution): c and rev are
     packed into ints, one fixed-width digit per entry, and digit k of their
-    product is that sum. By Cauchy-Schwarz every digit, an inner product of
-    c with a shift of itself, is at most sum c^2, the zeros' digit, so a
-    digit as wide as the smallest machine integer that holds sum c^2 never
-    carries into the next, and packing and unpacking go through an array of
-    that type. Ints and arrays both use the native byte order, which keeps
-    the digits in the same order on either endianness. For the potentials
-    of the k2 point at n = 4,043 sum c^2 is 8,083, two-byte digits, where
-    len(xs)^2 is over 16 million.
+    product is that sum. Every digit is at most max(c) * len(xs): each of
+    its len(xs) terms, grouped by i, adds c[i] copies of an entry of rev. So
+    a digit as wide as the smallest machine integer that holds that bound
+    never carries into the next, and packing and unpacking go through an
+    array of that type. (Cauchy-Schwarz gives the tighter sum c^2, the
+    zeros' digit, but that costs a pass over c; for the potentials of every
+    query_large point both bounds pick the same width.) Ints and arrays both
+    use the native byte order, which keeps the digits in the same order on
+    either endianness. For the potentials of the k2 point at n = 4,043 the
+    bound is 8,086, two-byte digits, where len(xs)^2 is over 16 million.
     """
     _, c = _tally(xs)
-    size, code = _digits(sum(map(mul, c, c)))
+    size, code = _digits(max(c) * len(xs))
     packed, reverse = _pack(c, code)
     product = packed * reverse
     counts = array(code, product.to_bytes((2 * len(c) - 1) * size, byteorder))
@@ -208,29 +218,44 @@ def difference_counts(xs):
 
 
 def _fold(half, m):
-    """(start, counts) where counts[k] counts the difference start + k in
-        D(L) + (D(L) + 1) + {x - m : x in L} + {m + 1 - x : x in L},
-    the four terms of a long block's triangle (see _add_block), with L
-    the values half and D(L) = {x - y : x, y in L}; the last two only for
-    an odd block, m its middle value, and not when m is None.
+    """(r, bound, folded): the triangle U(xs) = {xs[a] - xs[b] : a < b} of
+    one long block xs, plus h zeros, packed into the 2r digits of folded,
+    digit k counting the difference 1 - r + k, each digit of the width
+    _digits(bound) picks. half is L = xs[:h], h = p // 2 for a block of p
+    vertices, and m its middle value xs[h] for an odd block, None for an
+    even one; xs drops by one to the right of its middle: xs[p-1-i] =
+    xs[i] - 1 for every i < h.
 
-    All four are summed inside one packed int, one fixed-width digit per
-    difference, as in difference_counts. With c the count vector of L from
-    lo to hi = lo + w - 1, c packed times c reversed packed is D(L), over
-    1 - w to w - 1; that product shifted one digit up and added to itself
-    is D(L) + (D(L) + 1), over 1 - w to w; and c packed, shifted to start
-    at lo - m, and c reversed packed, shifted to start at m + 1 - hi, add
-    the last two. The map v -> 1 - v takes D(L) to D(L) + 1 and x - m to
+    Splitting xs into L, m (odd p only) and the right half, which is L
+    reversed and lowered by 1:
+        pairs within L          give U(L),
+        pairs within the right  give {L[i] - L[j] : i > j},
+        L against the right     give D(L) shifted by +1,
+        L against m             give {x - m : x in L},
+        m against the right     give {m + 1 - x : x in L},
+    where D(L) = {x - y : x, y in L}. The first two are D(L) without its h
+    diagonal zeros, so
+        U(xs) + h * {0} = D(L) + (D(L) + 1)
+                          + {x - m : x in L} + {m + 1 - x : x in L}:
+    p^2 / 2 pair steps become one product of the count vector of L.
+
+    All four terms are summed inside one packed int, as in
+    difference_counts. With c the count vector of L from lo to
+    hi = lo + w - 1, c packed times c reversed packed is D(L), over 1 - w
+    to w - 1; that product shifted one digit up and added to itself is
+    D(L) + (D(L) + 1), over 1 - w to w; and c packed, shifted to start at
+    lo - m, and c reversed packed, shifted to start at m + 1 - hi, add the
+    last two. The map v -> 1 - v takes D(L) to D(L) + 1 and x - m to
     m + 1 - x, so the sum runs from 1 - r to r, with r = w or, for an odd
-    block, the largest of w, hi - m and m + 1 - lo; digit k holds the
-    difference 1 - r + k. One digit of the sum is at most two digits of
-    D(L), each at most sum c^2 (see difference_counts), plus one entry
-    each of c and c reversed, so a digit that holds 2 sum c^2 + 2 max c
-    never carries.
+    block, the largest of w, hi - m and m + 1 - lo. One digit of the sum is
+    at most two digits of D(L), each at most max(c) * h (see
+    difference_counts), plus one entry each of c and c reversed, so
+    bound = 2 * max(c) * (h + 1) holds every digit and none carries.
     """
     lo, c = _tally(half)
     w = len(c)
-    size, code = _digits(2 * (sum(map(mul, c, c)) + max(c)))
+    bound = 2 * max(c) * (len(half) + 1)
+    size, code = _digits(bound)
     bits = 8 * size
     packed, reverse = _pack(c, code)
     folded = packed * reverse
@@ -243,46 +268,31 @@ def _fold(half, m):
             + (packed << (lo - m + r - 1) * bits)
             + (reverse << (m + r + 1 - lo - w) * bits)
         )
-    return 1 - r, array(code, folded.to_bytes(2 * r * size, byteorder))
+    return r, bound, folded
+
+
+def _unpack(packed, digits, hist, at, length):
+    """Add the lowest length digits of packed, of digits = (size, code)
+    from _digits, to hist[at : at + length], the lowest digit first."""
+    size, code = digits
+    counts = array(code, packed.to_bytes(length * size, byteorder))
+    end = at + length
+    hist[at:end] = map(add, hist[at:end], counts)
 
 
 def _add_block(xs, hist, off):
     """Add U(xs) = {xs[a] - xs[b] : a < b} into hist, where hist[d + off]
     counts the difference d; xs are the potentials of one block, lowered by
-    one to the right of their middle: xs[p-1-i] = xs[i] - 1 for every
-    i < h = p // 2.
+    one to the right of their middle, as _fold takes them.
 
-    Splitting xs into its left half L = xs[:h], the middle m = xs[h] (odd p
-    only) and the right half, which is L reversed and lowered by 1:
-        pairs within L          give U(L),
-        pairs within the right  give {L[i] - L[j] : i > j},
-        L against the right     give D(L) shifted by +1,
-        L against m             give {x - m : x in L},
-        m against the right     give {m + 1 - x : x in L},
-    where D(L) = {x - y : x, y in L}. The first two are D(L) without its h
-    diagonal zeros, so
-        U(xs) = D(L) + (D(L) + 1) - h * {0}
-                + {x - m : x in L} + {m + 1 - x : x in L}.
-    _fold sums the four terms inside one packed product of the count
-    vector of L, and they reach hist in one slice pass: p^2 / 2 pair steps
-    become one product and one pass. Halves of at most _SHORT_HALF count
-    pair by pair instead. The compiled kernel calls this too, for each
-    block past its own SHORT_HALF, with hist a zeroed list of 2 * off + 1
-    counts and off the span max(xs) - min(xs), which bounds every
-    difference.
+    The compiled kernel calls this for each block past its own SHORT_HALF,
+    with hist a zeroed list of 2 * off + 1 counts and off the span
+    max(xs) - min(xs), which bounds every difference: one _fold, unpacked
+    into hist at once. The pure spectrum_counts sums its folds first.
     """
-    p = len(xs)
-    h = p // 2
-    if h <= _SHORT_HALF:
-        for a in range(p - 1):
-            xa = xs[a] + off
-            for y in xs[a + 1 :]:
-                hist[xa - y] += 1
-        return
-    start, counts = _fold(xs[:h], xs[h] if p % 2 else None)
-    at = off + start
-    end = at + len(counts)
-    hist[at:end] = map(add, hist[at:end], counts)
+    h = len(xs) // 2
+    r, bound, folded = _fold(xs[:h], xs[h] if len(xs) % 2 else None)
+    _unpack(folded, _digits(bound), hist, off + 1 - r, 2 * r)
     hist[off] -= h
 
 
@@ -312,21 +322,31 @@ def spectrum_counts(top, bottom, phi):
     1; those 1s come from one count() of each side's parts. With
     d = xs[0] - xs[1], xs phi on a bottom block and -phi on a top one, a
     block of 3, (a, b, a - 1), adds {1, d, 1 - d}, and a block of 4,
-    (a, b, b - 1, a - 1), adds {1, 1, d, d + 1, -d, 1 - d}. Every longer
-    block, top blocks reversed, reads its triangle off its left half (see
-    _add_block). No difference exceeds the span of the potentials, which
-    sizes the histogram.
+    (a, b, b - 1, a - 1), adds {1, 1, d, d + 1, -d, 1 - d}. A longer block,
+    top blocks reversed, whose half holds at most _SHORT_HALF values counts
+    its pairs one by one; every other one reads its triangle off one
+    _fold of its left half. No difference exceeds the span of the
+    potentials, which sizes the histogram.
+
+    The folds are summed in one packed int, each shifted so that digit j
+    counts the difference j + 1 - off, and unpacked into the histogram
+    once, over the widest fold's differences. A fold joins that sum only
+    when its digits are as wide as the sum's and the sum of the bounds of
+    its folds, its own included, still fits them, so no digit carries and
+    no product is taken wider than its block needs; otherwise the sum is
+    unpacked first and starts again from that fold.
     """
     off = max(phi) - min(phi)
     hist = [0] * (2 * off + 1)
     hist[off] = len(phi)
     ones = top.count(2) + bottom.count(2)
+    blocks = []  # every block of 5 or more, top blocks reversed
     for parts, sign in ((bottom, 1), (top, -1)):
         s = 0
         for p in parts:
             if p > 4:
                 xs = phi[s : s + p]
-                _add_block(xs if sign > 0 else xs[::-1], hist, off)
+                blocks.append(xs if sign > 0 else xs[::-1])
             elif p > 2:
                 d = sign * (phi[s] - phi[s + 1])
                 if p == 4:
@@ -336,6 +356,31 @@ def spectrum_counts(top, bottom, phi):
                 hist[off + 1 - d] += 1
                 ones += p - 2
             s += p
+    # the folds' packed sum, its digits' (size, code) and width in bits,
+    # the sum of their bounds and their largest r
+    total = bounds = reach = 0
+    digits = bits = None
+    for xs in blocks:
+        p = len(xs)
+        h = p // 2
+        if h <= _SHORT_HALF:
+            for a in range(p - 1):
+                xa = xs[a] + off
+                for y in xs[a + 1 :]:
+                    hist[xa - y] += 1
+            continue
+        r, bound, folded = _fold(xs[:h], xs[h] if p % 2 else None)
+        fits = _digits(bound)
+        if fits != digits or (bounds + bound).bit_length() > 8 * fits[0]:
+            if total:
+                _unpack(total >> (off - reach) * bits, digits, hist, off + 1 - reach, 2 * reach)
+            digits, bits, total, bounds, reach = fits, 8 * fits[0], 0, 0, 0
+        total += folded << (off - r) * bits
+        bounds += bound
+        reach = max(reach, r)
+        hist[off] -= h
+    if total:
+        _unpack(total >> (off - reach) * bits, digits, hist, off + 1 - reach, 2 * reach)
     if ones:
         hist[off + 1] += ones
 

@@ -42,6 +42,35 @@ def integer_multiset_counts(draw, max_size: int = 8) -> dict[int, int]:
     )
 
 
+def inverse_moves(x, y):
+    """Every part pair one inverse winding-down move from the pair (x, y):
+    flip, block elimination, rotation contraction and pure contraction,
+    each undone. The moves keep the index, so from 1 | 1 (a single path)
+    each result is a single path too."""
+    grown = [((2 * x[0],) + x[1:], (x[0],) + y)]
+    if y[0] < x[0]:
+        grown.append((y, x))
+        grown.append(((2 * x[0] - y[0],) + x[1:], (x[0],) + y[1:]))
+    if len(x) > 1:
+        grown.append(((x[0] + 2 * x[1],) + x[2:], (x[1],) + y))
+    return grown
+
+
+@st.composite
+def frobenius_seaweeds(draw, max_n: int) -> SeaweedSpec:
+    """A Frobenius seaweed of at most max_n vertices, grown from 1 | 1 by
+    inverse moves until it reaches a drawn size: a single path by
+    construction, so no draw is filtered out."""
+    target = draw(st.integers(min_value=1, max_value=max_n))
+    x, y = (1,), (1,)
+    while sum(x) < target:
+        grown = [pair for pair in inverse_moves(x, y) if sum(pair[0]) <= max_n]
+        if not grown:
+            break
+        x, y = draw(st.sampled_from(grown))
+    return SeaweedSpec(Composition(x), Composition(y))
+
+
 def orientations(g):
     return g, g.swapped(), g.reversed(), g.swapped().reversed()
 

@@ -2,6 +2,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,7 +27,7 @@ from seaweedspec import (
 )
 from seaweedspec._engine import kernel
 from seaweedspec.meander import component_counts
-from strategies import LARGE_POINTS, orientations, seaweeds
+from strategies import LARGE_POINTS, frobenius_seaweeds, inverse_moves, orientations, seaweeds
 
 
 def all_pairs(max_n):
@@ -76,8 +77,8 @@ def delegated(monkeypatch):
 
 def test_kernels_agree_exhaustively_with_every_block_delegated(walk_delegating, delegated):
     """Built with SHORT_HALF at 0, the compiled kernel hands every block of
-    3 or more vertices to _kernel._add_block, whose pair loop or product
-    then counts it, and blocks of 1 and 2 never reach it."""
+    3 or more vertices to _kernel._add_block, whose product then counts it,
+    and blocks of 1 and 2 never reach it."""
     for top, bottom in all_pairs(8):
         want = results(_kernel, top, bottom)
         delegated.clear()
@@ -302,7 +303,7 @@ def test_kernel_benchmark_runs(child_env, walk):
     assert "23 Frobenius pairs through n=4" in lines
     header = lines.index("crossover points, spectrum_counts, best of 5, ms:") + 1
     assert lines[header].split()[-1] == "baseline"
-    assert len(lines[header + 1 :]) == 9
+    assert len(lines[header + 1 :]) == 10
 
 
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
@@ -385,9 +386,14 @@ def assert_blocks_mirror(top, bottom):
 @pytest.mark.parametrize(
     "xs",
     [
-        [7] * 15,  # one digit of 225, its bound, which one byte holds
-        [7] * 16,  # a bound of 256, the least that needs two
+        # the digit bound max(c) * len(xs) is 225, which one byte holds
+        [7] * 15,
+        [7] * 16,  # 256, the least that needs two bytes
         [0] * 256,  # 65536, the least that needs four
+        # 8 * 38 = 304 needs two bytes where sum c^2 = 94 fits one
+        [0] * 8 + list(range(1, 31)),
+        # 128 * 528 = 67584 needs four where sum c^2 = 16784 fits two
+        [0] * 128 + list(range(1, 401)),
         [5],
         [-4],
         [-9, -1, -1, 3],
@@ -406,40 +412,94 @@ values = st.lists(st.integers(-3, 3) | st.integers(-200, 200), min_size=1, max_s
 
 
 @given(values)
-@example([7] * 15)  # sum of squared counts 225 and 256 either side
-@example([7] * 16)  # of the one-byte edge, 65536 at the two-byte one
+@example([7] * 15)  # digit bounds max(c) * len(xs) of 225 and 256 either
+@example([7] * 16)  # side of the one-byte edge, 65536 at the two-byte one
 @example([0] * 256)
 def test_difference_counts_fit_their_digits(xs):
-    """No digit of the product exceeds sum c^2, the count of zero
-    differences, so no digit carries into the next at the width that bound
-    picks."""
+    """No digit of the product exceeds max(c) * len(xs), which bounds sum
+    c^2, the count of zero differences, so no digit carries into the next
+    at the width that bound picks."""
     got = _kernel.difference_counts(xs)
     want = Counter(x - y for x in xs for y in xs)
     assert list(got.items()) == sorted(want.items())
 
 
-@st.composite
-def long_block_parts(draw, n):
-    """A composition of n into at most four parts."""
-    cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=3))))
-    return tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
+def test_inverse_moves_grow_every_frobenius_seaweed(frobenius_pairs_through_10):
+    """frobenius_seaweeds draws from the tree that the inverse moves grow
+    from 1 | 1; through n = 10 it holds exactly the Frobenius pairs."""
+    grown = set()
+    frontier = {((1,), (1,))}
+    while frontier:
+        grown |= frontier
+        frontier = {
+            pair for x, y in frontier for pair in inverse_moves(x, y) if sum(pair[0]) <= 10
+        } - grown
+    assert grown == set(frobenius_pairs_through_10)
 
 
-@st.composite
-def long_block_pairs(draw):
-    n = draw(st.integers(2 * _kernel._SHORT_HALF + 2, 90))
-    return draw(long_block_parts(n)), draw(long_block_parts(n))
-
-
-@given(long_block_pairs())
-def test_spectrum_counts_match_oracle_past_the_short_half(pair):
-    """Single paths with a block past 2 * _SHORT_HALF vertices, so that its
-    half takes the product (and, when odd, the middle's slice additions)."""
-    top, bottom = pair
-    assume(max(top + bottom) > 2 * _kernel._SHORT_HALF)
-    assume(graph_components(top, bottom) == (0, 1))
-    got = histogram(_kernel, top, bottom)
+@given(frobenius_seaweeds(max_n=90), st.data())
+def test_spectrum_counts_match_oracle_past_the_short_half(g, data):
+    """Single paths of up to 90 vertices, drawn without filtering, with
+    _SHORT_HALF drawn below the largest block's half, so that the largest
+    block takes the product, and blocks of other lengths take the product
+    or the pair loop."""
+    top, bottom = g.top.parts, g.bottom.parts
+    short_half = data.draw(st.integers(0, max(max(top + bottom) // 2 - 1, 0)))
+    with patch.object(_kernel, "_SHORT_HALF", short_half):
+        got = histogram(_kernel, top, bottom)
     assert list(got.items()) == list(mask_histogram(top, bottom).items())
+
+
+def test_packed_sum_unpacks_on_overflow_and_on_a_width_change(monkeypatch):
+    """k1k at odd k from 61 to 131 has long blocks of 2k + 1, k + 1 and k
+    vertices, whose folds have digit bounds of about 2k, k and k. At k = 61
+    all three fit one byte together and unpack once; from k = 63 their sum
+    passes 255, so the packed sum unpacks mid-seaweed on overflow; from
+    k = 127 the long block needs two bytes and the others one, so it
+    unpacks on each width change. Every orientation is checked against the
+    pair loop, and the edges also against the mask."""
+    unpack = _kernel._unpack
+    sizes = []  # the digit size of each unpack in one spectrum_counts call
+    monkeypatch.setattr(
+        _kernel,
+        "_unpack",
+        lambda packed, digits, *rest: sizes.append(digits[0]) or unpack(packed, digits, *rest),
+    )
+    flushes = set()
+    for k in range(61, 132, 2):
+        for g in orientations(family_spec(FamilyId.K1K, k)):
+            top, bottom = g.top.parts, g.bottom.parts
+            sizes.clear()
+            got = list(histogram(_kernel, top, bottom).items())
+            assert (len(sizes) > 1) == (k > 61)
+            flushes.update("overflow" if a == b else "width" for a, b in zip(sizes, sizes[1:]))
+            with patch.object(_kernel, "_SHORT_HALF", 10**9):
+                assert got == list(histogram(_kernel, top, bottom).items())
+            if k in (61, 63, 125, 127):
+                assert got == list(mask_histogram(top, bottom).items())
+    assert flushes == {"overflow", "width"}
+
+
+@pytest.mark.parametrize("half, m, size", [
+    # 2 * max(c) * (h + 1) = 2 * 8 * 17 = 272, where 2 * (sum c^2 + max c) = 160
+    ([0] * 8 + list(range(1, 9)), None, 2),
+    ([0] * 8 + list(range(1, 9)), 3, 2),
+    # 135,424, where 2 * (sum c^2 + max c) = 33,824
+    ([0] * 128 + list(range(1, 401)), None, 4),
+    ([0] * 128 + list(range(1, 401)), 200, 4),
+])
+def test_fold_bound_widens_past_sum_of_squares(half, m, size):
+    """The fold's bound 2 * max(c) * (h + 1) can take a wider digit than
+    2 * (sum c^2 + max c), which also bounds every digit; the counts are
+    still U(xs)."""
+    _, bound, _ = _kernel._fold(half, m)
+    assert _kernel._digits(bound)[0] == size
+    xs = half + ([] if m is None else [m]) + [x - 1 for x in reversed(half)]
+    off = max(xs) - min(xs)
+    hist = [0] * (2 * off + 1)
+    _kernel._add_block(xs, hist, off)
+    want = Counter(xs[a] - y for a in range(len(xs)) for y in xs[a + 1 :])
+    assert {d - off: c for d, c in enumerate(hist) if c} == dict(sorted(want.items()))
 
 
 @st.composite
