@@ -7,7 +7,9 @@ REPEAT passes, and within a pass the kernels take turns, so that a change
 in the host's speed reaches all of them alike. Every ``spectrum_counts``
 row times the histogram alone: its potentials are taken once, before any
 timing, and each kernel is handed the same ones. The kernels keep no state
-between calls, so a pass that repeats a seaweed times what the first did:
+between calls, so a pass that repeats a seaweed times what the first did.
+Before any timing, every kernel's potentials and histogram are checked
+against the pure kernel's on every row, and a difference exits 1:
 
 * every Frobenius pair up to --n-max (from ``enumerate_frobenius``, which
   reads the index off the census and walks no meander): the potentials,
@@ -64,7 +66,8 @@ REPEAT = 5
 #: r-block points: two blocks of about 3,000 among 6,000 blocks of 2, two of
 #: about 1,000 among 4,000 blocks of 4, and 16,002 vertices in blocks of at
 #: most 3. At n = 40,003 the summed digit bounds of k1k's three long blocks
-#: pass two bytes, so the pure kernel unpacks its packed sum mid-seaweed.
+#: pass two bytes, so either kernel's packed sum, built by one
+#: _kernel._add_triangles call, unpacks mid-seaweed.
 CROSSOVER = [
     (FamilyId.K2, 1023, None),
     (FamilyId.K2, 1279, None),
@@ -119,6 +122,18 @@ def query_points():
     return sorted(groups.items())
 
 
+def check(kernels, pairs):
+    """Exit 1 unless every kernel's potentials and spectrum_counts, key
+    order included, equal the pure kernel's on every part pair."""
+    for top, bottom in pairs:
+        phi = _kernel.potentials(top, bottom)
+        want = (phi, list(_kernel.spectrum_counts(top, bottom, phi).items()))
+        for name, kernel in kernels:
+            counts = kernel.spectrum_counts(top, bottom, phi)
+            if (kernel.potentials(top, bottom), list(counts.items())) != want:
+                sys.exit(f"{name} kernel differs from the pure kernel on {top} / {bottom}")
+
+
 def load_kernel(path):
     """The kernel at path, a _walk extension or a pure _kernel.py, loaded
     but not registered."""
@@ -148,6 +163,11 @@ def main():
     names = [name for name, _ in kernels]
 
     pairs = frobenius_pairs(args.n_max)
+    groups = query_points()
+    crossover = [(f, k, r, family_spec(f, k, r)) for f, k, r in CROSSOVER]
+    check(kernels, pairs + [pair for _, group in groups for pair in group]
+          + [(g.top.parts, g.bottom.parts) for *_, g in crossover])
+    print("every kernel gives the pure kernel's answers on every row")
     print(f"{len(pairs)} Frobenius pairs through n={args.n_max}")
     print(f"best of {REPEAT}, ms:")
     phi = best(kernels, "potentials", pairs)
@@ -156,7 +176,7 @@ def main():
         print(f"  {name:>10}: potentials {p:8.2f}, spectrum_counts {h:8.2f}")
 
     print(f"query_large points (seed {SEED}), best of {REPEAT}, ms per size group:")
-    for size, group in query_points():
+    for size, group in groups:
         print(f"  n ~ {size}: {len(group)} points, n = "
               f"{min(sum(t) for t, _ in group)}..{max(sum(t) for t, _ in group)}")
         phi = best(kernels, "potentials", group)
@@ -171,8 +191,7 @@ def main():
 
     print(f"crossover points, spectrum_counts, best of {REPEAT}, ms:")
     print(f"  {'seaweed':>22} {'n':>6} {'max part':>8} " + " ".join(f"{n:>8}" for n in names))
-    for f, k, r in CROSSOVER:
-        g = family_spec(f, k, r)
+    for f, k, r, g in crossover:
         times = best(kernels, "spectrum_counts", with_potentials([(g.top.parts, g.bottom.parts)]))
         point = f"{f.value} k={k}" + ("" if r is None else f" r={r}")
         print(f"  {point:>22} {g.n:6} {max(g.top.parts + g.bottom.parts):8} "

@@ -3,8 +3,8 @@
 The compiled kernel ``_walk``, built from ``_walk.c`` by ``setup.py``, is
 the kernel when importable, and the pure-Python ``_kernel`` otherwise.
 Both expose potentials and spectrum_counts with identical results, and the
-compiled spectrum_counts hands each long block to the pure kernel's
-``_add_block``. The index needs no kernel: ``meander`` counts cycles and
+compiled spectrum_counts hands a seaweed's long blocks to the pure kernel's
+``_add_triangles`` in one call. The index needs no kernel: ``meander`` counts cycles and
 paths by the winding-down moves.
 """
 

@@ -8,8 +8,9 @@ walks: one path, from vertex n both ways, so phi(n) = 0 holds with no
 further pass, and None unless it covers all n vertices. spectrum_counts
 takes those potentials and sums the ordered differences within every
 block, the block triangles (see its docstring). The compiled kernel counts
-a triangle pair by pair up to its own half length and hands every longer
-block to ``_add_block`` here, so the block algebra below is written once.
+a triangle pair by pair up to its own half length and, as the pure one
+does, hands a seaweed's longer blocks to one ``_add_triangles`` call here,
+so the block algebra below is written once.
 Neither kernel counts cycles and paths; ``meander`` does, by the
 winding-down moves. Neither keeps any state between calls; ``spectrum``
 keeps a seaweed's potentials.
@@ -32,7 +33,7 @@ side's parts and for one over the blocks of 5 or more vertices:
     vector of its p // 2 left-half values instead of p^2 / 2 pair steps,
     and its four terms (the left half's differences, those raised by 1,
     and an odd block's two middle terms) are summed inside that packed
-    product (see _fold); spectrum_counts adds the products of a seaweed's
+    product (see _fold); _add_triangles adds the products of a seaweed's
     long blocks, each shifted to its place, into one packed int and
     unpacks that into the histogram in one slice pass; a top block is read
     reversed, not negated, and blocks of 1 to 4 have closed forms and need
@@ -159,9 +160,11 @@ def potentials(top, bottom):
     return tuple(phi[1:]) if up + _half_walk(phi, bnbr, tnbr, -1, n) == n - 1 else None
 
 
-# array typecodes by item size, smallest first: a digit takes the first
-# that holds it (see _digits).
+# array typecodes by item size, smallest first, and the narrowest of them
+# that holds a count of each bit length up to the widest's (see _digits).
 _DIGIT_CODES = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
+_DIGITS = tuple(next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
+                for most in range(8 * _DIGIT_CODES[-1][0] + 1))
 
 
 def _tally(xs):
@@ -175,9 +178,8 @@ def _tally(xs):
 
 def _digits(bound):
     """(size, code): the narrowest array item, its size in bytes and its
-    typecode, that holds every count up to bound."""
-    most = bound.bit_length()
-    return next(sc for sc in _DIGIT_CODES if 8 * sc[0] >= most)
+    typecode, that holds every count up to bound; IndexError past 64 bits."""
+    return _DIGITS[bound.bit_length()]
 
 
 def _pack(c, code):
@@ -280,20 +282,47 @@ def _unpack(packed, digits, hist, at, length):
     hist[at:end] = map(add, hist[at:end], counts)
 
 
-def _add_block(xs, hist, off):
-    """Add U(xs) = {xs[a] - xs[b] : a < b} into hist, where hist[d + off]
-    counts the difference d; xs are the potentials of one block, lowered by
-    one to the right of their middle, as _fold takes them.
+def _add_triangles(blocks, hist, off):
+    """Add U(xs) = {xs[a] - xs[b] : a < b} of each xs of blocks into hist,
+    where hist[d + off] counts the difference d and |d| <= off; xs are one
+    block's potentials, a top block's reversed, so that they drop by one to
+    the right of their middle, as _fold takes them. Each kernel calls this
+    at most once per seaweed, the compiled one with a zeroed list for hist.
 
-    The compiled kernel calls this for each block past its own SHORT_HALF,
-    with hist a zeroed list of 2 * off + 1 counts and off the span
-    max(xs) - min(xs), which bounds every difference: one _fold, unpacked
-    into hist at once. The pure spectrum_counts sums its folds first.
+    A block whose half holds at most _SHORT_HALF values counts its pairs one
+    by one; every other one reads its triangle off one _fold of its left
+    half. The folds are summed in one packed int, each shifted so that digit
+    j counts the difference j + 1 - off, and unpacked into hist once, over
+    the widest fold's differences. A fold joins that sum only while its
+    digits are as wide as the sum's and the summed bounds, its own included,
+    still fit them, so no digit carries and no product is wider than its
+    block needs; otherwise the sum is unpacked first and starts again.
     """
-    h = len(xs) // 2
-    r, bound, folded = _fold(xs[:h], xs[h] if len(xs) % 2 else None)
-    _unpack(folded, _digits(bound), hist, off + 1 - r, 2 * r)
-    hist[off] -= h
+    # the folds' packed sum, its digits' (size, code) and width in bits,
+    # the sum of their bounds and their largest r
+    total = bounds = reach = 0
+    digits = bits = None
+    for xs in blocks:
+        p = len(xs)
+        h = p // 2
+        if h <= _SHORT_HALF:
+            for a in range(p - 1):
+                xa = xs[a] + off
+                for y in xs[a + 1 :]:
+                    hist[xa - y] += 1
+            continue
+        r, bound, folded = _fold(xs[:h], xs[h] if p % 2 else None)
+        fits = _digits(bound)
+        if fits != digits or (bounds + bound).bit_length() > 8 * fits[0]:
+            if total:
+                _unpack(total >> (off - reach) * bits, digits, hist, off + 1 - reach, 2 * reach)
+            digits, bits, total, bounds, reach = fits, 8 * fits[0], 0, 0, 0
+        total += folded << (off - r) * bits
+        bounds += bound
+        reach = max(reach, r)
+        hist[off] -= h
+    if total:
+        _unpack(total >> (off - reach) * bits, digits, hist, off + 1 - reach, 2 * reach)
 
 
 def spectrum_counts(top, bottom, phi):
@@ -322,19 +351,9 @@ def spectrum_counts(top, bottom, phi):
     1; those 1s come from one count() of each side's parts. With
     d = xs[0] - xs[1], xs phi on a bottom block and -phi on a top one, a
     block of 3, (a, b, a - 1), adds {1, d, 1 - d}, and a block of 4,
-    (a, b, b - 1, a - 1), adds {1, 1, d, d + 1, -d, 1 - d}. A longer block,
-    top blocks reversed, whose half holds at most _SHORT_HALF values counts
-    its pairs one by one; every other one reads its triangle off one
-    _fold of its left half. No difference exceeds the span of the
-    potentials, which sizes the histogram.
-
-    The folds are summed in one packed int, each shifted so that digit j
-    counts the difference j + 1 - off, and unpacked into the histogram
-    once, over the widest fold's differences. A fold joins that sum only
-    when its digits are as wide as the sum's and the sum of the bounds of
-    its folds, its own included, still fits them, so no digit carries and
-    no product is taken wider than its block needs; otherwise the sum is
-    unpacked first and starts again from that fold.
+    (a, b, b - 1, a - 1), adds {1, 1, d, d + 1, -d, 1 - d}. Longer blocks,
+    top blocks reversed, go to _add_triangles in one call. No difference
+    exceeds the span of the potentials, which sizes the histogram.
     """
     off = max(phi) - min(phi)
     hist = [0] * (2 * off + 1)
@@ -356,31 +375,8 @@ def spectrum_counts(top, bottom, phi):
                 hist[off + 1 - d] += 1
                 ones += p - 2
             s += p
-    # the folds' packed sum, its digits' (size, code) and width in bits,
-    # the sum of their bounds and their largest r
-    total = bounds = reach = 0
-    digits = bits = None
-    for xs in blocks:
-        p = len(xs)
-        h = p // 2
-        if h <= _SHORT_HALF:
-            for a in range(p - 1):
-                xa = xs[a] + off
-                for y in xs[a + 1 :]:
-                    hist[xa - y] += 1
-            continue
-        r, bound, folded = _fold(xs[:h], xs[h] if p % 2 else None)
-        fits = _digits(bound)
-        if fits != digits or (bounds + bound).bit_length() > 8 * fits[0]:
-            if total:
-                _unpack(total >> (off - reach) * bits, digits, hist, off + 1 - reach, 2 * reach)
-            digits, bits, total, bounds, reach = fits, 8 * fits[0], 0, 0, 0
-        total += folded << (off - r) * bits
-        bounds += bound
-        reach = max(reach, r)
-        hist[off] -= h
-    if total:
-        _unpack(total >> (off - reach) * bits, digits, hist, off + 1 - reach, 2 * reach)
+    if blocks:
+        _add_triangles(blocks, hist, off)
     if ones:
         hist[off + 1] += ones
 

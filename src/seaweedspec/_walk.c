@@ -1,8 +1,8 @@
 /* Compiled kernel: potentials and spectrum_counts with the contract of the
    functions of the same names in _kernel.py, whose docstrings give the
    conventions. Only potentials walks; spectrum_counts reads the potentials it
-   is given and hands each long block to _kernel._add_block, so that the block
-   algebra is written once. Neither keeps any state between calls.
+   is given and hands a seaweed's long blocks to _kernel._add_triangles in one
+   call, so that the block algebra is written once. Neither keeps any state.
 
    Parts must be ints >= 1 that fit in Py_ssize_t, both sides must sum to n,
    and spectrum_counts's phi must be n ints that fit and span less than n, all
@@ -128,77 +128,47 @@ static int walk(Meander *m)
 }
 
 /* The longest left half that counts pair by pair here, not by the folded
-   product of _kernel._add_block. Timing a whole seaweed built with SHORT_HALF
-   at 0 (every block delegated) against one at 10^9 (none), on a 2-vCPU x86-64
-   host (Python 3.11.7, gcc 12), the two are level at halves of about 350-400
-   on k2, k2k, k-4r, 2k|1 / 1|2k and 2k|1|1 / 2k+2, and of about 700-900 on
-   k1k, whose two shorter blocks have half its longest half, and on k-2r and
-   k-2r+1, whose halves take values two apart, so their count vectors are
-   twice as long. At 512, delegating takes about 0.6-0.8x the pair loop's time
-   on the first five and 1.1-1.4x on the last three; a lower constant would
-   slow the last three further and a higher one the first five, so it stays. */
+   products of _kernel._add_triangles. Timing a whole seaweed built with
+   SHORT_HALF at 0 (every block handed over) against one at 10^9 (none), on a
+   2-vCPU x86-64 host (Python 3.11.7, gcc 12), the two are level at halves of
+   about 256 on k2, and of about 450-512 on k1k, whose two shorter blocks have
+   half its longest half, and on k-2r, whose halves take values two apart, so
+   their count vectors are twice as long. At 512, handing over takes about
+   0.6x the pair loop's time on k2 and 0.95-1.1x on k1k and k-2r; a lower
+   constant would slow the last two, a higher one k2. */
 #ifndef SHORT_HALF
 #define SHORT_HALF 512
 #endif
 
-/* _kernel._add_block(xs, counts, w) on the block of p vertices from s, with
-   xs its values sign * phi and counts a zeroed list of 2w + 1, w = max - min
-   of xs, which spans every difference; then counts go into hist[-w..w]. */
-static int add_long_block(PyObject *add_block, const Py_ssize_t *phi, Py_ssize_t s, Py_ssize_t p,
-                          Py_ssize_t sign, Py_ssize_t *hist)
-{
-    PyObject *xs = PyList_New(p), *counts = NULL, *zero = NULL, *done = NULL, *item;
-    Py_ssize_t i, x, lo = sign * phi[s], hi = lo, c;
-    int failed = -1;
-
-    for (i = 0; xs && i < p; i++) {
-        x = sign * phi[s + i];
-        lo = x < lo ? x : lo;
-        hi = x > hi ? x : hi;
-        if (!(item = PyLong_FromSsize_t(x)))
-            goto done;
-        PyList_SET_ITEM(xs, i, item);
-    }
-    if (!xs || !(zero = PyLong_FromLong(0)) || !(counts = PyList_New(2 * (hi - lo) + 1)))
-        goto done;
-    for (i = 0; i <= 2 * (hi - lo); i++)
-        PyList_SET_ITEM(counts, i, Py_NewRef(zero));
-    if (!(done = PyObject_CallFunction(add_block, "OOn", xs, counts, hi - lo)))
-        goto done;
-    for (i = 0; i <= 2 * (hi - lo); i++) {
-        /* the checked getter: add_block may have resized the list */
-        if (!(item = PyList_GetItem(counts, i)) ||
-            ((c = PyLong_AsSsize_t(item)) == -1 && PyErr_Occurred()))
-            goto done;
-        hist[i - (hi - lo)] += c;
-    }
-    failed = 0;
-done:
-    Py_XDECREF(xs);
-    Py_XDECREF(zero);
-    Py_XDECREF(counts);
-    Py_XDECREF(done);
-    return failed;
-}
-
 /* Add {sign * (phi(a) - phi(b)) : a < b} over every block of seq into hist,
-   the block triangles of _kernel.spectrum_counts: pair by pair, or through
-   _kernel._add_block, looked up at call time, past SHORT_HALF. */
+   the block triangles of _kernel.spectrum_counts, pair by pair up to
+   SHORT_HALF. Append each longer block's values, a top block's reversed as
+   _kernel._add_triangles takes them, to the list *longs, made at the first
+   one, and raise *span to the block's span. */
 static int add_block_differences(PyObject *seq, const Py_ssize_t *phi, Py_ssize_t *hist,
-                                 Py_ssize_t sign)
+                                 Py_ssize_t sign, PyObject **longs, Py_ssize_t *span)
 {
-    PyObject **items = PySequence_Fast_ITEMS(seq), *kernel, *add_block = NULL;
-    Py_ssize_t k, a, b, e, s = 1, *row;
+    PyObject **items = PySequence_Fast_ITEMS(seq), *xs, *item;
+    Py_ssize_t k, a, b, e, s = 1, *row, x, lo, hi;
     int failed = 0;
 
     for (k = 0; !failed && k < PySequence_Fast_GET_SIZE(seq); k++, s = e) {
         e = s + PyLong_AsSsize_t(items[k]);
         if (e - s > 2 && (e - s) / 2 > SHORT_HALF) {
-            if (!add_block && (kernel = PyImport_ImportModule("seaweedspec._kernel"))) {
-                add_block = PyObject_GetAttrString(kernel, "_add_block");
-                Py_DECREF(kernel);
+            xs = PyList_New(e - s);
+            for (a = 0, lo = hi = phi[s]; xs && a < e - s; a++) {
+                x = phi[sign > 0 ? s + a : e - 1 - a];
+                lo = x < lo ? x : lo;
+                hi = x > hi ? x : hi;
+                if ((item = PyLong_FromSsize_t(x)))
+                    PyList_SET_ITEM(xs, a, item);
+                else
+                    Py_CLEAR(xs);
             }
-            failed = !add_block || add_long_block(add_block, phi, s, e - s, sign, hist) < 0;
+            failed = !xs || (!*longs && !(*longs = PyList_New(0))) ||
+                     PyList_Append(*longs, xs) < 0;
+            Py_XDECREF(xs);
+            *span = hi - lo > *span ? hi - lo : *span;
             continue;
         }
         for (a = s; a < e; a++) {
@@ -207,8 +177,40 @@ static int add_block_differences(PyObject *seq, const Py_ssize_t *phi, Py_ssize_
                 row[-sign * phi[b]]++;
         }
     }
-    Py_XDECREF(add_block);
     return -failed;
+}
+
+/* _kernel._add_triangles(longs, counts, span), looked up at call time, with
+   counts a zeroed list of 2 span + 1, span the widest block's, which spans
+   every difference; then counts go into hist[-span..span]. */
+static int add_triangles(PyObject *longs, Py_ssize_t span, Py_ssize_t *hist)
+{
+    PyObject *kernel, *add = NULL, *zero = NULL, *counts = NULL, *done = NULL, *item;
+    Py_ssize_t i, c;
+    int failed = -1;
+
+    if ((kernel = PyImport_ImportModule("seaweedspec._kernel"))) {
+        add = PyObject_GetAttrString(kernel, "_add_triangles");
+        Py_DECREF(kernel);
+    }
+    if (!add || !(zero = Py_BuildValue("[i]", 0)) ||
+        !(counts = PySequence_Repeat(zero, 2 * span + 1)) ||
+        !(done = PyObject_CallFunction(add, "OOn", longs, counts, span)))
+        goto done;
+    for (i = 0; i <= 2 * span; i++) {
+        /* the checked getter: the callee may have resized the list */
+        if (!(item = PyList_GetItem(counts, i)) ||
+            ((c = PyLong_AsSsize_t(item)) == -1 && PyErr_Occurred()))
+            goto done;
+        hist[i - span] += c;
+    }
+    failed = 0;
+done:
+    Py_XDECREF(add);
+    Py_XDECREF(zero);
+    Py_XDECREF(counts);
+    Py_XDECREF(done);
+    return failed;
 }
 
 static PyObject *potentials(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
@@ -267,8 +269,8 @@ static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *arg
                                  Py_ssize_t nargs)
 {
     Meander m;
-    PyObject *result = NULL, *key, *count;
-    Py_ssize_t *hist, d, off;
+    PyObject *result = NULL, *key, *count, *longs = NULL;
+    Py_ssize_t *hist, d, off, span = 0;
     int failed;
 
     if (build(&m, args, nargs, 3, "spectrum_counts") < 0 || (off = read_phi(&m, args[2])) < 0)
@@ -278,8 +280,9 @@ static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *arg
     hist = m.tnbr;
     memset(hist, 0, (size_t)(2 * off + 1) * sizeof(Py_ssize_t));
     hist[off] = m.n;
-    if (add_block_differences(m.bottom, m.phi, hist + off, 1) < 0 ||
-        add_block_differences(m.top, m.phi, hist + off, -1) < 0)
+    if (add_block_differences(m.bottom, m.phi, hist + off, 1, &longs, &span) < 0 ||
+        add_block_differences(m.top, m.phi, hist + off, -1, &longs, &span) < 0 ||
+        (longs && add_triangles(longs, span, hist + off) < 0))
         goto done;
     result = PyDict_New();
     for (d = 0; result != NULL && d <= 2 * off; d++) {
@@ -294,6 +297,7 @@ static PyObject *spectrum_counts(PyObject *Py_UNUSED(self), PyObject *const *arg
             Py_CLEAR(result);
     }
 done:
+    Py_XDECREF(longs);
     release(&m);
     return result;
 }

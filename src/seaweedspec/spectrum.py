@@ -24,15 +24,9 @@ and the masked matrix slices each full row to its interval and pads it
 with slices of one tuple of Nones, cut once per block bound. Read by blocks
 instead, the same mask is the diagonal plus the upper triangle of each
 bottom block plus the lower triangle of each top block, which is how both
-kernels count it. Every arc joins potentials one apart, so a block's
-right half is its left half mirrored and lowered by one (raised, for a top
-block); the pure kernel reads a long block's triangle off one packed
-product over the left half alone, which sums all of its terms, adds a
-seaweed's long-block products into one packed int that reaches the
-histogram in one slice pass, and reads a block of at most 4 vertices off a
-closed form, and the compiled kernel hands it every long block. The
-spectrum is that multiset with one zero removed; the extended spectrum
-drops the mask and uses all n^2 positions instead.
+kernels count it (see `_kernel`). The spectrum is that multiset with one
+zero removed; the extended spectrum drops the mask and uses all n^2
+positions instead.
 _spectrum_from reads the kernel's histogram, less one diagonal zero, for
 the memo and for the sweeps' _spectrum_of, which skips the memo: a sweep
 never repeats a seaweed.

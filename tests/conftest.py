@@ -77,7 +77,9 @@ def walk(tmp_path_factory):
 @pytest.fixture(scope="session")
 def walk_delegating(tmp_path_factory):
     """The compiled kernel built with SHORT_HALF at 0, so that every block
-    of 3 or more vertices goes to _kernel._add_block."""
+    of 3 or more vertices goes to _kernel._add_triangles, in one call per
+    seaweed. _add_triangles counts the blocks whose half is at most
+    _kernel._SHORT_HALF pair by pair; patch that to 0 to fold them all."""
     return build_walk(tmp_path_factory, "SHORT_HALF=0")
 
 

@@ -62,29 +62,32 @@ def test_kernels_agree_exhaustively(walk):
 
 @pytest.fixture
 def delegated(monkeypatch):
-    """The length of each block that reaches _kernel._add_block, in call
-    order; _add_block still counts it."""
-    lengths = []
-    add_block = _kernel._add_block
+    """The lengths of the blocks that each call of _kernel._add_triangles
+    gets, one list per call, in call order; _add_triangles still counts
+    them."""
+    calls = []
+    add_triangles = _kernel._add_triangles
 
-    def counting(xs, hist, off):
-        lengths.append(len(xs))
-        add_block(xs, hist, off)
+    def counting(blocks, hist, off):
+        calls.append([len(xs) for xs in blocks])
+        add_triangles(blocks, hist, off)
 
-    monkeypatch.setattr(_kernel, "_add_block", counting)
-    return lengths
+    monkeypatch.setattr(_kernel, "_add_triangles", counting)
+    return calls
 
 
 def test_kernels_agree_exhaustively_with_every_block_delegated(walk_delegating, delegated):
     """Built with SHORT_HALF at 0, the compiled kernel hands every block of
-    3 or more vertices to _kernel._add_block, whose product then counts it,
-    and blocks of 1 and 2 never reach it."""
+    3 or more vertices to _kernel._add_triangles, in one call per seaweed,
+    bottom blocks first, and blocks of 1 and 2 never reach it. With
+    _SHORT_HALF patched to 0, the product then counts each of them."""
     for top, bottom in all_pairs(8):
         want = results(_kernel, top, bottom)
         delegated.clear()
-        assert results(walk_delegating, top, bottom) == want
+        with patch.object(_kernel, "_SHORT_HALF", 0):
+            assert results(walk_delegating, top, bottom) == want
         blocks = [p for p in bottom + top if p > 2] if want[2] is not None else []
-        assert delegated == blocks
+        assert delegated == ([blocks] if blocks else [])
 
 
 @pytest.mark.parametrize("f, k, r, blocks", [
@@ -95,43 +98,44 @@ def test_kernels_agree_exhaustively_with_every_block_delegated(walk_delegating, 
 ], ids=lambda v: getattr(v, "value", None))
 def test_compiled_kernel_delegates_only_long_blocks(walk, delegated, f, k, r, blocks):
     """The shipped build counts halves of up to 500 pair by pair and hands
-    halves of 801 and more to _kernel._add_block, bottom blocks first."""
+    halves of 801 and more to _kernel._add_triangles in one call, bottom
+    blocks first, and makes no call when it has none."""
     g = family_spec(f, k, r)
     assert results(walk, g.top.parts, g.bottom.parts)[2] is not None
-    assert delegated == blocks
+    assert delegated == ([blocks] if blocks else [])
 
 
 @pytest.mark.parametrize("fault, error", [
-    (lambda xs, hist, off: 1 / 0, ZeroDivisionError),
-    (lambda xs, hist, off: hist.clear(), IndexError),
-    (lambda xs, hist, off: hist.__setitem__(off, "x"), TypeError),
+    (lambda blocks, hist, off: 1 / 0, ZeroDivisionError),
+    (lambda blocks, hist, off: hist.clear(), IndexError),
+    (lambda blocks, hist, off: hist.__setitem__(off, "x"), TypeError),
 ], ids=["raises", "shrinks", "non-int"])
-def test_compiled_kernel_raises_what_add_block_raises(walk, monkeypatch, fault, error):
+def test_compiled_kernel_raises_what_add_triangles_raises(walk, monkeypatch, fault, error):
     g = family_spec(FamilyId.K2, 4095)
     phi = _kernel.potentials(g.top.parts, g.bottom.parts)
-    monkeypatch.setattr(_kernel, "_add_block", fault)
+    monkeypatch.setattr(_kernel, "_add_triangles", fault)
     with pytest.raises(error):
         walk.spectrum_counts(g.top.parts, g.bottom.parts, phi)
 
 
-def test_add_block_that_changes_the_callers_parts_moves_no_block(walk, monkeypatch):
+def test_add_triangles_that_changes_the_callers_parts_moves_no_block(walk, monkeypatch):
     """The compiled kernel reads its own tuples of the parts and its own
-    copy of phi, so an _add_block that grows and replaces the caller's lists
-    mid-call changes nothing; reading the lists again would index past the
-    kernel's arrays."""
+    copy of phi, so an _add_triangles that grows and replaces the caller's
+    lists mid-call changes nothing; reading the lists again would index past
+    the kernel's arrays."""
     g = family_spec(FamilyId.K2, 4095)
     want = histogram(_kernel, g.top.parts, g.bottom.parts)
     top, bottom = list(g.top.parts), list(g.bottom.parts)
     phi = list(_kernel.potentials(g.top.parts, g.bottom.parts))
-    add_block = _kernel._add_block
+    add_triangles = _kernel._add_triangles
 
-    def changing(xs, hist, off):
+    def changing(blocks, hist, off):
         top.extend([1] * 100_000)
         bottom[:] = [10**6]
         phi[:] = [-(10**6)] * 3
-        add_block(xs, hist, off)
+        add_triangles(blocks, hist, off)
 
-    monkeypatch.setattr(_kernel, "_add_block", changing)
+    monkeypatch.setattr(_kernel, "_add_triangles", changing)
     assert walk.spectrum_counts(top, bottom, phi) == want
 
 
@@ -306,6 +310,28 @@ def test_kernel_benchmark_runs(child_env, walk):
     assert len(lines[header + 1 :]) == 10
 
 
+def test_kernel_benchmark_fails_on_a_wrong_count(child_env, tmp_path):
+    """A kernel whose histogram differs from the pure kernel's fails the
+    benchmark before any timing: exit 1, naming the kernel and the pair."""
+    wrong = tmp_path / "wrong_kernel.py"
+    wrong.write_text(
+        "from seaweedspec._kernel import potentials, spectrum_counts as counts\n"
+        "def spectrum_counts(top, bottom, phi):\n"
+        "    got = counts(top, bottom, phi)\n"
+        "    got[0] += 1\n"
+        "    return got\n"
+    )
+    out = subprocess.run(
+        [sys.executable, str(BENCH_KERNEL), "--n-max", "4", "--baseline", str(wrong)],
+        env=child_env,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert "Frobenius pairs" not in out.stdout
+    assert out.stderr.startswith("baseline kernel differs from the pure kernel on ")
+
+
 @pytest.mark.parametrize("f, k, r", LARGE_POINTS, ids=lambda v: getattr(v, "value", v))
 def test_spectrum_counts_match_mask_histogram_at_large_n(f, k, r):
     for g in orientations(family_spec(f, k, r)):
@@ -450,34 +476,77 @@ def test_spectrum_counts_match_oracle_past_the_short_half(g, data):
     assert list(got.items()) == list(mask_histogram(top, bottom).items())
 
 
-def test_packed_sum_unpacks_on_overflow_and_on_a_width_change(monkeypatch):
-    """k1k at odd k from 61 to 131 has long blocks of 2k + 1, k + 1 and k
-    vertices, whose folds have digit bounds of about 2k, k and k. At k = 61
-    all three fit one byte together and unpack once; from k = 63 their sum
-    passes 255, so the packed sum unpacks mid-seaweed on overflow; from
-    k = 127 the long block needs two bytes and the others one, so it
-    unpacks on each width change. Every orientation is checked against the
-    pair loop, and the edges also against the mask."""
+#: k1k at odd k from 61 to 131, in every orientation: long blocks of
+#: 2k + 1, k + 1 and k vertices, whose folds have digit bounds of about 2k,
+#: k and k. At k = 61 all three fit one byte together and unpack once; from
+#: k = 63 their sum passes 255, so the packed sum unpacks mid-seaweed on
+#: overflow; from k = 127 the long block needs two bytes and the others one,
+#: so it unpacks on each width change.
+PACKED_SUM_POINTS = [
+    (k, g.top.parts, g.bottom.parts)
+    for k in range(61, 132, 2)
+    for g in orientations(family_spec(FamilyId.K1K, k))
+]
+
+
+@pytest.fixture
+def unpacks(monkeypatch):
+    """The digit size of each _kernel._unpack call, in call order."""
+    sizes = []
     unpack = _kernel._unpack
-    sizes = []  # the digit size of each unpack in one spectrum_counts call
     monkeypatch.setattr(
         _kernel,
         "_unpack",
         lambda packed, digits, *rest: sizes.append(digits[0]) or unpack(packed, digits, *rest),
     )
-    flushes = set()
-    for k in range(61, 132, 2):
-        for g in orientations(family_spec(FamilyId.K1K, k)):
-            top, bottom = g.top.parts, g.bottom.parts
-            sizes.clear()
-            got = list(histogram(_kernel, top, bottom).items())
-            assert (len(sizes) > 1) == (k > 61)
-            flushes.update("overflow" if a == b else "width" for a, b in zip(sizes, sizes[1:]))
-            with patch.object(_kernel, "_SHORT_HALF", 10**9):
-                assert got == list(histogram(_kernel, top, bottom).items())
-            if k in (61, 63, 125, 127):
-                assert got == list(mask_histogram(top, bottom).items())
-    assert flushes == {"overflow", "width"}
+    return sizes
+
+
+def flushes(sizes):
+    """Why each unpack after the first of one call came: "overflow" when the
+    digit size held, "width" when it changed."""
+    return {"overflow" if a == b else "width" for a, b in zip(sizes, sizes[1:])}
+
+
+def test_packed_sum_unpacks_on_overflow_and_on_a_width_change(unpacks):
+    """Every PACKED_SUM_POINTS seaweed is checked against the pair loop, and
+    the edges also against the mask."""
+    seen = set()
+    for k, top, bottom in PACKED_SUM_POINTS:
+        unpacks.clear()
+        got = list(histogram(_kernel, top, bottom).items())
+        assert (len(unpacks) > 1) == (k > 61)
+        seen |= flushes(unpacks)
+        with patch.object(_kernel, "_SHORT_HALF", 10**9):
+            assert got == list(histogram(_kernel, top, bottom).items())
+        if k in (61, 63, 125, 127):
+            assert got == list(mask_histogram(top, bottom).items())
+    assert seen == {"overflow", "width"}
+
+
+def test_compiled_packed_sum_unpacks_as_the_pure_one(walk_delegating, unpacks):
+    """Built with SHORT_HALF at 0, the compiled kernel hands a
+    PACKED_SUM_POINTS seaweed's blocks to _kernel._add_triangles in one
+    call, which folds the same long blocks in the same order as the pure
+    kernel, so it unpacks at the same digit sizes, mid-seaweed on overflow
+    and on a width change too, and counts the same histogram."""
+    seen = set()
+    for _, top, bottom in PACKED_SUM_POINTS:
+        unpacks.clear()
+        want = list(histogram(_kernel, top, bottom).items())
+        pure = unpacks[:]
+        unpacks.clear()
+        assert list(histogram(walk_delegating, top, bottom).items()) == want
+        assert unpacks == pure
+        seen |= flushes(unpacks)
+    assert seen == {"overflow", "width"}
+
+
+def test_digits_take_the_narrowest_item_and_none_past_64_bits():
+    sizes = [_kernel._digits(2**bits - 1)[0] for bits in range(65)]
+    assert sizes == [1] * 9 + [2] * 8 + [4] * 16 + [8] * 32
+    with pytest.raises(IndexError):
+        _kernel._digits(2**64)
 
 
 @pytest.mark.parametrize("half, m, size", [
@@ -497,7 +566,7 @@ def test_fold_bound_widens_past_sum_of_squares(half, m, size):
     xs = half + ([] if m is None else [m]) + [x - 1 for x in reversed(half)]
     off = max(xs) - min(xs)
     hist = [0] * (2 * off + 1)
-    _kernel._add_block(xs, hist, off)
+    _kernel._add_triangles([xs], hist, off)
     want = Counter(xs[a] - y for a in range(len(xs)) for y in xs[a + 1 :])
     assert {d - off: c for d, c in enumerate(hist) if c} == dict(sorted(want.items()))
 

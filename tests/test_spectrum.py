@@ -458,9 +458,10 @@ def test_kernel_histograms_give_the_validated_multisets():
         assert extended_spectrum(g).items() == without_one(want, 0).items()
 
 
-#: Family points either side of where the pure kernel's products overtook
-#: the compiled kernel's pair loop before that kernel handed its long blocks
-#: to _kernel._add_block, with their squared parts per vertex: k2 at
+#: Family points with blocks either side of the compiled kernel's
+#: SHORT_HALF, past which it hands a seaweed's blocks to
+#: _kernel._add_triangles, chosen where the pure kernel's products overtook
+#: the compiled pair loop, with their squared parts per vertex: k2 at
 #: n = 1,025, 1,281, 1,537 and 4,097, k1k at n = 1,603 and 3,203, and three
 #: r-block points, one with its blocks all short.
 CROSSOVER_POINTS = [
