@@ -7,21 +7,24 @@ whether it must be odd), its seaweed, its closed-form spectrum and, for k1
 and k2, its closed-form extended spectrum. family_spec, family_spectrum,
 family_extended_spectrum and the domain check read that row and nothing
 else. The formulas are the ones the engine is checked against, so they are
-written out directly rather than derived; a few small parameter points that
-the closed forms do not cover are tabulated.
+written out directly rather than derived.
 
-The spectrum of a Frobenius seaweed is symmetric about 1/2: the Kirillov
-form pairs the eigenspace of a with that of 1 - a (Gerstenhaber-Giaquinto,
-"The principal element of a Frobenius Lie algebra", Lett. Math. Phys. 88,
-2009). So each closed form states only its values <= 0, and _mirrored adds
-1 - v with the count of v. The extended spectra are symmetric about 0 and
-are written out whole.
+Each closed form is a list of runs, read by one expander, _expanded. A run
+(s, l, a, b) is the values s + i for i < l, value s + i with count a*i + b,
+and a row lists the runs of its values <= 0. The spectrum of a Frobenius
+seaweed is symmetric about 1/2: the Kirillov form pairs the eigenspace of a
+with that of 1 - a (Gerstenhaber-Giaquinto, "The principal element of a
+Frobenius Lie algebra", Lett. Math. Phys. 88, 2009). So _expanded adds
+1 - v with the count of v, or -v for an extended spectrum, which is
+symmetric about 0. The few small points where a pattern has not begun (k2k
+at k <= 5, and 1|2 / 3 as k2 at k = 1) are tabulated as runs too.
 
 _extended appends r blocks of 2k to a seaweed whose top ends in k, for
 extension_variant_spec (and so the stability_4_16 sweep) and for the
-r-block families: k-2r and k-2r+1 extend k1, k-4r and k-4r+2 extend k2
-(whose closed form also tabulates 1|2 / 3 for k = 1), each with the
-spectral transform that adds blocks of 2s or 4s without new eigenvalues.
+r-block families: k-2r and k-2r+1 extend k1, k-4r and k-4r+2 extend k2.
+Their rows are the base's runs plus the runs that blocks of 2s or 4s add
+without new eigenvalues (_twos, _fours), the runs extend_with_2s and
+extend_with_4s add to any spectrum.
 """
 
 from __future__ import annotations
@@ -46,77 +49,59 @@ class FamilyId(str, Enum):
     K4R_PLUS2 = "k-4r+2"
 
 
-def _mirrored(low: dict[int, int]) -> IntegerMultiset:
-    """The multiset symmetric about 1/2 whose values <= 0 are low."""
-    counts = dict(low)
-    for v, c in low.items():
-        counts[1 - v] = c
-    return IntegerMultiset(counts)
+Run = tuple[int, int, int, int]
 
 
-def _k1(k: int) -> IntegerMultiset:
-    return _mirrored({v: v + k for v in range(1 - k, 1)})
+def _expanded(runs: list[Run], mirror: int) -> IntegerMultiset:
+    """The multiset symmetric about mirror/2 whose values <= 0 are the runs',
+    counts of equal values added. Each v > 0 has the count of mirror - v;
+    with mirror 0, the value 0 is its own image and keeps its count."""
+    low: dict[int, int] = {}
+    for s, length, a, b in runs:
+        for i in range(length):
+            low[s + i] = low.get(s + i, 0) + a * i + b
+    return IntegerMultiset(low | {mirror - v: c for v, c in low.items()})
 
 
-def _k2(k: int) -> IntegerMultiset:
+def _k1_runs(k: int) -> list[Run]:
+    return [(1 - k, k, 1, 1)]
+
+
+def _k2_runs(k: int) -> list[Run]:
     if k == 1:  # 1|2 / 3: the base of k-4r and k-4r+2 at k = 1
-        return _mirrored({-1: 1, 0: 2})
+        return [(-1, 2, 1, 1)]
     m = (k + 1) // 2
-    low = {-m + i: 4 * i - 2 for i in range(2, m)}
-    low.update({-m: 1, 1 - m: 3, 0: 2 * k - 1})
-    return _mirrored(low)
+    return [(-m, 2, 2, 1), (2 - m, m - 2, 4, 6), (0, 1, 0, 2 * k - 1)]
 
 
-def _k1k(k: int) -> IntegerMultiset:
-    low = {v: 3 * (v + k) for v in range(1 - k, 0)}
-    low.update({-k: 1, 0: 3 * k - 1})
-    return _mirrored(low)
-
-
-#: Values <= 0 of k2k where its general pattern has not yet begun.
+#: Runs of k2k where its general pattern has not yet begun.
 _K2K_SMALL = {
-    1: {-2: 1, -1: 2, 0: 3},
-    3: {-3: 1, -2: 4, -1: 8, 0: 11},
-    5: {-4: 1, -3: 4, -2: 10, -1: 17, 0: 22},
+    1: [(-2, 3, 1, 1)],
+    3: [(-3, 2, 3, 1), (-1, 2, 3, 8)],
+    5: [(-4, 2, 3, 1), (-2, 2, 7, 10), (0, 1, 0, 22)],
 }
 
 
-def _k2k(k: int) -> IntegerMultiset:
+def _k2k_runs(k: int) -> list[Run]:
     if k in _K2K_SMALL:
-        return _mirrored(_K2K_SMALL[k])
+        return _K2K_SMALL[k]
     m = (k + 1) // 2
-    low = {-m + i + 2: 12 * i + 18 for i in range(1, m - 3)}
-    low.update({-m - 1: 1, -m: 4, 1 - m: 10, 2 - m: 19, -1: 6 * k - 14, 0: 6 * k - 8})
-    return _mirrored(low)
+    return [(-m - 1, 2, 3, 1), (1 - m, 2, 9, 10), (3 - m, m - 4, 12, 30), (-1, 2, 6, 6 * k - 14)]
 
 
-def _twok1_12k(k: int) -> IntegerMultiset:
-    return _mirrored({v: 4 * (v + k) - 2 for v in range(1 - k, 1)})
-
-
-def _twok11(k: int) -> IntegerMultiset:
-    return _mirrored({-k: 1} | {v: 4 * (v + k) for v in range(1 - k, 1)})
-
-
-def _twos_r1(r: int) -> IntegerMultiset:
-    return _mirrored({-1: (r + 1) ** 2 // 4, 0: r * (r + 3) // 2 + r * r // 4})
-
-
-def _k1_extended(k: int) -> IntegerMultiset:
-    counts = {v: k + 1 - abs(v) for v in range(-k, k + 1)}
-    counts[0] = k
-    return IntegerMultiset(counts)
-
-
-def _k2_extended(k: int) -> IntegerMultiset:
+def _k2_extended_runs(k: int) -> list[Run]:
     m = (k + 1) // 2
-    counts = {
-        -m - 1: 1, -m: 3, -1: 2 * k - 1, 0: 2 * k, 1: 2 * k - 1, m: 3, m + 1: 1,
-    }
-    for i in range(1, m - 1):
-        counts[-m + i] = 4 * i + 2
-        counts[m - i] = 4 * i + 2
-    return IntegerMultiset(counts)
+    return [(-m - 1, 2, 2, 1), (1 - m, m - 2, 4, 6), (-1, 2, 1, 2 * k - 1)]
+
+
+def _twos(c: int) -> list[Run]:
+    """What r blocks of 2 add, c = 2r - 1 or 2r times (see extend_with_2s)."""
+    return [(0, 1, 0, c)]
+
+
+def _fours(c: int) -> list[Run]:
+    """What r blocks of 4 add, c = 2r - 1 or 2r times (see extend_with_4s)."""
+    return [(-1, 1, 0, c), (0, 1, 0, 3 * c)]
 
 
 EXTENSION_VARIANTS = ("r_blocks", "r_blocks_plus_k")
@@ -141,8 +126,7 @@ def extend_with_2s(s: IntegerMultiset, r: int, variant: str) -> IntegerMultiset:
     multiplicity 2r-1); "r_twos_plus_one" keeps it on the top (multiplicity
     2r). No new eigenvalues appear.
     """
-    add = _multiplicity(r, variant, TWOS_VARIANTS)
-    return s + IntegerMultiset({0: add, 1: add})
+    return s + _expanded(_twos(_multiplicity(r, variant, TWOS_VARIANTS)), 1)
 
 
 def extend_with_4s(s: IntegerMultiset, r: int, variant: str) -> IntegerMultiset:
@@ -151,8 +135,7 @@ def extend_with_4s(s: IntegerMultiset, r: int, variant: str) -> IntegerMultiset:
     With c = 2r-1 ("r_fours") or c = 2r ("r_fours_plus_two"), the additions
     are -1 and 2 with multiplicity c and 0 and 1 with multiplicity 3c.
     """
-    c = _multiplicity(r, variant, FOURS_VARIANTS)
-    return s + IntegerMultiset({-1: c, 0: 3 * c, 1: 3 * c, 2: c})
+    return s + _expanded(_fours(_multiplicity(r, variant, FOURS_VARIANTS)), 1)
 
 
 def _extended(top: tuple, bottom: tuple, r: int, variant: str) -> tuple[tuple, tuple]:
@@ -166,45 +149,49 @@ def _extended(top: tuple, bottom: tuple, r: int, variant: str) -> tuple[tuple, t
 
 
 class Family(NamedTuple):
-    """One family's facts. The callables take (k, r) inside the domain."""
+    """One family's facts. The callables take (k, r) inside the domain; the
+    closed forms return the runs of their values <= 0 (see _expanded)."""
 
     params: str  # the parameters the family takes: "k", "r" or "kr"
     seaweed: Callable[..., tuple[tuple[int, ...], tuple[int, ...]]]
-    spectrum: Callable[..., IntegerMultiset]
-    extended: Callable[..., IntegerMultiset] | None = None
+    spectrum: Callable[..., list[Run]]
+    extended: Callable[..., list[Run]] | None = None
     k_min: int = 1
     odd_k: bool = False
 
 
 FAMILIES: dict[FamilyId, Family] = {
     FamilyId.K1: Family(
-        "k", lambda k, r: ((k, 1), (k + 1,)), lambda k, r: _k1(k),
-        extended=lambda k, r: _k1_extended(k)),
+        "k", lambda k, r: ((k, 1), (k + 1,)), lambda k, r: _k1_runs(k),
+        extended=lambda k, r: [(-k, k, 1, 1), (0, 1, 0, k)]),
     FamilyId.K2: Family(
-        "k", lambda k, r: ((k, 2), (k + 2,)), lambda k, r: _k2(k),
-        extended=lambda k, r: _k2_extended(k), k_min=3, odd_k=True),
+        "k", lambda k, r: ((k, 2), (k + 2,)), lambda k, r: _k2_runs(k),
+        extended=lambda k, r: _k2_extended_runs(k), k_min=3, odd_k=True),
     FamilyId.K1K: Family(
-        "k", lambda k, r: ((k + 1, k), (2 * k + 1,)), lambda k, r: _k1k(k)),
+        "k", lambda k, r: ((k + 1, k), (2 * k + 1,)),
+        lambda k, r: [(-k, 1, 0, 1), (1 - k, k - 1, 3, 3), (0, 1, 0, 3 * k - 1)]),
     FamilyId.K2K: Family(
-        "k", lambda k, r: ((k + 2, k), (2 * k + 2,)), lambda k, r: _k2k(k), odd_k=True),
+        "k", lambda k, r: ((k + 2, k), (2 * k + 2,)), lambda k, r: _k2k_runs(k), odd_k=True),
     FamilyId.TWOK1_12K: Family(
-        "k", lambda k, r: ((2 * k, 1), (1, 2 * k)), lambda k, r: _twok1_12k(k)),
+        "k", lambda k, r: ((2 * k, 1), (1, 2 * k)), lambda k, r: [(1 - k, k, 4, 2)]),
     FamilyId.TWOK11: Family(
-        "k", lambda k, r: ((2 * k, 1, 1), (2 * k + 2,)), lambda k, r: _twok11(k)),
+        "k", lambda k, r: ((2 * k, 1, 1), (2 * k + 2,)),
+        lambda k, r: [(-k, 1, 0, 1), (1 - k, k, 4, 4)]),
     FamilyId.K_2R: Family(
         "kr", lambda k, r: _extended((k, 1), (k + 1,), r, "r_blocks"),
-        lambda k, r: extend_with_2s(_k1(k), r, "r_twos")),
+        lambda k, r: _k1_runs(k) + _twos(2 * r - 1)),
     FamilyId.K_2R_PLUS1: Family(
         "kr", lambda k, r: _extended((k, 1), (k + 1,), r, "r_blocks_plus_k"),
-        lambda k, r: extend_with_2s(_k1(k), r, "r_twos_plus_one")),
+        lambda k, r: _k1_runs(k) + _twos(2 * r)),
     FamilyId.TWOS_R1: Family(
-        "r", lambda k, r: ((2,) * r + (1,), (2 * r + 1,)), lambda k, r: _twos_r1(r)),
+        "r", lambda k, r: ((2,) * r + (1,), (2 * r + 1,)),
+        lambda k, r: [(-1, 1, 0, (r + 1) ** 2 // 4), (0, 1, 0, r * (r + 3) // 2 + r * r // 4)]),
     FamilyId.K4R: Family(
         "kr", lambda k, r: _extended((k, 2), (k + 2,), r, "r_blocks"),
-        lambda k, r: extend_with_4s(_k2(k), r, "r_fours"), odd_k=True),
+        lambda k, r: _k2_runs(k) + _fours(2 * r - 1), odd_k=True),
     FamilyId.K4R_PLUS2: Family(
         "kr", lambda k, r: _extended((k, 2), (k + 2,), r, "r_blocks_plus_k"),
-        lambda k, r: extend_with_4s(_k2(k), r, "r_fours_plus_two"), odd_k=True),
+        lambda k, r: _k2_runs(k) + _fours(2 * r), odd_k=True),
 }
 
 
@@ -242,7 +229,7 @@ def family_spec(f: FamilyId, k: int | None = None, r: int | None = None) -> Seaw
 
 def family_spectrum(f: FamilyId, k: int | None = None, r: int | None = None) -> IntegerMultiset:
     """Closed-form spectrum of family f at (k, r)."""
-    return _row(f, k, r).spectrum(k, r)
+    return _expanded(_row(f, k, r).spectrum(k, r), 1)
 
 
 def family_extended_spectrum(f: FamilyId, k: int | None = None, r: int | None = None) -> IntegerMultiset:
@@ -250,7 +237,7 @@ def family_extended_spectrum(f: FamilyId, k: int | None = None, r: int | None = 
     if FAMILIES[f].extended is None:
         have = " and ".join(g.value for g, row in FAMILIES.items() if row.extended)
         raise ValueError(f"extended spectrum closed form is only available for {have}, not {f.value}")
-    return _row(f, k, r).extended(k, r)
+    return _expanded(_row(f, k, r).extended(k, r), 0)
 
 
 def default_extension_base(k: int) -> SeaweedSpec:

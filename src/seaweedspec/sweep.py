@@ -95,12 +95,11 @@ class SweepJob:
 
     def __post_init__(self) -> None:
         if self.conjecture not in CONJECTURES:
-            raise ValueError(
-                f"conjecture must be one of {CONJECTURES}, got {self.conjecture!r}"
-            )
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
-        _check_census(self.n_max)
+            raise ValueError(f"conjecture must be one of {CONJECTURES}, got {self.conjecture!r}")
+        if self.conjecture in _PAIR_CONJECTURES:  # the only sweeps that read n
+            if self.n_min < 1 or self.n_max < self.n_min:
+                raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
+            _check_census(self.n_max)
         if self.k_max < 1 or self.r_max < 1:
             raise ValueError("k_max and r_max must be at least 1")
         if self.resume and not self.out:

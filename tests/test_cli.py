@@ -574,6 +574,17 @@ class TestSweep:
         assert err.startswith("error: ")
         assert not absent.exists()
 
+    @pytest.mark.parametrize("conjecture", ["stability_4_16", "stability_4_17", "stability_4_18"])
+    @pytest.mark.parametrize("n_args", [("--n-max", "40"), ("--n-min", "0")])
+    def test_stability_sweep_ignores_the_n_range(self, capsys, conjecture, n_args):
+        """A stability sweep reads no n, so an n range a census could not
+        index, or no range at all, changes nothing: it used to be refused
+        with exit 64."""
+        argv = ("sweep", "--conjecture", conjecture, "--k-max", "1", "--r-max", "1")
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, *n_args) == (0, want, "")
+
     def test_non_frobenius_base_keeps_resumed_file_bytes(self, capsys, tmp_path):
         # A torn last line would be truncated by the read-back; the base's
         # spectrum is taken first, so even that does not happen.

@@ -14,6 +14,8 @@ from seaweedspec import (
     family_spec,
     family_spectrum,
     is_frobenius,
+    is_log_concave,
+    is_unimodal,
     parse_seaweed,
     spectrum,
 )
@@ -157,6 +159,47 @@ class TestFamilyTable:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "2e69c2d23e7d760bf67863280194c122732c77a69d6508e58bf3ee2e6848fe62"
         )
+
+    def test_extended_closed_forms_are_pinned(self):
+        """k1 at k < 80 and k2 at odd k < 80: the closed-form extended
+        spectrum of each point, beyond the k <= 13 compared with the
+        engine."""
+        lines = [
+            f"{f.value} {k} {family_extended_spectrum(f, k).to_text()}"
+            for f, ks in ((FamilyId.K1, range(1, 80)), (FamilyId.K2, range(3, 80, 2)))
+            for k in ks
+        ]
+        assert len(lines) == 118
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "3a5d5f68452c2856155a8b418c433ad760ef0c65338ec4040870c92eaabf4adf"
+        )
+
+    def test_which_closed_forms_are_log_concave(self):
+        """Every closed form at k < 80 and r <= 7 is unimodal. Seven
+        families are log-concave at every point; the four r-block families
+        only at the points listed here."""
+        log_concave_at = {
+            FamilyId.K_2R: lambda k, r: k <= 2 or (k, r) == (3, 1),
+            FamilyId.K_2R_PLUS1: lambda k, r: k <= 2,
+            FamilyId.K4R: lambda k, r: k in (1, 3) or (k, r) in {
+                (5, 1), (5, 2), (7, 1), (9, 1), (11, 1), (13, 1)},
+            FamilyId.K4R_PLUS2: lambda k, r: k in (1, 3) or (k, r) in {
+                (5, 1), (7, 1), (9, 1)},
+        }
+        seen = 0
+        for f in FamilyId:
+            params = FAMILIES[f].params
+            want = log_concave_at.get(f, lambda k, r: True)
+            for k in range(1, 80) if "k" in params else [None]:
+                for r in range(1, 8) if "r" in params else [None]:
+                    try:
+                        s = family_spectrum(f, k, r)
+                    except ValueError:
+                        continue
+                    assert is_unimodal(s), (f.value, k, r)
+                    assert is_log_concave(s) == want(k, r), (f.value, k, r)
+                    seen += 1
+        assert seen == 2068
 
     def test_functions_share_one_domain(self):
         """family_spec, family_spectrum and, where a row has one, the
