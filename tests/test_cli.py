@@ -1,4 +1,6 @@
+import argparse
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -781,7 +783,14 @@ class TestSweep:
     ("sweep", "--n-max", "2", "--resume"),
     ("sweep", "--conjecture", "stability_4_17", "--k-max", "1", "--r-max", "1"),
     ("sweep", "--conjecture", "stability_4_17", "--k-max", "1", "--r-max", "1", "--resume"),
-], ids=["index", "render", "sweep", "sweep_resume", "stability_4_17", "stability_4_17_resume"])
+    ("spectrum", "1 / 1"),
+    ("extended", "1 / 1"),
+    ("principal", "1 / 1"),
+    ("matrix", "1 / 1"),
+    ("verify-family", "k1", "--k", "1"),
+    ("verify-lemmas", "--spec", "1 / 1"),
+], ids=["index", "render", "sweep", "sweep_resume", "stability_4_17", "stability_4_17_resume",
+        "spectrum", "extended", "principal", "matrix", "verify-family", "verify-lemmas"])
 def test_out_path_the_system_refuses_is_usage_error(capsys, tmp_path, argv, target):
     """An --out under a missing directory, or naming a directory, exits 64
     with one error line and no traceback, and creates nothing."""
@@ -793,6 +802,129 @@ def test_out_path_the_system_refuses_is_usage_error(capsys, tmp_path, argv, targ
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(out) in err
     assert list(folder.iterdir()) == []
+
+
+#: The first 16 hex digits of the sha256 of the stdout of each command in
+#: each format, recorded when each command still wrote its own format
+#: choice. Equal digests mean equal bytes: index plain prints "0\n" for all
+#: three seaweeds, and "1 / 1" has an empty spectrum, "{}" in plain and json.
+PINNED_STDOUT = {
+    ("index", "2|4 / 1|2|3", "--format", "plain"): "9a271f2a916b0b6e",
+    ("index", "2|4 / 1|2|3", "--format", "json"): "144c641ebb146093",
+    ("index", "2|4 / 1|2|3", "--format", "csv"): "fec0a2f54c0dbe0d",
+    ("spectrum", "2|4 / 1|2|3", "--format", "plain"): "645c7b79d1c24648",
+    ("spectrum", "2|4 / 1|2|3", "--format", "json"): "0b87150c5f35ba00",
+    ("spectrum", "2|4 / 1|2|3", "--format", "csv"): "38fa1f530612fb26",
+    ("extended", "2|4 / 1|2|3", "--format", "plain"): "b19665d23548210e",
+    ("extended", "2|4 / 1|2|3", "--format", "json"): "fd6e3938dc9a9659",
+    ("extended", "2|4 / 1|2|3", "--format", "csv"): "878636617cb86265",
+    ("principal", "2|4 / 1|2|3", "--format", "plain"): "7a0b44f794f56cce",
+    ("principal", "2|4 / 1|2|3", "--format", "json"): "b4dafda779d13a39",
+    ("principal", "2|4 / 1|2|3", "--format", "csv"): "9d0ba8fad46172b7",
+    ("matrix", "2|4 / 1|2|3", "--format", "plain"): "78a9d763f63d4916",
+    ("matrix", "2|4 / 1|2|3", "--format", "json"): "6168893c34daef6b",
+    ("matrix", "2|4 / 1|2|3", "--format", "csv"): "f8424b9dfa6a0d6b",
+    ("matrix", "--extended", "2|4 / 1|2|3", "--format", "plain"): "351a615fa1b4576d",
+    ("matrix", "--extended", "2|4 / 1|2|3", "--format", "json"): "abbb78b7346c4bea",
+    ("matrix", "--extended", "2|4 / 1|2|3", "--format", "csv"): "93a3a525a874a0ff",
+    ("index", "5|2 / 7", "--format", "plain"): "9a271f2a916b0b6e",
+    ("index", "5|2 / 7", "--format", "json"): "b7340243fe472a5f",
+    ("index", "5|2 / 7", "--format", "csv"): "f48d5b6cdb4861eb",
+    ("spectrum", "5|2 / 7", "--format", "plain"): "f71ede306b022a48",
+    ("spectrum", "5|2 / 7", "--format", "json"): "3b56e438ff71a6fd",
+    ("spectrum", "5|2 / 7", "--format", "csv"): "a818245955661217",
+    ("extended", "5|2 / 7", "--format", "plain"): "49b09ea0d7481fd8",
+    ("extended", "5|2 / 7", "--format", "json"): "72df0f7da03749bc",
+    ("extended", "5|2 / 7", "--format", "csv"): "b8d375d618b76b51",
+    ("principal", "5|2 / 7", "--format", "plain"): "1d4bebf7f343fad1",
+    ("principal", "5|2 / 7", "--format", "json"): "9bb68171dc99de9b",
+    ("principal", "5|2 / 7", "--format", "csv"): "505813a0fe602abd",
+    ("matrix", "5|2 / 7", "--format", "plain"): "624706d606a1c45d",
+    ("matrix", "5|2 / 7", "--format", "json"): "6582b592b45ace18",
+    ("matrix", "5|2 / 7", "--format", "csv"): "8759d118ec2d9a58",
+    ("matrix", "--extended", "5|2 / 7", "--format", "plain"): "3c033f86cd9d4471",
+    ("matrix", "--extended", "5|2 / 7", "--format", "json"): "7242555eb8c1e8f5",
+    ("matrix", "--extended", "5|2 / 7", "--format", "csv"): "be4900364131a322",
+    ("index", "1 / 1", "--format", "plain"): "9a271f2a916b0b6e",
+    ("index", "1 / 1", "--format", "json"): "20e3a8b395af326c",
+    ("index", "1 / 1", "--format", "csv"): "c92099a3e2b747ac",
+    ("spectrum", "1 / 1", "--format", "plain"): "ca3d163bab055381",
+    ("spectrum", "1 / 1", "--format", "json"): "ca3d163bab055381",
+    ("spectrum", "1 / 1", "--format", "csv"): "1ad5d96dda0a6133",
+    ("extended", "1 / 1", "--format", "plain"): "ca3d163bab055381",
+    ("extended", "1 / 1", "--format", "json"): "ca3d163bab055381",
+    ("extended", "1 / 1", "--format", "csv"): "1ad5d96dda0a6133",
+    ("principal", "1 / 1", "--format", "plain"): "9a271f2a916b0b6e",
+    ("principal", "1 / 1", "--format", "json"): "a5073fdafe81732b",
+    ("principal", "1 / 1", "--format", "csv"): "afbe5b37a6904de9",
+    ("matrix", "1 / 1", "--format", "plain"): "9a271f2a916b0b6e",
+    ("matrix", "1 / 1", "--format", "json"): "b8aadeba9c86365a",
+    ("matrix", "1 / 1", "--format", "csv"): "9a271f2a916b0b6e",
+    ("matrix", "--extended", "1 / 1", "--format", "plain"): "9a271f2a916b0b6e",
+    ("matrix", "--extended", "1 / 1", "--format", "json"): "4337fb2b4402f50c",
+    ("matrix", "--extended", "1 / 1", "--format", "csv"): "9a271f2a916b0b6e",
+    ("verify-family", "k1", "--k", "1..3", "--format", "plain"): "671b7601b7c45723",
+    ("verify-family", "k1", "--k", "1..3", "--format", "json"): "9caa673232ca2f0b",
+    ("verify-family", "k1", "--k", "1..3", "--format", "csv"): "8279798f7db6f4c0",
+    ("verify-family", "2s-r1", "--r", "1..3", "--format", "plain"): "e06b7944d95b0eb7",
+    ("verify-family", "2s-r1", "--r", "1..3", "--format", "json"): "5d5e339135b87944",
+    ("verify-family", "2s-r1", "--r", "1..3", "--format", "csv"): "014148a32ad86e9e",
+    ("verify-family", "k-2r", "--k", "1..2", "--r", "1..2", "--format", "plain"): "0c32a37e8d9d947c",
+    ("verify-family", "k-2r", "--k", "1..2", "--r", "1..2", "--format", "json"): "42a30f4d9ab27702",
+    ("verify-family", "k-2r", "--k", "1..2", "--r", "1..2", "--format", "csv"): "54ec2025af654a88",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_every_command_prints_pinned_bytes_in_every_format(capsys, tmp_path, argv):
+    """Each command in each format prints the pinned bytes, and --out F
+    writes those same bytes to F and nothing to stdout."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_STDOUT[argv]
+    out_file = tmp_path / "F"
+    assert run_cli(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == out.encode()
+
+
+#: The options of each subcommand. Only the five query commands and
+#: verify-family choose a format; every subcommand takes --out.
+OPTIONS = {
+    "index": {"--format", "--out"},
+    "spectrum": {"--format", "--out"},
+    "extended": {"--format", "--out"},
+    "principal": {"--format", "--out"},
+    "matrix": {"--extended", "--format", "--out"},
+    "render": {"--out"},
+    "verify-family": {"--k", "--r", "--format", "--out"},
+    "verify-lemmas": {"--spec", "--k1", "--k2", "--m", "--max-k", "--max-m", "--out"},
+    "sweep": {"--conjecture", "--n-min", "--n-max", "--k-max", "--r-max", "--base",
+              "--out", "--resume"},
+}
+
+
+def test_each_subcommand_has_its_pinned_options():
+    subcommands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(subcommands) == set(OPTIONS)
+    for name, parser in subcommands.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == OPTIONS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "1 / 1"),
+    ("verify-lemmas", "--spec", "1 / 1"),
+], ids=["render", "verify-lemmas"])
+def test_format_is_refused_where_there_is_one_format(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (64, "")
+    assert captured.err.splitlines()[-1] == (
+        "seaweedspec: error: unrecognized arguments: --format json"
+    )
 
 
 class TestParser:
