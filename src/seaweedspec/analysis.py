@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from operator import eq, neg
 
 from .core import Composition, IntegerMultiset, SeaweedSpec, _check_indexable
@@ -316,8 +317,6 @@ def verify_block_lemmas(k1: int, k2: int, m: int) -> list[str]:
     matrix shifted up by 1. Requires gcd(k1, k2) = 1 so everything in
     sight is Frobenius. Returns the names of the checks performed.
     """
-    from math import gcd
-
     if k1 < 1 or k2 < 1 or m < 1:
         raise ValueError("k1, k2, m must all be at least 1")
     if gcd(k1, k2) != 1:

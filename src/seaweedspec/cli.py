@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: index, spectrum, extended, principal, matrix, render,
-verify-family, verify-lemmas, sweep. Query commands take a seaweed string
-like "2|4 / 1|2|3" and honor --format {plain,json,csv} plus --out. Every
-invocation is deterministic: the same arguments always produce the same
-bytes.
+verify-family, verify-lemmas, sweep. The five query commands (index to
+matrix) take a seaweed string like "2|4 / 1|2|3". They and verify-family
+take --format {plain,json,csv} and --out; render and verify-lemmas take
+--out only. One emitter writes every result but sweep's summary; in CSV,
+a None cell is empty, a bool is true or false, and anything else is str.
+The same arguments always produce the same bytes.
 
 Exit codes: 0 success, 1 engine invariant violated, 2 conjecture
 counterexample found, 3 spectrum requested for a non-Frobenius seaweed,
@@ -22,8 +24,10 @@ import json
 import os
 import re
 import sys
-from functools import cache
+from dataclasses import fields
+from functools import cache, partial
 from itertools import product
+from math import gcd
 
 from . import __version__
 from .analysis import (
@@ -77,12 +81,29 @@ def _err(message) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _emit(args, plain, obj=None, header=None, rows=None) -> None:
+    """Write a command's result to --out, or to stdout. plain, obj and rows
+    are callables, so only the format chosen is built: plain gives the text,
+    obj the JSON object, and rows the CSV rows, which follow the header line
+    if there is one. A command without --format writes plain."""
+    fmt = getattr(args, "format", "plain")
+    if fmt == "json":
+        text = json.dumps(obj(), separators=(",", ":"))
+    elif fmt == "csv":
+        lines = [] if header is None else [header]
+        lines += [",".join(map(_cell, row)) for row in rows()]
+        text = "\n".join(lines)
+    else:
+        text = plain()
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
@@ -110,10 +131,6 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def _indexable_seaweed(text: str):
     """parse_seaweed for a command that holds one item per vertex, so n must
     fit a kernel array (core._check_indexable); a larger n is refused before
@@ -127,74 +144,48 @@ def cmd_index(args) -> int:
     g = parse_seaweed(args.seaweed)
     cycles, paths = component_counts(g.top.parts, g.bottom.parts)
     sl, gl = 2 * cycles + paths - 1, 2 * cycles + paths
-    if args.format == "plain":
-        _emit(args, str(sl))
-    elif args.format == "json":
-        _emit(args, _json({
-            "spec": str(g), "index_sl": sl, "index_gl": gl,
-            "paths": paths, "cycles": cycles, "frobenius": sl == 0,
-        }))
-    else:
-        _emit(args, "spec,index_sl,index_gl,paths,cycles,frobenius\n"
-              f"{g},{sl},{gl},{paths},{cycles},{str(sl == 0).lower()}")
+    _emit(
+        args, lambda: str(sl),
+        obj=lambda: {"spec": str(g), "index_sl": sl, "index_gl": gl,
+                     "paths": paths, "cycles": cycles, "frobenius": sl == 0},
+        header="spec,index_sl,index_gl,paths,cycles,frobenius",
+        rows=lambda: [(g, sl, gl, paths, cycles, sl == 0)],
+    )
     return EXIT_OK
 
 
-def _emit_multiset(args, s) -> None:
-    if args.format == "plain":
-        _emit(args, s.to_text())
-    elif args.format == "json":
-        _emit(args, _json(s.to_json_obj()))
-    else:
-        lines = ["eigenvalue,multiplicity"]
-        lines += [f"{v},{c}" for v, c in s.items()]
-        _emit(args, "\n".join(lines))
-
-
-def cmd_spectrum(args) -> int:
-    _emit_multiset(args, spectrum(_indexable_seaweed(args.seaweed)))
-    return EXIT_OK
-
-
-def cmd_extended(args) -> int:
-    _emit_multiset(args, extended_spectrum(_indexable_seaweed(args.seaweed)))
+def cmd_spectrum(engine, args) -> int:
+    """spectrum and extended: the multiset that engine gives the seaweed."""
+    s = engine(_indexable_seaweed(args.seaweed))
+    _emit(args, s.to_text, obj=s.to_json_obj, header="eigenvalue,multiplicity", rows=s.items)
     return EXIT_OK
 
 
 def cmd_principal(args) -> int:
     g = _indexable_seaweed(args.seaweed)
     diag = principal_element(g)
-    if args.format == "plain":
-        _emit(args, " ".join(str(f) for f in diag))
-    elif args.format == "json":
-        _emit(args, _json({"spec": str(g), "diagonal": [str(f) for f in diag]}))
-    else:
-        lines = ["vertex,value"]
-        lines += [f"{v},{f}" for v, f in enumerate(diag, start=1)]
-        _emit(args, "\n".join(lines))
+    _emit(
+        args, lambda: " ".join(map(str, diag)),
+        obj=lambda: {"spec": str(g), "diagonal": list(map(str, diag))},
+        header="vertex,value", rows=lambda: enumerate(diag, start=1),
+    )
     return EXIT_OK
 
 
 def cmd_matrix(args) -> int:
     g = _indexable_seaweed(args.seaweed)
-    rows = extended_spectrum_matrix(g) if args.extended else spectrum_matrix(g)
-    if args.format == "plain":
-        _emit(args, matrix_text(rows))
-    elif args.format == "json":
-        _emit(args, _json({
-            "spec": str(g), "extended": bool(args.extended),
-            "rows": [list(row) for row in rows],
-        }))
-    else:
-        _emit(args, "\n".join(
-            ",".join("" if cell is None else str(cell) for cell in row) for row in rows
-        ))
+    m = extended_spectrum_matrix(g) if args.extended else spectrum_matrix(g)
+    _emit(
+        args, lambda: matrix_text(m),
+        obj=lambda: {"spec": str(g), "extended": args.extended, "rows": list(map(list, m))},
+        rows=lambda: m,
+    )
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
     g = _indexable_seaweed(args.seaweed)
-    _emit(args, render_svg(g))
+    _emit(args, lambda: render_svg(g))
     return EXIT_OK
 
 
@@ -232,30 +223,18 @@ def cmd_verify_family(args) -> int:
                     f"{want.to_text()} vs engine {got.to_text()}"
                 )
 
-    if args.format == "json":
-        _emit(args, _json({
-            "family": fam.value,
-            "results": [{"k": k, "r": r, "ok": True} for k, r in points],
-            "passed": len(points),
-            "total": len(points),
-        }))
-    elif args.format == "csv":
-        lines = ["family,k,r,ok"]
-        lines += [
-            f"{fam.value},{'' if k is None else k},{'' if r is None else r},true"
-            for k, r in points
-        ]
-        _emit(args, "\n".join(lines))
-    else:
-        lines = []
-        for k, r in points:
-            where = " ".join(
-                p for p in (f"k={k}" if k is not None else "", f"r={r}" if r is not None else "")
-                if p
-            )
-            lines.append(f"{fam.value} {where} ok")
-        lines.append(f"{len(points)}/{len(points)} pass")
-        _emit(args, "\n".join(lines))
+    def plain():
+        named = [[f"{p}={v}" for p, v in zip("kr", point) if v is not None] for point in points]
+        lines = [" ".join([fam.value, *where, "ok"]) for where in named]
+        return "\n".join([*lines, f"{len(points)}/{len(points)} pass"])
+
+    _emit(
+        args, plain,
+        obj=lambda: {"family": fam.value,
+                     "results": [{"k": k, "r": r, "ok": True} for k, r in points],
+                     "passed": len(points), "total": len(points)},
+        header="family,k,r,ok", rows=lambda: [(fam.value, k, r, True) for k, r in points],
+    )
     return EXIT_OK
 
 
@@ -270,17 +249,13 @@ def cmd_verify_lemmas(args) -> int:
         verify_swap_lemma(g)
         verify_reverse_lemma(g)
         verify_skew_symmetry(g)
-        lines.append(f"{g} swap ok")
-        lines.append(f"{g} reverse ok")
-        lines.append(f"{g} skew ok")
+        lines += [f"{g} {check} ok" for check in ("swap", "reverse", "skew")]
     triples = []
     if args.k1 is not None or args.k2 is not None or args.m is not None:
         if None in (args.k1, args.k2, args.m):
             raise ParseError("--k1, --k2 and --m must be given together")
         triples = [(args.k1, args.k2, args.m)]
     elif not args.seaweed:
-        from math import gcd
-
         triples = [
             (k1, k2, m)
             for k1 in range(1, args.max_k + 1)
@@ -292,33 +267,24 @@ def cmd_verify_lemmas(args) -> int:
         performed = verify_block_lemmas(k1, k2, m)
         lines.append(f"blocks k1={k1} k2={k2} m={m} ok ({', '.join(performed)})")
     lines.append(f"{len(lines)} checks pass")
-    _emit(args, "\n".join(lines))
+    _emit(args, lambda: "\n".join(lines))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    job = SweepJob(
-        conjecture=args.conjecture,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        k_max=args.k_max,
-        r_max=args.r_max,
-        base=args.base,
-        out=args.records,
-        resume=args.resume,
-    )
-    summary = run_sweep(job)
+    summary = run_sweep(SweepJob(**{f.name: getattr(args, f.name) for f in fields(SweepJob)}))
     print(json.dumps(summary, indent=2))
     return EXIT_COUNTEREXAMPLE if summary["counterexamples"] else EXIT_OK
 
 
-def _add_query(sub, name, fn, help_text, extended_flag=False):
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("seaweed", help='seaweed string, e.g. "2|4 / 1|2|3"')
-    if extended_flag:
-        p.add_argument("--extended", action="store_true",
-                       help="use all n^2 positions instead of the admissible mask")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+def _command(sub, name, fn, help, *, formats=True, seaweed=True):
+    """A subcommand that writes through _emit: its seaweed argument, unless
+    seaweed is false, then --format, unless formats is false, and --out."""
+    p = sub.add_parser(name, help=help)
+    if seaweed:
+        p.add_argument("seaweed", help='seaweed string, e.g. "2|4 / 1|2|3"')
+    if formats:
+        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=fn)
     return p
@@ -332,29 +298,26 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_query(sub, "index", cmd_index, "index of the seaweed from its meander")
-    _add_query(sub, "spectrum", cmd_spectrum, "eigenvalue multiset of a Frobenius seaweed")
-    _add_query(sub, "extended", cmd_extended, "extended eigenvalue multiset (all n^2 - 1)")
-    _add_query(sub, "principal", cmd_principal, "diagonal of the principal element")
-    _add_query(sub, "matrix", cmd_matrix, "eigenvalue matrix, masked or extended",
-               extended_flag=True)
+    _command(sub, "index", cmd_index, "index of the seaweed from its meander")
+    _command(sub, "spectrum", partial(cmd_spectrum, spectrum),
+             "eigenvalue multiset of a Frobenius seaweed")
+    _command(sub, "extended", partial(cmd_spectrum, extended_spectrum),
+             "extended eigenvalue multiset (all n^2 - 1)")
+    _command(sub, "principal", cmd_principal, "diagonal of the principal element")
+    p = _command(sub, "matrix", cmd_matrix, "eigenvalue matrix, masked or extended")
+    p.add_argument("--extended", action="store_true",
+                   help="use all n^2 positions instead of the admissible mask")
+    _command(sub, "render", cmd_render, "draw the oriented meander as SVG", formats=False)
 
-    p = sub.add_parser("render", help="draw the oriented meander as SVG")
-    p.add_argument("seaweed")
-    p.add_argument("--out", help="write the SVG here instead of stdout")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("verify-family",
-                       help="closed-form family spectra against the engine")
+    p = _command(sub, "verify-family", cmd_verify_family,
+                 "closed-form family spectra against the engine", seaweed=False)
     p.add_argument("family", choices=[f.value for f in FamilyId])
     p.add_argument("--k", help="k range: A, A..B, or A..B:odd")
     p.add_argument("--r", help="r range: A or A..B")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.set_defaults(func=cmd_verify_family)
 
-    p = sub.add_parser("verify-lemmas",
-                       help="swap/reverse/skew identities and corner-block identities")
+    p = _command(sub, "verify-lemmas", cmd_verify_lemmas,
+                 "swap/reverse/skew identities and corner-block identities",
+                 formats=False, seaweed=False)
     p.add_argument("--spec", dest="seaweed", help="seaweed for the symmetry checks")
     p.add_argument("--k1", type=_int)
     p.add_argument("--k2", type=_int)
@@ -362,8 +325,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-k", type=_int, default=8,
                    help="grid bound for k1 and k2 when no triple is given")
     p.add_argument("--max-m", type=_int, default=4)
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser("sweep", help="exhaustive or targeted conjecture sweeps")
     p.add_argument("--conjecture", choices=CONJECTURES, default="unimodal_2_8")
@@ -372,7 +333,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=_int, default=8)
     p.add_argument("--r-max", type=_int, default=6)
     p.add_argument("--base", help="base seaweed for stability_4_16")
-    p.add_argument("--out", dest="records",
+    p.add_argument("--out", metavar="RECORDS",
                    help="write NDJSON records to this missing or empty file")
     p.add_argument("--resume", action="store_true",
                    help="continue a records file that holds a prefix of this job's records")

@@ -100,7 +100,7 @@ class SweepJob:
             if self.n_min < 1 or self.n_max < self.n_min:
                 raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
             _check_census(self.n_max)
-        if self.k_max < 1 or self.r_max < 1:
+        elif self.k_max < 1 or self.r_max < 1:  # the only sweeps that read k and r
             raise ValueError("k_max and r_max must be at least 1")
         if self.resume and not self.out:
             raise ValueError("resume needs an output path to continue")

@@ -319,6 +319,15 @@ class TestMatrix:
         _, out, _ = run_cli(capsys, "matrix", "1|1 / 2", "--format", "csv")
         assert out == "0,1\n,0\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_other_formats_do_not_render_the_plain_text(self, capsys, monkeypatch, fmt):
+        """Only the format chosen is built: a large matrix is rendered once."""
+        def plain_text(rows):
+            raise AssertionError("plain text rendered")
+
+        monkeypatch.setattr(cli, "matrix_text", plain_text)
+        assert run_cli(capsys, "matrix", "1 / 1", "--format", fmt)[0] == 0
+
     def test_large_n_bytes_match_flag_oracle(self, capsys):
         g = family_spec(FamilyId.K4R_PLUS2, 81, 8).reversed()
         assert g.n >= 60
@@ -586,6 +595,16 @@ class TestSweep:
         code, want, _ = run_cli(capsys, *argv)
         assert code == 0
         assert run_cli(capsys, *argv, *n_args) == (0, want, "")
+
+    @pytest.mark.parametrize("conjecture", ["unimodal_2_8", "none"])
+    @pytest.mark.parametrize("kr_args", [("--k-max", "0"), ("--r-max", "0")])
+    def test_pair_sweep_ignores_k_and_r(self, capsys, conjecture, kr_args):
+        """A sweep over composition pairs reads no k or r, so a k or r range
+        with no values changes nothing: it used to be refused with exit 64."""
+        argv = ("sweep", "--conjecture", conjecture, "--n-max", "4")
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, *kr_args) == (0, want, "")
 
     def test_non_frobenius_base_keeps_resumed_file_bytes(self, capsys, tmp_path):
         # A torn last line would be truncated by the read-back; the base's

@@ -69,7 +69,10 @@ class TestSweepJob:
         with pytest.raises(ValueError, match="resume"):
             SweepJob(resume=True)
         with pytest.raises(ValueError, match="k_max and r_max"):
-            SweepJob(k_max=0)
+            SweepJob(conjecture="stability_4_17", k_max=0)
+        for conjecture in ("stability_4_16", "stability_4_17", "stability_4_18"):
+            with pytest.raises(ValueError, match="k_max and r_max"):
+                SweepJob(conjecture=conjecture, r_max=0)
         with pytest.raises(ValueError, match="4\\^32 composition pairs"):
             SweepJob(n_max=33)
 
