@@ -444,6 +444,15 @@ CORRUPTIONS = {
     "rows_swapped": _rows_swapped,
 }
 
+#: Cells that are no int, for the skew check alone: each pairs with itself
+#: or with a str, so no sum of a cell and its mirror raises TypeError.
+SKEW_CORRUPTIONS = {
+    **CORRUPTIONS,
+    "str_on_diagonal": lambda rows: with_cells(rows, [(2, 2)], "a"),
+    "str_pair": lambda rows: with_cells(rows, [(2, 5), (5, 2)], "a"),
+    "empty_str_on_diagonal": lambda rows: with_cells(rows, [(2, 2)], ""),
+}
+
 
 def materialised_index_map(name, partner, at, g, pair, partner_pair):
     """The failure of checking g's (masked, full) pair against the flip of
@@ -531,13 +540,16 @@ class TestLazyComparison:
         changing_pair(monkeypatch, name, str(g if target == "own" else h), CORRUPTIONS[corruption])
         assert outcome(lambda: verify(g)) == want
 
-    @pytest.mark.parametrize("corruption", ["last_cell", "int_to_none", "rows_swapped"])
+    @pytest.mark.parametrize("corruption", [
+        "last_cell", "int_to_none", "rows_swapped",
+        "str_on_diagonal", "str_pair", "empty_str_on_diagonal",
+    ])
     def test_skew(self, monkeypatch, each_kernel, corruption):
         g = parse_seaweed(self.G)
-        rows = CORRUPTIONS[corruption](analysis.extended_spectrum_matrix(g))
+        corrupt = SKEW_CORRUPTIONS[corruption]
+        rows = corrupt(analysis.extended_spectrum_matrix(g))
         want = outcome(lambda: materialised_skew(g, rows))
         assert want is not None
-        corrupt = CORRUPTIONS[corruption]
         build = analysis.extended_spectrum_matrix
         monkeypatch.setattr(analysis, "extended_spectrum_matrix", lambda g: corrupt(build(g)))
         assert outcome(lambda: verify_skew_symmetry(g)) == want
