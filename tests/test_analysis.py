@@ -575,6 +575,18 @@ class TestLazyComparison:
         assert calls == {"potentials": 2, "_full": 2}
 
 
+def traced_peak(check):
+    """(peak, held): what check() allocates at its peak and still holds
+    when it returns, by tracemalloc, in bytes."""
+    tracemalloc.start()
+    try:
+        check()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
+
+
 #: One point per family at n = 250..255, and each check's tracemalloc peak
 #: in kB there when every check built its flip whole: swap, reverse, skew.
 MATERIALISED_PEAK_KB = [
@@ -601,13 +613,35 @@ def test_checks_stay_within_a_quarter_of_the_materialised_peak(f, k, r, peaks_kb
     for verify, peak_kb in zip((verify_swap_lemma, verify_reverse_lemma, verify_skew_symmetry),
                                peaks_kb):
         verify(g)  # warm: the first call may allocate what later calls reuse
-        tracemalloc.start()
-        try:
-            verify(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: verify(g))
         assert peak <= 1.25 * peak_kb * 1000, (verify.__name__, peak)
+
+
+@pytest.mark.parametrize(
+    "f, k, r", [point[:3] for point in MATERIALISED_PEAK_KB],
+    ids=lambda v: getattr(v, "value", None),
+)
+def test_skew_check_holds_a_column_and_two_slices(each_kernel, f, k, r):
+    """The skew check makes no negated copy of a row: a warm check's peak
+    stays under 64 kB where one row of the matrix takes about 2 kB."""
+    g = family_spec(f, k, r)
+    verify_skew_symmetry(g)  # warm: the matrix is built and kept in the memo
+    peak, _ = traced_peak(lambda: verify_skew_symmetry(g))
+    assert peak <= 64_000, peak
+
+
+def test_cold_checks_peak_near_what_the_memo_holds(each_kernel):
+    """The swap, reverse and skew checks of a new seaweed, after those of
+    another, hold at their peak little more than the two seaweeds' matrices
+    the memo keeps when they finish: a displaced seaweed's matrices are
+    freed before a new seaweed's are built, and the skew check copies no
+    row."""
+    checks = (verify_swap_lemma, verify_reverse_lemma, verify_skew_symmetry)
+    before, g = family_spec(FamilyId.K1, 250), family_spec(FamilyId.K1, 252)
+    for verify in checks:
+        verify(before)
+    peak, held = traced_peak(lambda: [verify(g) for verify in checks])
+    assert peak <= 1.15 * held, (peak, held)
 
 
 def test_engine_invariant_error_is_runtime_error():

@@ -827,6 +827,7 @@ def test_out_path_the_system_refuses_is_usage_error(capsys, tmp_path, argv, targ
 #: each format, recorded when each command still wrote its own format
 #: choice. Equal digests mean equal bytes: index plain prints "0\n" for all
 #: three seaweeds, and "1 / 1" has an empty spectrum, "{}" in plain and json.
+#: render and verify-lemmas have one format; the SVG ends in one newline.
 PINNED_STDOUT = {
     ("index", "2|4 / 1|2|3", "--format", "plain"): "9a271f2a916b0b6e",
     ("index", "2|4 / 1|2|3", "--format", "json"): "144c641ebb146093",
@@ -891,6 +892,11 @@ PINNED_STDOUT = {
     ("verify-family", "k-2r", "--k", "1..2", "--r", "1..2", "--format", "plain"): "0c32a37e8d9d947c",
     ("verify-family", "k-2r", "--k", "1..2", "--r", "1..2", "--format", "json"): "42a30f4d9ab27702",
     ("verify-family", "k-2r", "--k", "1..2", "--r", "1..2", "--format", "csv"): "54ec2025af654a88",
+    ("render", "1 / 1"): "5617a8bfe499d929",
+    ("render", "2|4 / 1|2|3"): "df0a28a2b02baddb",
+    ("verify-lemmas", "--spec", "2|4 / 1|2|3"): "798e4e0fd9480d87",
+    ("verify-lemmas", "--k1", "2", "--k2", "1", "--m", "2"): "612d08cf78815ecb",
+    ("verify-lemmas", "--max-k", "3", "--max-m", "2"): "c96786944f41d0a5",
 }
 
 

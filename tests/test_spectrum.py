@@ -330,10 +330,9 @@ class TestSeaweedMemo:
                 query(g)
         assert spectrum_module._memo == {}
 
-    def test_a_displaced_entry_is_freed_after_the_build_that_displaces_it(self):
-        """So that its rows are freed after the new rows are made, not
-        before, as the young-generation collections of the lemma checks
-        need (see spectrum._built)."""
+    def test_a_displaced_entry_is_freed_before_the_build_that_displaces_it(self):
+        """So that its rows are freed before the new rows are made, and no
+        more than two seaweeds' matrices are ever held (see spectrum._built)."""
 
         class Made:
             pass
@@ -346,7 +345,7 @@ class TestSeaweedMemo:
         spectrum_module._built(lambda top, bottom, phi: Made(), *second)
         alive = []
         spectrum_module._built(lambda top, bottom, phi: alive.append(made() is not None), *third)
-        assert alive == [True] and made() is None
+        assert alive == [False] and made() is None
         assert list(spectrum_module._memo) == [second, third]
 
 

@@ -396,6 +396,11 @@ UNIMODAL_N9_RECORDS = (
     87_381, 22_304_413, "3b85a70057d056aacc71cf0d619c7590ff57acb3bc31856fec0c5e58509f0805"
 )
 
+# The same of `sweep --n-max 10 --out F`, with its line count.
+UNIMODAL_N10_RECORDS = (
+    349_525, 90_519_835, "035f763a93553ca0187edbe7c65145dd6d3896ad02f72c1adae180c34c6c6fb6"
+)
+
 
 class TestOrbitCensus:
     """The sweep reads every pair's index off the census, which is built by
@@ -484,6 +489,20 @@ class TestRowWriter:
         assert (data.count(b"\n"), len(data), hashlib.sha256(data).hexdigest()) == (
             UNIMODAL_N9_RECORDS
         )
+
+    def test_n10_file_is_pinned(self, capsys, tmp_path, each_kernel):
+        """The 90 MB file is read back in 1 MiB chunks and then removed."""
+        out = tmp_path / "records.ndjson"
+        assert cli.main(["sweep", "--n-max", "10", "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines, size, digest = 0, 0, hashlib.sha256()
+        with open(out, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                lines += chunk.count(b"\n")
+                size += len(chunk)
+                digest.update(chunk)
+        out.unlink()
+        assert (lines, size, digest.hexdigest()) == UNIMODAL_N10_RECORDS
 
     def test_frobenius_lines_equal_json_dumps_of_the_record(self, tmp_path, each_kernel):
         out = tmp_path / "records.ndjson"
